@@ -137,7 +137,8 @@ def solve_rk54(
         err = h * (_E @ k)
         err_norm = _error_norm(err, y, y_new, rtol, atol)
 
-        if err_norm > 1.0:
+        # Written so that a NaN error norm rejects the step.
+        if not err_norm <= 1.0:
             res.n_rejected += 1
             h *= max(_MIN_FACTOR, _SAFETY * err_norm ** (-1 / 5))
             continue

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BracketTensor, act_pi_array, component_norms, validate_point
-from .curvature import curvature_pieces, laplacian_op
+from .curvature import _ricci_evolution, _sym, curvature_pieces
 from .families import Berger3, NoRealizationError
 from .flow import FlowTrajectory, TERM_BLOWUP, TERM_CONVERGED, TERM_REACHED_END
 
@@ -34,10 +34,6 @@ __all__ = [
 ]
 
 IDENTITY_NAMES = ("Ric", "M", "B", "H", "U", "R", "mu_p_norm2", "trB", "H_norm2")
-
-
-def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
 
 
 @dataclass(frozen=True)
@@ -114,9 +110,7 @@ def identity_audit(traj: FlowTrajectory) -> AuditReport:
         r = traj.rate_at(i)
         mu_p = mu.mu_p
         ric = rep.Ric
-        ad_h = np.einsum("i,ijk->kj", rep.H, mu_p)
-        ric_h = ric @ rep.H
-        ad_rich = np.einsum("i,ijk->kj", ric_h, mu_p)
+        d0, lap, ad_h, ad_rich = _ricci_evolution(mu_p, rep)
         mu_p2 = float(np.sum(mu_p**2))
         h2 = float(rep.H @ rep.H)
         tr_b = float(np.trace(rep.B))
@@ -131,17 +125,10 @@ def identity_audit(traj: FlowTrajectory) -> AuditReport:
         quantities["trB"].append(tr_b)
         quantities["H_norm2"].append(h2)
 
-        lap = laplacian_op(mu_p, ric)
         d_m = -0.5 * lap + 2 * r * rep.M
         d_b = rep.B @ ric + ric @ rep.B + 2 * r * rep.B
         d_u = 2 * _sym(ad_rich) + _sym(ad_h @ ric - ric @ ad_h) + 2 * r * rep.U
-        rhs["Ric"].append(
-            -0.5 * lap
-            - 0.5 * (rep.B @ ric + ric @ rep.B)
-            - 2 * _sym(ad_rich)
-            - _sym(ad_h @ ric - ric @ ad_h)
-            + 2 * r * ric
-        )
+        rhs["Ric"].append(d0 + 2 * r * ric)
         rhs["M"].append(d_m)
         rhs["B"].append(d_b)
         rhs["H"].append(ric @ rep.H + r * rep.H)

@@ -4,8 +4,8 @@ identity audits and the flow-equivalence check.
 Artifacts are CSV tables plus JSON sidecar manifests.  CSV floats are
 printed with 17 significant digits and rows are assembled in a fixed order,
 so identical configurations produce byte-identical files.  Exit codes:
-0 success, 2 invalid point, 3 malformed input, 4 validity drift,
-5 equivalence failure.
+0 success, 1 identity audit failed (check), 2 invalid point, 3 malformed
+input, 4 validity drift, 5 equivalence failure.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -343,16 +343,17 @@ def _classify_tols(cfg: dict) -> dict:
 
 def _manifest(cfg: dict, src: Source, traj, state_cols: list[str]) -> dict:
     rtol, atol = _tolerances(cfg)
+    events = _events(cfg)
     return {
         "source": src.label,
         "strategy": traj.strategy.kind,
         "rtol": rtol,
         "atol": atol,
         "events": {
-            "blowup_threshold": _events(cfg).blowup_norm,
-            "conv_threshold": _events(cfg).conv_tangent,
-            "conv_window": _events(cfg).conv_window,
-            "drift_factor": _events(cfg).drift_factor,
+            "blowup_threshold": events.blowup_norm,
+            "conv_threshold": events.conv_tangent,
+            "conv_window": events.conv_window,
+            "drift_factor": events.drift_factor,
         },
         "state_columns": state_cols,
         "run": traj.describe(),
@@ -428,6 +429,11 @@ def cmd_sweep(cfg: dict) -> int:
     axis2 = np.linspace(lo2, hi2, c2)
 
     rtol, atol = _tolerances(cfg)
+    strategy = _strategy(cfg)
+    t_span = list(cfg.get("t_span", (0.0, 10.0)))
+    samples = int(cfg.get("samples", 60))
+    events = asdict(_events(cfg))
+    classify = _classify_tols(cfg)
     tasks = []
     for v1 in axis1:
         for v2 in axis2:
@@ -439,18 +445,13 @@ def cmd_sweep(cfg: dict) -> int:
                     "family": fam.name,
                     "context": fam.context(),
                     "params": [values[n] for n in names],
-                    "strategy": _strategy(cfg).kind,
-                    "t_span": list(cfg.get("t_span", (0.0, 10.0))),
+                    "strategy": strategy.kind,
+                    "t_span": t_span,
                     "rtol": rtol,
                     "atol": atol,
-                    "samples": int(cfg.get("samples", 60)),
-                    "events": {
-                        "blowup_norm": _events(cfg).blowup_norm,
-                        "conv_tangent": _events(cfg).conv_tangent,
-                        "conv_window": _events(cfg).conv_window,
-                        "drift_factor": _events(cfg).drift_factor,
-                    },
-                    "classify": _classify_tols(cfg),
+                    "samples": samples,
+                    "events": events,
+                    "classify": classify,
                 }
             )
 
@@ -482,8 +483,8 @@ def cmd_sweep(cfg: dict) -> int:
         "family": fam.name,
         "context": fam.context(),
         "grid": {n1: [lo1, hi1, c1], n2: [lo2, hi2, c2]},
-        "strategy": _strategy(cfg).kind,
-        "t_span": list(cfg.get("t_span", (0.0, 10.0))),
+        "strategy": strategy.kind,
+        "t_span": t_span,
         "rtol": rtol,
         "atol": atol,
         "cells": len(rows),

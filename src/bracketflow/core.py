@@ -32,7 +32,6 @@ __all__ = [
     "validate_point",
     "act_gl",
     "act_pi",
-    "act_pi_n",
     "rescale",
     "component_split",
     "component_norms",
@@ -414,11 +413,6 @@ def act_pi_array(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     term1 = np.einsum("ai,ajm->ijm", a, c)
     term2 = np.einsum("bj,ibm->ijm", a, c)
     return term0 - term1 - term2
-
-
-def act_pi_n(a: np.ndarray, mu_p: np.ndarray) -> np.ndarray:
-    """pi restricted to operators and brackets on p (the q = 0 action)."""
-    return act_pi_array(a, mu_p)
 
 
 def rescale(c_scale: float, mu: BracketTensor) -> BracketTensor:

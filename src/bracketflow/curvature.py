@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BracketTensor, HomogeneousPoint, act_pi_n
+from .core import BracketTensor, HomogeneousPoint, act_pi_array
 
 __all__ = [
     "CurvatureReport",
@@ -127,7 +127,7 @@ def curvature_report(point: HomogeneousPoint) -> CurvatureReport:
 
 def delta_map(mu_p: np.ndarray, a: np.ndarray) -> np.ndarray:
     """delta(A) = -pi(A) mu_p, the variation of the bracket along gl(p)."""
-    return -act_pi_n(np.asarray(a, dtype=float), mu_p)
+    return -act_pi_array(np.asarray(a, dtype=float), mu_p)
 
 
 def delta_adjoint(mu_p: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -147,3 +147,23 @@ def delta_adjoint(mu_p: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def laplacian_op(mu_p: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Delta(A) = S(delta_adj(delta(A))); positive semidefinite in A."""
     return _sym(delta_adjoint(mu_p, delta_map(mu_p, a)))
+
+
+def _ricci_evolution(mu_p: np.ndarray, rep: CurvatureReport):
+    """Evolution law of Ric along the unnormalized bracket flow.
+
+    Returns (D0, Delta(Ric), ad_H, ad_(Ric H)) with dRic/dt = D0; the
+    normalized flow adds 2 r Ric.  The last three pieces also enter the laws
+    of M and U.
+    """
+    ric = rep.Ric
+    ad_h = np.einsum("i,ijk->kj", rep.H, mu_p)
+    ad_rich = np.einsum("i,ijk->kj", ric @ rep.H, mu_p)
+    lap = laplacian_op(mu_p, ric)
+    d0 = (
+        -0.5 * lap
+        - 0.5 * (rep.B @ ric + ric @ rep.B)
+        - 2 * _sym(ad_rich)
+        - _sym(ad_h @ ric - ric @ ad_h)
+    )
+    return d0, lap, ad_h, ad_rich

@@ -7,6 +7,11 @@ isotropy rows is exactly zero.  Every trajectory co-integrates the scaling
 pair (c, tau) with c' = r c, tau' = c^2, which ties a normalized run to its
 unnormalized parent.
 
+The bracket, metric and gauge ODEs and the sampled (c, tau) rescaling all run
+through one sampled path, _solve_sampled: it maps a forward or backward time
+grid onto the forward stepper, lands on every sample and closes an early stop
+with a sample at the stopping time.
+
 A single integration owns its state; trajectories and all inputs are
 immutable once produced, so independent integrations may run concurrently.
 """
@@ -29,7 +34,7 @@ from .core import (
     BracketTensor,
     CompatibilityError,
     HomogeneousPoint,
-    act_pi_n,
+    act_pi_array,
     pack_array,
     pack_state,
     rescale,
@@ -37,8 +42,8 @@ from .core import (
 )
 from .curvature import (
     CurvatureReport,
+    _ricci_evolution,
     curvature_pieces,
-    laplacian_op,
     ricci_operator,
 )
 
@@ -72,11 +77,16 @@ __all__ = [
     "equivalence_report",
 ]
 
-TERM_REACHED_END = "reached-t-end"
+TERM_REACHED_END = STATUS_REACHED_END
 TERM_BLOWUP = "blowup-detected"
 TERM_CONVERGED = "converged-to-fixed-point"
-TERM_UNDERFLOW = "step-underflow"
+TERM_UNDERFLOW = STATUS_STEP_UNDERFLOW
 _TERM_DRIFT = "validity-drift"
+
+_NO_POINTWISE_RATE = (
+    "ricci-norm has no pointwise rate; integrate unnormalized and "
+    "apply rescale_to_ricci_norm"
+)
 
 
 class NormalizationError(ValueError):
@@ -118,6 +128,11 @@ def custom_rate(fn: Callable[[BracketTensor], float]) -> Normalization:
     return Normalization("custom", rate_fn=fn)
 
 
+def _require_pointwise(strategy: Normalization) -> None:
+    if strategy.kind == "ricci-norm":
+        raise NormalizationError(_NO_POINTWISE_RATE)
+
+
 def _rate_from_scalars(
     strategy: Normalization,
     n: int,
@@ -138,11 +153,27 @@ def _rate_from_scalars(
         if mu_p_norm2 == 0.0:
             raise NormalizationError("bracket-norm normalization needs mu_p != 0")
         return 4.0 * tr_ric_m / mu_p_norm2
-    if strategy.kind == "ricci-norm":
-        raise NormalizationError(
-            "ricci-norm has no pointwise rate; use rescale_to_ricci_norm"
-        )
+    _require_pointwise(strategy)
     raise NormalizationError(f"unknown normalization kind {strategy.kind!r}")
+
+
+def _rate_and_ricci(mu: BracketTensor, strategy: Normalization) -> tuple[float, np.ndarray]:
+    """Normalization rate r and Ricci operator of one bracket."""
+    if strategy.kind == "custom":
+        return float(strategy.rate_fn(mu)), ricci_operator(mu)
+    if strategy.kind == "ricci-norm":
+        return ricci_norm_rate(mu), ricci_operator(mu)
+    rep = curvature_pieces(mu)
+    ric = rep.Ric
+    r = _rate_from_scalars(
+        strategy,
+        mu.n,
+        rep.R,
+        float(np.sum(ric * ric)),
+        float(np.sum(ric * rep.M)),
+        float(np.sum(mu.mu_p**2)),
+    )
+    return r, ric
 
 
 def normalization_rate(
@@ -150,40 +181,29 @@ def normalization_rate(
 ) -> float:
     """Normalization rate r for one bracket under the given strategy."""
     mu = point.bracket if isinstance(point, HomogeneousPoint) else point
-    if strategy.kind == "custom":
-        return float(strategy.rate_fn(mu))
-    rep = curvature_pieces(mu)
-    mu_p2 = float(np.sum(mu.mu_p**2))
-    return _rate_from_scalars(
-        strategy,
-        mu.n,
-        rep.R,
-        float(np.sum(rep.Ric * rep.Ric)),
-        float(np.sum(rep.Ric * rep.M)),
-        mu_p2,
-    )
+    _require_pointwise(strategy)
+    return _rate_and_ricci(mu, strategy)[0]
 
 
-def _tangent_components(mu: BracketTensor, ric: np.ndarray, r: float):
-    """Flow tangent of the p x p components: (d mu_k, d mu_p)."""
+def _tangent_array(mu: BracketTensor, ric: np.ndarray, r: float) -> np.ndarray:
+    """Structure array of the r-normalized flow tangent -pi(diag(0, Ric)) mu.
+
+    Assembled componentwise on the p x p components, so the isotropy rows are
+    exactly zero.
+    """
     ck = mu.mu_k
     cp = mu.mu_p
     dck = np.einsum("xi,xjz->ijz", ric, ck) + np.einsum("xj,ixz->ijz", ric, ck)
-    dcp = -act_pi_n(ric, cp)
+    dcp = -act_pi_array(ric, cp)
     if r != 0.0:
         dck = dck + 2.0 * r * ck
         dcp = dcp + r * cp
-    return dck, dcp
-
-
-def _tangent_tensor(mu: BracketTensor, ric: np.ndarray, r: float) -> BracketTensor:
-    dck, dcp = _tangent_components(mu, ric, r)
     d = mu.dim
     q = mu.q
-    c = np.zeros((d, d, d))
-    c[q:, q:, :q] = dck
-    c[q:, q:, q:] = dcp
-    return BracketTensor(mu.q, mu.n, c)
+    dc = np.zeros((d, d, d))
+    dc[q:, q:, :q] = dck
+    dc[q:, q:, q:] = dcp
+    return dc
 
 
 def bracket_rhs(point: HomogeneousPoint) -> BracketTensor:
@@ -192,17 +212,16 @@ def bracket_rhs(point: HomogeneousPoint) -> BracketTensor:
     Assembled componentwise, so the isotropy rows of the tangent are exactly
     zero.
     """
-    point.require_valid()
-    mu = point.bracket
-    return _tangent_tensor(mu, ricci_operator(mu), 0.0)
+    return normalized_rhs(point, UNNORMALIZED)
 
 
 def normalized_rhs(point: HomogeneousPoint, strategy: Normalization) -> BracketTensor:
     """Right-hand side of the r-normalized bracket flow."""
     point.require_valid()
+    _require_pointwise(strategy)
     mu = point.bracket
-    r = normalization_rate(mu, strategy)
-    return _tangent_tensor(mu, ricci_operator(mu), r)
+    r, ric = _rate_and_ricci(mu, strategy)
+    return BracketTensor(mu.q, mu.n, _tangent_array(mu, ric, r))
 
 
 @dataclass(frozen=True)
@@ -252,31 +271,8 @@ class TensorFlowSystem:
 
     def tangent(self, core: np.ndarray) -> tuple[np.ndarray, float]:
         mu = self.bracket(core)
-        if self.strategy.kind == "custom":
-            r = float(self.strategy.rate_fn(mu))
-            ric = ricci_operator(mu)
-        elif self.strategy.kind == "ricci-norm":
-            # Only reachable through post-processed trajectories.
-            r = ricci_norm_rate(mu)
-            ric = ricci_operator(mu)
-        else:
-            rep = curvature_pieces(mu)
-            ric = rep.Ric
-            r = _rate_from_scalars(
-                self.strategy,
-                self.n,
-                rep.R,
-                float(np.sum(ric * ric)),
-                float(np.sum(ric * rep.M)),
-                float(np.sum(mu.mu_p**2)),
-            )
-        dck, dcp = _tangent_components(mu, ric, r)
-        d = mu.dim
-        q = self.q
-        dc = np.zeros((d, d, d))
-        dc[q:, q:, :q] = dck
-        dc[q:, q:, q:] = dcp
-        return pack_array(dc), r
+        r, ric = _rate_and_ricci(mu, self.strategy)
+        return pack_array(_tangent_array(mu, ric, r)), r
 
     def aux_norm2(self, core: np.ndarray) -> float:
         return 2.0 * float(np.dot(core, core))
@@ -411,6 +407,56 @@ def _estimate_blowup_time(history: list[tuple[float, float]]) -> float | None:
     return float(-intercept / slope)
 
 
+def _solve_sampled(rhs, y0, t_grid, *, rtol, atol, max_step=None, callback=None):
+    """Solve y' = rhs(t, y) from t_grid[0], sampled on t_grid.
+
+    The grid may run forward or backward: the stepper runs forward in
+    s = |t - t_grid[0]| and lands on every sample, and the samples, their
+    derivatives and the arguments of callback(t, y, dy/dt, h) are mapped back
+    to t.  A run the callback or a step underflow stops early ends with one
+    more sample at its stopping time.  Returns (status, times, ys, fs, stats)
+    with states and derivatives stacked by row.
+    """
+    if len(t_grid) < 2:
+        raise ValueError("need at least two samples")
+    t0, t1 = float(t_grid[0]), float(t_grid[-1])
+    if t1 == t0:
+        raise ValueError("t_span must be nondegenerate")
+    if rtol <= 0 or atol <= 0:
+        raise ValueError("tolerances must be positive")
+    direction = 1.0 if t1 > t0 else -1.0
+
+    def f(s, y):
+        return direction * rhs(t0 + direction * s, y)
+
+    step_callback = None
+    if callback is not None:
+
+        def step_callback(s, y, f_s, h):
+            return callback(t0 + direction * s, y, direction * f_s, h)
+
+    res = solve_rk54(
+        f,
+        0.0,
+        abs(t1 - t0),
+        y0,
+        rtol=rtol,
+        atol=atol,
+        max_step=np.inf if max_step is None else max_step,
+        sample_times=np.abs(t_grid - t0),
+        step_callback=step_callback,
+    )
+    times = list(t_grid[: len(res.sample_t)])
+    ys = list(res.sample_y)
+    fs = [direction * f_s for f_s in res.sample_f]
+    if res.status != STATUS_REACHED_END and res.t > res.sample_t[-1]:
+        times.append(t0 + direction * res.t)
+        ys.append(res.y)
+        fs.append(direction * res.f)
+    stats = IntegrationStats(res.n_steps, res.n_rejected, res.min_step, res.max_step)
+    return res.status, np.array(times), np.array(ys), np.array(fs), stats
+
+
 def _run_flow(
     system,
     t_span: tuple[float, float],
@@ -421,35 +467,20 @@ def _run_flow(
     max_step: float | None,
     drift_raises: bool,
 ) -> FlowTrajectory:
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 == t0:
-        raise ValueError("t_span must be nondegenerate")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be positive")
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    direction = 1.0 if t1 > t0 else -1.0
-    span = abs(t1 - t0)
-    t_grid = np.linspace(t0, t1, samples)
-    s_grid = np.abs(t_grid - t0)
-
-    y0 = np.concatenate([system.core0, [1.0, 0.0]])
-
-    def rhs(s, y):
-        core = y[:-2]
+    def rhs(t, y):
+        dcore, r = system.tangent(y[:-2])
         cval = y[-2]
-        dcore, r = system.tangent(core)
-        return direction * np.concatenate([dcore, [r * cval, cval * cval]])
+        return np.concatenate([dcore, [r * cval, cval * cval]])
 
     conv_count = 0
     norm_history: list[tuple[float, float]] = []
     drift_message: list[str] = []
 
-    def callback(s, y, f, h):
+    def callback(t, y, f, h):
         nonlocal conv_count
         core = y[:-2]
         aux = float(np.sqrt(system.aux_norm2(core)))
-        norm_history.append((t0 + direction * s, aux))
+        norm_history.append((t, aux))
         if len(norm_history) > 40:
             del norm_history[0]
         if aux > events.blowup_norm:
@@ -464,71 +495,41 @@ def _run_flow(
         if drift > events.drift_factor * rtol:
             drift_message.append(
                 f"Jacobi residual {drift:.3e} exceeded "
-                f"{events.drift_factor:g} * rtol at t = {t0 + direction * s:.6g}"
+                f"{events.drift_factor:g} * rtol at t = {t:.6g}"
             )
             return _TERM_DRIFT
         return None
 
-    res = solve_rk54(
+    status, times, ys, fs, stats = _solve_sampled(
         rhs,
-        0.0,
-        span,
-        y0,
+        np.concatenate([system.core0, [1.0, 0.0]]),
+        np.linspace(float(t_span[0]), float(t_span[1]), samples),
         rtol=rtol,
         atol=atol,
-        max_step=np.inf if max_step is None else max_step,
-        sample_times=s_grid,
-        step_callback=callback,
+        max_step=max_step,
+        callback=callback,
     )
-
-    times = list(t_grid[: len(res.sample_t)])
-    rows = [y for y in res.sample_y]
-    frows = [direction * f for f in res.sample_f]
-    stopped_early = res.status != STATUS_REACHED_END
-    if stopped_early and (not times or res.t > (res.sample_t[-1] if res.sample_t else -1.0)):
-        times.append(t0 + direction * res.t)
-        rows.append(res.y)
-        frows.append(direction * res.f)
-
-    states = np.array([row[:-2] for row in rows])
-    cs = np.array([row[-2] for row in rows])
-    taus = np.array([row[-1] for row in rows])
-    derivs = np.array([row[:-2] for row in frows])
-
-    blowup_t = None
-    if res.status == TERM_BLOWUP:
-        blowup_t = _estimate_blowup_time(norm_history)
-    stats = IntegrationStats(
-        n_steps=res.n_steps,
-        n_rejected=res.n_rejected,
-        min_step=res.min_step,
-        max_step=res.max_step,
-        blowup_time_estimate=blowup_t,
-    )
-    termination = TERM_UNDERFLOW if res.status == STATUS_STEP_UNDERFLOW else res.status
+    if status == TERM_BLOWUP:
+        stats = replace(stats, blowup_time_estimate=_estimate_blowup_time(norm_history))
     traj = FlowTrajectory(
-        times=np.array(times),
-        states=states,
-        derivs=derivs,
-        c=cs,
-        tau=taus,
+        times=times,
+        states=ys[:, :-2].copy(),
+        derivs=fs[:, :-2].copy(),
+        c=ys[:, -2].copy(),
+        tau=ys[:, -1].copy(),
         system=system,
         strategy=system.strategy,
-        termination=termination,
+        termination=status,
         stats=stats,
         notes=tuple(drift_message),
     )
-    if termination == _TERM_DRIFT and drift_raises:
+    if status == _TERM_DRIFT and drift_raises:
         raise ValidityDriftError(drift_message[0], traj)
     return traj
 
 
 def _check_strategy_start(mu: BracketTensor, strategy: Normalization) -> None:
-    if strategy.kind == "ricci-norm":
-        raise NormalizationError(
-            "ricci-norm has no pointwise rate; integrate unnormalized and "
-            "apply rescale_to_ricci_norm"
-        )
+    _require_pointwise(strategy)
     if strategy.kind == "scalar-curvature":
         rep = curvature_pieces(mu)
         if abs(rep.R) < 1e-12:
@@ -577,11 +578,7 @@ def integrate_reduced(
     max_step: float | None = None,
 ) -> FlowTrajectory:
     """Integrate the reduced parameter-space flow of a catalog family."""
-    if strategy.kind == "ricci-norm":
-        raise NormalizationError(
-            "ricci-norm has no pointwise rate; integrate unnormalized and "
-            "apply rescale_to_ricci_norm"
-        )
+    _require_pointwise(strategy)
     system = ReducedFlowSystem(family, params0, strategy)
     return _run_flow(system, t_span, rtol, atol, samples, events, max_step, True)
 
@@ -615,20 +612,28 @@ def _metric_compat_check(mu0: BracketTensor, p: np.ndarray, tol: float) -> None:
             )
 
 
-def metric_ricci(p: np.ndarray, mu0: BracketTensor) -> np.ndarray:
-    """Ricci operator of the inner product <P., .> on the fixed space.
+def _gauged_ricci(p: np.ndarray, mu0: BracketTensor):
+    """(h, h^-1, Ric(diag(I, h) . mu0)) for the symmetric square root h of P.
 
-    Uses the symmetric square root h of P as a gauge: the point moved by
-    diag(I, h) has the fixed inner product, and its Ricci operator conjugates
-    back by h.
+    The point moved by diag(I, h) has the fixed inner product; the Ricci
+    operator of <P., .> is its Ricci operator conjugated back by h.
     """
     hs, hs_inv = _sym_sqrt(p)
-    d = mu0.dim
     q = mu0.q
-    h = np.eye(d)
+    h = np.eye(mu0.dim)
     h[q:, q:] = hs
-    lam = _core.gl_action(mu0, h)
-    return hs_inv @ ricci_operator(lam) @ hs
+    return hs, hs_inv, ricci_operator(_core.gl_action(mu0, h))
+
+
+def metric_ricci(p: np.ndarray, mu0: BracketTensor) -> np.ndarray:
+    """Ricci operator of the inner product <P., .> on the fixed space."""
+    hs, hs_inv, ric = _gauged_ricci(p, mu0)
+    return hs_inv @ ric @ hs
+
+
+def _metric_tangent(p: np.ndarray, mu0: BracketTensor) -> np.ndarray:
+    hs, _, ric = _gauged_ricci(p, mu0)
+    return -2.0 * hs @ ric @ hs
 
 
 def metric_rhs(state: MetricState, point0: HomogeneousPoint, tol: float = 1e-8) -> np.ndarray:
@@ -637,13 +642,7 @@ def metric_rhs(state: MetricState, point0: HomogeneousPoint, tol: float = 1e-8) 
     mu0 = point0.bracket
     p = np.asarray(state.P, dtype=float)
     _metric_compat_check(mu0, p, tol)
-    hs, _ = _sym_sqrt(p)
-    d = mu0.dim
-    q = mu0.q
-    h = np.eye(d)
-    h[q:, q:] = hs
-    lam = _core.gl_action(mu0, h)
-    return -2.0 * hs @ ricci_operator(lam) @ hs
+    return _metric_tangent(p, mu0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -698,26 +697,10 @@ def integrate_metric(
     p_init = np.eye(n) if p0 is None else np.asarray(p0, dtype=float)
     _metric_compat_check(mu0, p_init, 1e-8)
 
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 == t0:
-        raise ValueError("t_span must be nondegenerate")
-    direction = 1.0 if t1 > t0 else -1.0
-    t_grid = np.linspace(t0, t1, samples)
-    s_grid = np.abs(t_grid - t0)
+    def rhs(t, y):
+        return _pack_sym(_metric_tangent(_unpack_sym(n, y), mu0))
 
-    d = mu0.dim
-    q = mu0.q
-
-    def rhs(s, y):
-        p = _unpack_sym(n, y)
-        hs, _ = _sym_sqrt(p)
-        h = np.eye(d)
-        h[q:, q:] = hs
-        lam = _core.gl_action(mu0, h)
-        dp = -2.0 * hs @ ricci_operator(lam) @ hs
-        return direction * _pack_sym(dp)
-
-    def callback(s, y, f, h):
+    def callback(t, y, f, h):
         p = _unpack_sym(n, y)
         w = np.linalg.eigvalsh(p)
         if w.min() <= 0:
@@ -726,34 +709,21 @@ def integrate_metric(
             return TERM_BLOWUP
         return None
 
-    res = solve_rk54(
+    status, times, ys, fs, stats = _solve_sampled(
         rhs,
-        0.0,
-        abs(t1 - t0),
         _pack_sym(p_init),
+        np.linspace(float(t_span[0]), float(t_span[1]), samples),
         rtol=rtol,
         atol=atol,
-        max_step=np.inf if max_step is None else max_step,
-        sample_times=s_grid,
-        step_callback=callback,
+        max_step=max_step,
+        callback=callback,
     )
-    times = list(t_grid[: len(res.sample_t)])
-    mats = [_unpack_sym(n, y) for y in res.sample_y]
-    dmats = [_unpack_sym(n, direction * f) for f in res.sample_f]
-    if res.status != STATUS_REACHED_END and (
-        not times or res.t > (res.sample_t[-1] if res.sample_t else -1.0)
-    ):
-        times.append(t0 + direction * res.t)
-        mats.append(_unpack_sym(n, res.y))
-        dmats.append(_unpack_sym(n, direction * res.f))
-    stats = IntegrationStats(res.n_steps, res.n_rejected, res.min_step, res.max_step)
-    termination = res.status if res.status != STATUS_STEP_UNDERFLOW else TERM_UNDERFLOW
     return MetricTrajectory(
-        times=np.array(times),
-        P=np.array(mats),
-        derivs=np.array(dmats),
+        times=times,
+        P=np.array([_unpack_sym(n, y) for y in ys]),
+        derivs=np.array([_unpack_sym(n, f) for f in fs]),
         point0=point0,
-        termination=termination,
+        termination=status,
         stats=stats,
     )
 
@@ -797,74 +767,71 @@ def integrate_gauge(
     """
     if side not in ("bracket", "metric"):
         raise ValueError("side must be 'bracket' or 'metric'")
-    times = traj.times
-    if len(times) < 2:
-        raise ValueError("trajectory too short for gauge reconstruction")
-    t0 = float(times[0])
-    t1 = float(times[-1])
-    direction = 1.0 if t1 > t0 else -1.0
     path = traj.interpolator()
 
     if side == "bracket":
-        n = traj.system.n if hasattr(traj.system, "n") else traj.bracket_at(0).n
         system = traj.system
+        n = system.n if hasattr(system, "n") else traj.bracket_at(0).n
         normalized = traj.strategy.kind != "none"
 
         def ric_of(t):
             core = path(t)
-            mu = system.bracket(core)
-            ric = ricci_operator(mu)
+            ric = ricci_operator(system.bracket(core))
             if normalized:
                 _, r = system.tangent(core)
                 ric = ric + r * np.eye(n)
             return ric
 
-        def rhs(s, y):
-            t = t0 + direction * s
-            h = y.reshape(n, n)
-            return direction * (-(ric_of(t) @ h)).ravel()
+        def rhs(t, y):
+            return (-(ric_of(t) @ y.reshape(n, n))).ravel()
 
     else:
         mu0 = traj.point0.bracket
         n = mu0.n
 
-        def rhs(s, y):
-            t = t0 + direction * s
+        def rhs(t, y):
             p = path(t).reshape(n, n)
-            h = y.reshape(n, n)
-            return direction * (-(h @ metric_ricci(p, mu0))).ravel()
+            return (-(y.reshape(n, n) @ metric_ricci(p, mu0))).ravel()
 
-    s_grid = np.abs(times - t0)
-    res = solve_rk54(
-        rhs,
-        0.0,
-        abs(t1 - t0),
-        np.eye(n).ravel(),
-        rtol=rtol,
-        atol=atol,
-        sample_times=s_grid,
+    status, times, ys, _, _ = _solve_sampled(
+        rhs, np.eye(n).ravel(), traj.times, rtol=rtol, atol=atol
     )
-    if res.status != STATUS_REACHED_END:
-        raise RuntimeError(f"gauge integration failed: {res.status}")
-    hs = np.array([y.reshape(n, n) for y in res.sample_y])
-    return GaugeRecord(times=times[: len(hs)], h=hs, side=side)
+    if status != STATUS_REACHED_END:
+        raise RuntimeError(f"gauge integration failed: {status}")
+    return GaugeRecord(times=times, h=ys.reshape(-1, n, n), side=side)
 
 
 # ---------------------------------------------------------------------------
 # Reparametrization between unnormalized and normalized solutions.
 
 
-def _require_unnormalized_forward(traj: FlowTrajectory) -> None:
-    if traj.strategy.kind != "none":
-        raise ValueError("reparametrization expects an unnormalized source trajectory")
-    if traj.is_backward:
-        raise ValueError("reparametrization expects a forward source trajectory")
+class _SourceRun:
+    """Unnormalized forward run, read at source times tau clamped to its span."""
+
+    def __init__(self, traj: FlowTrajectory):
+        if traj.strategy.kind != "none":
+            raise ValueError("reparametrization expects an unnormalized source trajectory")
+        if traj.is_backward:
+            raise ValueError("reparametrization expects a forward source trajectory")
+        self.traj = traj
+        self.path = traj.interpolator()
+        self.tau0 = float(traj.times[0])
+        self.tau_max = float(traj.times[-1])
+
+    def clamp(self, tau) -> float:
+        return float(min(max(tau, self.tau0), self.tau_max))
+
+    def bracket(self, tau) -> BracketTensor:
+        return self.traj.system.bracket(self.path(self.clamp(tau)))
+
+    def exhausted(self, tau) -> bool:
+        return tau >= self.tau_max - 1e-12 * max(1.0, abs(self.tau_max))
 
 
 _AUTO_HORIZON = 100.0
 
 
-def _scaling_ode(rhs, callback, horizon, tau0, tau_max, rtol, atol, samples):
+def _scaling_ode(src: _SourceRun, rhs, callback, horizon, rtol, atol, samples):
     """Two-phase solve of the (c, tau) system: find the reachable horizon,
     then rerun on a uniform sample grid over it.
 
@@ -872,41 +839,60 @@ def _scaling_ode(rhs, callback, horizon, tau0, tau_max, rtol, atol, samples):
     backed off along tau' to land on the source boundary; otherwise the last
     samples would sit at clamped tau and spoil finite differencing there.
     """
-    probe = solve_rk54(
-        rhs,
-        0.0,
-        horizon,
-        np.array([1.0, tau0]),
-        rtol=rtol,
-        atol=atol,
-        step_callback=callback,
-    )
+    y0 = np.array([1.0, src.tau0])
+    probe = solve_rk54(rhs, 0.0, horizon, y0, rtol=rtol, atol=atol, step_callback=callback)
     t_star = probe.t if probe.status != STATUS_REACHED_END else horizon
     if probe.status == "tau-exhausted":
-        overshoot = float(probe.y[1]) - tau_max
+        overshoot = float(probe.y[1]) - src.tau_max
         tau_rate = float(probe.f[1])
         if overshoot > 0 and tau_rate > 0:
             t_star -= overshoot / tau_rate
     if t_star <= 0:
         raise ValueError("reparametrized range too short to sample")
-    t_grid = np.linspace(0.0, t_star, samples)
-    res = solve_rk54(
-        rhs,
-        0.0,
-        t_star,
-        np.array([1.0, tau0]),
-        rtol=rtol,
-        atol=atol,
-        sample_times=t_grid,
+    _, times, ys, _, stats = _solve_sampled(
+        rhs, y0, np.linspace(0.0, t_star, samples), rtol=rtol, atol=atol
     )
-    ts = list(res.sample_t)
-    ys = list(res.sample_y)
-    if res.t > (ts[-1] if ts else -1.0):
-        ts.append(res.t)
-        ys.append(res.y)
-    if len(ts) < 2:
+    if len(times) < 2:
         raise ValueError("reparametrized range too short to sample")
-    return probe.status, ts, ys, res
+    return probe.status, times, ys, stats
+
+
+def _scaled_trajectory(
+    src: _SourceRun,
+    strategy: Normalization,
+    times: np.ndarray,
+    ys: np.ndarray,
+    stats: IntegrationStats,
+    scale_of,
+    termination: str = TERM_REACHED_END,
+    notes: tuple[str, ...] = (),
+) -> FlowTrajectory:
+    """Normalized run c . mu(tau) on the sampled (c, tau) rows ys.
+
+    scale_of(y, tau) gives c at a row and its clamped source time.
+    """
+    system = TensorFlowSystem(_core.validate_point(src.traj.bracket_at(0)), strategy)
+    states, derivs, cs, taus = [], [], [], []
+    for y in ys:
+        tau = src.clamp(y[1])
+        cval = scale_of(y, tau)
+        core = pack_state(rescale(cval, src.bracket(tau)))
+        states.append(core)
+        derivs.append(system.tangent(core)[0])
+        cs.append(cval)
+        taus.append(tau)
+    return FlowTrajectory(
+        times=times,
+        states=np.array(states),
+        derivs=np.array(derivs),
+        c=np.array(cs),
+        tau=np.array(taus),
+        system=system,
+        strategy=strategy,
+        termination=termination,
+        stats=stats,
+        notes=notes,
+    )
 
 
 def reparametrize(
@@ -926,15 +912,10 @@ def reparametrize(
     when the normalized bracket collapses to zero (tau stalling short of the
     source end while the scaling dies, which is reported in the notes).
     """
-    _require_unnormalized_forward(traj)
-    path = traj.interpolator()
-    tau0 = float(traj.times[0])
-    tau_max = float(traj.times[-1])
-    system = traj.system
+    src = _SourceRun(traj)
 
     def scaled_bracket(cval, tau):
-        tau = float(min(max(tau, tau0), tau_max))
-        return rescale(cval, system.bracket(path(tau)))
+        return rescale(cval, src.bracket(tau))
 
     def _pp_norm(mu: BracketTensor) -> float:
         # The isotropy rows never rescale, so collapse is measured on the
@@ -951,56 +932,33 @@ def reparametrize(
 
     def callback(t, y, f, h):
         cval, tau = y
-        if tau >= tau_max - 1e-12 * max(1.0, abs(tau_max)):
+        if src.exhausted(tau):
             return "tau-exhausted"
         if _pp_norm(scaled_bracket(cval, tau)) < 1e-9 * max(pp0, 1.0):
             return "zero-scale"
         return None
 
     horizon = _AUTO_HORIZON if t_end is None else float(t_end)
-    status, ts, ys, res = _scaling_ode(
-        rhs, callback, horizon, tau0, tau_max, rtol, atol, samples
+    status, times, ys, stats = _scaling_ode(
+        src, rhs, callback, horizon, rtol, atol, samples
     )
     if t_end is not None and status == "tau-exhausted":
         raise ValueError(f"tau leaves the available source range before t_end={t_end}")
 
-    notes: list[str] = []
+    notes: tuple[str, ...] = ()
     termination = TERM_REACHED_END
     final_c, final_tau = float(ys[-1][0]), float(ys[-1][1])
     if status == "zero-scale" or (
-        final_tau < tau_max - 1e-6 * max(1.0, abs(tau_max))
+        final_tau < src.tau_max - 1e-6 * max(1.0, abs(src.tau_max))
         and _pp_norm(scaled_bracket(final_c, final_tau)) < 1e-8 * max(pp0, 1.0)
     ):
-        notes.append(
+        notes = (
             "normalized bracket collapsed to zero while tau stalled at "
-            f"{final_tau:.6g} < {tau_max:.6g}"
+            f"{final_tau:.6g} < {src.tau_max:.6g}",
         )
         termination = TERM_CONVERGED
-
-    out_system = TensorFlowSystem(_core.validate_point(traj.bracket_at(0)), strategy)
-    out_states, out_derivs, out_c, out_tau = [], [], [], []
-    for y in ys:
-        cval, tau = float(y[0]), float(min(max(y[1], tau0), tau_max))
-        mu_r = scaled_bracket(cval, tau)
-        core = pack_state(mu_r)
-        dcore, _ = out_system.tangent(core)
-        out_states.append(core)
-        out_derivs.append(dcore)
-        out_c.append(cval)
-        out_tau.append(tau)
-
-    stats = IntegrationStats(res.n_steps, res.n_rejected, res.min_step, res.max_step)
-    return FlowTrajectory(
-        times=np.array(ts),
-        states=np.array(out_states),
-        derivs=np.array(out_derivs),
-        c=np.array(out_c),
-        tau=np.array(out_tau),
-        system=out_system,
-        strategy=strategy,
-        termination=termination,
-        stats=stats,
-        notes=tuple(notes),
+    return _scaled_trajectory(
+        src, strategy, times, ys, stats, lambda y, tau: float(y[0]), termination, notes
     )
 
 
@@ -1016,20 +974,14 @@ def rescale_to_ricci_norm(
     The scaling is c(tau) = (tr Ric_0^2 / tr Ric(mu(tau))^2)^(1/4) and the
     normalized time solves tau' = c(tau)^2.  Raises on a flat start.
     """
-    _require_unnormalized_forward(traj)
-    path = traj.interpolator()
-    system = traj.system
-    tau0 = float(traj.times[0])
-    tau_max = float(traj.times[-1])
-
+    src = _SourceRun(traj)
     ric0 = ricci_operator(traj.bracket_at(0))
     tr0 = float(np.sum(ric0 * ric0))
     if tr0 < 1e-24:
         raise NormalizationError("ricci-norm rescaling needs a nonflat start")
 
     def c_of_tau(tau):
-        tau = min(max(tau, tau0), tau_max)
-        ric = ricci_operator(system.bracket(path(tau)))
+        ric = ricci_operator(src.bracket(tau))
         tr = float(np.sum(ric * ric))
         if tr <= 0:
             raise NormalizationError("trajectory reached a flat bracket")
@@ -1037,42 +989,17 @@ def rescale_to_ricci_norm(
 
     # Same (c, tau)-state layout as reparametrize; c rides along for records.
     def rhs(t, y):
-        tau = float(y[1])
-        cval = c_of_tau(tau)
+        cval = c_of_tau(float(y[1]))
         return np.array([0.0, cval * cval])
 
     def callback(t, y, f, h):
-        if y[1] >= tau_max - 1e-12 * max(1.0, abs(tau_max)):
-            return "tau-exhausted"
-        return None
+        return "tau-exhausted" if src.exhausted(y[1]) else None
 
-    _, ts, ys, res = _scaling_ode(
-        rhs, callback, _AUTO_HORIZON, tau0, tau_max, rtol, atol, samples
+    _, times, ys, stats = _scaling_ode(
+        src, rhs, callback, _AUTO_HORIZON, rtol, atol, samples
     )
-
-    out_system = TensorFlowSystem(_core.validate_point(traj.bracket_at(0)), RICCI_NORM)
-    out_states, out_derivs, out_c, out_tau = [], [], [], []
-    for y in ys:
-        tau = float(min(max(y[1], tau0), tau_max))
-        cval = c_of_tau(tau)
-        mu_r = rescale(cval, system.bracket(path(tau)))
-        core = pack_state(mu_r)
-        out_states.append(core)
-        out_derivs.append(_ricci_norm_tangent(mu_r))
-        out_c.append(cval)
-        out_tau.append(tau)
-
-    stats = IntegrationStats(res.n_steps, res.n_rejected, res.min_step, res.max_step)
-    return FlowTrajectory(
-        times=np.array(ts),
-        states=np.array(out_states),
-        derivs=np.array(out_derivs),
-        c=np.array(out_c),
-        tau=np.array(out_tau),
-        system=out_system,
-        strategy=RICCI_NORM,
-        termination=TERM_REACHED_END,
-        stats=stats,
+    return _scaled_trajectory(
+        src, RICCI_NORM, times, ys, stats, lambda y, tau: c_of_tau(tau)
     )
 
 
@@ -1084,31 +1011,11 @@ def ricci_norm_rate(mu: BracketTensor) -> float:
     """
     rep = curvature_pieces(mu)
     ric = rep.Ric
-    mu_p = mu.mu_p
-    ad_h = np.einsum("i,ijk->kj", rep.H, mu_p)
-    ric_h = ric @ rep.H
-    ad_rich = np.einsum("i,ijk->kj", ric_h, mu_p)
-    d0 = (
-        -0.5 * laplacian_op(mu_p, ric)
-        - 0.5 * (rep.B @ ric + ric @ rep.B)
-        - (ad_rich + ad_rich.T)
-        - 0.5 * ((ad_h @ ric - ric @ ad_h) + (ad_h @ ric - ric @ ad_h).T)
-    )
+    d0 = _ricci_evolution(mu.mu_p, rep)[0]
     tr2 = float(np.sum(ric * ric))
     if tr2 <= 0:
         raise NormalizationError("ricci-norm rate undefined at a flat bracket")
     return -float(np.sum(ric * d0)) / (2.0 * tr2)
-
-
-def _ricci_norm_tangent(mu_r: BracketTensor) -> np.ndarray:
-    r = ricci_norm_rate(mu_r)
-    dck, dcp = _tangent_components(mu_r, ricci_operator(mu_r), r)
-    d = mu_r.dim
-    q = mu_r.q
-    dc = np.zeros((d, d, d))
-    dc[q:, q:, :q] = dck
-    dc[q:, q:, q:] = dcp
-    return pack_array(dc)
 
 
 # ---------------------------------------------------------------------------

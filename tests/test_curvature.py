@@ -5,7 +5,7 @@ from bracketflow.core import (
     BracketTensor,
     InvalidPointError,
     act_gl,
-    act_pi_n,
+    act_pi_array,
     validate_point,
 )
 from bracketflow.curvature import (
@@ -81,7 +81,7 @@ def test_moment_dual_characterization(rng):
         m = moment_operator(mu_p)
         e = rng.normal(size=(3, 3))
         lhs = float(np.trace(m @ e))
-        rhs = 0.25 * float(np.sum(act_pi_n(e, mu_p) * mu_p))
+        rhs = 0.25 * float(np.sum(act_pi_array(e, mu_p) * mu_p))
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from bracketflow._rk import solve_rk54
 from bracketflow.core import (
     BracketTensor,
     InvalidPointError,
@@ -9,7 +11,14 @@ from bracketflow.core import (
     validate_point,
 )
 from bracketflow.curvature import ricci_operator
-from bracketflow.families import Berger3, SemisimpleFamily, berger3, unimodular3
+from bracketflow.families import (
+    Berger3,
+    SemisimpleFamily,
+    SemisimpleSu2,
+    Unimodular3,
+    berger3,
+    unimodular3,
+)
 from bracketflow.flow import (
     BRACKET_NORM,
     RICCI_NORM,
@@ -407,3 +416,45 @@ def test_jacobi_stays_small_along_flow():
     traj = integrate(berger3(1.1, 0.3, -0.6).point, UNNORMALIZED, (0.0, 1.0), samples=60)
     worst = max(jacobi_residual(traj.bracket_at(i)) for i in range(0, 60, 10))
     assert worst <= 1e-6
+
+
+def test_solve_rk54_rejects_nan_steps():
+    # Every trial step reaching past t = 0.5 sees NaN stages; rejecting them
+    # shrinks the step until it underflows at 0.5 on the last finite state.
+    def f(t, y):
+        return np.full_like(y, np.nan) if t > 0.5 else -y
+
+    res = solve_rk54(f, 0.0, 1.0, np.array([1.0]), sample_times=np.linspace(0.0, 1.0, 11))
+    assert res.status == "step-underflow"
+    assert res.t == 0.5
+    assert res.n_rejected > 0
+    assert res.y[0] == pytest.approx(np.exp(-0.5), rel=1e-8)
+    assert all(np.isfinite(y).all() for y in res.sample_y)
+
+
+@pytest.mark.parametrize(
+    "family, params0, t_span",
+    [
+        (Unimodular3(), [1.0, 2.0, 3.0], (0.0, 0.1)),
+        (Unimodular3(), [1.0, 1.5, 2.0], (0.0, -0.1)),
+        (Berger3(), [1.2, 0.5, 0.3], (0.0, 0.5)),
+        (Berger3(), [1.0, 2.0, 0.0], (0.0, -5.0)),
+        (SemisimpleSu2(), [0.9, 0.6], (0.0, 3.0)),
+        (SemisimpleSu2(), [1.0, 0.5], (0.0, -2.0)),
+    ],
+)
+def test_integrate_reduced_matches_solve_ivp(family, params0, t_span):
+    # Independent Dormand-Prince reference at the same tolerances, read at
+    # the same sample times, forward and backward.
+    rtol, atol = 1e-8, 1e-11
+    traj = integrate_reduced(
+        family, params0, UNNORMALIZED, t_span, rtol=rtol, atol=atol, samples=21
+    )
+    assert traj.termination == "reached-t-end"
+    ref = solve_ivp(
+        lambda t, y: family.rhs(y), t_span, params0,
+        method="RK45", t_eval=traj.times, rtol=rtol, atol=atol,
+    )
+    assert ref.success
+    rel = np.abs(traj.states - ref.y.T) / (1.0 + np.abs(ref.y.T))
+    assert rel.max() <= 10 * rtol
