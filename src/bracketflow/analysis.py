@@ -17,7 +17,14 @@ import numpy as np
 from .core import BracketTensor, act_pi_array, component_norms, validate_point
 from .curvature import _ricci_evolution, _sym, curvature_pieces
 from .families import Berger3, NoRealizationError
-from .flow import FlowTrajectory, TERM_BLOWUP, TERM_CONVERGED, TERM_REACHED_END
+from .flow import (
+    TERM_BLOWUP,
+    TERM_CONVERGED,
+    TERM_REACHED_END,
+    FlowTrajectory,
+    ReducedFlowSystem,
+    _report_rate,
+)
 
 __all__ = [
     "AuditReport",
@@ -103,14 +110,19 @@ def identity_audit(traj: FlowTrajectory) -> AuditReport:
 
     quantities = {name: [] for name in IDENTITY_NAMES}
     rhs = {name: [] for name in IDENTITY_NAMES}
+    # A reduced run's rate comes from the family's closed forms, as in its flow.
+    reduced = isinstance(traj.system, ReducedFlowSystem)
 
     for i in range(m):
         mu = traj.bracket_at(i)
         rep = curvature_pieces(mu)
-        r = traj.rate_at(i)
         mu_p = mu.mu_p
         ric = rep.Ric
         d0, lap, ad_h, ad_rich = _ricci_evolution(mu_p, rep)
+        if reduced:
+            r = traj.system.rate(traj.states[i])
+        else:
+            r = _report_rate(mu, traj.strategy, rep, d0)
         mu_p2 = float(np.sum(mu_p**2))
         h2 = float(rep.H @ rep.H)
         tr_b = float(np.trace(rep.B))
@@ -187,14 +199,23 @@ class DerivationBasis:
         return full
 
 
-def _null_space_basis(columns: list[np.ndarray], shape, tol: float):
-    mat = np.column_stack([c.ravel() for c in columns])
-    u, s, vt = np.linalg.svd(mat, full_matrices=True)
+def _derivations(mu: BracketTensor, tol: float, block: bool) -> DerivationBasis:
+    """Kernel of A -> pi(A) mu over the operators on g, or on p when block."""
+    d = mu.dim
+    q = mu.q if block else 0
+    m = d - q
+    cols = []
+    for x in range(m):
+        for y in range(m):
+            e = np.zeros((d, d))
+            e[q + x, q + y] = 1.0
+            cols.append(act_pi_array(e, mu.c).ravel())
+    mat = np.column_stack(cols)
+    _, s, vt = np.linalg.svd(mat, full_matrices=True)
     smax = s.max() if len(s) else 0.0
     cut = tol * smax if smax > tol else tol
-    n_cols = mat.shape[1]
-    null = [vt[i] for i in range(n_cols) if i >= len(s) or s[i] < cut]
-    return [v.reshape(shape) for v in null]
+    basis = [vt[i].reshape(m, m) for i in range(m * m) if i >= len(s) or s[i] < cut]
+    return DerivationBasis(basis=basis, dim=len(basis), tol=tol, block=block)
 
 
 def derivation_algebra(mu: BracketTensor, tol: float = 1e-8) -> DerivationBasis:
@@ -202,29 +223,12 @@ def derivation_algebra(mu: BracketTensor, tol: float = 1e-8) -> DerivationBasis:
 
     Rank is cut at singular values below tol times the largest one.
     """
-    d = mu.dim
-    cols = []
-    for x in range(d):
-        for y in range(d):
-            e = np.zeros((d, d))
-            e[x, y] = 1.0
-            cols.append(act_pi_array(e, mu.c))
-    basis = _null_space_basis(cols, (d, d), tol)
-    return DerivationBasis(basis=basis, dim=len(basis), tol=tol, block=False)
+    return _derivations(mu, tol, block=False)
 
 
 def block_derivations(mu: BracketTensor, tol: float = 1e-8) -> DerivationBasis:
     """Derivations of block form diag(0, A) with A an operator on p."""
-    d = mu.dim
-    q, n = mu.q, mu.n
-    cols = []
-    for x in range(n):
-        for y in range(n):
-            e = np.zeros((d, d))
-            e[q + x, q + y] = 1.0
-            cols.append(act_pi_array(e, mu.c))
-    basis = _null_space_basis(cols, (n, n), tol)
-    return DerivationBasis(basis=basis, dim=len(basis), tol=tol, block=True)
+    return _derivations(mu, tol, block=True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,8 +50,6 @@ EXIT_EQUIV_FAIL = 5
 
 
 def fmt17(x: float) -> str:
-    if isinstance(x, float) and np.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return format(float(x), ".17g")
 
 
@@ -129,11 +127,7 @@ def _resolve_source(cfg: dict) -> Source:
             raise MalformedInputError(
                 f"family {fam_name} takes params {','.join(fam.param_names)}"
             )
-    point = None
-    try:
-        point = validate_point(fam.embed(params), h2_status="known-by-construction")
-    except families.NoRealizationError:
-        point = None
+    point = families._catalog(fam, *params).point
     label = f"{fam_name}({','.join(fmt17(p) for p in params)})"
     return Source(point=point, family=fam, params=np.asarray(params, float), label=label)
 
@@ -188,10 +182,17 @@ def _row_diagnostics(traj, i) -> tuple[float, float, float, float, float]:
         )
 
 
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write the header and the rows of already formatted cells."""
+    lines = [",".join(header)] + [",".join(cells) for cells in rows]
+    with open(path, "w", newline="\n") as f:
+        f.write("\n".join(lines) + "\n")
+
+
 def write_trajectory_csv(traj, path: str) -> list[str]:
     state_cols = list(traj.system.param_names)
     header = ["t", "c", "tau", "R", "ric_norm", "mu_p_norm2", "H_norm2", "trB"] + state_cols
-    lines = [",".join(header)]
+    rows = []
     for i in range(traj.n_samples):
         r, ric_norm, mu_p2, h2, tr_b = _row_diagnostics(traj, i)
         row = [
@@ -205,9 +206,8 @@ def write_trajectory_csv(traj, path: str) -> list[str]:
             tr_b,
             *traj.states[i],
         ]
-        lines.append(",".join(fmt17(v) for v in row))
-    with open(path, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+        rows.append([fmt17(v) for v in row])
+    _write_csv(path, header, rows)
     return state_cols
 
 
@@ -284,26 +284,17 @@ def _run_flow_from_cfg(cfg: dict, src: Source):
     t_span = cfg.get("t_span", (0.0, 1.0))
     rtol, atol = _tolerances(cfg)
     samples = int(cfg.get("samples", 200))
-    events = _events(cfg)
+    opts = {"rtol": rtol, "atol": atol, "samples": samples, "events": _events(cfg)}
 
     if strategy.kind == "ricci-norm":
         if src.point is None:
             raise MalformedInputError("ricci-norm needs a realizable seed")
-        base = flow.integrate(
-            src.point, flow.UNNORMALIZED, t_span,
-            rtol=rtol, atol=atol, samples=samples, events=events,
-        )
+        base = flow.integrate(src.point, flow.UNNORMALIZED, t_span, **opts)
         return flow.rescale_to_ricci_norm(base, samples=samples)
 
     if src.point is not None:
-        return flow.integrate(
-            src.point, strategy, t_span,
-            rtol=rtol, atol=atol, samples=samples, events=events,
-        )
-    return flow.integrate_reduced(
-        src.family, src.params, strategy, t_span,
-        rtol=rtol, atol=atol, samples=samples, events=events,
-    )
+        return flow.integrate(src.point, strategy, t_span, **opts)
+    return flow.integrate_reduced(src.family, src.params, strategy, t_span, **opts)
 
 
 def cmd_flow(cfg: dict) -> int:
@@ -321,8 +312,7 @@ def cmd_flow(cfg: dict) -> int:
             manifest = _manifest(cfg, src, exc.trajectory, state_cols)
             manifest["error"] = str(exc)
             _dump_json(manifest, out_json)
-        print(f"validity drift: {exc}", file=sys.stderr)
-        return EXIT_DRIFT
+        raise
     state_cols = write_trajectory_csv(traj, out_csv)
     manifest = _manifest(cfg, src, traj, state_cols)
     verdict = analysis.classify_limit(traj, **_classify_tols(cfg))
@@ -387,14 +377,6 @@ def _sweep_cell(task: dict) -> dict:
     try:
         tangent, _ = system.tangent(params)
         row["rhs"] = [float(v) for v in tangent]
-    except NormalizationError as exc:
-        row["rhs"] = [float("nan")] * len(params)
-        row["verdict"] = "normalization-error"
-        row["termination"] = "not-run"
-        row["final"] = row["params"]
-        row["note"] = str(exc)
-        return row
-    try:
         traj = flow.integrate_reduced(
             fam, params, strategy, tuple(task["t_span"]),
             rtol=task["rtol"], atol=task["atol"], samples=task["samples"],
@@ -405,6 +387,7 @@ def _sweep_cell(task: dict) -> dict:
         row["termination"] = traj.termination
         row["final"] = [float(v) for v in traj.states[-1]]
     except NormalizationError as exc:
+        row.setdefault("rhs", [float("nan")] * len(params))
         row["verdict"] = "normalization-error"
         row["termination"] = "not-run"
         row["final"] = row["params"]
@@ -470,15 +453,13 @@ def cmd_sweep(cfg: dict) -> int:
         + ["termination", "verdict"]
         + [f"final_{n}" for n in names]
     )
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [fmt17(v) for v in row["params"]]
-        cells += [fmt17(v) for v in row["rhs"]]
-        cells += [row["termination"], row["verdict"]]
-        cells += [fmt17(v) for v in row["final"]]
-        lines.append(",".join(cells))
-    with open(out_csv, "w", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    cells = [
+        [fmt17(v) for v in row["params"] + row["rhs"]]
+        + [row["termination"], row["verdict"]]
+        + [fmt17(v) for v in row["final"]]
+        for row in rows
+    ]
+    _write_csv(out_csv, header, cells)
     manifest = {
         "family": fam.name,
         "context": fam.context(),
@@ -500,11 +481,7 @@ def cmd_check(cfg: dict) -> int:
     if src.point is not None and not src.point.valid:
         print("seed point failed validation", file=sys.stderr)
         return EXIT_INVALID_POINT
-    try:
-        traj = _run_flow_from_cfg(cfg, src)
-    except ValidityDriftError as exc:
-        print(f"validity drift: {exc}", file=sys.stderr)
-        return EXIT_DRIFT
+    traj = _run_flow_from_cfg(cfg, src)
     audit = analysis.identity_audit(traj)
     tol = float(cfg.get("audit_tol", 1e-4))
     doc = audit.as_dict()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,6 +59,21 @@ class MalformedInputError(ValueError):
     """A bracket JSON document does not follow the input schema."""
 
 
+@lru_cache(maxsize=None)
+def _pairs(d: int, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the packed layout: i < j (k=1) or
+    i <= j (k=0) over range(d), in row-major order."""
+    iu, ju = np.triu_indices(d, k=k)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
+def _packed_names(d: int) -> list[str]:
+    """Names c_i_j_k of the packed state entries, in pack_state order."""
+    return [f"c_{i}_{j}_{k}" for i, j in zip(*_pairs(d)) for k in range(d)]
+
+
 def _canonical_antisymmetric(c: np.ndarray) -> np.ndarray:
     """Return the exactly antisymmetric copy of a (near-)antisymmetric array.
 
@@ -74,7 +90,7 @@ def _canonical_antisymmetric(c: np.ndarray) -> np.ndarray:
         )
     d = c.shape[0]
     out = np.zeros_like(c, dtype=float)
-    iu, ju = np.triu_indices(d, k=1)
+    iu, ju = _pairs(d)
     upper = 0.5 * (c[iu, ju, :] - c[ju, iu, :])
     out[iu, ju, :] = upper
     out[ju, iu, :] = -upper
@@ -131,13 +147,6 @@ class BracketTensor:
         c[q:, q:, :q] = mu_k
         c[q:, q:, q:] = mu_p
         return BracketTensor(self.q, self.n, c)
-
-    def ad(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of ad_mu(x): y -> mu(x, y) on all of g."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError("vector dimension mismatch")
-        return np.einsum("i,ijk->kj", x, self.c)
 
     def ad_iso_p(self, z: int) -> np.ndarray:
         """Matrix on p of ad(Z_z) restricted to p, for 0 <= z < q."""
@@ -271,7 +280,7 @@ def bracket_eval(mu: BracketTensor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     d = mu.dim
     if x.shape != (d,) or y.shape != (d,):
         raise ValueError(f"vectors must have dimension {d}")
-    iu, ju = np.triu_indices(d, k=1)
+    iu, ju = _pairs(d)
     w = x[iu] * y[ju] - x[ju] * y[iu]
     return w @ mu.c[iu, ju, :]
 
@@ -292,7 +301,7 @@ def _closure_residual(mu: BracketTensor) -> float:
     q = mu.q
     if q == 0:
         return 0.0
-    bad_kk = np.abs(mu.c[:q, :q, q:]).max() if q > 0 else 0.0
+    bad_kk = np.abs(mu.c[:q, :q, q:]).max()
     bad_kp = np.abs(mu.c[:q, q:, :q]).max()
     return float(max(bad_kk, bad_kp))
 
@@ -355,14 +364,10 @@ def gl_action(mu: BracketTensor, h: np.ndarray) -> BracketTensor:
     return BracketTensor(mu.q, mu.n, c)
 
 
-def compatibility_residual(mu: BracketTensor, h_n: np.ndarray) -> float:
-    """Max commutator norm of h_n^t h_n with the isotropy operators on p."""
-    q = mu.q
-    if q == 0:
-        return 0.0
-    g = h_n.T @ h_n
+def compatibility_residual(mu: BracketTensor, g: np.ndarray) -> float:
+    """Max commutator norm of the operator g on p with the isotropy operators."""
     worst = 0.0
-    for z in range(q):
+    for z in range(mu.q):
         a = mu.ad_iso_p(z)
         worst = max(worst, float(np.linalg.norm(g @ a - a @ g)))
     return worst
@@ -386,7 +391,7 @@ def act_gl(
     h_q = np.asarray(h_q, dtype=float).reshape(q, q)
     h_n = np.asarray(h_n, dtype=float).reshape(n, n)
     if require_compatible:
-        res = compatibility_residual(mu, h_n)
+        res = compatibility_residual(mu, h_n.T @ h_n)
         if res > tol:
             raise CompatibilityError(
                 f"block map incompatible with isotropy (residual {res:.3e} > {tol:.3e})"
@@ -452,15 +457,11 @@ def component_norms(mu: BracketTensor) -> tuple[float, float, float]:
 
 def pack_state(mu: BracketTensor) -> np.ndarray:
     """Flatten the canonical i < j entries into a state vector."""
-    d = mu.dim
-    iu, ju = np.triu_indices(d, k=1)
-    return mu.c[iu, ju, :].ravel()
+    return mu.c[_pairs(mu.dim)].ravel()
 
 
 def pack_array(c: np.ndarray) -> np.ndarray:
-    d = c.shape[0]
-    iu, ju = np.triu_indices(d, k=1)
-    return c[iu, ju, :].ravel()
+    return c[_pairs(c.shape[0])].ravel()
 
 
 def unpack_state(q: int, n: int, y: np.ndarray) -> BracketTensor:
@@ -469,7 +470,7 @@ def unpack_state(q: int, n: int, y: np.ndarray) -> BracketTensor:
 
 
 def unpack_array(d: int, y: np.ndarray) -> np.ndarray:
-    iu, ju = np.triu_indices(d, k=1)
+    iu, ju = _pairs(d)
     c = np.zeros((d, d, d))
     c[iu, ju, :] = np.asarray(y, dtype=float).reshape(len(iu), d)
     c[ju, iu, :] = -c[iu, ju, :]
@@ -507,12 +508,11 @@ def bracket_from_json(text_or_obj) -> BracketTensor:
 
 def bracket_to_json(mu: BracketTensor) -> dict:
     """Serialize to the JSON input format (canonical i < j entries only)."""
-    d = mu.dim
-    entries = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(d):
-                v = mu.c[i, j, k]
-                if v != 0.0:
-                    entries.append([i, j, k, float(v)])
+    iu, ju = _pairs(mu.dim)
+    entries = [
+        [int(i), int(j), k, float(v)]
+        for i, j, row in zip(iu, ju, mu.c[iu, ju])
+        for k, v in enumerate(row)
+        if v != 0.0
+    ]
     return {"q": mu.q, "n": mu.n, "entries": entries}

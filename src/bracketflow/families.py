@@ -13,6 +13,7 @@ an explicit tensor and anchors the differential tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,6 +85,8 @@ class _FamilyBase:
     param_names: tuple[str, ...] = ()
     rate_weights: tuple[float, ...] = ()
     n_p = 0
+    # ((q, n), entries c[i, j, k] holding the parameters) of a concrete family.
+    _realization: tuple | None = None
 
     def context(self) -> dict:
         return {}
@@ -102,7 +105,7 @@ class _FamilyBase:
         raise NotImplementedError
 
     def aux_norm2(self, params) -> float:
-        raise NotImplementedError
+        return self.mu_p_norm2(params)
 
     def rhs(self, params) -> np.ndarray:
         raise NotImplementedError
@@ -111,10 +114,15 @@ class _FamilyBase:
         raise NoRealizationError(f"family {self.name} has no concrete realization")
 
     def project(self, mu: BracketTensor, tol: float = 1e-8) -> np.ndarray:
-        raise NoRealizationError(f"family {self.name} has no concrete realization")
-
-    def scalar_curvature(self, params) -> float:
-        return float(np.sum(self.ricci_diag(params)))
+        if self._realization is None:
+            raise NoRealizationError(f"family {self.name} has no concrete realization")
+        (q, n), entries = self._realization
+        if (mu.q, mu.n) != (q, n):
+            raise ValueError(f"expected a q={q}, n={n} bracket")
+        params = np.array([mu.c[e] for e in entries])
+        if np.abs(self.embed(params).c - mu.c).max() > tol:
+            raise ValueError(f"bracket is not in the {self.name} family")
+        return params
 
     def rate_scalars(self, params):
         ric = self.ricci_diag(params)
@@ -146,6 +154,7 @@ class Unimodular3(_FamilyBase):
     param_names = ("a", "b", "c")
     rate_weights = (1.0, 1.0, 1.0)
     n_p = 3
+    _realization = ((0, 3), ((1, 2, 0), (2, 0, 1), (0, 1, 2)))
 
     def ricci_diag(self, params):
         a, b, c = params
@@ -167,9 +176,6 @@ class Unimodular3(_FamilyBase):
         a, b, c = params
         return 2.0 * float(a**2 + b**2 + c**2)
 
-    def aux_norm2(self, params):
-        return self.mu_p_norm2(params)
-
     def rhs(self, params):
         a, b, c = params
         return np.array(
@@ -188,14 +194,6 @@ class Unimodular3(_FamilyBase):
         _set(t, 0, 1, 2, c)
         return BracketTensor(0, 3, t)
 
-    def project(self, mu: BracketTensor, tol: float = 1e-8) -> np.ndarray:
-        if (mu.q, mu.n) != (0, 3):
-            raise ValueError("expected a q=0, n=3 bracket")
-        params = np.array([mu.c[1, 2, 0], mu.c[2, 0, 1], mu.c[0, 1, 2]])
-        if np.abs(self.embed(params).c - mu.c).max() > tol:
-            raise ValueError("bracket is not in the unimodular3 family")
-        return params
-
 
 class Berger3(_FamilyBase):
     """Isotropy-1 family in dimension 3: basis (Z1, X1, X2, X3).
@@ -209,6 +207,7 @@ class Berger3(_FamilyBase):
     param_names = ("a", "b", "c")
     rate_weights = (1.0, 2.0, 1.0)
     n_p = 3
+    _realization = ((1, 3), ((2, 3, 1), (2, 3, 0), (1, 2, 3)))
 
     def ricci_diag(self, params):
         a, b, c = params
@@ -251,14 +250,6 @@ class Berger3(_FamilyBase):
         _set(t, 3, 1, 2, c)
         _set(t, 1, 2, 3, c)
         return BracketTensor(1, 3, t)
-
-    def project(self, mu: BracketTensor, tol: float = 1e-8) -> np.ndarray:
-        if (mu.q, mu.n) != (1, 3):
-            raise ValueError("expected a q=1, n=3 bracket")
-        params = np.array([mu.c[2, 3, 1], mu.c[2, 3, 0], mu.c[1, 2, 3]])
-        if np.abs(self.embed(params).c - mu.c).max() > tol:
-            raise ValueError("bracket is not in the berger3 family")
-        return params
 
 
 class SemisimpleFamily(_FamilyBase):
@@ -322,9 +313,6 @@ class SemisimpleFamily(_FamilyBase):
             self.h_dim * (2 - al) * a**2 + (self.m_dim - (1 - al) * self.h_dim) * b**2
         )
 
-    def aux_norm2(self, params):
-        return self.mu_p_norm2(params)
-
     def rhs(self, params):
         a, b = params
         al = self.alpha
@@ -361,18 +349,13 @@ class SemisimpleFamily(_FamilyBase):
         return float(np.linalg.norm(target - mat @ coef))
 
 
-_SU2_CONSTANT: float | None = None
-
-
+@lru_cache(maxsize=None)
 def _su2_base_constant() -> float:
     """Structure constant of the rotation algebra in a basis orthonormal for
     minus its Killing form, derived numerically once."""
-    global _SU2_CONSTANT
-    if _SU2_CONSTANT is None:
-        base = Unimodular3().embed([1.0, 1.0, 1.0])
-        k = killing_operator(base)
-        _SU2_CONSTANT = float(1.0 / np.sqrt(-k[0, 0]))
-    return _SU2_CONSTANT
+    base = Unimodular3().embed([1.0, 1.0, 1.0])
+    k = killing_operator(base)
+    return float(1.0 / np.sqrt(-k[0, 0]))
 
 
 class SemisimpleSu2(SemisimpleFamily):
@@ -418,43 +401,37 @@ def get_family(name: str, **context):
     return factory(context)
 
 
+def _catalog(fam: _FamilyBase, *params: float) -> CatalogPoint:
+    """Catalog point of a family: validated embedding (None when the family
+    has no concrete realization) plus the closed forms."""
+    params = np.array(params, dtype=float)
+    try:
+        point = validate_point(fam.embed(params), h2_status=H2_KNOWN)
+    except NoRealizationError:
+        point = None
+    return CatalogPoint(point=point, closed=fam.closed_report(params), family=fam, params=params)
+
+
 def unimodular3(a: float, b: float, c: float) -> CatalogPoint:
     """Unimodular 3-dimensional family with its closed-form curvature."""
-    fam = Unimodular3()
-    params = np.array([a, b, c], dtype=float)
-    mu = fam.embed(params)
-    point = validate_point(mu, h2_status=H2_KNOWN)
-    return CatalogPoint(point=point, closed=fam.closed_report(params), family=fam, params=params)
+    return _catalog(Unimodular3(), a, b, c)
 
 
 def berger3(a: float, b: float, c: float = 0.0) -> CatalogPoint:
     """Isotropy-1 dimension-3 family (Berger spheres and degenerations)."""
-    fam = Berger3()
-    params = np.array([a, b, c], dtype=float)
-    mu = fam.embed(params)
-    point = validate_point(mu, h2_status=H2_KNOWN)
-    return CatalogPoint(point=point, closed=fam.closed_report(params), family=fam, params=params)
+    return _catalog(Berger3(), a, b, c)
 
 
 def semisimple_family(a: float, b: float, h_dim: int, m_dim: int) -> CatalogPoint:
     """Closed-form semisimple family point; concrete only for (1, 2)."""
-    fam = SemisimpleFamily(h_dim, m_dim)
-    params = np.array([a, b], dtype=float)
-    point = None
     if (h_dim, m_dim) == (1, 2):
-        su2 = SemisimpleSu2()
-        point = validate_point(su2.embed(params), h2_status=H2_KNOWN)
-        fam = su2
-    return CatalogPoint(point=point, closed=fam.closed_report(params), family=fam, params=params)
+        return _catalog(SemisimpleSu2(), a, b)
+    return _catalog(SemisimpleFamily(h_dim, m_dim), a, b)
 
 
 def semisimple_concrete_su2(a: float, b: float) -> CatalogPoint:
     """Concrete rotation-algebra realization of the semisimple family."""
-    fam = SemisimpleSu2()
-    params = np.array([a, b], dtype=float)
-    mu = fam.embed(params)
-    point = validate_point(mu, h2_status=H2_KNOWN)
-    return CatalogPoint(point=point, closed=fam.closed_report(params), family=fam, params=params)
+    return _catalog(SemisimpleSu2(), a, b)
 
 
 def embed(point: ReducedFamilyPoint) -> BracketTensor:

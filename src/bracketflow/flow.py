@@ -7,10 +7,11 @@ isotropy rows is exactly zero.  Every trajectory co-integrates the scaling
 pair (c, tau) with c' = r c, tau' = c^2, which ties a normalized run to its
 unnormalized parent.
 
-The bracket, metric and gauge ODEs and the sampled (c, tau) rescaling all run
-through one sampled path, _solve_sampled: it maps a forward or backward time
-grid onto the forward stepper, lands on every sample and closes an early stop
-with a sample at the stopping time.
+The bracket, metric and gauge ODEs and both solves of the (c, tau) rescaling
+(the probe for the reachable horizon and the sampled rerun) all run through
+one sampled path, _solve_sampled: it maps a forward or backward time grid
+onto the forward stepper, lands on every sample and closes an early stop with
+a sample at the stopping time.
 
 A single integration owns its state; trajectories and all inputs are
 immutable once produced, so independent integrations may run concurrently.
@@ -34,6 +35,9 @@ from .core import (
     BracketTensor,
     CompatibilityError,
     HomogeneousPoint,
+    _packed_names,
+    _pairs,
+    act_gl,
     act_pi_array,
     pack_array,
     pack_state,
@@ -157,23 +161,31 @@ def _rate_from_scalars(
     raise NormalizationError(f"unknown normalization kind {strategy.kind!r}")
 
 
+def _report_rate(
+    mu: BracketTensor, strategy: Normalization, rep: CurvatureReport, d0: np.ndarray | None
+) -> float:
+    """Normalization rate r of one bracket from its curvature report.
+
+    d0 is the unnormalized Ric evolution D0, read by the ricci-norm rate only.
+    """
+    if strategy.kind == "custom":
+        return float(strategy.rate_fn(mu))
+    ric = rep.Ric
+    tr_ric2 = float(np.sum(ric * ric))
+    if strategy.kind == "ricci-norm":
+        if tr_ric2 <= 0:
+            raise NormalizationError("ricci-norm rate undefined at a flat bracket")
+        return -float(np.sum(ric * d0)) / (2.0 * tr_ric2)
+    return _rate_from_scalars(
+        strategy, mu.n, rep.R, tr_ric2, float(np.sum(ric * rep.M)), float(np.sum(mu.mu_p**2))
+    )
+
+
 def _rate_and_ricci(mu: BracketTensor, strategy: Normalization) -> tuple[float, np.ndarray]:
     """Normalization rate r and Ricci operator of one bracket."""
-    if strategy.kind == "custom":
-        return float(strategy.rate_fn(mu)), ricci_operator(mu)
-    if strategy.kind == "ricci-norm":
-        return ricci_norm_rate(mu), ricci_operator(mu)
     rep = curvature_pieces(mu)
-    ric = rep.Ric
-    r = _rate_from_scalars(
-        strategy,
-        mu.n,
-        rep.R,
-        float(np.sum(ric * ric)),
-        float(np.sum(ric * rep.M)),
-        float(np.sum(mu.mu_p**2)),
-    )
-    return r, ric
+    d0 = _ricci_evolution(mu.mu_p, rep)[0] if strategy.kind == "ricci-norm" else None
+    return _report_rate(mu, strategy, rep, d0), rep.Ric
 
 
 def normalization_rate(
@@ -259,12 +271,7 @@ class TensorFlowSystem:
         self.n = point0.bracket.n
         self.strategy = strategy
         self.core0 = pack_state(point0.bracket)
-        self.param_names = [
-            f"c_{i}_{j}_{k}"
-            for i in range(self.q + self.n)
-            for j in range(i + 1, self.q + self.n)
-            for k in range(self.q + self.n)
-        ]
+        self.param_names = _packed_names(self.q + self.n)
 
     def bracket(self, core: np.ndarray) -> BracketTensor:
         return unpack_state(self.q, self.n, core)
@@ -276,9 +283,6 @@ class TensorFlowSystem:
 
     def aux_norm2(self, core: np.ndarray) -> float:
         return 2.0 * float(np.dot(core, core))
-
-    def tangent_norm(self, dcore: np.ndarray) -> float:
-        return float(np.sqrt(2.0) * np.linalg.norm(dcore))
 
     def drift(self, core: np.ndarray) -> float:
         return _core.jacobi_residual(self.bracket(core))
@@ -302,22 +306,21 @@ class ReducedFlowSystem:
     def bracket(self, core: np.ndarray) -> BracketTensor:
         return self.family.embed(core)
 
+    def rate(self, core: np.ndarray) -> float:
+        """Rate r from the family's closed-form scalars."""
+        if self.strategy.kind == "custom":
+            return float(self.strategy.rate_fn(self.family.embed(core)))
+        return _rate_from_scalars(self.strategy, *self.family.rate_scalars(core))
+
     def tangent(self, core: np.ndarray) -> tuple[np.ndarray, float]:
         base = self.family.rhs(core)
         if self.strategy.kind == "none":
             return base, 0.0
-        if self.strategy.kind == "custom":
-            r = float(self.strategy.rate_fn(self.family.embed(core)))
-        else:
-            n, R, tr_ric2, tr_ric_m, mu_p2 = self.family.rate_scalars(core)
-            r = _rate_from_scalars(self.strategy, n, R, tr_ric2, tr_ric_m, mu_p2)
+        r = self.rate(core)
         return base + r * self._weights * core, r
 
     def aux_norm2(self, core: np.ndarray) -> float:
         return self.family.aux_norm2(core)
-
-    def tangent_norm(self, dcore: np.ndarray) -> float:
-        return float(np.sqrt(2.0) * np.linalg.norm(dcore))
 
     def drift(self, core: np.ndarray) -> float:
         return 0.0
@@ -341,7 +344,6 @@ class FlowTrajectory:
     termination: str
     stats: IntegrationStats
     notes: tuple[str, ...] = ()
-    gauge: "GaugeRecord | None" = None
 
     @property
     def n_samples(self) -> int:
@@ -360,17 +362,8 @@ class FlowTrajectory:
     def curvature_at(self, i: int) -> CurvatureReport:
         return curvature_pieces(self.bracket_at(i))
 
-    def rate_at(self, i: int) -> float:
-        if self.strategy.kind == "none":
-            return 0.0
-        _, r = self.system.tangent(self.states[i])
-        return r
-
     def interpolator(self) -> HermitePath:
         return HermitePath(self.times, self.states, self.derivs)
-
-    def with_gauge(self, gauge: "GaugeRecord") -> "FlowTrajectory":
-        return replace(self, gauge=gauge)
 
     def describe(self) -> dict:
         d = {
@@ -485,7 +478,7 @@ def _run_flow(
             del norm_history[0]
         if aux > events.blowup_norm:
             return TERM_BLOWUP
-        if system.tangent_norm(f[:-2]) < events.conv_tangent:
+        if float(np.sqrt(2.0) * np.linalg.norm(f[:-2])) < events.conv_tangent:
             conv_count += 1
             if conv_count >= events.conv_window:
                 return TERM_CONVERGED
@@ -604,12 +597,10 @@ def _sym_sqrt(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _metric_compat_check(mu0: BracketTensor, p: np.ndarray, tol: float) -> None:
-    for z in range(mu0.q):
-        a = mu0.ad_iso_p(z)
-        if np.linalg.norm(p @ a - a @ p) > tol * (1.0 + np.linalg.norm(p)):
-            raise CompatibilityError(
-                "inner product is not invariant under the isotropy operators"
-            )
+    if _core.compatibility_residual(mu0, p) > tol * (1.0 + np.linalg.norm(p)):
+        raise CompatibilityError(
+            "inner product is not invariant under the isotropy operators"
+        )
 
 
 def _gauged_ricci(p: np.ndarray, mu0: BracketTensor):
@@ -619,10 +610,8 @@ def _gauged_ricci(p: np.ndarray, mu0: BracketTensor):
     operator of <P., .> is its Ricci operator conjugated back by h.
     """
     hs, hs_inv = _sym_sqrt(p)
-    q = mu0.q
-    h = np.eye(mu0.dim)
-    h[q:, q:] = hs
-    return hs, hs_inv, ricci_operator(_core.gl_action(mu0, h))
+    gauged = act_gl(mu0, np.eye(mu0.q), hs, require_compatible=False)
+    return hs, hs_inv, ricci_operator(gauged)
 
 
 def metric_ricci(p: np.ndarray, mu0: BracketTensor) -> np.ndarray:
@@ -666,15 +655,12 @@ class MetricTrajectory:
 
 
 def _pack_sym(p: np.ndarray) -> np.ndarray:
-    n = p.shape[0]
-    iu = np.triu_indices(n)
-    return p[iu]
+    return p[_pairs(p.shape[0], 0)]
 
 
 def _unpack_sym(n: int, y: np.ndarray) -> np.ndarray:
-    iu = np.triu_indices(n)
     p = np.zeros((n, n))
-    p[iu] = y
+    p[_pairs(n, 0)] = y
     p = p + p.T - np.diag(np.diag(p))
     return p
 
@@ -744,11 +730,7 @@ class GaugeRecord:
         return self.h[i].T @ self.h[i]
 
     def pushforward(self, mu0: BracketTensor, i: int) -> BracketTensor:
-        d = mu0.dim
-        q = mu0.q
-        hfull = np.eye(d)
-        hfull[q:, q:] = self.h[i]
-        return _core.gl_action(mu0, hfull)
+        return act_gl(mu0, np.eye(mu0.q), self.h[i], require_compatible=False)
 
 
 def integrate_gauge(
@@ -824,6 +806,13 @@ class _SourceRun:
     def bracket(self, tau) -> BracketTensor:
         return self.traj.system.bracket(self.path(self.clamp(tau)))
 
+    def scaled(self, cval, tau) -> BracketTensor | None:
+        """c . mu(tau), or None when that bracket overflows."""
+        mu = self.bracket(tau)
+        if not np.isfinite(cval * cval * np.abs(mu.c).max()):
+            return None
+        return rescale(cval, mu)
+
     def exhausted(self, tau) -> bool:
         return tau >= self.tau_max - 1e-12 * max(1.0, abs(self.tau_max))
 
@@ -832,29 +821,42 @@ _AUTO_HORIZON = 100.0
 
 
 def _scaling_ode(src: _SourceRun, rhs, callback, horizon, rtol, atol, samples):
-    """Two-phase solve of the (c, tau) system: find the reachable horizon,
-    then rerun on a uniform sample grid over it.
+    """Two-phase solve of the (c, tau) system on the sampled path: a probe on
+    [0, horizon] finds the reachable horizon, then a rerun samples a uniform
+    grid over it; returns the probe's status with the rerun.
 
+    A trial stage that is not finite, or whose rescaled bracket overflows
+    (rhs returns None), gets a NaN derivative, so the stepper rejects it.
     The probe's stopping step may overshoot tau_max, so the final horizon is
     backed off along tau' to land on the source boundary; otherwise the last
     samples would sit at clamped tau and spoil finite differencing there.
     """
+    if horizon <= 0:
+        raise ValueError("reparametrization needs t_end > 0")
+
+    def f(t, y):
+        with np.errstate(over="ignore", invalid="ignore"):
+            dy = rhs(t, y) if np.isfinite(y).all() else None
+        return np.full(2, np.nan) if dy is None else dy
+
     y0 = np.array([1.0, src.tau0])
-    probe = solve_rk54(rhs, 0.0, horizon, y0, rtol=rtol, atol=atol, step_callback=callback)
-    t_star = probe.t if probe.status != STATUS_REACHED_END else horizon
-    if probe.status == "tau-exhausted":
-        overshoot = float(probe.y[1]) - src.tau_max
-        tau_rate = float(probe.f[1])
+    status, times, ys, fs, _ = _solve_sampled(
+        f, y0, np.array([0.0, horizon]), rtol=rtol, atol=atol, callback=callback
+    )
+    t_star = times[-1]
+    if status == "tau-exhausted":
+        overshoot = float(ys[-1, 1]) - src.tau_max
+        tau_rate = float(fs[-1, 1])
         if overshoot > 0 and tau_rate > 0:
             t_star -= overshoot / tau_rate
     if t_star <= 0:
         raise ValueError("reparametrized range too short to sample")
     _, times, ys, _, stats = _solve_sampled(
-        rhs, y0, np.linspace(0.0, t_star, samples), rtol=rtol, atol=atol
+        f, y0, np.linspace(0.0, t_star, samples), rtol=rtol, atol=atol
     )
     if len(times) < 2:
         raise ValueError("reparametrized range too short to sample")
-    return probe.status, times, ys, stats
+    return status, times, ys, stats
 
 
 def _scaled_trajectory(
@@ -864,7 +866,7 @@ def _scaled_trajectory(
     ys: np.ndarray,
     stats: IntegrationStats,
     scale_of,
-    termination: str = TERM_REACHED_END,
+    termination: str,
     notes: tuple[str, ...] = (),
 ) -> FlowTrajectory:
     """Normalized run c . mu(tau) on the sampled (c, tau) rows ys.
@@ -876,7 +878,7 @@ def _scaled_trajectory(
     for y in ys:
         tau = src.clamp(y[1])
         cval = scale_of(y, tau)
-        core = pack_state(rescale(cval, src.bracket(tau)))
+        core = pack_state(src.scaled(cval, tau))
         states.append(core)
         derivs.append(system.tangent(core)[0])
         cs.append(cval)
@@ -907,15 +909,15 @@ def reparametrize(
     """Build the normalized solution c(t) . mu(tau(t)) from an unnormalized run.
 
     Solves c' = r c, tau' = c^2 with the source trajectory interpolated in
-    tau.  With an explicit t_end, running out of source range raises; with
-    t_end=None the output covers what the source supports, stopping early
-    when the normalized bracket collapses to zero (tau stalling short of the
-    source end while the scaling dies, which is reported in the notes).
+    tau, over [0, t_end] or, with t_end=None, over what the source supports
+    (up to t = 100); with an explicit t_end, running out of source range
+    raises.  Termination: 'reached-t-end'; 'converged-to-fixed-point' when
+    the normalized bracket collapses to zero (tau stalling short of the
+    source end while the scaling dies, reported in the notes); or
+    'step-underflow' when the steps underflow first, as where c . mu(tau)
+    overflows near a blowup of the source, ending at the last accepted point.
     """
     src = _SourceRun(traj)
-
-    def scaled_bracket(cval, tau):
-        return rescale(cval, src.bracket(tau))
 
     def _pp_norm(mu: BracketTensor) -> float:
         # The isotropy rows never rescale, so collapse is measured on the
@@ -927,14 +929,17 @@ def reparametrize(
 
     def rhs(t, y):
         cval, tau = y
-        r = normalization_rate(scaled_bracket(cval, tau), strategy)
+        mu = src.scaled(cval, tau)
+        if mu is None:
+            return None
+        r = normalization_rate(mu, strategy)
         return np.array([r * cval, cval * cval])
 
     def callback(t, y, f, h):
         cval, tau = y
         if src.exhausted(tau):
             return "tau-exhausted"
-        if _pp_norm(scaled_bracket(cval, tau)) < 1e-9 * max(pp0, 1.0):
+        if _pp_norm(src.scaled(cval, tau)) < 1e-9 * max(pp0, 1.0):
             return "zero-scale"
         return None
 
@@ -946,11 +951,11 @@ def reparametrize(
         raise ValueError(f"tau leaves the available source range before t_end={t_end}")
 
     notes: tuple[str, ...] = ()
-    termination = TERM_REACHED_END
+    termination = TERM_UNDERFLOW if status == TERM_UNDERFLOW else TERM_REACHED_END
     final_c, final_tau = float(ys[-1][0]), float(ys[-1][1])
     if status == "zero-scale" or (
         final_tau < src.tau_max - 1e-6 * max(1.0, abs(src.tau_max))
-        and _pp_norm(scaled_bracket(final_c, final_tau)) < 1e-8 * max(pp0, 1.0)
+        and _pp_norm(src.scaled(final_c, final_tau)) < 1e-8 * max(pp0, 1.0)
     ):
         notes = (
             "normalized bracket collapsed to zero while tau stalled at "
@@ -972,7 +977,9 @@ def rescale_to_ricci_norm(
     """Reparametrize an unnormalized run so tr(Ric^2) stays constant.
 
     The scaling is c(tau) = (tr Ric_0^2 / tr Ric(mu(tau))^2)^(1/4) and the
-    normalized time solves tau' = c(tau)^2.  Raises on a flat start.
+    normalized time solves tau' = c(tau)^2 up to the end of the source.
+    Raises on a flat start.  The termination is 'reached-t-end', or
+    'step-underflow' as in reparametrize.
     """
     src = _SourceRun(traj)
     ric0 = ricci_operator(traj.bracket_at(0))
@@ -995,11 +1002,12 @@ def rescale_to_ricci_norm(
     def callback(t, y, f, h):
         return "tau-exhausted" if src.exhausted(y[1]) else None
 
-    _, times, ys, stats = _scaling_ode(
+    status, times, ys, stats = _scaling_ode(
         src, rhs, callback, _AUTO_HORIZON, rtol, atol, samples
     )
+    termination = TERM_UNDERFLOW if status == TERM_UNDERFLOW else TERM_REACHED_END
     return _scaled_trajectory(
-        src, RICCI_NORM, times, ys, stats, lambda y, tau: c_of_tau(tau)
+        src, RICCI_NORM, times, ys, stats, lambda y, tau: c_of_tau(tau), termination
     )
 
 
@@ -1009,13 +1017,7 @@ def ricci_norm_rate(mu: BracketTensor) -> float:
     Derived from the evolution equation of Ric: the unnormalized part D0
     gives d tr(Ric^2)/dt = 2 tr(Ric D0) + 4 r tr(Ric^2) = 0.
     """
-    rep = curvature_pieces(mu)
-    ric = rep.Ric
-    d0 = _ricci_evolution(mu.mu_p, rep)[0]
-    tr2 = float(np.sum(ric * ric))
-    if tr2 <= 0:
-        raise NormalizationError("ricci-norm rate undefined at a flat bracket")
-    return -float(np.sum(ric * d0)) / (2.0 * tr2)
+    return _rate_and_ricci(mu, RICCI_NORM)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 
 from bracketflow._rk import solve_rk54
 from bracketflow.core import (
     BracketTensor,
+    CompatibilityError,
     InvalidPointError,
     component_norms,
     jacobi_residual,
+    pack_state,
+    unpack_state,
     validate_point,
 )
 from bracketflow.curvature import ricci_operator
@@ -30,7 +38,9 @@ from bracketflow.flow import (
     NormalizationError,
     TensorFlowSystem,
     ValidityDriftError,
+    _pack_sym,
     _run_flow,
+    _unpack_sym,
     bracket_rhs,
     custom_rate,
     equivalence_report,
@@ -458,3 +468,104 @@ def test_integrate_reduced_matches_solve_ivp(family, params0, t_span):
     assert ref.success
     rel = np.abs(traj.states - ref.y.T) / (1.0 + np.abs(ref.y.T))
     assert rel.max() <= 10 * rtol
+
+
+@pytest.mark.parametrize("q, n", [(0, 3), (1, 3)])
+def test_param_names_follow_pack_state(q, n):
+    # Distinct entries, so a name pointing at the wrong slot cannot match.
+    d = q + n
+    c = np.random.default_rng(7).normal(size=(d, d, d))
+    mu = BracketTensor(q, n, c - c.swapaxes(0, 1))
+    names = TensorFlowSystem(validate_point(mu), UNNORMALIZED).param_names
+    state = pack_state(mu)
+    assert len(names) == len(state) == d * d * (d - 1) // 2
+    for name, value in zip(names, state):
+        tag, i, j, k = name.split("_")
+        assert tag == "c" and int(i) < int(j)
+        assert value == mu.c[int(i), int(j), int(k)]
+
+
+_FINITE = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2), st.integers(1, 3), st.data())
+def test_pack_unpack_state_roundtrip_is_bitwise(q, n, data):
+    d = q + n
+    c = data.draw(arrays(np.float64, (d, d, d), elements=_FINITE))
+    mu = BracketTensor(q, n, c - c.swapaxes(0, 1))
+    again = unpack_state(q, n, pack_state(mu))
+    assert again.c.tobytes() == mu.c.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_pack_sym_roundtrip_is_exact(n, data):
+    a = data.draw(arrays(np.float64, (n, n), elements=_FINITE))
+    p = a + a.T
+    assert np.array_equal(_unpack_sym(n, _pack_sym(p)), p)
+
+
+def test_metric_flow_checks_isotropy_compatibility():
+    # On berger3 the isotropy rotates (X2, X3): diag(2, 1.5, 1.5) commutes
+    # with it, diag(1, 2, 3) does not.
+    point = berger3(1, 1, 0).point
+    bad, good = np.diag([1.0, 2.0, 3.0]), np.diag([2.0, 1.5, 1.5])
+    with pytest.raises(CompatibilityError):
+        integrate_metric(point, (0.0, 0.1), p0=bad, samples=5)
+    with pytest.raises(CompatibilityError):
+        metric_rhs(MetricState(bad), point)
+    traj = integrate_metric(point, (0.0, 0.1), p0=good, samples=5)
+    assert traj.termination == "reached-t-end"
+    assert np.all(np.isfinite(metric_rhs(MetricState(good), point)))
+
+
+@pytest.mark.parametrize("strategy", [VOLUME, SCALAR_CURVATURE, BRACKET_NORM])
+@pytest.mark.parametrize(
+    "cat, t_span",
+    [(unimodular3(1, 2, 3), (0.0, 1.0)), (berger3(0.5, 1, 0), (0.0, 3.0))],
+)
+def test_reparametrize_blown_up_source_ends_in_step_underflow(cat, t_span, strategy):
+    # Near the source blowup a trial (c, tau) stage overflows the rescaled
+    # bracket; the stepper must reject it and stop typed, not raise.
+    base = integrate(cat.point, UNNORMALIZED, t_span)
+    assert base.termination == "blowup-detected"
+    rep = reparametrize(base, strategy, samples=41)
+    assert rep.termination == "step-underflow"
+    assert rep.n_samples == 41 and np.all(np.diff(rep.times) > 0)
+    assert np.all(np.isfinite(rep.states)) and np.all(np.isfinite(rep.c))
+    assert np.all(rep.tau <= base.times[-1])
+
+
+def test_reparametrize_reports_probe_underflow_with_t_end():
+    # The source stops at its blowup near t = 0.69 with only two samples
+    # before it; the probe underflows at t ~ 0.097, well short of t_end.
+    base = integrate(berger3(0.5, 1, 0).point, UNNORMALIZED, (0.0, 40.0), samples=61)
+    rep = reparametrize(base, VOLUME, t_end=1.0)
+    assert rep.termination == "step-underflow"
+    assert rep.times[-1] == pytest.approx(0.097, abs=1e-3)
+
+
+def test_reparametrize_rejects_nonpositive_t_end():
+    base = integrate(unimodular3(1, 1, 1).point, UNNORMALIZED, (0.0, 0.5), samples=21)
+    for t_end in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            reparametrize(base, VOLUME, t_end=t_end)
+
+
+def test_rescale_to_ricci_norm_reports_step_underflow():
+    # A forward source passing through the flat bracket unimodular3(1, 1, 0)
+    # at tau = 0.5: c = (tr Ric_0^2 / tr Ric^2)^(1/4) grows without bound
+    # there, and the (c, tau) steps underflow before tau gets past it.
+    fam = Unimodular3()
+    taus = np.linspace(0.0, 1.0, 21)
+    base = integrate(unimodular3(1, 1, 0.5).point, UNNORMALIZED, (0.0, 1.0), samples=21)
+    src = dataclasses.replace(
+        base,
+        states=np.array([pack_state(fam.embed([1.0, 1.0, 0.5 - t])) for t in taus]),
+        derivs=np.array([pack_state(fam.embed([0.0, 0.0, -1.0]))] * len(taus)),
+    )
+    rn = rescale_to_ricci_norm(src, samples=41)
+    assert rn.termination == "step-underflow"
+    assert rn.tau[-1] < 0.5
+    assert np.all(np.isfinite(rn.states))
