@@ -109,24 +109,20 @@ def _resolve_source(cfg: dict) -> Source:
     if params is None:
         raise MalformedInputError("--family requires --params")
     params = [float(p) for p in params]
+    context = {}
     if fam_name == "semisimple":
         if len(params) != 4:
             raise MalformedInputError("semisimple takes params a,b,h,m")
-        a, b, h_dim, m_dim = params
-        try:
-            fam = families.get_family("semisimple", h_dim=int(h_dim), m_dim=int(m_dim))
-        except ValueError as exc:
-            raise MalformedInputError(str(exc)) from exc
-        params = [a, b]
-    else:
-        try:
-            fam = families.get_family(fam_name)
-        except ValueError as exc:
-            raise MalformedInputError(str(exc)) from exc
-        if len(params) != len(fam.param_names):
-            raise MalformedInputError(
-                f"family {fam_name} takes params {','.join(fam.param_names)}"
-            )
+        params, (h_dim, m_dim) = params[:2], params[2:]
+        context = {"h_dim": int(h_dim), "m_dim": int(m_dim)}
+    try:
+        fam = families.get_family(fam_name, **context)
+    except ValueError as exc:
+        raise MalformedInputError(str(exc)) from exc
+    if len(params) != len(fam.param_names):
+        raise MalformedInputError(
+            f"family {fam_name} takes params {','.join(fam.param_names)}"
+        )
     point = families._catalog(fam, *params).point
     label = f"{fam_name}({','.join(fmt17(p) for p in params)})"
     return Source(point=point, family=fam, params=np.asarray(params, float), label=label)
@@ -139,13 +135,18 @@ def _strategy(cfg: dict) -> Normalization:
     return _STRATEGIES[kind]
 
 
+# Event flag -> EventConfig field; a flag left unset keeps the field's default.
+_EVENT_FLAGS = {"blowup_threshold": "blowup_norm", "conv_threshold": "conv_tangent",
+                "conv_window": "conv_window", "drift_factor": "drift_factor"}
+_CLASSIFY_FLAGS = ("flat_tol", "einstein_tol", "soliton_tol", "zero_tol")
+
+
 def _events(cfg: dict) -> EventConfig:
-    return EventConfig(
-        blowup_norm=float(cfg.get("blowup_threshold", 1e6)),
-        conv_tangent=float(cfg.get("conv_threshold", 1e-10)),
-        conv_window=int(cfg.get("conv_window", 8)),
-        drift_factor=float(cfg.get("drift_factor", 1e3)),
-    )
+    return EventConfig(**{
+        field: type(getattr(EventConfig, field))(cfg[flag])
+        for flag, field in _EVENT_FLAGS.items()
+        if flag in cfg
+    })
 
 
 def _tolerances(cfg: dict) -> tuple[float, float]:
@@ -323,12 +324,8 @@ def cmd_flow(cfg: dict) -> int:
 
 
 def _classify_tols(cfg: dict) -> dict:
-    return {
-        "flat_tol": float(cfg.get("flat_tol", 1e-6)),
-        "einstein_tol": float(cfg.get("einstein_tol", 1e-6)),
-        "soliton_tol": float(cfg.get("soliton_tol", 1e-6)),
-        "zero_tol": float(cfg.get("zero_tol", 1e-6)),
-    }
+    """The classify_limit tolerances set in cfg; the rest keep its defaults."""
+    return {flag: float(cfg[flag]) for flag in _CLASSIFY_FLAGS if flag in cfg}
 
 
 def _manifest(cfg: dict, src: Source, traj, state_cols: list[str]) -> dict:
@@ -339,12 +336,7 @@ def _manifest(cfg: dict, src: Source, traj, state_cols: list[str]) -> dict:
         "strategy": traj.strategy.kind,
         "rtol": rtol,
         "atol": atol,
-        "events": {
-            "blowup_threshold": events.blowup_norm,
-            "conv_threshold": events.conv_tangent,
-            "conv_window": events.conv_window,
-            "drift_factor": events.drift_factor,
-        },
+        "events": {flag: getattr(events, field) for flag, field in _EVENT_FLAGS.items()},
         "state_columns": state_cols,
         "run": traj.describe(),
         "termination": traj.termination,

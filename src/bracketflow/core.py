@@ -6,7 +6,9 @@ A bracket is stored as a 3-index array ``c`` of shape ``(d, d, d)`` with
 the remaining ``n`` span the tangent block p; the p-basis is orthonormal for
 the fixed inner product.  Antisymmetry in (i, j) is enforced structurally:
 only the entries with ``i < j`` are canonical, the rest are mirrored at
-construction time, so ``mu(x, y) = -mu(y, x)`` holds exactly.
+construction time, so ``mu(x, y) = -mu(y, x)`` holds exactly.  The public
+``BracketTensor`` constructor validates and canonicalizes; ``unpack_state``,
+the one internal constructor, unpacks i < j entries and checks finiteness only.
 
 All values are immutable after construction and every operation here is a
 pure function, so everything is safe to share between threads.
@@ -74,32 +76,14 @@ def _packed_names(d: int) -> list[str]:
     return [f"c_{i}_{j}_{k}" for i, j in zip(*_pairs(d)) for k in range(d)]
 
 
-def _canonical_antisymmetric(c: np.ndarray) -> np.ndarray:
-    """Return the exactly antisymmetric copy of a (near-)antisymmetric array.
-
-    Input must satisfy c[j, i] = -c[i, j] up to floating noise; the i < j
-    entries of (c - c^T)/2 become canonical and the rest are exact mirror
-    negatives, so antisymmetry is a storage invariant rather than a
-    numerical property.
-    """
-    skew_defect = np.abs(c + c.swapaxes(0, 1)).max()
-    if skew_defect > 1e-9 * (1.0 + np.abs(c).max()):
-        raise ValueError(
-            "structure array is not antisymmetric in its first two indices "
-            f"(defect {skew_defect:.3e}); set mirrored entries or use from_entries"
-        )
-    d = c.shape[0]
-    out = np.zeros_like(c, dtype=float)
-    iu, ju = _pairs(d)
-    upper = 0.5 * (c[iu, ju, :] - c[ju, iu, :])
-    out[iu, ju, :] = upper
-    out[ju, iu, :] = -upper
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class BracketTensor:
-    """Antisymmetric bilinear map on g = k + p, stored as structure constants."""
+    """Antisymmetric bilinear map on g = k + p, stored as structure constants.
+
+    The constructor checks q, n, shape, finiteness and antisymmetry up to
+    floating noise, and stores the exactly antisymmetric read-only copy whose
+    i < j entries are those of (c - c^T)/2.
+    """
 
     q: int
     n: int
@@ -114,7 +98,14 @@ class BracketTensor:
             raise ValueError(f"structure array must have shape {(d, d, d)}, got {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("structure constants must be finite")
-        c = _canonical_antisymmetric(c)
+        skew_defect = np.abs(c + c.swapaxes(0, 1)).max()
+        if skew_defect > 1e-9 * (1.0 + np.abs(c).max()):
+            raise ValueError(
+                "structure array is not antisymmetric in its first two indices "
+                f"(defect {skew_defect:.3e}); set mirrored entries or use from_entries"
+            )
+        iu, ju = _pairs(d)
+        c = unpack_array(d, 0.5 * (c[iu, ju] - c[ju, iu]))
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
 
@@ -139,14 +130,6 @@ class BracketTensor:
         out[:q, :, :] = self.c[:q, :, :]
         out[q:, :q, :] = self.c[q:, :q, :]
         return out
-
-    def replace_pp(self, mu_k: np.ndarray, mu_p: np.ndarray) -> "BracketTensor":
-        """New tensor with the same k x g rows but new p x p components."""
-        c = np.array(self.c)
-        q = self.q
-        c[q:, q:, :q] = mu_k
-        c[q:, q:, q:] = mu_p
-        return BracketTensor(self.q, self.n, c)
 
     def ad_iso_p(self, z: int) -> np.ndarray:
         """Matrix on p of ad(Z_z) restricted to p, for 0 <= z < q."""
@@ -424,7 +407,12 @@ def rescale(c_scale: float, mu: BracketTensor) -> BracketTensor:
     """Geometric rescaling: keep mu|kxg, map mu_k -> c^2 mu_k and mu_p -> c mu_p."""
     if c_scale == 0:
         raise ValueError("rescaling factor must be nonzero")
-    return mu.replace_pp(c_scale**2 * mu.mu_k, c_scale * mu.mu_p)
+    q = mu.q
+    y = pack_state(mu).reshape(-1, mu.dim)
+    pp = _pairs(mu.dim)[0] >= q  # packed rows of p x p pairs
+    y[pp, :q] *= c_scale**2
+    y[pp, q:] *= c_scale
+    return unpack_state(q, mu.n, y)
 
 
 def component_split(mu: BracketTensor) -> ComponentSplit:
@@ -465,8 +453,17 @@ def pack_array(c: np.ndarray) -> np.ndarray:
 
 
 def unpack_state(q: int, n: int, y: np.ndarray) -> BracketTensor:
-    """Inverse of pack_state."""
-    return BracketTensor(q, n, unpack_array(q + n, y))
+    """Inverse of pack_state, and the one constructor that skips validation:
+    unpack_array's output is canonical by construction (lower = -upper
+    bitwise, +0.0 diagonal), so only finiteness is checked (an integrator
+    trial stage may have overflowed)."""
+    c = unpack_array(q + n, y)
+    if not np.isfinite(c).all():
+        raise ValueError("structure constants must be finite")
+    c.setflags(write=False)
+    mu = object.__new__(BracketTensor)
+    mu.__dict__.update(q=q, n=n, c=c)
+    return mu
 
 
 def unpack_array(d: int, y: np.ndarray) -> np.ndarray:

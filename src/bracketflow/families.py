@@ -388,7 +388,11 @@ class SemisimpleSu2(SemisimpleFamily):
 _FAMILIES = {
     "unimodular3": lambda ctx: Unimodular3(),
     "berger3": lambda ctx: Berger3(),
-    "semisimple": lambda ctx: SemisimpleFamily(ctx["h_dim"], ctx["m_dim"]),
+    # (h_dim, m_dim) = (1, 2) is the one concrete semisimple family.
+    "semisimple": lambda ctx: (
+        SemisimpleSu2() if (ctx["h_dim"], ctx["m_dim"]) == (1, 2)
+        else SemisimpleFamily(ctx["h_dim"], ctx["m_dim"])
+    ),
     "semisimple-su2": lambda ctx: SemisimpleSu2(),
 }
 
@@ -424,9 +428,7 @@ def berger3(a: float, b: float, c: float = 0.0) -> CatalogPoint:
 
 def semisimple_family(a: float, b: float, h_dim: int, m_dim: int) -> CatalogPoint:
     """Closed-form semisimple family point; concrete only for (1, 2)."""
-    if (h_dim, m_dim) == (1, 2):
-        return _catalog(SemisimpleSu2(), a, b)
-    return _catalog(SemisimpleFamily(h_dim, m_dim), a, b)
+    return _catalog(get_family("semisimple", h_dim=h_dim, m_dim=m_dim), a, b)
 
 
 def semisimple_concrete_su2(a: float, b: float) -> CatalogPoint:

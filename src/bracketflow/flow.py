@@ -266,11 +266,10 @@ class TensorFlowSystem:
 
     kind = "bracket"
 
-    def __init__(self, point0: HomogeneousPoint, strategy: Normalization):
-        self.q = point0.bracket.q
-        self.n = point0.bracket.n
+    def __init__(self, mu0: BracketTensor, strategy: Normalization):
+        self.q, self.n = mu0.q, mu0.n
         self.strategy = strategy
-        self.core0 = pack_state(point0.bracket)
+        self.core0 = pack_state(mu0)
         self.param_names = _packed_names(self.q + self.n)
 
     def bracket(self, core: np.ndarray) -> BracketTensor:
@@ -554,7 +553,7 @@ def integrate(
     """
     point.require_valid()
     _check_strategy_start(point.bracket, strategy)
-    system = TensorFlowSystem(point, strategy)
+    system = TensorFlowSystem(point.bracket, strategy)
     return _run_flow(system, t_span, rtol, atol, samples, events, max_step, drift_raises)
 
 
@@ -816,6 +815,10 @@ class _SourceRun:
     def exhausted(self, tau) -> bool:
         return tau >= self.tau_max - 1e-12 * max(1.0, abs(self.tau_max))
 
+    def stalled(self, tau) -> bool:
+        """tau stopped clearly short of the source end."""
+        return tau < self.tau_max - 1e-6 * max(1.0, abs(self.tau_max))
+
 
 _AUTO_HORIZON = 100.0
 
@@ -873,7 +876,7 @@ def _scaled_trajectory(
 
     scale_of(y, tau) gives c at a row and its clamped source time.
     """
-    system = TensorFlowSystem(_core.validate_point(src.traj.bracket_at(0)), strategy)
+    system = TensorFlowSystem(src.traj.bracket_at(0), strategy)
     states, derivs, cs, taus = [], [], [], []
     for y in ys:
         tau = src.clamp(y[1])
@@ -954,7 +957,7 @@ def reparametrize(
     termination = TERM_UNDERFLOW if status == TERM_UNDERFLOW else TERM_REACHED_END
     final_c, final_tau = float(ys[-1][0]), float(ys[-1][1])
     if status == "zero-scale" or (
-        final_tau < src.tau_max - 1e-6 * max(1.0, abs(src.tau_max))
+        src.stalled(final_tau)
         and _pp_norm(src.scaled(final_c, final_tau)) < 1e-8 * max(pp0, 1.0)
     ):
         notes = (
@@ -979,7 +982,8 @@ def rescale_to_ricci_norm(
     The scaling is c(tau) = (tr Ric_0^2 / tr Ric(mu(tau))^2)^(1/4) and the
     normalized time solves tau' = c(tau)^2 up to the end of the source.
     Raises on a flat start.  The termination is 'reached-t-end', or
-    'step-underflow' as in reparametrize.
+    'step-underflow' as in reparametrize.  When tau stalls short of the
+    source end (c dies as Ric grows near a blowup), a note says so.
     """
     src = _SourceRun(traj)
     ric0 = ricci_operator(traj.bracket_at(0))
@@ -1006,8 +1010,10 @@ def rescale_to_ricci_norm(
         src, rhs, callback, _AUTO_HORIZON, rtol, atol, samples
     )
     termination = TERM_UNDERFLOW if status == TERM_UNDERFLOW else TERM_REACHED_END
+    tau = float(ys[-1][1])
+    notes = (f"tau stalled at {tau:.6g} < {src.tau_max:.6g}",) if src.stalled(tau) else ()
     return _scaled_trajectory(
-        src, RICCI_NORM, times, ys, stats, lambda y, tau: c_of_tau(tau), termination
+        src, RICCI_NORM, times, ys, stats, lambda y, tau: c_of_tau(tau), termination, notes
     )
 
 
@@ -1062,7 +1068,6 @@ def equivalence_report(
     bracket flow and that h^t h reproduces the metric flow; both checks are
     gauge-invariant, so either gauge ODE must pass them.
     """
-    point0.require_valid()
     mu0 = point0.bracket
     traj = integrate(point0, UNNORMALIZED, t_span, rtol=rtol, atol=atol, samples=samples)
     mtraj = integrate_metric(point0, t_span, rtol=rtol, atol=atol, samples=samples)

@@ -47,6 +47,20 @@ def test_ricci_semisimple_closed_form(capsys):
     assert doc["R"] == pytest.approx(2.0)
 
 
+def test_semisimple_1_2_is_the_concrete_su2_family(tmp_path, capsys):
+    code = run(["ricci", "--family", "semisimple", "--params", "1,2,1,2"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert "realization" not in doc and doc["validation"]["h1"] == 0.0
+    assert run(["ricci", "--family", "semisimple-su2", "--params", "1,2"]) == 0
+    su2 = json.loads(capsys.readouterr().out)
+    assert doc["Ric"] == su2["Ric"] and doc["R"] == su2["R"]
+    code = run(["flow", "--family", "semisimple", "--params", "1,0.5,1,2",
+                "--t-span", "0:-2", "--samples", "5", "--out", tmp_path])
+    assert code == 0
+    assert read_json(tmp_path / "flow.json")["run"]["system"]["kind"] == "bracket"
+
+
 def test_exit_code_malformed(capsys):
     assert run(["ricci", "--seed", '{"q": 0']) == 3
     assert run(["ricci", "--family", "unimodular3", "--params", "1,1"]) == 3

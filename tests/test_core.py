@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from bracketflow.core import (
@@ -19,6 +22,7 @@ from bracketflow.core import (
     jacobi_residual,
     pack_state,
     rescale,
+    unpack_array,
     unpack_state,
     validate_point,
 )
@@ -268,6 +272,76 @@ def test_pack_unpack_roundtrip(rng):
     mu = point.bracket
     again = unpack_state(mu.q, mu.n, pack_state(mu))
     assert np.all(again.c == mu.c)
+
+
+# Up to 1e300: above max/2 the validating constructor's (upper - lower)/2
+# overflows to inf.
+_PACKED = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2), st.integers(1, 3), st.data())
+def test_unpack_state_matches_validating_constructor(q, n, data):
+    # tobytes() also tells +0.0 from -0.0.
+    d = q + n
+    y = data.draw(arrays(np.float64, d * d * (d - 1) // 2, elements=_PACKED))
+    fast = unpack_state(q, n, y)
+    assert fast.c.tobytes() == BracketTensor(q, n, unpack_array(d, y)).c.tobytes()
+    assert (fast.q, fast.n, fast.c.flags.writeable) == (q, n, False)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_unpack_state_rejects_non_finite_states(bad):
+    y = np.zeros(9)
+    y[7] = bad
+    with pytest.raises(ValueError) as fast:
+        unpack_state(1, 2, y)
+    with pytest.raises(ValueError) as slow:
+        BracketTensor(1, 2, unpack_array(3, y))
+    assert str(fast.value) == str(slow.value) == "structure constants must be finite"
+
+
+def _outcome(build):
+    """Bytes of the built tensor, or the error it raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return build().c.tobytes()
+    except (ValueError, OverflowError) as exc:  # OverflowError: a Python float c^2
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _rescale_validating(c_scale, mu):
+    """rescale through the validating constructor."""
+    c = np.array(mu.c)
+    q = mu.q
+    c[q:, q:, :q] = c_scale**2 * mu.mu_k
+    c[q:, q:, q:] = c_scale * mu.mu_p
+    return BracketTensor(mu.q, mu.n, c)
+
+
+# Ordinary, tiny (products underflow to subnormals or zero) and huge factors.
+# With entries below 1e4 the products stay finite for |c| <= 1e150, and the
+# Python float c^2 overflows for |c| >= 1e160, raising OverflowError in both
+# constructions; in between, c^2 mu_k can land above max/2 (see _PACKED).
+_FACTORS = st.one_of(
+    st.floats(0.1, 10.0),
+    st.floats(-10.0, -0.1),
+    st.floats(1e-300, 1e-100),
+    st.floats(-1e-100, -1e-300),
+    st.floats(1e100, 1e150),
+    st.floats(-1e300, -1e160),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2), st.integers(2, 3), _FACTORS, st.data())
+def test_rescale_matches_validating_constructor(q, n, c_scale, data):
+    d = q + n
+    c = data.draw(arrays(np.float64, (d, d, d), elements=st.floats(-1e3, 1e3)))
+    mu = BracketTensor(q, n, c - c.swapaxes(0, 1))
+    assert _outcome(lambda: rescale(c_scale, mu)) == _outcome(
+        lambda: _rescale_validating(c_scale, mu)
+    )
 
 
 def test_json_roundtrip():

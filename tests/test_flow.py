@@ -15,6 +15,7 @@ from bracketflow.core import (
     component_norms,
     jacobi_residual,
     pack_state,
+    rescale,
     unpack_state,
     validate_point,
 )
@@ -53,9 +54,10 @@ from bracketflow.flow import (
     normalized_rhs,
     reparametrize,
     rescale_to_ricci_norm,
+    ricci_norm_rate,
 )
 
-from conftest import solvable_point
+from conftest import random_valid_point, solvable_point
 
 
 def test_bracket_rhs_examples():
@@ -165,7 +167,7 @@ def test_validity_drift_aborts():
     bad = validate_point(
         BracketTensor.from_entries(0, 3, [[0, 1, 2, 1.0], [0, 2, 0, 1.0]])
     )
-    system = TensorFlowSystem(bad, UNNORMALIZED)
+    system = TensorFlowSystem(bad.bracket, UNNORMALIZED)
     with pytest.raises(ValidityDriftError) as info:
         _run_flow(system, (0.0, 1.0), 1e-9, 1e-12, 20, EventConfig(), None, True)
     assert info.value.trajectory is not None
@@ -476,7 +478,7 @@ def test_param_names_follow_pack_state(q, n):
     d = q + n
     c = np.random.default_rng(7).normal(size=(d, d, d))
     mu = BracketTensor(q, n, c - c.swapaxes(0, 1))
-    names = TensorFlowSystem(validate_point(mu), UNNORMALIZED).param_names
+    names = TensorFlowSystem(mu, UNNORMALIZED).param_names
     state = pack_state(mu)
     assert len(names) == len(state) == d * d * (d - 1) // 2
     for name, value in zip(names, state):
@@ -569,3 +571,34 @@ def test_rescale_to_ricci_norm_reports_step_underflow():
     assert rn.termination == "step-underflow"
     assert rn.tau[-1] < 0.5
     assert np.all(np.isfinite(rn.states))
+
+
+def test_rescale_to_ricci_norm_notes_a_stalled_tau():
+    # The source blows up near t = 0.316; c = (tr Ric_0^2 / tr Ric^2)^(1/4)
+    # dies there, so tau stalls short of the source end while the run goes
+    # on to the automatic horizon.
+    base = integrate(unimodular3(1, 2, 3).point, UNNORMALIZED, (0.0, 1.0))
+    rn = rescale_to_ricci_norm(base)
+    assert rn.termination == "reached-t-end"
+    assert rn.tau[-1] == pytest.approx(0.3116, abs=1e-4)
+    assert rn.notes == (f"tau stalled at {rn.tau[-1]:.6g} < {base.times[-1]:.6g}",)
+    # A source the rescaling runs through gets no note.
+    heis = integrate(unimodular3(1, 0, 0).point, UNNORMALIZED, (0.0, 2.0), samples=20)
+    assert rescale_to_ricci_norm(heis, samples=20).notes == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.one_of(st.floats(0.1, 10.0), st.floats(-10.0, -0.1)))
+def test_ricci_and_rates_are_homogeneous_of_degree_two(seed, c):
+    mu = random_valid_point(np.random.default_rng(seed), allow_q1=False).bracket
+    moved = rescale(c, mu)
+    ric = ricci_operator(mu)
+    assert np.abs(ricci_operator(moved) - c**2 * ric).max() <= 1e-12 * c**2 * np.abs(ric).max()
+    rates = [lambda m, s=s: normalization_rate(m, s)
+             for s in (VOLUME, SCALAR_CURVATURE, BRACKET_NORM)]
+    for rate in rates + [ricci_norm_rate]:
+        try:
+            r = rate(mu)
+        except NormalizationError:  # undefined here, e.g. R = 0 or a flat bracket
+            continue
+        assert rate(moved) == pytest.approx(c**2 * r, rel=1e-12)
