@@ -1,10 +1,10 @@
 """Adaptive embedded Runge-Kutta 5(4) core (Dormand-Prince pair).
 
-Single forward-time loop; callers handle backward integration by negating
-the right-hand side through the direction wrapper in flow.py.  Step-size
+One forward loop in s from 0 to the last sample time; flow.py's
+_solve_sampled maps forward and backward time grids onto it.  Step-size
 selection uses a PI controller on the embedded error estimate, and steps are
-clamped to land exactly on requested sample times, so sampled states carry
-the full order of the method and reruns are bit-reproducible.
+clamped to land exactly on the sample times, so sampled states carry the
+full order of the method and reruns are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ _MAX_FACTOR = 10.0
 _ALPHA = 0.7 / 5.0
 _BETA = 0.4 / 5.0
 
-STATUS_REACHED_END = "reached-t-end"
-STATUS_STEP_UNDERFLOW = "step-underflow"
+TERM_REACHED_END = "reached-t-end"
+TERM_UNDERFLOW = "step-underflow"
 
 
 @dataclass
@@ -62,72 +62,60 @@ def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, at
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
-def _initial_step(f, t0, y0, f0, t_end, rtol, atol):
+def _initial_step(f, y0, f0, t_end, rtol, atol):
     scale = atol + rtol * np.abs(y0)
     d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, t_end - t0)
+    h0 = min(h0, t_end)
     y1 = y0 + h0 * f0
-    f1 = f(t0 + h0, y1)
+    f1 = f(h0, y1)
     d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, t_end - t0)
+    return min(100 * h0, h1, t_end)
 
 
 def solve_rk54(
     f: Callable[[float, np.ndarray], np.ndarray],
-    t0: float,
-    t_end: float,
     y0: np.ndarray,
+    sample_times: np.ndarray,
     rtol: float = 1e-9,
     atol: float = 1e-12,
-    max_step: float = np.inf,
-    sample_times: np.ndarray | None = None,
     step_callback: Callable[[float, np.ndarray, np.ndarray, float], str | None] | None = None,
 ) -> RKResult:
-    """Integrate y' = f(t, y) forward from t0 to t_end (t_end > t0).
+    """Integrate y' = f(s, y) forward from s = 0 to s = sample_times[-1].
 
-    ``sample_times`` must be increasing values in (t0, t_end]; every sample is
-    hit exactly by clamping the step.  ``step_callback`` runs after each
-    accepted step and may return a status string to terminate early.
+    ``sample_times`` must increase strictly from sample_times[0] = 0, the
+    initial state's sample, to a positive end; every later sample is hit
+    exactly by clamping the step.  ``step_callback`` runs after each accepted
+    step and may return a status string to terminate early.
     """
+    samples = np.asarray(sample_times, dtype=float)
+    t_end = float(samples[-1])
     y = np.asarray(y0, dtype=float).copy()
-    t = float(t0)
+    t = 0.0
     f_cur = f(t, y)
-    res = RKResult(status=STATUS_REACHED_END, t=t, y=y, f=f_cur)
+    res = RKResult(status=TERM_REACHED_END, t=t, y=y, f=f_cur)
+    res.sample_t.append(t)
+    res.sample_y.append(y.copy())
+    res.sample_f.append(f_cur.copy())
+    si = 1
 
-    if t_end <= t0:
-        raise ValueError("solve_rk54 needs t_end > t0")
-    samples = np.asarray(sample_times, dtype=float) if sample_times is not None else np.empty(0)
-    si = 0
-    # t0 itself may head the sample list.
-    while si < len(samples) and samples[si] <= t0:
-        if samples[si] == t0:
-            res.sample_t.append(t)
-            res.sample_y.append(y.copy())
-            res.sample_f.append(f_cur.copy())
-        si += 1
-
-    h = _initial_step(f, t0, y, f_cur, t_end, rtol, atol)
-    h = min(h, max_step)
+    h = _initial_step(f, y, f_cur, t_end, rtol, atol)
     err_prev = 1.0
     k = np.empty((7, y.size))
 
     while t < t_end:
-        h = min(h, max_step)
+        # The last sample is t_end, so this clamp also stops the run there.
         target = None
-        if t + h >= t_end:
-            h = t_end - t
-            target = t_end
-        if si < len(samples) and t + h >= samples[si]:
+        if t + h >= samples[si]:
             h = samples[si] - t
             target = samples[si]
         if h < 16 * np.finfo(float).eps * max(abs(t), 1.0):
-            res.status = STATUS_STEP_UNDERFLOW
+            res.status = TERM_UNDERFLOW
             break
 
         k[0] = f_cur
@@ -151,7 +139,7 @@ def solve_rk54(
         res.max_step = max(res.max_step, h)
 
         t, y, f_cur = t_new, y_new, f_new
-        if si < len(samples) and t == samples[si]:
+        if t == samples[si]:
             res.sample_t.append(t)
             res.sample_y.append(y.copy())
             res.sample_f.append(f_cur.copy())

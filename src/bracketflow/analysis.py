@@ -383,7 +383,6 @@ class InjectivityBound:
     value: float
     generic: float
     family_value: float | None = None
-    aux_norm_based: bool = True
 
     def as_dict(self) -> dict:
         def enc(x):

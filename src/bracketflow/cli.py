@@ -15,7 +15,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -359,22 +360,17 @@ def _parse_grid(text: str) -> list[tuple[str, float, float, int]]:
     return axes
 
 
-def _sweep_cell(task: dict) -> dict:
-    fam = families.get_family(task["family"], **task.get("context", {}))
-    params = np.asarray(task["params"], dtype=float)
-    strategy = _STRATEGIES[task["strategy"]]
-    events = EventConfig(**task["events"])
+def _sweep_cell(fam, strategy: Normalization, t_span: tuple[float, float],
+                opts: dict, classify: dict, params: list[float]) -> dict:
+    """One grid cell: integrate_reduced(**opts) from params, classify_limit(**classify)."""
+    params = np.asarray(params, dtype=float)
     system = flow.ReducedFlowSystem(fam, params, strategy)
     row = {"params": [float(p) for p in params]}
     try:
         tangent, _ = system.tangent(params)
         row["rhs"] = [float(v) for v in tangent]
-        traj = flow.integrate_reduced(
-            fam, params, strategy, tuple(task["t_span"]),
-            rtol=task["rtol"], atol=task["atol"], samples=task["samples"],
-            events=events,
-        )
-        verdict = analysis.classify_limit(traj, **task["classify"])
+        traj = flow.integrate_reduced(fam, params, strategy, t_span, **opts)
+        verdict = analysis.classify_limit(traj, **classify)
         row["verdict"] = verdict.verdict
         row["termination"] = traj.termination
         row["final"] = [float(v) for v in traj.states[-1]]
@@ -406,36 +402,23 @@ def cmd_sweep(cfg: dict) -> int:
     rtol, atol = _tolerances(cfg)
     strategy = _strategy(cfg)
     t_span = list(cfg.get("t_span", (0.0, 10.0)))
-    samples = int(cfg.get("samples", 60))
-    events = asdict(_events(cfg))
-    classify = _classify_tols(cfg)
-    tasks = []
+    opts = {"rtol": rtol, "atol": atol, "samples": int(cfg.get("samples", 60)),
+            "events": _events(cfg)}
+    cell = partial(_sweep_cell, fam, strategy, tuple(t_span), opts, _classify_tols(cfg))
+    points = []
     for v1 in axis1:
         for v2 in axis2:
             values = dict(base)
             values[n1] = float(v1)
             values[n2] = float(v2)
-            tasks.append(
-                {
-                    "family": fam.name,
-                    "context": fam.context(),
-                    "params": [values[n] for n in names],
-                    "strategy": strategy.kind,
-                    "t_span": t_span,
-                    "rtol": rtol,
-                    "atol": atol,
-                    "samples": samples,
-                    "events": events,
-                    "classify": classify,
-                }
-            )
+            points.append([values[n] for n in names])
 
     jobs = int(cfg.get("jobs", 0)) or (os.cpu_count() or 1)
-    if jobs > 1 and len(tasks) > 1:
+    if jobs > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_cell, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+            rows = list(pool.map(cell, points, chunksize=max(1, len(points) // (4 * jobs))))
     else:
-        rows = [_sweep_cell(t) for t in tasks]
+        rows = [cell(p) for p in points]
 
     out_csv = _outpath(cfg, "sweep.csv") or "sweep.csv"
     out_json = _outpath(cfg, "sweep.json") or "sweep.json"

@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 DEFAULT_VALIDATION_TOL = 1e-9
+# Isotropy-commutator residual act_gl accepts (the metric flow scales it by 1 + |P|).
+COMPATIBILITY_TOL = 1e-8
 
 H2_TRIVIAL = "holds-trivially"
 H2_KNOWN = "known-by-construction"
@@ -105,7 +107,10 @@ class BracketTensor:
                 f"(defect {skew_defect:.3e}); set mirrored entries or use from_entries"
             )
         iu, ju = _pairs(d)
-        c = unpack_array(d, 0.5 * (c[iu, ju] - c[ju, iu]))
+        with np.errstate(over="ignore"):
+            c = unpack_array(d, 0.5 * (c[iu, ju] - c[ju, iu]))
+        if not np.isfinite(c).all():  # upper - lower overflows above max/2
+            raise ValueError("structure constants must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
 
@@ -360,24 +365,24 @@ def act_gl(
     mu: BracketTensor,
     h_q: np.ndarray,
     h_n: np.ndarray,
-    tol: float = 1e-8,
     require_compatible: bool = True,
 ) -> BracketTensor:
     """Act by the block-diagonal map diag(h_q, h_n) on the bracket.
 
-    The compatibility residual with the isotropy operators must stay below
-    ``tol`` (otherwise the image leaves the membership set and a
-    CompatibilityError is raised); pass require_compatible=False for
-    identities that hold on the ambient space of all brackets.
+    The compatibility residual of h_n^T h_n with the isotropy operators must
+    stay below COMPATIBILITY_TOL (otherwise the image leaves the membership
+    set and a CompatibilityError is raised); pass require_compatible=False
+    for identities that hold on the ambient space of all brackets.
     """
     q, n = mu.q, mu.n
     h_q = np.asarray(h_q, dtype=float).reshape(q, q)
     h_n = np.asarray(h_n, dtype=float).reshape(n, n)
     if require_compatible:
         res = compatibility_residual(mu, h_n.T @ h_n)
-        if res > tol:
+        if res > COMPATIBILITY_TOL:
             raise CompatibilityError(
-                f"block map incompatible with isotropy (residual {res:.3e} > {tol:.3e})"
+                "block map incompatible with isotropy "
+                f"(residual {res:.3e} > {COMPATIBILITY_TOL:.3e})"
             )
     h = np.zeros((mu.dim, mu.dim))
     h[:q, :q] = h_q

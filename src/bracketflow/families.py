@@ -72,11 +72,6 @@ class CatalogPoint:
     def reduced_rhs(self) -> np.ndarray:
         return self.family.rhs(self.params)
 
-    def reduced(self) -> ReducedFamilyPoint:
-        return ReducedFamilyPoint(
-            self.family.name, tuple(float(p) for p in self.params), self.family.context()
-        )
-
 
 class _FamilyBase:
     """Shared machinery: closed forms are provided as diagonals on p."""

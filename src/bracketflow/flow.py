@@ -26,8 +26,8 @@ import numpy as np
 
 from . import core as _core
 from ._rk import (
-    STATUS_REACHED_END,
-    STATUS_STEP_UNDERFLOW,
+    TERM_REACHED_END,
+    TERM_UNDERFLOW,
     HermitePath,
     solve_rk54,
 )
@@ -81,11 +81,10 @@ __all__ = [
     "equivalence_report",
 ]
 
-TERM_REACHED_END = STATUS_REACHED_END
 TERM_BLOWUP = "blowup-detected"
 TERM_CONVERGED = "converged-to-fixed-point"
-TERM_UNDERFLOW = STATUS_STEP_UNDERFLOW
 _TERM_DRIFT = "validity-drift"
+_METRIC_BLOWUP_NORM = 1e8
 
 _NO_POINTWISE_RATE = (
     "ricci-norm has no pointwise rate; integrate unnormalized and "
@@ -116,9 +115,6 @@ class Normalization:
 
     kind: str
     rate_fn: Callable[[BracketTensor], float] | None = None
-
-    def describe(self) -> str:
-        return self.kind
 
 
 UNNORMALIZED = Normalization("none")
@@ -367,7 +363,7 @@ class FlowTrajectory:
     def describe(self) -> dict:
         d = {
             "system": self.system.describe(),
-            "strategy": self.strategy.describe(),
+            "strategy": self.strategy.kind,
             "termination": self.termination,
             "t_start": float(self.times[0]),
             "t_final": float(self.times[-1]),
@@ -399,7 +395,7 @@ def _estimate_blowup_time(history: list[tuple[float, float]]) -> float | None:
     return float(-intercept / slope)
 
 
-def _solve_sampled(rhs, y0, t_grid, *, rtol, atol, max_step=None, callback=None):
+def _solve_sampled(rhs, y0, t_grid, *, rtol, atol, callback=None):
     """Solve y' = rhs(t, y) from t_grid[0], sampled on t_grid.
 
     The grid may run forward or backward: the stepper runs forward in
@@ -428,20 +424,12 @@ def _solve_sampled(rhs, y0, t_grid, *, rtol, atol, max_step=None, callback=None)
             return callback(t0 + direction * s, y, direction * f_s, h)
 
     res = solve_rk54(
-        f,
-        0.0,
-        abs(t1 - t0),
-        y0,
-        rtol=rtol,
-        atol=atol,
-        max_step=np.inf if max_step is None else max_step,
-        sample_times=np.abs(t_grid - t0),
-        step_callback=step_callback,
+        f, y0, np.abs(t_grid - t0), rtol=rtol, atol=atol, step_callback=step_callback
     )
     times = list(t_grid[: len(res.sample_t)])
     ys = list(res.sample_y)
     fs = [direction * f_s for f_s in res.sample_f]
-    if res.status != STATUS_REACHED_END and res.t > res.sample_t[-1]:
+    if res.status != TERM_REACHED_END and res.t > res.sample_t[-1]:
         times.append(t0 + direction * res.t)
         ys.append(res.y)
         fs.append(direction * res.f)
@@ -456,8 +444,6 @@ def _run_flow(
     atol: float,
     samples: int,
     events: EventConfig,
-    max_step: float | None,
-    drift_raises: bool,
 ) -> FlowTrajectory:
     def rhs(t, y):
         dcore, r = system.tangent(y[:-2])
@@ -498,7 +484,6 @@ def _run_flow(
         np.linspace(float(t_span[0]), float(t_span[1]), samples),
         rtol=rtol,
         atol=atol,
-        max_step=max_step,
         callback=callback,
     )
     if status == TERM_BLOWUP:
@@ -515,7 +500,7 @@ def _run_flow(
         stats=stats,
         notes=tuple(drift_message),
     )
-    if status == _TERM_DRIFT and drift_raises:
+    if status == _TERM_DRIFT:
         raise ValidityDriftError(drift_message[0], traj)
     return traj
 
@@ -543,18 +528,17 @@ def integrate(
     atol: float = 1e-12,
     samples: int = 200,
     events: EventConfig = EventConfig(),
-    max_step: float | None = None,
-    drift_raises: bool = True,
 ) -> FlowTrajectory:
     """Integrate the (normalized) bracket flow from a validated point.
 
     Backward runs use a decreasing t_span; the trajectory then carries
-    strictly decreasing sample times.
+    strictly decreasing sample times.  A Jacobi drift past the event
+    threshold raises ValidityDriftError carrying the partial trajectory.
     """
     point.require_valid()
     _check_strategy_start(point.bracket, strategy)
     system = TensorFlowSystem(point.bracket, strategy)
-    return _run_flow(system, t_span, rtol, atol, samples, events, max_step, drift_raises)
+    return _run_flow(system, t_span, rtol, atol, samples, events)
 
 
 def integrate_reduced(
@@ -567,12 +551,11 @@ def integrate_reduced(
     atol: float = 1e-12,
     samples: int = 200,
     events: EventConfig = EventConfig(),
-    max_step: float | None = None,
 ) -> FlowTrajectory:
     """Integrate the reduced parameter-space flow of a catalog family."""
     _require_pointwise(strategy)
     system = ReducedFlowSystem(family, params0, strategy)
-    return _run_flow(system, t_span, rtol, atol, samples, events, max_step, True)
+    return _run_flow(system, t_span, rtol, atol, samples, events)
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +578,8 @@ def _sym_sqrt(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (v * sq) @ v.T, (v / sq) @ v.T
 
 
-def _metric_compat_check(mu0: BracketTensor, p: np.ndarray, tol: float) -> None:
-    if _core.compatibility_residual(mu0, p) > tol * (1.0 + np.linalg.norm(p)):
+def _metric_compat_check(mu0: BracketTensor, p: np.ndarray) -> None:
+    if _core.compatibility_residual(mu0, p) > _core.COMPATIBILITY_TOL * (1.0 + np.linalg.norm(p)):
         raise CompatibilityError(
             "inner product is not invariant under the isotropy operators"
         )
@@ -624,12 +607,12 @@ def _metric_tangent(p: np.ndarray, mu0: BracketTensor) -> np.ndarray:
     return -2.0 * hs @ ric @ hs
 
 
-def metric_rhs(state: MetricState, point0: HomogeneousPoint, tol: float = 1e-8) -> np.ndarray:
+def metric_rhs(state: MetricState, point0: HomogeneousPoint) -> np.ndarray:
     """Tangent -2 P Ric(<P., .>) of the metric-side flow; symmetric."""
     point0.require_valid()
     mu0 = point0.bracket
     p = np.asarray(state.P, dtype=float)
-    _metric_compat_check(mu0, p, tol)
+    _metric_compat_check(mu0, p)
     return _metric_tangent(p, mu0)
 
 
@@ -672,25 +655,31 @@ def integrate_metric(
     rtol: float = 1e-9,
     atol: float = 1e-12,
     samples: int = 200,
-    max_step: float | None = None,
-    blowup_norm: float = 1e8,
 ) -> MetricTrajectory:
-    """Integrate dP/dt = -2 P Ric(<P., .>) from P(0) = I (or a given P0)."""
+    """Integrate dP/dt = -2 P Ric(<P., .>) from P(0) = I (or a given P0).
+
+    Ends in 'blowup-detected' once |P| > 1e8.  A trial stage whose P is not
+    positive definite or not finite is rejected, so a run heading for a
+    degenerate metric ends in 'step-underflow' with its samples so far.
+    """
     point0.require_valid()
     mu0 = point0.bracket
     n = mu0.n
     p_init = np.eye(n) if p0 is None else np.asarray(p0, dtype=float)
-    _metric_compat_check(mu0, p_init, 1e-8)
+    _metric_compat_check(mu0, p_init)
 
     def rhs(t, y):
-        return _pack_sym(_metric_tangent(_unpack_sym(n, y), mu0))
+        try:
+            return _pack_sym(_metric_tangent(_unpack_sym(n, y), mu0))
+        except ValueError:  # from _sym_sqrt, or an overflowed gauged bracket
+            return np.full(y.shape, np.nan)
 
     def callback(t, y, f, h):
         p = _unpack_sym(n, y)
         w = np.linalg.eigvalsh(p)
         if w.min() <= 0:
             return "metric-degenerate"
-        if np.linalg.norm(p) > blowup_norm:
+        if np.linalg.norm(p) > _METRIC_BLOWUP_NORM:
             return TERM_BLOWUP
         return None
 
@@ -700,7 +689,6 @@ def integrate_metric(
         np.linspace(float(t_span[0]), float(t_span[1]), samples),
         rtol=rtol,
         atol=atol,
-        max_step=max_step,
         callback=callback,
     )
     return MetricTrajectory(
@@ -777,7 +765,7 @@ def integrate_gauge(
     status, times, ys, _, _ = _solve_sampled(
         rhs, np.eye(n).ravel(), traj.times, rtol=rtol, atol=atol
     )
-    if status != STATUS_REACHED_END:
+    if status != TERM_REACHED_END:
         raise RuntimeError(f"gauge integration failed: {status}")
     return GaugeRecord(times=times, h=ys.reshape(-1, n, n), side=side)
 
@@ -1060,7 +1048,6 @@ def equivalence_report(
     rtol: float = 1e-9,
     atol: float = 1e-12,
     samples: int = 601,
-    gauge_rtol: float = 1e-10,
 ) -> EquivalenceReport:
     """Integrate bracket flow, metric flow and both gauge ODEs, and compare.
 
@@ -1083,7 +1070,7 @@ def equivalence_report(
     worst_mu = 0.0
     worst_p = 0.0
     for side, src in (("bracket", traj), ("metric", mtraj)):
-        gauge = integrate_gauge(src, side, rtol=gauge_rtol)
+        gauge = integrate_gauge(src, side)
         mg = min(m, gauge.h.shape[0])
         dev_mu = 0.0
         dev_p = 0.0

@@ -267,6 +267,16 @@ def test_antisymmetry_is_structural(rng):
         BracketTensor(0, 3, t)
 
 
+def test_constructor_rejects_canonicalization_overflow():
+    # Finite entries above max/2 overflow (upper - lower) / 2.
+    t = np.zeros((3, 3, 3))
+    t[0, 1, 2], t[1, 0, 2] = 1e308, -1e308
+    with pytest.raises(ValueError, match="structure constants must be finite"):
+        BracketTensor(0, 3, t)
+    t[0, 1, 2], t[1, 0, 2] = 8e307, -8e307
+    assert BracketTensor(0, 3, t).c[0, 1, 2] == 8e307
+
+
 def test_pack_unpack_roundtrip(rng):
     point = random_valid_point(rng)
     mu = point.bracket

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bracketflow.core import (
     BracketTensor,
@@ -199,6 +201,18 @@ def test_killing_and_h_equivariance(rng):
         assert np.abs(killing_operator(moved) - b_expected).max() < 1e-9
         h_expected = hinv.T @ mean_curvature(mu)
         assert np.abs(mean_curvature(moved) - h_expected).max() < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_ricci_is_equivariant_under_orthogonal_action(seed):
+    # Ric(O . mu) = O Ric(mu) O^T for orthogonal O on p (q = 0 points).
+    rng = np.random.default_rng(seed)
+    mu = random_valid_point(rng, allow_q1=False).bracket
+    o, _ = np.linalg.qr(rng.normal(size=(mu.n, mu.n)))
+    ric = ricci_operator(mu)
+    moved = ricci_operator(act_gl(mu, np.zeros((0, 0)), o))
+    assert np.abs(moved - o @ ric @ o.T).max() <= 1e-12 * np.abs(ric).max()
 
 
 def test_ricci_operator_defined_off_membership(rng):

@@ -169,7 +169,7 @@ def test_validity_drift_aborts():
     )
     system = TensorFlowSystem(bad.bracket, UNNORMALIZED)
     with pytest.raises(ValidityDriftError) as info:
-        _run_flow(system, (0.0, 1.0), 1e-9, 1e-12, 20, EventConfig(), None, True)
+        _run_flow(system, (0.0, 1.0), 1e-9, 1e-12, 20, EventConfig())
     assert info.value.trajectory is not None
 
 
@@ -436,7 +436,7 @@ def test_solve_rk54_rejects_nan_steps():
     def f(t, y):
         return np.full_like(y, np.nan) if t > 0.5 else -y
 
-    res = solve_rk54(f, 0.0, 1.0, np.array([1.0]), sample_times=np.linspace(0.0, 1.0, 11))
+    res = solve_rk54(f, np.array([1.0]), np.linspace(0.0, 1.0, 11))
     assert res.status == "step-underflow"
     assert res.t == 0.5
     assert res.n_rejected > 0
@@ -520,6 +520,16 @@ def test_metric_flow_checks_isotropy_compatibility():
     traj = integrate_metric(point, (0.0, 0.1), p0=good, samples=5)
     assert traj.termination == "reached-t-end"
     assert np.all(np.isfinite(metric_rhs(MetricState(good), point)))
+
+
+def test_metric_flow_ends_typed_before_a_degenerate_metric():
+    # P loses positive definiteness near t = 0.41 on this seed; the trial
+    # stages past it are rejected, so the run ends typed with its samples.
+    traj = integrate_metric(berger3(1, 2, 0).point, (0.0, 1.0), samples=101)
+    assert traj.termination == "step-underflow"
+    assert 0.3 < traj.times[-1] < 1.0 and len(traj.times) > 30
+    assert np.isfinite(traj.P).all()
+    assert all(np.linalg.eigvalsh(p).min() > 0 for p in traj.P)
 
 
 @pytest.mark.parametrize("strategy", [VOLUME, SCALAR_CURVATURE, BRACKET_NORM])
