@@ -114,7 +114,8 @@ def solve_rk54(
         if t + h >= samples[si]:
             h = samples[si] - t
             target = samples[si]
-        if h < 16 * np.finfo(float).eps * max(abs(t), 1.0):
+        # Written so that a NaN step size (from a NaN derivative) ends the run.
+        if not h >= 16 * np.finfo(float).eps * max(abs(t), 1.0):
             res.status = TERM_UNDERFLOW
             break
 

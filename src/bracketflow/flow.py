@@ -85,6 +85,7 @@ TERM_BLOWUP = "blowup-detected"
 TERM_CONVERGED = "converged-to-fixed-point"
 _TERM_DRIFT = "validity-drift"
 _METRIC_BLOWUP_NORM = 1e8
+_GAUGE_RTOL, _GAUGE_ATOL = 1e-10, 1e-13
 
 _NO_POINTWISE_RATE = (
     "ricci-norm has no pointwise rate; integrate unnormalized and "
@@ -578,13 +579,6 @@ def _sym_sqrt(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (v * sq) @ v.T, (v / sq) @ v.T
 
 
-def _metric_compat_check(mu0: BracketTensor, p: np.ndarray) -> None:
-    if _core.compatibility_residual(mu0, p) > _core.COMPATIBILITY_TOL * (1.0 + np.linalg.norm(p)):
-        raise CompatibilityError(
-            "inner product is not invariant under the isotropy operators"
-        )
-
-
 def _gauged_ricci(p: np.ndarray, mu0: BracketTensor):
     """(h, h^-1, Ric(diag(I, h) . mu0)) for the symmetric square root h of P.
 
@@ -612,7 +606,10 @@ def metric_rhs(state: MetricState, point0: HomogeneousPoint) -> np.ndarray:
     point0.require_valid()
     mu0 = point0.bracket
     p = np.asarray(state.P, dtype=float)
-    _metric_compat_check(mu0, p)
+    if _core.compatibility_residual(mu0, p) > _core.COMPATIBILITY_TOL * (1.0 + np.linalg.norm(p)):
+        raise CompatibilityError(
+            "inner product is not invariant under the isotropy operators"
+        )
     return _metric_tangent(p, mu0)
 
 
@@ -651,12 +648,11 @@ def integrate_metric(
     point0: HomogeneousPoint,
     t_span: tuple[float, float],
     *,
-    p0: np.ndarray | None = None,
     rtol: float = 1e-9,
     atol: float = 1e-12,
     samples: int = 200,
 ) -> MetricTrajectory:
-    """Integrate dP/dt = -2 P Ric(<P., .>) from P(0) = I (or a given P0).
+    """Integrate dP/dt = -2 P Ric(<P., .>) from P(0) = I.
 
     Ends in 'blowup-detected' once |P| > 1e8.  A trial stage whose P is not
     positive definite or not finite is rejected, so a run heading for a
@@ -665,8 +661,6 @@ def integrate_metric(
     point0.require_valid()
     mu0 = point0.bracket
     n = mu0.n
-    p_init = np.eye(n) if p0 is None else np.asarray(p0, dtype=float)
-    _metric_compat_check(mu0, p_init)
 
     def rhs(t, y):
         try:
@@ -675,17 +669,13 @@ def integrate_metric(
             return np.full(y.shape, np.nan)
 
     def callback(t, y, f, h):
-        p = _unpack_sym(n, y)
-        w = np.linalg.eigvalsh(p)
-        if w.min() <= 0:
-            return "metric-degenerate"
-        if np.linalg.norm(p) > _METRIC_BLOWUP_NORM:
+        if np.linalg.norm(_unpack_sym(n, y)) > _METRIC_BLOWUP_NORM:
             return TERM_BLOWUP
         return None
 
     status, times, ys, fs, stats = _solve_sampled(
         rhs,
-        _pack_sym(p_init),
+        _pack_sym(np.eye(n)),
         np.linspace(float(t_span[0]), float(t_span[1]), samples),
         rtol=rtol,
         atol=atol,
@@ -720,13 +710,7 @@ class GaugeRecord:
         return act_gl(mu0, np.eye(mu0.q), self.h[i], require_compatible=False)
 
 
-def integrate_gauge(
-    traj,
-    side: str = "bracket",
-    *,
-    rtol: float = 1e-10,
-    atol: float = 1e-13,
-) -> GaugeRecord:
+def integrate_gauge(traj, side: str = "bracket") -> GaugeRecord:
     """Integrate the gauge ODE along a stored trajectory.
 
     side='bracket': dh/dt = -(Ric_mu(t) + r(t) I) h over a FlowTrajectory.
@@ -763,7 +747,7 @@ def integrate_gauge(
             return (-(y.reshape(n, n) @ metric_ricci(p, mu0))).ravel()
 
     status, times, ys, _, _ = _solve_sampled(
-        rhs, np.eye(n).ravel(), traj.times, rtol=rtol, atol=atol
+        rhs, np.eye(n).ravel(), traj.times, rtol=_GAUGE_RTOL, atol=_GAUGE_ATOL
     )
     if status != TERM_REACHED_END:
         raise RuntimeError(f"gauge integration failed: {status}")

@@ -444,6 +444,15 @@ def test_solve_rk54_rejects_nan_steps():
     assert all(np.isfinite(y).all() for y in res.sample_y)
 
 
+def test_solve_rk54_ends_on_a_nan_initial_derivative():
+    # A NaN derivative at s = 0 makes the first step size NaN; the run must
+    # end in step-underflow with the initial sample instead of spinning.
+    res = solve_rk54(lambda t, y: np.full_like(y, np.nan), np.array([1.0]), np.linspace(0.0, 1.0, 11))
+    assert res.status == "step-underflow"
+    assert res.t == 0.0 and res.n_steps == 0
+    assert res.sample_t == [0.0]
+
+
 @pytest.mark.parametrize(
     "family, params0, t_span",
     [
@@ -514,12 +523,15 @@ def test_metric_flow_checks_isotropy_compatibility():
     point = berger3(1, 1, 0).point
     bad, good = np.diag([1.0, 2.0, 3.0]), np.diag([2.0, 1.5, 1.5])
     with pytest.raises(CompatibilityError):
-        integrate_metric(point, (0.0, 0.1), p0=bad, samples=5)
-    with pytest.raises(CompatibilityError):
         metric_rhs(MetricState(bad), point)
-    traj = integrate_metric(point, (0.0, 0.1), p0=good, samples=5)
-    assert traj.termination == "reached-t-end"
     assert np.all(np.isfinite(metric_rhs(MetricState(good), point)))
+
+
+def test_metric_rhs_rejects_an_indefinite_metric():
+    # Compatible (the isotropy residual is 0 on a q = 0 point) but indefinite.
+    point = unimodular3(1, 2, 3).point
+    with pytest.raises(ValueError, match="positive definite"):
+        metric_rhs(MetricState(np.diag([1.0, -1.0, 1.0])), point)
 
 
 def test_metric_flow_ends_typed_before_a_degenerate_metric():
