@@ -1,15 +1,17 @@
 """Adaptive embedded Runge-Kutta 5(4) core (Dormand-Prince pair).
 
-One forward loop in s from 0 to the last sample time; flow.py's
-_solve_sampled maps forward and backward time grids onto it.  Step-size
-selection uses a PI controller on the embedded error estimate, and steps are
-clamped to land exactly on the sample times, so sampled states carry the
-full order of the method and reruns are bit-reproducible.
+solve_rk54 is the one sampled solve: every ODE of the package runs through
+it.  It maps a forward or backward time grid onto one forward loop in
+s = |t - t_grid[0]|, lands exactly on every sample and closes an early stop
+with a sample at the stopping time.  Step-size selection uses a PI
+controller on the embedded error estimate; a trial step whose state is not
+finite is rejected.  Sampled states carry the full order of the method and
+reruns are bit-reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,20 +46,25 @@ TERM_UNDERFLOW = "step-underflow"
 
 @dataclass
 class RKResult:
+    """Outcome of one sampled solve, in t.
+
+    sample_t, sample_y and sample_f stack the sample times, states and
+    derivatives by row; a run that stopped early ends with one more sample at
+    its stopping time.
+    """
+
     status: str
-    t: float
-    y: np.ndarray
-    f: np.ndarray
-    sample_t: list[float] = field(default_factory=list)
-    sample_y: list[np.ndarray] = field(default_factory=list)
-    sample_f: list[np.ndarray] = field(default_factory=list)
-    n_steps: int = 0
-    n_rejected: int = 0
-    min_step: float = float("inf")
-    max_step: float = 0.0
+    sample_t: np.ndarray
+    sample_y: np.ndarray
+    sample_f: np.ndarray
+    n_steps: int
+    n_rejected: int
 
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, atol: float) -> float:
+    # An overflowed y1 would enlarge its own scale and read as error 0.
+    if not np.isfinite(y1).all():
+        return np.inf
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
@@ -79,87 +86,106 @@ def _initial_step(f, y0, f0, t_end, rtol, atol):
 
 
 def solve_rk54(
-    f: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable[[float, np.ndarray], np.ndarray],
     y0: np.ndarray,
-    sample_times: np.ndarray,
+    t_grid: np.ndarray,
     rtol: float = 1e-9,
     atol: float = 1e-12,
     step_callback: Callable[[float, np.ndarray, np.ndarray, float], str | None] | None = None,
 ) -> RKResult:
-    """Integrate y' = f(s, y) forward from s = 0 to s = sample_times[-1].
+    """Solve y' = rhs(t, y) from t_grid[0], sampled on t_grid.
 
-    ``sample_times`` must increase strictly from sample_times[0] = 0, the
-    initial state's sample, to a positive end; every later sample is hit
-    exactly by clamping the step.  ``step_callback`` runs after each accepted
-    step and may return a status string to terminate early.
+    The grid may run forward or backward: the stepper runs forward in
+    s = |t - t_grid[0]|, clamping each step to land on the next sample, and
+    maps the samples and their derivatives back to t.  ``step_callback(t, y,
+    dy/dt, h)`` runs after each accepted step and may return a status string
+    to stop the run.  A run the callback or a step underflow stops early ends
+    with one more sample at its stopping time.  Trial stages run with NumPy's
+    overflow and invalid-value warnings off: a stage that overflows or is not
+    finite is rejected, never accepted.
     """
-    samples = np.asarray(sample_times, dtype=float)
-    t_end = float(samples[-1])
-    y = np.asarray(y0, dtype=float).copy()
-    t = 0.0
-    f_cur = f(t, y)
-    res = RKResult(status=TERM_REACHED_END, t=t, y=y, f=f_cur)
-    res.sample_t.append(t)
-    res.sample_y.append(y.copy())
-    res.sample_f.append(f_cur.copy())
-    si = 1
+    t_grid = np.asarray(t_grid, dtype=float)
+    if len(t_grid) < 2:
+        raise ValueError("need at least two samples")
+    t0, t1 = float(t_grid[0]), float(t_grid[-1])
+    if t1 == t0:
+        raise ValueError("t_span must be nondegenerate")
+    if rtol <= 0 or atol <= 0:
+        raise ValueError("tolerances must be positive")
+    direction = 1.0 if t1 > t0 else -1.0
+    samples = np.abs(t_grid - t0)
+    s_end = float(samples[-1])
 
-    h = _initial_step(f, y, f_cur, t_end, rtol, atol)
-    err_prev = 1.0
-    k = np.empty((7, y.size))
+    def f(s, y):
+        return direction * rhs(t0 + direction * s, y)
 
-    while t < t_end:
-        # The last sample is t_end, so this clamp also stops the run there.
-        target = None
-        if t + h >= samples[si]:
-            h = samples[si] - t
-            target = samples[si]
-        # Written so that a NaN step size (from a NaN derivative) ends the run.
-        if not h >= 16 * np.finfo(float).eps * max(abs(t), 1.0):
-            res.status = TERM_UNDERFLOW
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        status = TERM_REACHED_END
+        n_steps = n_rejected = 0
+        s = 0.0
+        y = np.asarray(y0, dtype=float).copy()
+        f_cur = f(s, y)
+        ys = [y.copy()]
+        fs = [direction * f_cur]
+        si = 1
 
-        k[0] = f_cur
-        for s in range(1, 7):
-            k[s] = f(t + _C[s] * h, y + h * (_A[s] @ k[:s]))
-        y_new = y + h * (_B5 @ k)
-        err = h * (_E @ k)
-        err_norm = _error_norm(err, y, y_new, rtol, atol)
+        h = _initial_step(f, y, f_cur, s_end, rtol, atol)
+        err_prev = 1.0
+        k = np.empty((7, y.size))
 
-        # Written so that a NaN error norm rejects the step.
-        if not err_norm <= 1.0:
-            res.n_rejected += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err_norm ** (-1 / 5))
-            continue
-
-        # Land exactly on the clamp target so sample bookkeeping stays exact.
-        t_new = target if target is not None else t + h
-        f_new = k[6]  # FSAL: last stage is f(t_new, y_new)
-        res.n_steps += 1
-        res.min_step = min(res.min_step, h)
-        res.max_step = max(res.max_step, h)
-
-        t, y, f_cur = t_new, y_new, f_new
-        if t == samples[si]:
-            res.sample_t.append(t)
-            res.sample_y.append(y.copy())
-            res.sample_f.append(f_cur.copy())
-            si += 1
-
-        if step_callback is not None:
-            verdict = step_callback(t, y, f_cur, h)
-            if verdict is not None:
-                res.status = verdict
+        while s < s_end:
+            # The last sample is s_end, so this clamp also stops the run there.
+            target = None
+            if s + h >= samples[si]:
+                h = samples[si] - s
+                target = samples[si]
+            # Written so that a NaN step size (from a NaN derivative) ends the run.
+            if not h >= 16 * np.finfo(float).eps * max(abs(s), 1.0):
+                status = TERM_UNDERFLOW
                 break
 
-        # PI step-size update.
-        e = max(err_norm, 1e-10)
-        factor = _SAFETY * e ** (-_ALPHA) * err_prev**_BETA
-        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        err_prev = e
+            k[0] = f_cur
+            for i in range(1, 7):
+                k[i] = f(s + _C[i] * h, y + h * (_A[i] @ k[:i]))
+            y_new = y + h * (_B5 @ k)
+            err = h * (_E @ k)
+            err_norm = _error_norm(err, y, y_new, rtol, atol)
 
-    res.t, res.y, res.f = t, y, f_cur
-    return res
+            # Written so that a NaN error norm rejects the step.
+            if not err_norm <= 1.0:
+                n_rejected += 1
+                h *= max(_MIN_FACTOR, _SAFETY * err_norm ** (-1 / 5))
+                continue
+
+            # Land exactly on the clamp target so sample bookkeeping stays exact.
+            s_new = target if target is not None else s + h
+            f_new = k[6]  # FSAL: last stage is f(s_new, y_new)
+            n_steps += 1
+
+            s, y, f_cur = s_new, y_new, f_new
+            if s == samples[si]:
+                ys.append(y.copy())
+                fs.append(direction * f_cur)
+                si += 1
+
+            if step_callback is not None:
+                verdict = step_callback(t0 + direction * s, y, direction * f_cur, h)
+                if verdict is not None:
+                    status = verdict
+                    break
+
+            # PI step-size update.
+            e = max(err_norm, 1e-10)
+            factor = _SAFETY * e ** (-_ALPHA) * err_prev**_BETA
+            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            err_prev = e
+
+    ts = list(t_grid[: len(ys)])
+    if status != TERM_REACHED_END and s > samples[len(ys) - 1]:
+        ts.append(t0 + direction * s)
+        ys.append(y)
+        fs.append(direction * f_cur)
+    return RKResult(status, np.array(ts), np.array(ys), np.array(fs), n_steps, n_rejected)
 
 
 def hermite_eval(t, t0, t1, y0, y1, f0, f1):

@@ -5,7 +5,9 @@ Artifacts are CSV tables plus JSON sidecar manifests.  CSV floats are
 printed with 17 significant digits and rows are assembled in a fixed order,
 so identical configurations produce byte-identical files.  Exit codes:
 0 success, 1 identity audit failed (check), 2 invalid point, 3 malformed
-input, 4 validity drift, 5 equivalence failure.
+input, 4 validity drift, 5 equivalence failure.  An equiv run whose flows or
+gauges stop short of the span (as past a blowup) reports "partial": true
+over the prefix they covered.
 """
 
 from __future__ import annotations

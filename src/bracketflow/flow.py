@@ -9,9 +9,7 @@ unnormalized parent.
 
 The bracket, metric and gauge ODEs and both solves of the (c, tau) rescaling
 (the probe for the reachable horizon and the sampled rerun) all run through
-one sampled path, _solve_sampled: it maps a forward or backward time grid
-onto the forward stepper, lands on every sample and closes an early stop with
-a sample at the stopping time.
+one sampled solve, _rk.solve_rk54, and read its RKResult directly.
 
 A single integration owns its state; trajectories and all inputs are
 immutable once produced, so independent integrations may run concurrently.
@@ -19,7 +17,7 @@ immutable once produced, so independent integrations may run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,6 +27,7 @@ from ._rk import (
     TERM_REACHED_END,
     TERM_UNDERFLOW,
     HermitePath,
+    RKResult,
     solve_rk54,
 )
 from .core import (
@@ -86,6 +85,7 @@ TERM_CONVERGED = "converged-to-fixed-point"
 _TERM_DRIFT = "validity-drift"
 _METRIC_BLOWUP_NORM = 1e8
 _GAUGE_RTOL, _GAUGE_ATOL = 1e-10, 1e-13
+_SCALING_RTOL, _SCALING_ATOL = 1e-10, 1e-13
 
 _NO_POINTWISE_RATE = (
     "ricci-norm has no pointwise rate; integrate unnormalized and "
@@ -253,8 +253,6 @@ class EventConfig:
 class IntegrationStats:
     n_steps: int
     n_rejected: int
-    min_step: float
-    max_step: float
     blowup_time_estimate: float | None = None
 
 
@@ -396,48 +394,6 @@ def _estimate_blowup_time(history: list[tuple[float, float]]) -> float | None:
     return float(-intercept / slope)
 
 
-def _solve_sampled(rhs, y0, t_grid, *, rtol, atol, callback=None):
-    """Solve y' = rhs(t, y) from t_grid[0], sampled on t_grid.
-
-    The grid may run forward or backward: the stepper runs forward in
-    s = |t - t_grid[0]| and lands on every sample, and the samples, their
-    derivatives and the arguments of callback(t, y, dy/dt, h) are mapped back
-    to t.  A run the callback or a step underflow stops early ends with one
-    more sample at its stopping time.  Returns (status, times, ys, fs, stats)
-    with states and derivatives stacked by row.
-    """
-    if len(t_grid) < 2:
-        raise ValueError("need at least two samples")
-    t0, t1 = float(t_grid[0]), float(t_grid[-1])
-    if t1 == t0:
-        raise ValueError("t_span must be nondegenerate")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be positive")
-    direction = 1.0 if t1 > t0 else -1.0
-
-    def f(s, y):
-        return direction * rhs(t0 + direction * s, y)
-
-    step_callback = None
-    if callback is not None:
-
-        def step_callback(s, y, f_s, h):
-            return callback(t0 + direction * s, y, direction * f_s, h)
-
-    res = solve_rk54(
-        f, y0, np.abs(t_grid - t0), rtol=rtol, atol=atol, step_callback=step_callback
-    )
-    times = list(t_grid[: len(res.sample_t)])
-    ys = list(res.sample_y)
-    fs = [direction * f_s for f_s in res.sample_f]
-    if res.status != TERM_REACHED_END and res.t > res.sample_t[-1]:
-        times.append(t0 + direction * res.t)
-        ys.append(res.y)
-        fs.append(direction * res.f)
-    stats = IntegrationStats(res.n_steps, res.n_rejected, res.min_step, res.max_step)
-    return res.status, np.array(times), np.array(ys), np.array(fs), stats
-
-
 def _run_flow(
     system,
     t_span: tuple[float, float],
@@ -479,29 +435,29 @@ def _run_flow(
             return _TERM_DRIFT
         return None
 
-    status, times, ys, fs, stats = _solve_sampled(
+    res = solve_rk54(
         rhs,
         np.concatenate([system.core0, [1.0, 0.0]]),
         np.linspace(float(t_span[0]), float(t_span[1]), samples),
         rtol=rtol,
         atol=atol,
-        callback=callback,
+        step_callback=callback,
     )
-    if status == TERM_BLOWUP:
-        stats = replace(stats, blowup_time_estimate=_estimate_blowup_time(norm_history))
+    blowup_time = _estimate_blowup_time(norm_history) if res.status == TERM_BLOWUP else None
+    ys = res.sample_y
     traj = FlowTrajectory(
-        times=times,
+        times=res.sample_t,
         states=ys[:, :-2].copy(),
-        derivs=fs[:, :-2].copy(),
+        derivs=res.sample_f[:, :-2].copy(),
         c=ys[:, -2].copy(),
         tau=ys[:, -1].copy(),
         system=system,
         strategy=system.strategy,
-        termination=status,
-        stats=stats,
+        termination=res.status,
+        stats=IntegrationStats(res.n_steps, res.n_rejected, blowup_time),
         notes=tuple(drift_message),
     )
-    if status == _TERM_DRIFT:
+    if res.status == _TERM_DRIFT:
         raise ValidityDriftError(drift_message[0], traj)
     return traj
 
@@ -673,21 +629,21 @@ def integrate_metric(
             return TERM_BLOWUP
         return None
 
-    status, times, ys, fs, stats = _solve_sampled(
+    res = solve_rk54(
         rhs,
         _pack_sym(np.eye(n)),
         np.linspace(float(t_span[0]), float(t_span[1]), samples),
         rtol=rtol,
         atol=atol,
-        callback=callback,
+        step_callback=callback,
     )
     return MetricTrajectory(
-        times=times,
-        P=np.array([_unpack_sym(n, y) for y in ys]),
-        derivs=np.array([_unpack_sym(n, f) for f in fs]),
+        times=res.sample_t,
+        P=np.array([_unpack_sym(n, y) for y in res.sample_y]),
+        derivs=np.array([_unpack_sym(n, f) for f in res.sample_f]),
         point0=point0,
-        termination=status,
-        stats=stats,
+        termination=res.status,
+        stats=IntegrationStats(res.n_steps, res.n_rejected),
     )
 
 
@@ -697,11 +653,17 @@ def integrate_metric(
 
 @dataclass(frozen=True, eq=False)
 class GaugeRecord:
-    """Sampled gauge h(t) with h(0) = I, solving one of the two gauge ODEs."""
+    """Sampled gauge h(t) with h(0) = I, solving one of the two gauge ODEs.
+
+    termination is 'reached-t-end', or 'step-underflow' when the gauge stops
+    short of the end of its trajectory; times and h then cover the prefix
+    up to the stop.
+    """
 
     times: np.ndarray
     h: np.ndarray
     side: str
+    termination: str
 
     def htt_h(self, i: int) -> np.ndarray:
         return self.h[i].T @ self.h[i]
@@ -716,7 +678,10 @@ def integrate_gauge(traj, side: str = "bracket") -> GaugeRecord:
     side='bracket': dh/dt = -(Ric_mu(t) + r(t) I) h over a FlowTrajectory.
     side='metric':  dh/dt = -h Ric(<P(t)., .>) over a MetricTrajectory.
     The underlying trajectory is interpolated with cubic Hermite polynomials
-    built from its stored derivatives.
+    built from its stored derivatives.  A trial stage whose interpolated P is
+    not positive definite, or whose state is not finite, is rejected, so a
+    gauge that cannot follow its trajectory to the end (as past a blowup)
+    ends in 'step-underflow' with the prefix it covered.
     """
     if side not in ("bracket", "metric"):
         raise ValueError("side must be 'bracket' or 'metric'")
@@ -744,14 +709,16 @@ def integrate_gauge(traj, side: str = "bracket") -> GaugeRecord:
 
         def rhs(t, y):
             p = path(t).reshape(n, n)
-            return (-(y.reshape(n, n) @ metric_ricci(p, mu0))).ravel()
+            try:
+                ric = metric_ricci(p, mu0)
+            except ValueError:  # _sym_sqrt's, or a LinAlgError of its eigh
+                return np.full(y.shape, np.nan)
+            return (-(y.reshape(n, n) @ ric)).ravel()
 
-    status, times, ys, _, _ = _solve_sampled(
-        rhs, np.eye(n).ravel(), traj.times, rtol=_GAUGE_RTOL, atol=_GAUGE_ATOL
+    res = solve_rk54(rhs, np.eye(n).ravel(), traj.times, rtol=_GAUGE_RTOL, atol=_GAUGE_ATOL)
+    return GaugeRecord(
+        times=res.sample_t, h=res.sample_y.reshape(-1, n, n), side=side, termination=res.status
     )
-    if status != TERM_REACHED_END:
-        raise RuntimeError(f"gauge integration failed: {status}")
-    return GaugeRecord(times=times, h=ys.reshape(-1, n, n), side=side)
 
 
 # ---------------------------------------------------------------------------
@@ -795,10 +762,10 @@ class _SourceRun:
 _AUTO_HORIZON = 100.0
 
 
-def _scaling_ode(src: _SourceRun, rhs, callback, horizon, rtol, atol, samples):
-    """Two-phase solve of the (c, tau) system on the sampled path: a probe on
-    [0, horizon] finds the reachable horizon, then a rerun samples a uniform
-    grid over it; returns the probe's status with the rerun.
+def _scaling_ode(src: _SourceRun, rhs, callback, horizon, samples):
+    """Two-phase solve of the (c, tau) system: a probe on [0, horizon] finds
+    the reachable horizon, then a rerun samples a uniform grid over it;
+    returns the probe's status with the rerun's RKResult.
 
     A trial stage that is not finite, or whose rescaled bracket overflows
     (rhs returns None), gets a NaN derivative, so the stepper rejects it.
@@ -810,47 +777,42 @@ def _scaling_ode(src: _SourceRun, rhs, callback, horizon, rtol, atol, samples):
         raise ValueError("reparametrization needs t_end > 0")
 
     def f(t, y):
-        with np.errstate(over="ignore", invalid="ignore"):
-            dy = rhs(t, y) if np.isfinite(y).all() else None
+        dy = rhs(t, y) if np.isfinite(y).all() else None
         return np.full(2, np.nan) if dy is None else dy
 
     y0 = np.array([1.0, src.tau0])
-    status, times, ys, fs, _ = _solve_sampled(
-        f, y0, np.array([0.0, horizon]), rtol=rtol, atol=atol, callback=callback
+    probe = solve_rk54(
+        f, y0, np.array([0.0, horizon]), _SCALING_RTOL, _SCALING_ATOL, step_callback=callback
     )
-    t_star = times[-1]
-    if status == "tau-exhausted":
-        overshoot = float(ys[-1, 1]) - src.tau_max
-        tau_rate = float(fs[-1, 1])
+    t_star = probe.sample_t[-1]
+    if probe.status == "tau-exhausted":
+        overshoot = float(probe.sample_y[-1, 1]) - src.tau_max
+        tau_rate = float(probe.sample_f[-1, 1])
         if overshoot > 0 and tau_rate > 0:
             t_star -= overshoot / tau_rate
     if t_star <= 0:
         raise ValueError("reparametrized range too short to sample")
-    _, times, ys, _, stats = _solve_sampled(
-        f, y0, np.linspace(0.0, t_star, samples), rtol=rtol, atol=atol
-    )
-    if len(times) < 2:
+    res = solve_rk54(f, y0, np.linspace(0.0, t_star, samples), _SCALING_RTOL, _SCALING_ATOL)
+    if len(res.sample_t) < 2:
         raise ValueError("reparametrized range too short to sample")
-    return status, times, ys, stats
+    return probe.status, res
 
 
 def _scaled_trajectory(
     src: _SourceRun,
     strategy: Normalization,
-    times: np.ndarray,
-    ys: np.ndarray,
-    stats: IntegrationStats,
+    res: RKResult,
     scale_of,
     termination: str,
     notes: tuple[str, ...] = (),
 ) -> FlowTrajectory:
-    """Normalized run c . mu(tau) on the sampled (c, tau) rows ys.
+    """Normalized run c . mu(tau) on the sampled (c, tau) rows of res.
 
     scale_of(y, tau) gives c at a row and its clamped source time.
     """
     system = TensorFlowSystem(src.traj.bracket_at(0), strategy)
     states, derivs, cs, taus = [], [], [], []
-    for y in ys:
+    for y in res.sample_y:
         tau = src.clamp(y[1])
         cval = scale_of(y, tau)
         core = pack_state(src.scaled(cval, tau))
@@ -859,7 +821,7 @@ def _scaled_trajectory(
         cs.append(cval)
         taus.append(tau)
     return FlowTrajectory(
-        times=times,
+        times=res.sample_t,
         states=np.array(states),
         derivs=np.array(derivs),
         c=np.array(cs),
@@ -867,7 +829,7 @@ def _scaled_trajectory(
         system=system,
         strategy=strategy,
         termination=termination,
-        stats=stats,
+        stats=IntegrationStats(res.n_steps, res.n_rejected),
         notes=notes,
     )
 
@@ -878,8 +840,6 @@ def reparametrize(
     *,
     t_end: float | None = None,
     samples: int = 200,
-    rtol: float = 1e-10,
-    atol: float = 1e-13,
 ) -> FlowTrajectory:
     """Build the normalized solution c(t) . mu(tau(t)) from an unnormalized run.
 
@@ -919,15 +879,13 @@ def reparametrize(
         return None
 
     horizon = _AUTO_HORIZON if t_end is None else float(t_end)
-    status, times, ys, stats = _scaling_ode(
-        src, rhs, callback, horizon, rtol, atol, samples
-    )
+    status, res = _scaling_ode(src, rhs, callback, horizon, samples)
     if t_end is not None and status == "tau-exhausted":
         raise ValueError(f"tau leaves the available source range before t_end={t_end}")
 
     notes: tuple[str, ...] = ()
     termination = TERM_UNDERFLOW if status == TERM_UNDERFLOW else TERM_REACHED_END
-    final_c, final_tau = float(ys[-1][0]), float(ys[-1][1])
+    final_c, final_tau = float(res.sample_y[-1][0]), float(res.sample_y[-1][1])
     if status == "zero-scale" or (
         src.stalled(final_tau)
         and _pp_norm(src.scaled(final_c, final_tau)) < 1e-8 * max(pp0, 1.0)
@@ -937,17 +895,13 @@ def reparametrize(
             f"{final_tau:.6g} < {src.tau_max:.6g}",
         )
         termination = TERM_CONVERGED
-    return _scaled_trajectory(
-        src, strategy, times, ys, stats, lambda y, tau: float(y[0]), termination, notes
-    )
+    return _scaled_trajectory(src, strategy, res, lambda y, tau: float(y[0]), termination, notes)
 
 
 def rescale_to_ricci_norm(
     traj: FlowTrajectory,
     *,
     samples: int = 200,
-    rtol: float = 1e-10,
-    atol: float = 1e-13,
 ) -> FlowTrajectory:
     """Reparametrize an unnormalized run so tr(Ric^2) stays constant.
 
@@ -978,14 +932,12 @@ def rescale_to_ricci_norm(
     def callback(t, y, f, h):
         return "tau-exhausted" if src.exhausted(y[1]) else None
 
-    status, times, ys, stats = _scaling_ode(
-        src, rhs, callback, _AUTO_HORIZON, rtol, atol, samples
-    )
+    status, res = _scaling_ode(src, rhs, callback, _AUTO_HORIZON, samples)
     termination = TERM_UNDERFLOW if status == TERM_UNDERFLOW else TERM_REACHED_END
-    tau = float(ys[-1][1])
+    tau = float(res.sample_y[-1][1])
     notes = (f"tau stalled at {tau:.6g} < {src.tau_max:.6g}",) if src.stalled(tau) else ()
     return _scaled_trajectory(
-        src, RICCI_NORM, times, ys, stats, lambda y, tau: c_of_tau(tau), termination, notes
+        src, RICCI_NORM, res, lambda y, tau: c_of_tau(tau), termination, notes
     )
 
 
@@ -1037,7 +989,9 @@ def equivalence_report(
 
     Checks that the gauge pushforward of the initial bracket reproduces the
     bracket flow and that h^t h reproduces the metric flow; both checks are
-    gauge-invariant, so either gauge ODE must pass them.
+    gauge-invariant, so either gauge ODE must pass them.  When a flow or a
+    gauge stops short of the end of t_span, the comparison stops at the
+    shortest of them and the report is marked partial.
     """
     mu0 = point0.bracket
     traj = integrate(point0, UNNORMALIZED, t_span, rtol=rtol, atol=atol, samples=samples)
@@ -1055,6 +1009,7 @@ def equivalence_report(
     worst_p = 0.0
     for side, src in (("bracket", traj), ("metric", mtraj)):
         gauge = integrate_gauge(src, side)
+        partial = partial or gauge.termination != TERM_REACHED_END
         mg = min(m, gauge.h.shape[0])
         dev_mu = 0.0
         dev_p = 0.0
@@ -1064,7 +1019,9 @@ def equivalence_report(
                 dev_mu,
                 float(np.sqrt(np.sum((pushed.c - traj.bracket_at(i).c) ** 2))),
             )
-            dev_p = max(dev_p, float(np.linalg.norm(gauge.htt_h(i) - mtraj.P[i])))
+            # h^t h of a gauge near a blowup may overflow: an infinite deviation.
+            with np.errstate(over="ignore"):
+                dev_p = max(dev_p, float(np.linalg.norm(gauge.htt_h(i) - mtraj.P[i])))
         per_side[side] = {"bracket_dev": dev_mu, "metric_dev": dev_p}
         worst_mu = max(worst_mu, dev_mu)
         worst_p = max(worst_p, dev_p)

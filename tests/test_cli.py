@@ -212,6 +212,26 @@ def test_equiv_command(tmp_path, capsys):
     assert run(argv + ["--threshold", "1e-13"]) == 5
 
 
+@pytest.mark.parametrize(
+    "family, params, t_span",
+    [("unimodular3", "1,2,3", "0:0.5"), ("berger3", "1,2,0", "0:1")],
+)
+def test_equiv_past_a_blowup_reports_partial(tmp_path, capsys, family, params, t_span):
+    # Both runs pass their blowup (near t = 0.316 and t = 0.406): the report
+    # covers the prefix the flows and gauges share and fails the threshold.
+    argv = ["equiv", "--family", family, "--params", params,
+            "--t-span", t_span, "--samples", "101", "--out", tmp_path]
+    assert run(argv) == 5
+    doc = read_json(tmp_path / "equiv.json")
+    assert doc["partial"] is True and doc["passed"] is False
+    assert doc["t_final"] < 0.41
+    if family == "berger3":
+        # h^t h of the bracket-side gauge overflows: an infinite deviation.
+        assert doc["per_side"]["bracket"]["metric_dev"] == float("inf")
+    else:
+        assert np.isfinite(doc["max_bracket_dev"]) and np.isfinite(doc["max_metric_dev"])
+
+
 def test_config_file_with_overrides(tmp_path, capsys):
     config = {
         "family": "berger3",

@@ -438,9 +438,9 @@ def test_solve_rk54_rejects_nan_steps():
 
     res = solve_rk54(f, np.array([1.0]), np.linspace(0.0, 1.0, 11))
     assert res.status == "step-underflow"
-    assert res.t == 0.5
+    assert res.sample_t[-1] == 0.5
     assert res.n_rejected > 0
-    assert res.y[0] == pytest.approx(np.exp(-0.5), rel=1e-8)
+    assert res.sample_y[-1][0] == pytest.approx(np.exp(-0.5), rel=1e-8)
     assert all(np.isfinite(y).all() for y in res.sample_y)
 
 
@@ -449,8 +449,34 @@ def test_solve_rk54_ends_on_a_nan_initial_derivative():
     # end in step-underflow with the initial sample instead of spinning.
     res = solve_rk54(lambda t, y: np.full_like(y, np.nan), np.array([1.0]), np.linspace(0.0, 1.0, 11))
     assert res.status == "step-underflow"
-    assert res.t == 0.0 and res.n_steps == 0
-    assert res.sample_t == [0.0]
+    assert res.n_steps == 0
+    assert list(res.sample_t) == [0.0]
+
+
+def test_solve_rk54_never_accepts_a_non_finite_state():
+    # y' = 1e308 overflows y within the span; an overflowed trial state would
+    # enlarge its own error scale and read as error 0.
+    res = solve_rk54(lambda t, y: np.array([1e308]), np.array([1e308]), np.linspace(0.0, 1.0, 11))
+    assert res.status == "step-underflow"
+    assert res.n_rejected > 0
+    assert 0.7 < res.sample_t[-1] < 0.8
+    assert np.isfinite(res.sample_y).all()
+
+
+def test_gauges_past_a_blowup_keep_their_covered_prefix():
+    # unimodular3(1, 2, 3) blows up near t = 0.316: neither gauge can follow
+    # its trajectory to the end, and each returns the samples it covered.
+    point = unimodular3(1, 2, 3).point
+    traj = integrate(point, UNNORMALIZED, (0.0, 0.5), samples=101)
+    mtraj = integrate_metric(point, (0.0, 0.5), samples=101)
+    for side, src in (("bracket", traj), ("metric", mtraj)):
+        gauge = integrate_gauge(src, side)
+        assert gauge.termination == "step-underflow"
+        k = len(gauge.times)
+        assert 2 < k <= len(src.times)
+        assert np.array_equal(gauge.times[: k - 1], src.times[: k - 1])
+        assert gauge.times[-1] <= src.times[-1]
+        assert gauge.h.shape == (k, 3, 3) and np.isfinite(gauge.h).all()
 
 
 @pytest.mark.parametrize(
