@@ -344,11 +344,17 @@ def validate_point(
 def gl_action(mu: BracketTensor, h: np.ndarray) -> BracketTensor:
     """Raw linear action (h . mu)(x, y) = h mu(h^-1 x, h^-1 y).
 
-    No block or compatibility checks; see act_gl for the guarded version.
+    c'_ijm = sum_abl hinv_ai hinv_bj c_abl h_ml, summed over a, then b, then
+    l as three matmuls: the path np.einsum(..., optimize=True) picks for this
+    string, run as its pairwise steps run, so the bytes are equal without the
+    per-call path search. No block or compatibility checks; see act_gl.
     """
     h = np.asarray(h, dtype=float)
     hinv = np.linalg.inv(h)
-    c = np.einsum("ai,bj,abl,ml->ijm", hinv, hinv, mu.c, h, optimize=True)
+    d = mu.dim
+    t = (mu.c.transpose(1, 2, 0).reshape(d * d, d) @ hinv).reshape(d, d, d).transpose(0, 2, 1)
+    t = (t.transpose(1, 2, 0).reshape(d * d, d) @ hinv).reshape(d, d, d).transpose(0, 2, 1)
+    c = (t.reshape(d * d, d) @ h.T).reshape(d, d, d)
     return BracketTensor(mu.q, mu.n, c)
 
 

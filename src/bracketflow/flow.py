@@ -990,30 +990,30 @@ def equivalence_report(
     Checks that the gauge pushforward of the initial bracket reproduces the
     bracket flow and that h^t h reproduces the metric flow; both checks are
     gauge-invariant, so either gauge ODE must pass them.  When a flow or a
-    gauge stops short of the end of t_span, the comparison stops at the
-    shortest of them and the report is marked partial.
+    gauge stops short of the end of t_span, the report is marked partial and
+    compares only the leading samples whose times all four records share.
     """
     mu0 = point0.bracket
     traj = integrate(point0, UNNORMALIZED, t_span, rtol=rtol, atol=atol, samples=samples)
     mtraj = integrate_metric(point0, t_span, rtol=rtol, atol=atol, samples=samples)
-
-    m = min(traj.n_samples, mtraj.P.shape[0])
-    partial = (
-        traj.termination != TERM_REACHED_END or mtraj.termination != TERM_REACHED_END
-    )
-    # Restrict to the common covered sample grid.
+    gauges = {
+        "bracket": integrate_gauge(traj, "bracket"),
+        "metric": integrate_gauge(mtraj, "metric"),
+    }
+    records = (traj, mtraj, *gauges.values())
+    partial = any(r.termination != TERM_REACHED_END for r in records)
+    m = min(len(r.times) for r in records)
+    same = np.all([r.times[:m] == traj.times[:m] for r in records], axis=0)
+    m = int(np.logical_and.accumulate(same).sum())
     times = traj.times[:m]
 
     per_side = {}
     worst_mu = 0.0
     worst_p = 0.0
-    for side, src in (("bracket", traj), ("metric", mtraj)):
-        gauge = integrate_gauge(src, side)
-        partial = partial or gauge.termination != TERM_REACHED_END
-        mg = min(m, gauge.h.shape[0])
+    for side, gauge in gauges.items():
         dev_mu = 0.0
         dev_p = 0.0
-        for i in range(mg):
+        for i in range(m):
             pushed = gauge.pushforward(mu0, i)
             dev_mu = max(
                 dev_mu,

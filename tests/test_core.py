@@ -165,6 +165,22 @@ def test_act_gl_composition(rng):
         assert np.abs(step.c - joint.c).max() < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(0, 3), (1, 3), (0, 4), (2, 3), (0, 6)]))
+def test_gl_action_matches_one_shot_einsum(seed, qn):
+    # gl_action spells out a pairwise contraction order; the unoptimized
+    # one-shot einsum is an independent reference for the same sum.
+    q, n = qn
+    d = q + n
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(d, d, d))
+    mu = BracketTensor(q, n, c - c.transpose(1, 0, 2))
+    h = np.eye(d) + 0.3 * rng.normal(size=(d, d))
+    hinv = np.linalg.inv(h)
+    ref = np.einsum("ai,bj,abl,ml->ijm", hinv, hinv, mu.c, h)
+    assert np.abs(gl_action(mu, h).c - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_act_gl_preserves_validity(rng):
     mu = berger3(0.8, -0.3, 0.5).point.bracket
     hq, hn = compatible_block_q1(rng)

@@ -151,18 +151,23 @@ def test_delta_map_basics():
     assert np.abs(delta_map(heis, np.diag([2.0, 1.0, 1.0]))).max() < 1e-15
 
 
-def test_delta_adjoint_values(rng):
+def test_delta_adjoint_values():
     mu_p = unimodular3(1, 1, 1).point.bracket.mu_p
     assert np.abs(delta_adjoint(mu_p, mu_p) - 2 * np.eye(3)).max() < 1e-14
     assert np.abs(delta_adjoint(mu_p, np.zeros((3, 3, 3)))).max() == 0.0
-    # Adjointness against random pairs.
-    for _ in range(20):
-        cp = random_skew_tensor(rng, 4)
-        lam = random_skew_tensor(rng, 4)
-        a = rng.normal(size=(4, 4))
-        lhs = float(np.sum(delta_adjoint(cp, lam) * a))
-        rhs = float(np.sum(lam * delta_map(cp, a)))
-        assert abs(lhs - rhs) < 1e-12 * (1 + abs(lhs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([3, 4]))
+def test_delta_adjoint_is_adjoint_of_delta(seed, n):
+    # <delta*_mu(lam), A> = <lam, delta_mu(A)> for skew mu, lam and any A.
+    rng = np.random.default_rng(seed)
+    cp = random_skew_tensor(rng, n)
+    lam = random_skew_tensor(rng, n)
+    a = rng.normal(size=(n, n))
+    lhs = float(np.sum(delta_adjoint(cp, lam) * a))
+    rhs = float(np.sum(lam * delta_map(cp, a)))
+    assert abs(lhs - rhs) < 1e-12 * (1 + abs(lhs))
 
 
 def test_delta_adjoint_is_minus_four_moment(rng):

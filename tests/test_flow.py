@@ -335,6 +335,18 @@ def test_equivalence_report_seeds():
     assert rep.max_metric_dev <= 1e-6
 
 
+def test_equivalence_report_pairs_samples_by_time():
+    # Past the blowup near t = 0.316 the bracket run, the metric run and the
+    # metric-side gauge close at three different times.  Only the grid samples
+    # they share are compared, so each deviation compares states at one time.
+    rep = equivalence_report(unimodular3(1, 2, 3).point, (0.0, 0.5), samples=101)
+    assert rep.partial
+    grid = np.linspace(0.0, 0.5, 101)
+    assert 2 <= len(rep.times) < len(grid)
+    assert rep.times.tobytes() == grid[: len(rep.times)].tobytes()
+    assert rep.per_side["metric"]["bracket_dev"] <= 1e-4
+
+
 def test_reparametrize_zero_rate_is_identity():
     base = integrate(unimodular3(1, 2, 3).point, UNNORMALIZED, (0.0, 0.2), samples=201)
     rep = reparametrize(base, custom_rate(lambda mu: 0.0), t_end=0.15, samples=41)
