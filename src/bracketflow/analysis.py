@@ -279,11 +279,10 @@ def _final_ricci(traj: FlowTrajectory):
         mu = traj.final_bracket()
         return curvature_pieces(mu).Ric, mu
     except NoRealizationError:
-        fam = traj.system.family
-        return np.diag(fam.ricci_diag(traj.states[-1])), None
+        return traj.system.ricci(traj.states[-1]), None
 
 
-def _soliton_rel(traj: FlowTrajectory, mu, ric, scale: float):
+def _soliton_rel(traj: FlowTrajectory, mu, scale: float):
     if mu is not None:
         try:
             return soliton_residual(validate_point(mu)).residual / scale
@@ -344,7 +343,7 @@ def classify_limit(
             return LimitClassification(
                 "einstein-limit", mu, residuals, _convergence_labels(mu)
             )
-        sol = _soliton_rel(traj, mu, ric, scale)
+        sol = _soliton_rel(traj, mu, scale)
         if sol is not None:
             residuals["soliton_rel"] = sol
         if sol is not None and sol < soliton_tol and nonflat:

@@ -5,7 +5,7 @@ The bracket flow moves only the two components of mu restricted to p x p
 canonical i < j entries of the structure array and the tangent of the
 isotropy rows is exactly zero.  Every trajectory co-integrates the scaling
 pair (c, tau) with c' = r c, tau' = c^2, which ties a normalized run to its
-unnormalized parent.
+unnormalized parent.  Blowup time and type come from the closing sample.
 
 The bracket, metric and gauge ODEs and both solves of the (c, tau) rescaling
 (the probe for the reachable horizon and the sampled rerun) all run through
@@ -17,7 +17,7 @@ immutable once produced, so independent integrations may run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -251,9 +251,13 @@ class EventConfig:
 
 @dataclass(frozen=True)
 class IntegrationStats:
+    """Step counts; after a blowup, the blowup time T on the run's own time axis
+    and |T - t| |Ric| at the closing sample t, bounded at a type-I singularity."""
+
     n_steps: int
     n_rejected: int
     blowup_time_estimate: float | None = None
+    blowup_ricci_product: float | None = None
 
 
 class TensorFlowSystem:
@@ -270,8 +274,14 @@ class TensorFlowSystem:
     def bracket(self, core: np.ndarray) -> BracketTensor:
         return unpack_state(self.q, self.n, core)
 
+    def ricci(self, core: np.ndarray) -> np.ndarray:
+        return ricci_operator(self.bracket(core))
+
     def tangent(self, core: np.ndarray) -> tuple[np.ndarray, float]:
-        mu = self.bracket(core)
+        try:
+            mu = self.bracket(core)
+        except ValueError:  # a non-finite trial stage: the stepper rejects it
+            return np.full(core.shape, np.nan), np.nan
         r, ric = _rate_and_ricci(mu, self.strategy)
         return pack_array(_tangent_array(mu, ric, r)), r
 
@@ -299,6 +309,9 @@ class ReducedFlowSystem:
 
     def bracket(self, core: np.ndarray) -> BracketTensor:
         return self.family.embed(core)
+
+    def ricci(self, core: np.ndarray) -> np.ndarray:
+        return np.diag(self.family.ricci_diag(core))
 
     def rate(self, core: np.ndarray) -> float:
         """Rate r from the family's closed-form scalars."""
@@ -372,26 +385,27 @@ class FlowTrajectory:
         }
         if self.stats.blowup_time_estimate is not None:
             d["blowup_time_estimate"] = self.stats.blowup_time_estimate
+            d["blowup_ricci_product"] = self.stats.blowup_ricci_product
         if self.notes:
             d["notes"] = list(self.notes)
         return d
 
 
-def _estimate_blowup_time(history: list[tuple[float, float]]) -> float | None:
-    """Fit |mu| ~ C (T - t)^(-1/2) on the tail of the norm history.
-
-    The fit is linear in |mu|^(-2); reported as an estimate only.
-    """
-    if len(history) < 5:
-        return None
-    tail = history[-12:]
-    t = np.array([p[0] for p in tail])
-    z = np.array([p[1] for p in tail]) ** (-2.0)
-    a = np.vstack([t, np.ones_like(t)]).T
-    slope, intercept = np.linalg.lstsq(a, z, rcond=None)[0]
-    if slope == 0.0:
-        return None
-    return float(-intercept / slope)
+def _blowup_estimate(system, res: RKResult) -> tuple[float | None, float | None]:
+    """(T, |T - t| |Ric|) from the closing sample (t, y, y') of a blowup run:
+    near a type-I blowup 1/|Ric| is linear in t, so T = t + |Ric|^2 / tr(Ric
+    Ric'), with Ric' exact as a central difference (Ric is quadratic in y).
+    None, None when Ric = 0 or |Ric| does not grow in the run's direction."""
+    t, core, dcore = res.sample_t[-1], res.sample_y[-1, :-2], res.sample_f[-1, :-2]
+    if not np.any(dcore):
+        return None, None
+    h = float(np.linalg.norm(core) / np.linalg.norm(dcore))
+    ric = system.ricci(core)
+    dric = (system.ricci(core + h * dcore) - system.ricci(core - h * dcore)) / (2.0 * h)
+    ric2, growth = float(np.sum(ric * ric)), float(np.sum(ric * dric))
+    if not np.sign(t - res.sample_t[0]) * growth > 0.0:  # also Ric = 0
+        return None, None
+    return float(t + ric2 / growth), ric2**1.5 / abs(growth)
 
 
 def _run_flow(
@@ -408,17 +422,12 @@ def _run_flow(
         return np.concatenate([dcore, [r * cval, cval * cval]])
 
     conv_count = 0
-    norm_history: list[tuple[float, float]] = []
     drift_message: list[str] = []
 
     def callback(t, y, f, h):
         nonlocal conv_count
         core = y[:-2]
-        aux = float(np.sqrt(system.aux_norm2(core)))
-        norm_history.append((t, aux))
-        if len(norm_history) > 40:
-            del norm_history[0]
-        if aux > events.blowup_norm:
+        if float(np.sqrt(system.aux_norm2(core))) > events.blowup_norm:
             return TERM_BLOWUP
         if float(np.sqrt(2.0) * np.linalg.norm(f[:-2])) < events.conv_tangent:
             conv_count += 1
@@ -443,7 +452,7 @@ def _run_flow(
         atol=atol,
         step_callback=callback,
     )
-    blowup_time = _estimate_blowup_time(norm_history) if res.status == TERM_BLOWUP else None
+    estimate = _blowup_estimate(system, res) if res.status == TERM_BLOWUP else (None, None)
     ys = res.sample_y
     traj = FlowTrajectory(
         times=res.sample_t,
@@ -454,7 +463,7 @@ def _run_flow(
         system=system,
         strategy=system.strategy,
         termination=res.status,
-        stats=IntegrationStats(res.n_steps, res.n_rejected, blowup_time),
+        stats=IntegrationStats(res.n_steps, res.n_rejected, *estimate),
         notes=tuple(drift_message),
     )
     if res.status == _TERM_DRIFT:
@@ -689,19 +698,15 @@ def integrate_gauge(traj, side: str = "bracket") -> GaugeRecord:
 
     if side == "bracket":
         system = traj.system
-        n = system.n if hasattr(system, "n") else traj.bracket_at(0).n
+        n = traj.bracket_at(0).n
         normalized = traj.strategy.kind != "none"
 
-        def ric_of(t):
+        def rhs(t, y):
             core = path(t)
             ric = ricci_operator(system.bracket(core))
             if normalized:
-                _, r = system.tangent(core)
-                ric = ric + r * np.eye(n)
-            return ric
-
-        def rhs(t, y):
-            return (-(ric_of(t) @ y.reshape(n, n))).ravel()
+                ric = ric + system.tangent(core)[1] * np.eye(n)
+            return (-(ric @ y.reshape(n, n))).ravel()
 
     else:
         mu0 = traj.point0.bracket
@@ -977,6 +982,18 @@ class EquivalenceReport:
         }
 
 
+def _shared_prefix(records) -> int:
+    """Number of leading samples whose times agree bitwise across records."""
+    m = min(len(r.times) for r in records)
+    same = np.all([r.times[:m] == records[0].times[:m] for r in records], axis=0)
+    return int(np.logical_and.accumulate(same).sum())
+
+
+def _head(record, m: int, *fields: str):
+    """The record cut to its first m samples, or whole when m < 2."""
+    return replace(record, **{f: getattr(record, f)[:m] for f in fields}) if m >= 2 else record
+
+
 def equivalence_report(
     point0: HomogeneousPoint,
     t_span: tuple[float, float],
@@ -996,20 +1013,19 @@ def equivalence_report(
     mu0 = point0.bracket
     traj = integrate(point0, UNNORMALIZED, t_span, rtol=rtol, atol=atol, samples=samples)
     mtraj = integrate_metric(point0, t_span, rtol=rtol, atol=atol, samples=samples)
+    # Each gauge follows its flow only over the samples both flows share, so
+    # it never crawls through the closing segment of a run past a blowup.
+    m = _shared_prefix((traj, mtraj))
     gauges = {
-        "bracket": integrate_gauge(traj, "bracket"),
-        "metric": integrate_gauge(mtraj, "metric"),
+        "bracket": integrate_gauge(_head(traj, m, "times", "states", "derivs", "c", "tau")),
+        "metric": integrate_gauge(_head(mtraj, m, "times", "P", "derivs"), "metric"),
     }
     records = (traj, mtraj, *gauges.values())
     partial = any(r.termination != TERM_REACHED_END for r in records)
-    m = min(len(r.times) for r in records)
-    same = np.all([r.times[:m] == traj.times[:m] for r in records], axis=0)
-    m = int(np.logical_and.accumulate(same).sum())
+    m = _shared_prefix(records)
     times = traj.times[:m]
 
     per_side = {}
-    worst_mu = 0.0
-    worst_p = 0.0
     for side, gauge in gauges.items():
         dev_mu = 0.0
         dev_p = 0.0
@@ -1023,8 +1039,6 @@ def equivalence_report(
             with np.errstate(over="ignore"):
                 dev_p = max(dev_p, float(np.linalg.norm(gauge.htt_h(i) - mtraj.P[i])))
         per_side[side] = {"bracket_dev": dev_mu, "metric_dev": dev_p}
-        worst_mu = max(worst_mu, dev_mu)
-        worst_p = max(worst_p, dev_p)
 
     iso0 = mu0.iso_part()
     iso_drift = 0.0
@@ -1035,8 +1049,8 @@ def equivalence_report(
 
     return EquivalenceReport(
         times=times,
-        max_bracket_dev=worst_mu,
-        max_metric_dev=worst_p,
+        max_bracket_dev=max(dev["bracket_dev"] for dev in per_side.values()),
+        max_metric_dev=max(dev["metric_dev"] for dev in per_side.values()),
         iso_drift=iso_drift,
         per_side=per_side,
         partial=partial,

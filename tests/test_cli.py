@@ -99,6 +99,8 @@ def test_flow_blowup_manifest(tmp_path, capsys):
     manifest = read_json(tmp_path / "flow.json")
     assert manifest["termination"] == "blowup-detected"
     assert manifest["classification"]["verdict"] == "finite-time-blowup"
+    # Type I: (T - t) |Ric| = sqrt(3) / 2 at the closing sample.
+    assert manifest["run"]["blowup_ricci_product"] == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-6)
     with open(tmp_path / "flow.csv") as f:
         header = f.readline().strip().split(",")
     assert header[:8] == ["t", "c", "tau", "R", "ric_norm", "mu_p_norm2", "H_norm2", "trB"]

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -122,8 +123,71 @@ def test_integrate_blowup_forward():
     assert traj.times[-1] < 1.0
     assert traj.stats.blowup_time_estimate is not None
     assert traj.stats.blowup_time_estimate == pytest.approx(traj.times[-1], rel=0.05)
+    # Type I: (T - t) |Ric| = sqrt(3) / 2 at the closing sample.
+    assert traj.stats.blowup_ricci_product == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-6)
     assert np.all(np.diff(traj.times) > 0)
     assert traj.c[0] == 1.0 and traj.tau[0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda ev: integrate(berger3(1, 2, 0).point, UNNORMALIZED, (0.0, 5.0), samples=80, events=ev),
+        lambda ev: integrate_reduced(Berger3(), [1, 2, 0], UNNORMALIZED, (0.0, 5.0), samples=80, events=ev),
+        lambda ev: integrate(unimodular3(1, 2, 3).point, UNNORMALIZED, (0.0, 1.0), samples=80, events=ev),
+    ],
+    ids=["berger3", "berger3-reduced", "unimodular3"],
+)
+def test_blowup_time_does_not_depend_on_the_blowup_norm(run):
+    # Near a type-I singularity 1/|Ric| is linear in t, so the closing sample
+    # gives the same T wherever the run stops.
+    low, high = (run(EventConfig(blowup_norm=b)).stats for b in (1e3, 1e6))
+    assert low.blowup_time_estimate == pytest.approx(high.blowup_time_estimate, rel=1e-8)
+    assert low.blowup_ricci_product == pytest.approx(high.blowup_ricci_product, rel=1e-8)
+
+
+@pytest.mark.parametrize("blowup_norm", [1e3, 1e6])
+def test_blowup_time_matches_the_ricci_norm_rate(blowup_norm):
+    # Independent oracle from the paper's D0: near T, |Ric|^2 / tr(Ric Ric')
+    # = -1 / (2 r) with r the ricci-norm rate of the closing bracket.
+    traj = integrate(
+        berger3(1, 2, 0).point, UNNORMALIZED, (0.0, 5.0), samples=80,
+        events=EventConfig(blowup_norm=blowup_norm),
+    )
+    expected = traj.times[-1] - 1.0 / (2.0 * ricci_norm_rate(traj.final_bracket()))
+    assert traj.stats.blowup_time_estimate == pytest.approx(expected, rel=1e-12)
+
+
+def test_backward_blowup_is_estimated_before_its_closing_time():
+    traj = integrate(unimodular3(-1, 1, 0).point, UNNORMALIZED, (0.0, -5.0), samples=80)
+    assert traj.termination == "blowup-detected"
+    assert traj.stats.blowup_time_estimate < traj.times[-1]
+    assert traj.stats.blowup_time_estimate == pytest.approx(-0.25, rel=1e-8)
+    assert traj.stats.blowup_ricci_product == pytest.approx(0.5, rel=1e-8)
+
+
+def test_flat_blowup_gets_no_estimate():
+    # unimodular3(1e7, 1e7, 0) is flat (Ric = 0, zero tangent) but starts
+    # above the blowup norm.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(unimodular3(1e7, 1e7, 0).point, UNNORMALIZED, (0.0, 1.0), samples=80)
+    assert traj.termination == "blowup-detected"
+    assert traj.stats.blowup_time_estimate is None
+    assert traj.stats.blowup_ricci_product is None
+    assert "blowup_ricci_product" not in traj.describe()
+
+
+def test_non_finite_trial_stage_ends_typed():
+    # The rate turns NaN once max |c| > 3, so every trial stage past that
+    # point is rejected and the run ends typed with its finite samples.
+    rate = custom_rate(lambda mu: np.nan if np.abs(mu.c).max() > 3 else 0.0)
+    traj = integrate(berger3(1, 2, 0).point, rate, (0.0, 1.0), samples=21)
+    assert traj.termination == "step-underflow"
+    assert traj.times[-1] == pytest.approx(0.1113, abs=1e-4)
+    assert traj.n_samples == 4
+    assert np.isfinite(traj.states).all()
+    assert np.abs(traj.states[-1]).max() <= 3.0
 
 
 def test_integrate_zero_collapse_seed():
@@ -345,6 +409,9 @@ def test_equivalence_report_pairs_samples_by_time():
     assert 2 <= len(rep.times) < len(grid)
     assert rep.times.tobytes() == grid[: len(rep.times)].tobytes()
     assert rep.per_side["metric"]["bracket_dev"] <= 1e-4
+    # Each gauge follows only the samples both flows share, so both reach the
+    # last of them, the grid sample 0.315 before the blowup.
+    assert rep.times[-1] == grid[63]
 
 
 def test_reparametrize_zero_rate_is_identity():
