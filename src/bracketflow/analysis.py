@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BracketTensor, act_pi_array, component_norms, validate_point
+from .core import BracketTensor, InvalidPointError, act_pi_array, component_norms, validate_point
 from .curvature import _ricci_evolution, _sym, curvature_pieces
 from .families import Berger3, NoRealizationError
 from .flow import (
@@ -286,7 +286,7 @@ def _soliton_rel(traj: FlowTrajectory, mu, scale: float):
     if mu is not None:
         try:
             return soliton_residual(validate_point(mu)).residual / scale
-        except Exception:
+        except (InvalidPointError, np.linalg.LinAlgError):  # drifted off the set; SVD/lstsq
             return None
     fam = getattr(traj.system, "family", None)
     if fam is not None and hasattr(fam, "soliton_residual_closed"):

@@ -5,9 +5,9 @@ Artifacts are CSV tables plus JSON sidecar manifests.  CSV floats are
 printed with 17 significant digits and rows are assembled in a fixed order,
 so identical configurations produce byte-identical files.  Exit codes:
 0 success, 1 identity audit failed (check), 2 invalid point, 3 malformed
-input, 4 validity drift, 5 equivalence failure.  An equiv run whose flows or
-gauges stop short of the span (as past a blowup) reports "partial": true
-over the prefix they covered.
+input, 4 validity drift, 5 equivalence failure, 6 normalization undefined.
+An equiv run whose flows or gauges stop short of the span (as past a blowup)
+reports "partial": true over the prefix they covered.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ EXIT_INVALID_POINT = 2
 EXIT_MALFORMED = 3
 EXIT_DRIFT = 4
 EXIT_EQUIV_FAIL = 5
+EXIT_NORMALIZATION = 6
 
 
 def fmt17(x: float) -> str:
@@ -150,6 +151,28 @@ def _events(cfg: dict) -> EventConfig:
         for flag, field in _EVENT_FLAGS.items()
         if flag in cfg
     })
+
+
+def _t_span(cfg: dict, default: tuple[float, float]):
+    """cfg's t_span (as given), checked to be two finite, distinct times."""
+    span = cfg.get("t_span", default)
+    try:
+        lo, hi = (float(t) for t in span)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInputError(f"bad t_span {span!r} (want a:b)") from exc
+    if not np.isfinite([lo, hi]).all() or lo == hi:
+        raise MalformedInputError(f"t_span {lo!r}:{hi!r} must be finite and nondegenerate")
+    return span
+
+
+def _samples(cfg: dict, default: int, minimum: int = 2) -> int:
+    try:
+        samples = int(cfg.get("samples", default))
+    except (TypeError, ValueError) as exc:
+        raise MalformedInputError(f"bad samples value {cfg['samples']!r}") from exc
+    if samples < minimum:
+        raise MalformedInputError(f"samples must be at least {minimum}, got {samples}")
+    return samples
 
 
 def _tolerances(cfg: dict) -> tuple[float, float]:
@@ -283,11 +306,11 @@ def _outpath(cfg: dict, name: str) -> str | None:
     return os.path.join(out, name)
 
 
-def _run_flow_from_cfg(cfg: dict, src: Source):
+def _run_flow_from_cfg(cfg: dict, src: Source, min_samples: int = 2):
     strategy = _strategy(cfg)
-    t_span = cfg.get("t_span", (0.0, 1.0))
+    t_span = _t_span(cfg, (0.0, 1.0))
     rtol, atol = _tolerances(cfg)
-    samples = int(cfg.get("samples", 200))
+    samples = _samples(cfg, 200, min_samples)
     opts = {"rtol": rtol, "atol": atol, "samples": samples, "events": _events(cfg)}
 
     if strategy.kind == "ricci-norm":
@@ -403,9 +426,8 @@ def cmd_sweep(cfg: dict) -> int:
 
     rtol, atol = _tolerances(cfg)
     strategy = _strategy(cfg)
-    t_span = list(cfg.get("t_span", (0.0, 10.0)))
-    opts = {"rtol": rtol, "atol": atol, "samples": int(cfg.get("samples", 60)),
-            "events": _events(cfg)}
+    t_span = list(_t_span(cfg, (0.0, 10.0)))
+    opts = {"rtol": rtol, "atol": atol, "samples": _samples(cfg, 60), "events": _events(cfg)}
     cell = partial(_sweep_cell, fam, strategy, tuple(t_span), opts, _classify_tols(cfg))
     points = []
     for v1 in axis1:
@@ -458,7 +480,7 @@ def cmd_check(cfg: dict) -> int:
     if src.point is not None and not src.point.valid:
         print("seed point failed validation", file=sys.stderr)
         return EXIT_INVALID_POINT
-    traj = _run_flow_from_cfg(cfg, src)
+    traj = _run_flow_from_cfg(cfg, src, min_samples=3)  # the audit's stencils
     audit = analysis.identity_audit(traj)
     tol = float(cfg.get("audit_tol", 1e-4))
     doc = audit.as_dict()
@@ -478,10 +500,10 @@ def cmd_equiv(cfg: dict) -> int:
     rtol, atol = _tolerances(cfg)
     report = flow.equivalence_report(
         src.point,
-        cfg.get("t_span", (0.0, 0.3)),
+        _t_span(cfg, (0.0, 0.3)),
         rtol=rtol,
         atol=atol,
-        samples=int(cfg.get("samples", 601)),
+        samples=_samples(cfg, 601),
     )
     threshold = float(cfg.get("threshold", 1e-6))
     doc = report.as_dict()
@@ -565,6 +587,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValidityDriftError as exc:
         print(f"validity drift: {exc}", file=sys.stderr)
         return EXIT_DRIFT
+    except NormalizationError as exc:
+        print(f"normalization undefined: {exc}", file=sys.stderr)
+        return EXIT_NORMALIZATION
 
 
 if __name__ == "__main__":

@@ -6,9 +6,12 @@ A bracket is stored as a 3-index array ``c`` of shape ``(d, d, d)`` with
 the remaining ``n`` span the tangent block p; the p-basis is orthonormal for
 the fixed inner product.  Antisymmetry in (i, j) is enforced structurally:
 only the entries with ``i < j`` are canonical, the rest are mirrored at
-construction time, so ``mu(x, y) = -mu(y, x)`` holds exactly.  The public
-``BracketTensor`` constructor validates and canonicalizes; ``unpack_state``,
-the one internal constructor, unpacks i < j entries and checks finiteness only.
+construction time, so ``mu(x, y) = -mu(y, x)`` holds exactly.  Outside input
+is validated: the ``BracketTensor`` constructor (so ``zero``, ``from_entries``
+and ``bracket_from_json``) checks shape, finiteness and antisymmetry.  Computed
+brackets are only canonicalized and checked for finiteness: ``_canonical``
+builds those of gl_action, act_pi, the flow tangent and the family embeddings,
+``unpack_state`` the integrator's packed states.
 
 All values are immutable after construction and every operation here is a
 pure function, so everything is safe to share between threads.
@@ -106,13 +109,7 @@ class BracketTensor:
                 "structure array is not antisymmetric in its first two indices "
                 f"(defect {skew_defect:.3e}); set mirrored entries or use from_entries"
             )
-        iu, ju = _pairs(d)
-        with np.errstate(over="ignore"):
-            c = unpack_array(d, 0.5 * (c[iu, ju] - c[ju, iu]))
-        if not np.isfinite(c).all():  # upper - lower overflows above max/2
-            raise ValueError("structure constants must be finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", _canonical(self.q, self.n, c).c)
 
     @property
     def dim(self) -> int:
@@ -355,7 +352,7 @@ def gl_action(mu: BracketTensor, h: np.ndarray) -> BracketTensor:
     t = (mu.c.transpose(1, 2, 0).reshape(d * d, d) @ hinv).reshape(d, d, d).transpose(0, 2, 1)
     t = (t.transpose(1, 2, 0).reshape(d * d, d) @ hinv).reshape(d, d, d).transpose(0, 2, 1)
     c = (t.reshape(d * d, d) @ h.T).reshape(d, d, d)
-    return BracketTensor(mu.q, mu.n, c)
+    return _canonical(mu.q, mu.n, c)
 
 
 def compatibility_residual(mu: BracketTensor, g: np.ndarray) -> float:
@@ -402,8 +399,7 @@ def act_pi(a: np.ndarray, mu: BracketTensor) -> BracketTensor:
     d = mu.dim
     if a.shape != (d, d):
         raise ValueError(f"operator must be {d}x{d}")
-    c = act_pi_array(a, mu.c)
-    return BracketTensor(mu.q, mu.n, c)
+    return _canonical(mu.q, mu.n, act_pi_array(a, mu.c))
 
 
 def act_pi_array(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -463,11 +459,18 @@ def pack_array(c: np.ndarray) -> np.ndarray:
     return c[_pairs(c.shape[0])].ravel()
 
 
+def _canonical(q: int, n: int, c: np.ndarray) -> BracketTensor:
+    """Bracket with i < j entries (c - c^T)/2 of a computed array, antisymmetric up
+    to rounding: only finiteness is checked (upper - lower overflows above max/2)."""
+    iu, ju = _pairs(q + n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return unpack_state(q, n, 0.5 * (c[iu, ju] - c[ju, iu]))
+
+
 def unpack_state(q: int, n: int, y: np.ndarray) -> BracketTensor:
-    """Inverse of pack_state, and the one constructor that skips validation:
-    unpack_array's output is canonical by construction (lower = -upper
-    bitwise, +0.0 diagonal), so only finiteness is checked (an integrator
-    trial stage may have overflowed)."""
+    """Inverse of pack_state.  unpack_array's output is canonical by
+    construction (lower = -upper bitwise, +0.0 diagonal), so only finiteness
+    is checked (an integrator trial stage may have overflowed)."""
     c = unpack_array(q + n, y)
     if not np.isfinite(c).all():
         raise ValueError("structure constants must be finite")

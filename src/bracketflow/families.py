@@ -17,12 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (
-    H2_KNOWN,
-    BracketTensor,
-    HomogeneousPoint,
-    validate_point,
-)
+from .core import H2_KNOWN, BracketTensor, HomogeneousPoint, _canonical, validate_point
 from .curvature import CurvatureReport, killing_operator
 
 __all__ = [
@@ -187,7 +182,7 @@ class Unimodular3(_FamilyBase):
         _set(t, 1, 2, 0, a)
         _set(t, 2, 0, 1, b)
         _set(t, 0, 1, 2, c)
-        return BracketTensor(0, 3, t)
+        return _canonical(0, 3, t)
 
 
 class Berger3(_FamilyBase):
@@ -244,7 +239,7 @@ class Berger3(_FamilyBase):
         _set(t, 2, 3, 0, b)
         _set(t, 3, 1, 2, c)
         _set(t, 1, 2, 3, c)
-        return BracketTensor(1, 3, t)
+        return _canonical(1, 3, t)
 
 
 class SemisimpleFamily(_FamilyBase):

@@ -34,6 +34,7 @@ from .core import (
     BracketTensor,
     CompatibilityError,
     HomogeneousPoint,
+    _canonical,
     _packed_names,
     _pairs,
     act_gl,
@@ -230,7 +231,7 @@ def normalized_rhs(point: HomogeneousPoint, strategy: Normalization) -> BracketT
     _require_pointwise(strategy)
     mu = point.bracket
     r, ric = _rate_and_ricci(mu, strategy)
-    return BracketTensor(mu.q, mu.n, _tangent_array(mu, ric, r))
+    return _canonical(mu.q, mu.n, _tangent_array(mu, ric, r))
 
 
 @dataclass(frozen=True)
@@ -857,6 +858,7 @@ def reparametrize(
     'step-underflow' when the steps underflow first, as where c . mu(tau)
     overflows near a blowup of the source, ending at the last accepted point.
     """
+    _require_pointwise(strategy)
     src = _SourceRun(traj)
 
     def _pp_norm(mu: BracketTensor) -> float:
@@ -872,7 +874,7 @@ def reparametrize(
         mu = src.scaled(cval, tau)
         if mu is None:
             return None
-        r = normalization_rate(mu, strategy)
+        r = _rate_and_ricci(mu, strategy)[0]
         return np.array([r * cval, cval * cval])
 
     def callback(t, y, f, h):
@@ -1040,12 +1042,11 @@ def equivalence_report(
                 dev_p = max(dev_p, float(np.linalg.norm(gauge.htt_h(i) - mtraj.P[i])))
         per_side[side] = {"bracket_dev": dev_mu, "metric_dev": dev_p}
 
-    iso0 = mu0.iso_part()
-    iso_drift = 0.0
-    for i in range(m):
-        iso_drift = max(
-            iso_drift, float(np.abs(traj.bracket_at(i).iso_part() - iso0).max())
-        )
+    # Drift of the packed isotropy rows (i < q): their mirrors are exact negatives.
+    d = mu0.dim
+    rows = _pairs(d)[0] < mu0.q
+    iso = traj.states[:m].reshape(m, -1, d)[:, rows] - pack_state(mu0).reshape(-1, d)[rows]
+    iso_drift = float(np.abs(iso).max(initial=0.0))
 
     return EquivalenceReport(
         times=times,

@@ -221,20 +221,34 @@ def test_classify_einstein_limit():
     assert res.residuals["einstein_dev"] < 1e-6
 
 
-def test_classify_soliton_limit():
+@pytest.fixture(scope="module")
+def soliton_traj():
     # The negatively normalized run converges to the product point, which is
     # an algebraic soliton but not Einstein.
-    traj = integrate(
+    return integrate(
         berger3(0.5, -0.1875, 0).point,
         SCALAR_CURVATURE,
         (0, 250.0),
         samples=120,
         events=EventConfig(conv_tangent=1e-11, conv_window=6),
     )
-    assert traj.termination == "converged-to-fixed-point"
-    res = classify_limit(traj)
+
+
+def test_classify_soliton_limit(soliton_traj):
+    assert soliton_traj.termination == "converged-to-fixed-point"
+    res = classify_limit(soliton_traj)
     assert res.verdict == "soliton-limit"
     assert res.residuals["einstein_dev"] > 1e-2
+
+
+def test_classify_limit_lets_programming_errors_through(soliton_traj, monkeypatch):
+    # Only a drifted-off point or a failed SVD/lstsq means "no soliton residual".
+    def broken(point):
+        raise RuntimeError("bug in soliton_residual")
+
+    monkeypatch.setattr("bracketflow.analysis.soliton_residual", broken)
+    with pytest.raises(RuntimeError, match="bug in soliton_residual"):
+        classify_limit(soliton_traj)
 
 
 def test_classify_bounded_ancient():

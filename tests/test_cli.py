@@ -256,3 +256,53 @@ def test_seed_file(tmp_path, capsys):
     assert run(["ricci", "--seed", path]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["R"] == pytest.approx(-0.5)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow", "--family", "unimodular3", "--params", "1,1,0",
+         "--normalization", "scalar-curvature"],  # R = 0
+        ["flow", "--family", "berger3", "--params", "0,1,0",
+         "--normalization", "bracket-norm"],  # mu_p = 0
+        ["check", "--family", "unimodular3", "--params", "1,1,0",
+         "--normalization", "ricci-norm"],  # flat start
+    ],
+)
+def test_undefined_normalization_exits_6(tmp_path, capsys, argv):
+    assert run(argv + ["--out", tmp_path]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("normalization undefined: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+_U123 = ["--family", "unimodular3", "--params", "1,2,3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow", *_U123, "--samples", "1"],
+        ["check", *_U123, "--samples", "1"],
+        ["check", *_U123, "--samples", "2"],  # the audit needs three
+        ["equiv", *_U123, "--samples", "1"],
+        ["sweep", "--family", "berger3", "--params", "1,1,0",
+         "--grid", "a=0:1:2,b=0:1:2", "--samples", "1", "--jobs", "1"],
+        ["flow", *_U123, "--t-span", "0:0"],
+        ["equiv", *_U123, "--t-span", "0:inf"],
+        ["check", *_U123, "--t-span", "nan:1"],
+    ],
+)
+def test_bad_sampling_flags_exit_3(tmp_path, capsys, argv):
+    assert run(argv + ["--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("malformed input: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("config", [{"samples": 1}, {"t_span": [1, 1]}])
+def test_bad_sampling_config_exits_3(tmp_path, capsys, config):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run(["flow", *_U123, "--config", cfg_path, "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("malformed input: ") and "Traceback" not in err

@@ -11,6 +11,7 @@ from bracketflow.core import (
     BracketTensor,
     CompatibilityError,
     MalformedInputError,
+    _canonical,
     act_gl,
     act_pi,
     bracket_eval,
@@ -368,6 +369,34 @@ def test_rescale_matches_validating_constructor(q, n, c_scale, data):
     assert _outcome(lambda: rescale(c_scale, mu)) == _outcome(
         lambda: _rescale_validating(c_scale, mu)
     )
+
+
+_MAX = np.finfo(float).max
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(0, 3), (1, 3), (0, 4), (2, 3)]), st.data())
+def test_canonical_matches_validating_constructor(qn, data):
+    # A computed array: a - a^T plus noise below the antisymmetry tolerance,
+    # with mirrored pairs set to +-0.0 so the sign of zero counts in tobytes().
+    q, n = qn
+    d = q + n
+    a = data.draw(arrays(np.float64, (d, d, d), elements=st.floats(-1e3, 1e3)))
+    noise = data.draw(arrays(np.float64, (d, d, d), elements=st.floats(-1e-10, 1e-10)))
+    c = a - a.swapaxes(0, 1) + noise
+    zero = data.draw(arrays(np.bool_, (d, d, d)))
+    zero |= zero.swapaxes(0, 1)
+    negative = data.draw(arrays(np.bool_, (d, d, d)))
+    c[zero] = np.where(negative, -0.0, 0.0)[zero]
+    assert _canonical(q, n, c).c.tobytes() == BracketTensor(q, n, c).c.tobytes()
+
+    # An entry above max/2: (upper - lower)/2 overflows in both.
+    i, j = data.draw(st.sampled_from(list(zip(*np.triu_indices(d, 1)))))
+    k = data.draw(st.integers(0, d - 1))
+    big = data.draw(st.floats(0.5000001 * _MAX, _MAX)) * data.draw(st.sampled_from([-1, 1]))
+    c[i, j, k], c[j, i, k] = big, -big
+    assert _outcome(lambda: _canonical(q, n, c)) == _outcome(lambda: BracketTensor(q, n, c))
+    assert _outcome(lambda: _canonical(q, n, c)) == "ValueError: structure constants must be finite"
 
 
 def test_json_roundtrip():

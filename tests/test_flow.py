@@ -729,3 +729,30 @@ def test_ricci_and_rates_are_homogeneous_of_degree_two(seed, c):
         except NormalizationError:  # undefined here, e.g. R = 0 or a flat bracket
             continue
         assert rate(moved) == pytest.approx(c**2 * r, rel=1e-12)
+
+
+def test_computed_brackets_skip_the_validating_constructor(monkeypatch):
+    # Brackets the program computes are only canonicalized (core._canonical,
+    # unpack_state); the validating constructor is for outside input.
+    point = unimodular3(1, 2, 3).point
+    calls = []
+    validate = BracketTensor.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        validate(self)
+
+    monkeypatch.setattr(BracketTensor, "__post_init__", counted)
+    span = (0.0, 0.05)
+    traj = integrate(point, UNNORMALIZED, span, samples=21)
+    mtraj = integrate_metric(point, span, samples=21)
+    integrate_gauge(traj).pushforward(point.bracket, -1)
+    integrate_gauge(mtraj, "metric").pushforward(point.bracket, -1)
+    equivalence_report(point, span, samples=21)
+    reparametrize(traj, VOLUME, samples=21)
+    rescale_to_ricci_norm(traj, samples=21)
+    rate = custom_rate(lambda mu: 0.1 * float(np.sum(mu.mu_p**2)))
+    integrate_reduced(Berger3(), np.array([1.0, 2.0, 0.0]), rate, span, samples=21)
+    berger3(1, 2, 0)
+    unimodular3(1, 2, 3)
+    assert len(calls) == 0
