@@ -50,7 +50,7 @@ class RKResult:
 
     sample_t, sample_y and sample_f stack the sample times, states and
     derivatives by row; a run that stopped early ends with one more sample at
-    its stopping time.
+    its stopping time.  nfev counts the rhs calls, 2 + 6 (n_steps + n_rejected).
     """
 
     status: str
@@ -59,6 +59,7 @@ class RKResult:
     sample_f: np.ndarray
     n_steps: int
     n_rejected: int
+    nfev: int
 
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, atol: float) -> float:
@@ -110,13 +111,16 @@ def solve_rk54(
     t0, t1 = float(t_grid[0]), float(t_grid[-1])
     if t1 == t0:
         raise ValueError("t_span must be nondegenerate")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be positive")
+    if not (0 < rtol < np.inf and 0 < atol < np.inf):
+        raise ValueError("tolerances must be positive and finite")
     direction = 1.0 if t1 > t0 else -1.0
     samples = np.abs(t_grid - t0)
     s_end = float(samples[-1])
+    nfev = 0
 
     def f(s, y):
+        nonlocal nfev
+        nfev += 1
         return direction * rhs(t0 + direction * s, y)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -185,7 +189,7 @@ def solve_rk54(
         ts.append(t0 + direction * s)
         ys.append(y)
         fs.append(direction * f_cur)
-    return RKResult(status, np.array(ts), np.array(ys), np.array(fs), n_steps, n_rejected)
+    return RKResult(status, np.array(ts), np.array(ys), np.array(fs), n_steps, n_rejected, nfev)
 
 
 def hermite_eval(t, t0, t1, y0, y1, f0, f1):

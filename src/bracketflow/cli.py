@@ -146,11 +146,12 @@ _CLASSIFY_FLAGS = ("flat_tol", "einstein_tol", "soliton_tol", "zero_tol")
 
 
 def _events(cfg: dict) -> EventConfig:
-    return EventConfig(**{
-        field: type(getattr(EventConfig, field))(cfg[flag])
-        for flag, field in _EVENT_FLAGS.items()
-        if flag in cfg
-    })
+    """cfg's event thresholds, each a finite number of its field's type."""
+    fields = {field: type(getattr(EventConfig, field))(cfg[flag])
+              for flag, field in _EVENT_FLAGS.items() if flag in cfg}
+    if not np.isfinite(list(fields.values())).all():
+        raise MalformedInputError(f"event thresholds must be finite, got {fields}")
+    return EventConfig(**fields)
 
 
 def _t_span(cfg: dict, default: tuple[float, float]):
@@ -178,8 +179,8 @@ def _samples(cfg: dict, default: int, minimum: int = 2) -> int:
 def _tolerances(cfg: dict) -> tuple[float, float]:
     rtol = float(cfg.get("tol", 1e-9))
     atol = float(cfg.get("atol", rtol * 1e-3))
-    if rtol <= 0 or atol <= 0:
-        raise MalformedInputError("tolerances must be positive")
+    if not (0 < rtol < np.inf and 0 < atol < np.inf):
+        raise MalformedInputError(f"tolerances must be positive and finite, got {rtol!r}, {atol!r}")
     return rtol, atol
 
 

@@ -10,8 +10,8 @@ construction time, so ``mu(x, y) = -mu(y, x)`` holds exactly.  Outside input
 is validated: the ``BracketTensor`` constructor (so ``zero``, ``from_entries``
 and ``bracket_from_json``) checks shape, finiteness and antisymmetry.  Computed
 brackets are only canonicalized and checked for finiteness: ``_canonical``
-builds those of gl_action, act_pi, the flow tangent and the family embeddings,
-``unpack_state`` the integrator's packed states.
+builds those of gl_action, act_pi and the family embeddings, ``unpack_state``
+the integrator's packed states and the flow tangent.
 
 All values are immutable after construction and every operation here is a
 pure function, so everything is safe to share between threads.
@@ -453,10 +453,6 @@ def component_norms(mu: BracketTensor) -> tuple[float, float, float]:
 def pack_state(mu: BracketTensor) -> np.ndarray:
     """Flatten the canonical i < j entries into a state vector."""
     return mu.c[_pairs(mu.dim)].ravel()
-
-
-def pack_array(c: np.ndarray) -> np.ndarray:
-    return c[_pairs(c.shape[0])].ravel()
 
 
 def _canonical(q: int, n: int, c: np.ndarray) -> BracketTensor:

@@ -3,9 +3,12 @@
 The bracket flow moves only the two components of mu restricted to p x p
 (the isotropy rows are constant in time), so the integration state packs the
 canonical i < j entries of the structure array and the tangent of the
-isotropy rows is exactly zero.  Every trajectory co-integrates the scaling
-pair (c, tau) with c' = r c, tau' = c^2, which ties a normalized run to its
-unnormalized parent.  Blowup time and type come from the closing sample.
+isotropy rows is exactly zero.  The tangent, Ric, the rates, the Jacobi drift,
+the gauge right-hand sides and the blowup estimate read the packed state
+through the polynomial tables of _poly; only a custom rate builds a
+BracketTensor, to call its rate function.  Every trajectory co-integrates the
+scaling pair (c, tau) with c' = r c, tau' = c^2, which ties a normalized run
+to its unnormalized parent.  Blowup time and type come from the closing sample.
 
 The bracket, metric and gauge ODEs and both solves of the (c, tau) rescaling
 (the probe for the reachable horizon and the sampled rerun) all run through
@@ -34,22 +37,13 @@ from .core import (
     BracketTensor,
     CompatibilityError,
     HomogeneousPoint,
-    _canonical,
     _packed_names,
     _pairs,
     act_gl,
-    act_pi_array,
-    pack_array,
     pack_state,
-    rescale,
     unpack_state,
 )
-from .curvature import (
-    CurvatureReport,
-    _ricci_evolution,
-    curvature_pieces,
-    ricci_operator,
-)
+from .curvature import CurvatureReport, curvature_pieces
 
 __all__ = [
     "Normalization",
@@ -179,41 +173,13 @@ def _report_rate(
     )
 
 
-def _rate_and_ricci(mu: BracketTensor, strategy: Normalization) -> tuple[float, np.ndarray]:
-    """Normalization rate r and Ricci operator of one bracket."""
-    rep = curvature_pieces(mu)
-    d0 = _ricci_evolution(mu.mu_p, rep)[0] if strategy.kind == "ricci-norm" else None
-    return _report_rate(mu, strategy, rep, d0), rep.Ric
-
-
 def normalization_rate(
     point: HomogeneousPoint | BracketTensor, strategy: Normalization
 ) -> float:
     """Normalization rate r for one bracket under the given strategy."""
     mu = point.bracket if isinstance(point, HomogeneousPoint) else point
     _require_pointwise(strategy)
-    return _rate_and_ricci(mu, strategy)[0]
-
-
-def _tangent_array(mu: BracketTensor, ric: np.ndarray, r: float) -> np.ndarray:
-    """Structure array of the r-normalized flow tangent -pi(diag(0, Ric)) mu.
-
-    Assembled componentwise on the p x p components, so the isotropy rows are
-    exactly zero.
-    """
-    ck = mu.mu_k
-    cp = mu.mu_p
-    dck = np.einsum("xi,xjz->ijz", ric, ck) + np.einsum("xj,ixz->ijz", ric, ck)
-    dcp = -act_pi_array(ric, cp)
-    if r != 0.0:
-        dck = dck + 2.0 * r * ck
-        dcp = dcp + r * cp
-    d = mu.dim
-    q = mu.q
-    dc = np.zeros((d, d, d))
-    dc[q:, q:, :q] = dck
-    dc[q:, q:, q:] = dcp
-    return dc
+    return TensorFlowSystem(mu, strategy).rate(pack_state(mu))
 
 
 def bracket_rhs(point: HomogeneousPoint) -> BracketTensor:
@@ -229,9 +195,8 @@ def normalized_rhs(point: HomogeneousPoint, strategy: Normalization) -> BracketT
     """Right-hand side of the r-normalized bracket flow."""
     point.require_valid()
     _require_pointwise(strategy)
-    mu = point.bracket
-    r, ric = _rate_and_ricci(mu, strategy)
-    return _canonical(mu.q, mu.n, _tangent_array(mu, ric, r))
+    system = TensorFlowSystem(point.bracket, strategy)
+    return system.bracket(system.tangent(system.core0)[0])
 
 
 @dataclass(frozen=True)
@@ -252,11 +217,12 @@ class EventConfig:
 
 @dataclass(frozen=True)
 class IntegrationStats:
-    """Step counts; after a blowup, the blowup time T on the run's own time axis
-    and |T - t| |Ric| at the closing sample t, bounded at a type-I singularity."""
+    """Step and rhs-evaluation counts; after a blowup, the blowup time T on the run's
+    own time axis and |T - t| |Ric| at the closing sample t, bounded at type I."""
 
     n_steps: int
     n_rejected: int
+    nfev: int
     blowup_time_estimate: float | None = None
     blowup_ricci_product: float | None = None
 
@@ -271,26 +237,56 @@ class TensorFlowSystem:
         self.strategy = strategy
         self.core0 = pack_state(mu0)
         self.param_names = _packed_names(self.q + self.n)
+        from ._poly import tables  # compiled on first use, not by `import bracketflow`
+        self.tables = tables(self.q, self.n)
 
     def bracket(self, core: np.ndarray) -> BracketTensor:
         return unpack_state(self.q, self.n, core)
 
     def ricci(self, core: np.ndarray) -> np.ndarray:
-        return ricci_operator(self.bracket(core))
+        return self.tables.ricci_matrix(core)
+
+    def ricci_dot(self, core: np.ndarray, dcore: np.ndarray) -> np.ndarray:
+        """Derivative of Ric along dcore, exact (Ric is quadratic in the state)."""
+        return self.tables.ricci.polar(core, dcore)[self.tables.full]
+
+    def rate(self, core: np.ndarray, ric: np.ndarray | None = None) -> float:
+        """Normalization rate r at core, whose Ric sym vector is ric if given.
+
+        The ricci-norm rate reads D0, the derivative of Ric along the
+        unnormalized tangent, exactly: Ric is a quadratic form in the state.
+        """
+        tab, kind = self.tables, self.strategy.kind
+        if kind == "none":
+            return 0.0
+        if kind == "custom":
+            return float(self.strategy.rate_fn(self.bracket(core)))
+        ric = tab.ricci(core, core) if ric is None else ric
+        tr_ric2 = tab.trace_product(ric, ric)
+        if kind == "ricci-norm":
+            if tr_ric2 <= 0:
+                raise NormalizationError("ricci-norm rate undefined at a flat bracket")
+            d0 = tab.ricci.polar(core, tab.flow_tangent(ric, core, 0.0))
+            return -tab.trace_product(ric, d0) / (2.0 * tr_ric2)
+        tr_ric_m = 0.0
+        if kind == "bracket-norm":  # the one rate reading tr(Ric M)
+            tr_ric_m = tab.trace_product(ric, tab.moment(core, core))
+        return _rate_from_scalars(
+            self.strategy, self.n, tab.trace(ric), tr_ric2, tr_ric_m, tab.mu_p_norm2(core)
+        )
 
     def tangent(self, core: np.ndarray) -> tuple[np.ndarray, float]:
-        try:
-            mu = self.bracket(core)
-        except ValueError:  # a non-finite trial stage: the stepper rejects it
+        if not np.isfinite(core).all():  # a non-finite trial stage: the stepper rejects it
             return np.full(core.shape, np.nan), np.nan
-        r, ric = _rate_and_ricci(mu, self.strategy)
-        return pack_array(_tangent_array(mu, ric, r)), r
+        ric = self.tables.ricci(core, core)
+        r = self.rate(core, ric)
+        return self.tables.flow_tangent(ric, core, r), r
 
     def aux_norm2(self, core: np.ndarray) -> float:
         return 2.0 * float(np.dot(core, core))
 
     def drift(self, core: np.ndarray) -> float:
-        return _core.jacobi_residual(self.bracket(core))
+        return self.tables.jacobi_residual(core)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "q": self.q, "n": self.n}
@@ -313,6 +309,11 @@ class ReducedFlowSystem:
 
     def ricci(self, core: np.ndarray) -> np.ndarray:
         return np.diag(self.family.ricci_diag(core))
+
+    def ricci_dot(self, core: np.ndarray, dcore: np.ndarray) -> np.ndarray:
+        # A central difference: exact, the Ricci diagonals being quadratic.
+        h = float(np.linalg.norm(core) / np.linalg.norm(dcore))
+        return (self.ricci(core + h * dcore) - self.ricci(core - h * dcore)) / (2.0 * h)
 
     def rate(self, core: np.ndarray) -> float:
         """Rate r from the family's closed-form scalars."""
@@ -383,6 +384,7 @@ class FlowTrajectory:
             "samples": int(self.n_samples),
             "steps": self.stats.n_steps,
             "rejected_steps": self.stats.n_rejected,
+            "rhs_evals": self.stats.nfev,
         }
         if self.stats.blowup_time_estimate is not None:
             d["blowup_time_estimate"] = self.stats.blowup_time_estimate
@@ -395,14 +397,12 @@ class FlowTrajectory:
 def _blowup_estimate(system, res: RKResult) -> tuple[float | None, float | None]:
     """(T, |T - t| |Ric|) from the closing sample (t, y, y') of a blowup run:
     near a type-I blowup 1/|Ric| is linear in t, so T = t + |Ric|^2 / tr(Ric
-    Ric'), with Ric' exact as a central difference (Ric is quadratic in y).
+    Ric'), with Ric' = system.ricci_dot(y, y') exact (Ric is quadratic in y).
     None, None when Ric = 0 or |Ric| does not grow in the run's direction."""
     t, core, dcore = res.sample_t[-1], res.sample_y[-1, :-2], res.sample_f[-1, :-2]
     if not np.any(dcore):
         return None, None
-    h = float(np.linalg.norm(core) / np.linalg.norm(dcore))
-    ric = system.ricci(core)
-    dric = (system.ricci(core + h * dcore) - system.ricci(core - h * dcore)) / (2.0 * h)
+    ric, dric = system.ricci(core), system.ricci_dot(core, dcore)
     ric2, growth = float(np.sum(ric * ric)), float(np.sum(ric * dric))
     if not np.sign(t - res.sample_t[0]) * growth > 0.0:  # also Ric = 0
         return None, None
@@ -464,7 +464,7 @@ def _run_flow(
         system=system,
         strategy=system.strategy,
         termination=res.status,
-        stats=IntegrationStats(res.n_steps, res.n_rejected, *estimate),
+        stats=IntegrationStats(res.n_steps, res.n_rejected, res.nfev, *estimate),
         notes=tuple(drift_message),
     )
     if res.status == _TERM_DRIFT:
@@ -551,9 +551,11 @@ def _gauged_ricci(p: np.ndarray, mu0: BracketTensor):
     The point moved by diag(I, h) has the fixed inner product; the Ricci
     operator of <P., .> is its Ricci operator conjugated back by h.
     """
+    from ._poly import tables  # as in TensorFlowSystem
+
     hs, hs_inv = _sym_sqrt(p)
     gauged = act_gl(mu0, np.eye(mu0.q), hs, require_compatible=False)
-    return hs, hs_inv, ricci_operator(gauged)
+    return hs, hs_inv, tables(mu0.q, mu0.n).ricci_matrix(pack_state(gauged))
 
 
 def metric_ricci(p: np.ndarray, mu0: BracketTensor) -> np.ndarray:
@@ -653,7 +655,7 @@ def integrate_metric(
         derivs=np.array([_unpack_sym(n, f) for f in res.sample_f]),
         point0=point0,
         termination=res.status,
-        stats=IntegrationStats(res.n_steps, res.n_rejected),
+        stats=IntegrationStats(res.n_steps, res.n_rejected, res.nfev),
     )
 
 
@@ -704,9 +706,9 @@ def integrate_gauge(traj, side: str = "bracket") -> GaugeRecord:
 
         def rhs(t, y):
             core = path(t)
-            ric = ricci_operator(system.bracket(core))
+            ric = system.ricci(core)
             if normalized:
-                ric = ric + system.tangent(core)[1] * np.eye(n)
+                ric = ric + system.rate(core) * np.eye(n)
             return (-(ric @ y.reshape(n, n))).ravel()
 
     else:
@@ -739,23 +741,29 @@ class _SourceRun:
             raise ValueError("reparametrization expects an unnormalized source trajectory")
         if traj.is_backward:
             raise ValueError("reparametrization expects a forward source trajectory")
+        if not isinstance(traj.system, TensorFlowSystem):
+            raise ValueError("reparametrization expects a bracket-flow source trajectory")
         self.traj = traj
         self.path = traj.interpolator()
         self.tau0 = float(traj.times[0])
         self.tau_max = float(traj.times[-1])
+        self.tables = traj.system.tables
 
     def clamp(self, tau) -> float:
         return float(min(max(tau, self.tau0), self.tau_max))
 
-    def bracket(self, tau) -> BracketTensor:
-        return self.traj.system.bracket(self.path(self.clamp(tau)))
-
-    def scaled(self, cval, tau) -> BracketTensor | None:
-        """c . mu(tau), or None when that bracket overflows."""
-        mu = self.bracket(tau)
-        if not np.isfinite(cval * cval * np.abs(mu.c).max()):
+    def scaled(self, cval, tau) -> np.ndarray | None:
+        """Packed state of c . mu(tau) (core.rescale: the p x p -> k entries scale
+        by c^2, the p x p -> p entries by c), or None when it overflows."""
+        y = self.path(self.clamp(tau))
+        if not np.isfinite(cval * cval * np.abs(y).max()):
             return None
-        return rescale(cval, mu)
+        return y * cval**self.tables.rate_w
+
+    def pp_norm(self, y: np.ndarray) -> float:
+        """Norm of the p x p components: the isotropy rows never rescale."""
+        y = y[self.tables.rate_w > 0]
+        return float(np.sqrt(2.0 * (y @ y)))
 
     def exhausted(self, tau) -> bool:
         return tau >= self.tau_max - 1e-12 * max(1.0, abs(self.tau_max))
@@ -821,7 +829,7 @@ def _scaled_trajectory(
     for y in res.sample_y:
         tau = src.clamp(y[1])
         cval = scale_of(y, tau)
-        core = pack_state(src.scaled(cval, tau))
+        core = src.scaled(cval, tau)
         states.append(core)
         derivs.append(system.tangent(core)[0])
         cs.append(cval)
@@ -835,7 +843,7 @@ def _scaled_trajectory(
         system=system,
         strategy=strategy,
         termination=termination,
-        stats=IntegrationStats(res.n_steps, res.n_rejected),
+        stats=IntegrationStats(res.n_steps, res.n_rejected, res.nfev),
         notes=notes,
     )
 
@@ -860,28 +868,21 @@ def reparametrize(
     """
     _require_pointwise(strategy)
     src = _SourceRun(traj)
-
-    def _pp_norm(mu: BracketTensor) -> float:
-        # The isotropy rows never rescale, so collapse is measured on the
-        # evolving p x p components only.
-        p2, k2, _ = _core.component_norms(mu)
-        return float(np.sqrt(p2 + k2))
-
-    pp0 = _pp_norm(traj.bracket_at(0))
+    system = TensorFlowSystem(traj.bracket_at(0), strategy)
+    pp0 = src.pp_norm(traj.states[0])
 
     def rhs(t, y):
         cval, tau = y
-        mu = src.scaled(cval, tau)
-        if mu is None:
+        core = src.scaled(cval, tau)
+        if core is None:
             return None
-        r = _rate_and_ricci(mu, strategy)[0]
-        return np.array([r * cval, cval * cval])
+        return np.array([system.rate(core) * cval, cval * cval])
 
     def callback(t, y, f, h):
         cval, tau = y
         if src.exhausted(tau):
             return "tau-exhausted"
-        if _pp_norm(src.scaled(cval, tau)) < 1e-9 * max(pp0, 1.0):
+        if src.pp_norm(src.scaled(cval, tau)) < 1e-9 * max(pp0, 1.0):
             return "zero-scale"
         return None
 
@@ -895,7 +896,7 @@ def reparametrize(
     final_c, final_tau = float(res.sample_y[-1][0]), float(res.sample_y[-1][1])
     if status == "zero-scale" or (
         src.stalled(final_tau)
-        and _pp_norm(src.scaled(final_c, final_tau)) < 1e-8 * max(pp0, 1.0)
+        and src.pp_norm(src.scaled(final_c, final_tau)) < 1e-8 * max(pp0, 1.0)
     ):
         notes = (
             "normalized bracket collapsed to zero while tau stalled at "
@@ -919,14 +920,12 @@ def rescale_to_ricci_norm(
     source end (c dies as Ric grows near a blowup), a note says so.
     """
     src = _SourceRun(traj)
-    ric0 = ricci_operator(traj.bracket_at(0))
-    tr0 = float(np.sum(ric0 * ric0))
+    tr0 = src.tables.ricci_norm2(traj.states[0])
     if tr0 < 1e-24:
         raise NormalizationError("ricci-norm rescaling needs a nonflat start")
 
     def c_of_tau(tau):
-        ric = ricci_operator(src.bracket(tau))
-        tr = float(np.sum(ric * ric))
+        tr = src.tables.ricci_norm2(src.path(src.clamp(tau)))
         if tr <= 0:
             raise NormalizationError("trajectory reached a flat bracket")
         return (tr0 / tr) ** 0.25
@@ -954,7 +953,7 @@ def ricci_norm_rate(mu: BracketTensor) -> float:
     Derived from the evolution equation of Ric: the unnormalized part D0
     gives d tr(Ric^2)/dt = 2 tr(Ric D0) + 4 r tr(Ric^2) = 0.
     """
-    return _rate_and_ricci(mu, RICCI_NORM)[0]
+    return TensorFlowSystem(mu, RICCI_NORM).rate(pack_state(mu))
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,13 @@ _U123 = ["--family", "unimodular3", "--params", "1,2,3"]
         ["flow", *_U123, "--t-span", "0:0"],
         ["equiv", *_U123, "--t-span", "0:inf"],
         ["check", *_U123, "--t-span", "nan:1"],
+        ["flow", *_U123, "--tol", "nan"],
+        ["flow", *_U123, "--tol", "inf"],
+        ["flow", *_U123, "--atol", "nan"],
+        ["check", *_U123, "--tol", "inf"],
+        ["flow", *_U123, "--blowup-threshold", "nan"],
+        ["flow", *_U123, "--conv-threshold", "inf"],
+        ["flow", *_U123, "--drift-factor", "nan"],
     ],
 )
 def test_bad_sampling_flags_exit_3(tmp_path, capsys, argv):

@@ -756,3 +756,48 @@ def test_computed_brackets_skip_the_validating_constructor(monkeypatch):
     berger3(1, 2, 0)
     unimodular3(1, 2, 3)
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("tol", [{"rtol": np.nan}, {"rtol": np.inf}, {"atol": np.nan},
+                                 {"atol": np.inf}, {"rtol": 0.0}])
+def test_solve_rk54_rejects_non_finite_tolerances(tol):
+    with pytest.raises(ValueError, match="positive and finite"):
+        solve_rk54(lambda t, y: -y, np.array([1.0]), np.linspace(0.0, 1.0, 5), **tol)
+
+
+def test_rhs_evaluations_are_counted():
+    # Two evaluations start the run (f at t0 and the initial-step probe),
+    # then six stages per attempted step; the run reports them as rhs_evals.
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return np.cos(30.0 * t) * 30.0 * y
+
+    res = solve_rk54(f, np.array([1.0]), np.linspace(0.0, 1.0, 11), rtol=1e-6, atol=1e-9)
+    assert res.n_rejected > 0
+    assert res.nfev == len(calls) == 2 + 6 * (res.n_steps + res.n_rejected)
+    traj = integrate(berger3(1, 2, 0).point, VOLUME, (0.0, 1.0), samples=11)
+    stats = traj.stats
+    assert stats.nfev == 2 + 6 * (stats.n_steps + stats.n_rejected)
+    assert traj.describe()["rhs_evals"] == stats.nfev
+
+
+def test_flow_right_hand_side_builds_no_bracket(monkeypatch):
+    # The tensor tangent, rate, Ric and Jacobi drift read the packed state
+    # through the polynomial tables: no unpack_state, no BracketTensor.
+    import bracketflow.core as core_mod
+    import bracketflow.flow as flow_mod
+
+    point = berger3(1, 1, 0).point
+    calls = []
+    for mod in (core_mod, flow_mod):
+        unpack = getattr(mod, "unpack_state")
+        monkeypatch.setattr(mod, "unpack_state",
+                            lambda *a, _f=unpack: calls.append(1) or _f(*a))
+    validate = BracketTensor.__post_init__
+    monkeypatch.setattr(BracketTensor, "__post_init__",
+                        lambda self: calls.append(1) or validate(self))
+    traj = integrate(point, VOLUME, (0.0, 2.0), samples=21)
+    assert traj.stats.n_steps > 5
+    assert calls == []

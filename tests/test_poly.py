@@ -1,0 +1,162 @@
+"""The polynomial tables of _poly against the einsum formulas of curvature.py.
+
+States are drawn with unit packed norm, so every quantity below has its
+natural scale 1 and the bounds read as relative ones; a rate divides by R,
+|mu_p|^2 or tr(Ric^2), so its bound grows with the condition of that division.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bracketflow._poly import tables
+from bracketflow.core import (
+    BracketTensor,
+    _pairs,
+    act_gl,
+    act_pi_array,
+    jacobi_residual,
+    pack_state,
+    unpack_state,
+)
+from bracketflow.curvature import _ricci_evolution, curvature_pieces
+from bracketflow.families import berger3
+from bracketflow.flow import (
+    BRACKET_NORM,
+    SCALAR_CURVATURE,
+    UNNORMALIZED,
+    VOLUME,
+    NormalizationError,
+    TensorFlowSystem,
+    _report_rate,
+    custom_rate,
+    ricci_norm_rate,
+)
+
+from conftest import compatible_block_q1, random_invertible
+
+SHAPES = [(0, 3), (1, 3), (0, 4), (2, 3)]
+TOL = 1e-13
+SETTINGS = settings(max_examples=60, deadline=None)
+STRATEGIES = [UNNORMALIZED, VOLUME, SCALAR_CURVATURE, BRACKET_NORM,
+              custom_rate(lambda mu: 0.3 * float(np.sum(mu.mu_p**2)))]
+
+
+def unit_bracket(q, n, rng) -> BracketTensor:
+    """Random bracket on H_{q,n} (no membership conditions), unit packed norm."""
+    d = q + n
+    c = rng.normal(size=(d, d, d))
+    y = pack_state(BracketTensor(q, n, c - c.swapaxes(0, 1)))
+    return unpack_state(q, n, y / np.linalg.norm(y))
+
+
+def su2_central(rng) -> BracketTensor:
+    """A valid bracket on H_{2,3}: su(2) plus a central k = R^2 through a
+    coboundary, moved by a random block map (k stays central, so ad Z|p = 0)."""
+    c = np.zeros((5, 5, 5))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        c[2 + i, 2 + j, 2 + k], c[2 + j, 2 + i, 2 + k] = 1.0, -1.0
+    phi = rng.normal(size=(3, 2))
+    c[2:, 2:, :2] = -np.einsum("ijl,lz->ijz", c[2:, 2:, 2:], phi)
+    mu = BracketTensor(2, 3, c)
+    return act_gl(mu, random_invertible(rng, 2), random_invertible(rng, 3),
+                  require_compatible=False)
+
+
+def reference_tangent(mu: BracketTensor, ric: np.ndarray, r: float) -> np.ndarray:
+    """Packed -pi(diag(0, Ric)) mu on the p x p components, plus the rate term."""
+    q, d = mu.q, mu.dim
+    a = np.zeros((d, d))
+    a[q:, q:] = ric
+    dc = -act_pi_array(a, mu.c)
+    dc[q:, q:, :q] += 2.0 * r * mu.c[q:, q:, :q]
+    dc[q:, q:, q:] += r * mu.c[q:, q:, q:]
+    iu, ju = _pairs(d)
+    return np.where((iu >= q)[:, None], dc[iu, ju], 0.0).ravel()
+
+
+def rate_scale(strategy, rep, mu) -> float:
+    """Size of the rounding a rate can carry, for a unit-norm state."""
+    if strategy.kind == "scalar-curvature":
+        return 1.0 / rep.R**2 + 1.0 / abs(rep.R)
+    if strategy.kind == "bracket-norm":
+        mu2 = float(np.sum(mu.mu_p**2))
+        return 1.0 / mu2**2 + 1.0 / mu2
+    return 1.0
+
+
+@SETTINGS
+@given(st.sampled_from(SHAPES), st.integers(0, 2**32 - 1))
+def test_ricci_moment_and_scalars_match_curvature(shape, seed):
+    mu = unit_bracket(*shape, np.random.default_rng(seed))
+    tab = tables(*shape)
+    y = pack_state(mu)
+    rep = curvature_pieces(mu)
+    ric = tab.ricci(y, y)
+    assert np.abs(ric[tab.full] - rep.Ric).max() <= TOL
+    assert np.abs(tab.moment(y, y)[tab.full] - rep.M).max() <= TOL
+    assert abs(tab.trace(ric) - rep.R) <= TOL
+    assert abs(tab.trace_product(ric, tab.moment(y, y)) - np.sum(rep.Ric * rep.M)) <= TOL
+    assert abs(tab.mu_p_norm2(y) - np.sum(mu.mu_p**2)) <= TOL
+    assert abs(tab.jacobi_residual(y) - jacobi_residual(mu)) <= TOL
+
+
+@SETTINGS
+@given(st.sampled_from(SHAPES), st.integers(0, 2**32 - 1))
+def test_tangent_matches_pi_action_under_every_pointwise_rate(shape, seed):
+    mu = unit_bracket(*shape, np.random.default_rng(seed))
+    rep = curvature_pieces(mu)
+    q, d = mu.q, mu.dim
+    for strategy in STRATEGIES:
+        system = TensorFlowSystem(mu, strategy)
+        try:
+            r_ref = _report_rate(mu, strategy, rep, None)
+        except NormalizationError:
+            with pytest.raises(NormalizationError):
+                system.tangent(system.core0)
+            continue
+        tangent, r = system.tangent(system.core0)
+        scale = rate_scale(strategy, rep, mu)
+        assert abs(r - r_ref) <= TOL * scale
+        assert np.abs(tangent - reference_tangent(mu, rep.Ric, r_ref)).max() <= TOL * (1 + scale)
+        iso = tangent.reshape(-1, d)[_pairs(d)[0] < q]
+        assert np.all(iso == 0.0) and not np.signbit(iso).any()
+
+
+@SETTINGS
+@given(st.sampled_from(SHAPES), st.integers(0, 2**32 - 1))
+def test_ricci_norm_rate_is_the_evolution_law(shape, seed):
+    # _ricci_evolution's D0 is the paper's law on H_{q,n}: for q > 0 it needs
+    # skew isotropy operators, so those draws are valid points moved by the
+    # group; for q = 0 the law holds on every bracket.
+    rng = np.random.default_rng(seed)
+    q, n = shape
+    if q == 0:
+        mu = unit_bracket(q, n, rng)
+    elif q == 1:
+        a, b, c = rng.uniform(-1.2, 1.2, size=3)
+        mu = act_gl(berger3(a, b, c).point.bracket, *compatible_block_q1(rng))
+    else:
+        mu = su2_central(rng)
+    tab = tables(q, n)
+    y = pack_state(mu)
+    rep = curvature_pieces(mu)
+    d0_ref = _ricci_evolution(mu.mu_p, rep)[0]
+    ric = tab.ricci(y, y)
+    d0 = tab.ricci.polar(y, tab.flow_tangent(ric, y, 0.0))[tab.full]
+    y2 = float(y @ y)
+    assert np.abs(d0 - d0_ref).max() <= TOL * y2**2
+    tr2 = float(np.sum(rep.Ric**2))
+    if tr2 < 1e-6 * y2**2:
+        return
+    r_ref = -float(np.sum(rep.Ric * d0_ref)) / (2.0 * tr2)
+    assert abs(ricci_norm_rate(mu) - r_ref) <= TOL * y2**3 / tr2 * (1.0 + abs(r_ref) / y2)
+
+
+def test_tables_are_sparse_and_cached():
+    tab = tables(1, 3)
+    assert tables(1, 3) is tab
+    assert len(tab.ricci.coef) < 150 and len(tab.tangent.coef) < 100
+    # Ric on p is 3 x 3: six sym-vector entries, and 6 pairs x 4 components.
+    assert tab.ricci.size == 6 and tab.tangent.size == 24
