@@ -1,12 +1,14 @@
 """Adaptive embedded Runge-Kutta 5(4) core (Dormand-Prince pair).
 
-solve_rk54 is the one sampled solve: every ODE of the package runs through
-it.  It maps a forward or backward time grid onto one forward loop in
-s = |t - t_grid[0]|, lands exactly on every sample and closes an early stop
-with a sample at the stopping time.  Step-size selection uses a PI
-controller on the embedded error estimate; a trial step whose state is not
-finite is rejected.  Sampled states carry the full order of the method and
-reruns are bit-reproducible.
+solve_rk54 is the sampled solve of every single ODE of the package.  It maps
+a forward or backward time grid onto one forward loop in s = |t - t_grid[0]|,
+lands exactly on every sample and closes an early stop with a sample at the
+stopping time.  Step-size selection uses a PI controller on the embedded
+error estimate; a trial step whose state is not finite is rejected.  Sampled
+states carry the full order of the method and reruns are bit-reproducible.
+
+solve_rk54_batch steps many independent rows (the cells of a reduced-family
+sweep) in one vectorized loop, each row bitwise as if solved alone.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["RKResult", "solve_rk54", "hermite_eval", "HermitePath"]
+__all__ = ["RKResult", "solve_rk54", "solve_rk54_batch", "hermite_eval", "HermitePath"]
 
 # Dormand-Prince 5(4) tableau.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -86,6 +88,30 @@ def _initial_step(f, y0, f0, t_end, rtol, atol):
     return min(100 * h0, h1, t_end)
 
 
+def _grid(t_grid, rtol: float, atol: float) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """(t_grid, t0, direction, samples in s = |t - t0|), the arguments checked."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if len(t_grid) < 2:
+        raise ValueError("need at least two samples")
+    t0, t1 = float(t_grid[0]), float(t_grid[-1])
+    if t1 == t0:
+        raise ValueError("t_span must be nondegenerate")
+    if not (0 < rtol < np.inf and 0 < atol < np.inf):
+        raise ValueError("tolerances must be positive and finite")
+    return t_grid, t0, 1.0 if t1 > t0 else -1.0, np.abs(t_grid - t0)
+
+
+def _result(grid, status, s, y, f_cur, ys, fs, n_steps, n_rejected, nfev) -> RKResult:
+    """RKResult of a run stopped at s in (y, f_cur); an early stop adds a closing sample."""
+    t_grid, t0, direction, samples = grid
+    ts = list(t_grid[: len(ys)])
+    if status != TERM_REACHED_END and s > samples[len(ys) - 1]:
+        ts.append(t0 + direction * s)
+        ys.append(y)
+        fs.append(direction * f_cur)
+    return RKResult(status, np.array(ts), np.array(ys), np.array(fs), n_steps, n_rejected, nfev)
+
+
 def solve_rk54(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     y0: np.ndarray,
@@ -105,16 +131,8 @@ def solve_rk54(
     overflow and invalid-value warnings off: a stage that overflows or is not
     finite is rejected, never accepted.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) < 2:
-        raise ValueError("need at least two samples")
-    t0, t1 = float(t_grid[0]), float(t_grid[-1])
-    if t1 == t0:
-        raise ValueError("t_span must be nondegenerate")
-    if not (0 < rtol < np.inf and 0 < atol < np.inf):
-        raise ValueError("tolerances must be positive and finite")
-    direction = 1.0 if t1 > t0 else -1.0
-    samples = np.abs(t_grid - t0)
+    grid = _grid(t_grid, rtol, atol)
+    t_grid, t0, direction, samples = grid
     s_end = float(samples[-1])
     nfev = 0
 
@@ -184,12 +202,120 @@ def solve_rk54(
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
             err_prev = e
 
-    ts = list(t_grid[: len(ys)])
-    if status != TERM_REACHED_END and s > samples[len(ys) - 1]:
-        ts.append(t0 + direction * s)
-        ys.append(y)
-        fs.append(direction * f_cur)
-    return RKResult(status, np.array(ts), np.array(ys), np.array(fs), n_steps, n_rejected, nfev)
+    return _result(grid, status, s, y, f_cur, ys, fs, n_steps, n_rejected, nfev)
+
+
+def solve_rk54_batch(
+    rhs: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    Y0: np.ndarray,
+    t_grid: np.ndarray,
+    rtol: float = 1e-9,
+    atol: float = 1e-12,
+    step_callback: Callable[..., list] | None = None,
+) -> list[RKResult]:
+    """solve_rk54 on every row of Y0 (B, D) at once; one RKResult per row.
+
+    ``rhs(t, Y, rows)`` and ``step_callback(t, Y, dY/dt, h, rows)`` see only
+    the active rows (rows: their indices in Y0; t, h: one value per row).  The
+    callback runs on the rows that just accepted a step and returns a status
+    or None for each.  Every row keeps its own step size, controller state,
+    samples, status and counters, and leaves the batch when it ends.  Unlike
+    solve_rk54, the accepted derivative is copied out of the stage buffer, so
+    a retry after a rejected step starts from it.  No arithmetic mixes rows,
+    so each row's result is bitwise that of the row solved alone.  As in
+    solve_rk54, the stage sums are per-row matmuls and the controller's powers
+    run on Python floats (NumPy's array powers round differently).
+    """
+    grid = _grid(t_grid, rtol, atol)
+    t_grid, t0, direction, samples = grid
+    s_end = float(samples[-1])
+    Y = np.array(Y0, dtype=float)
+    B, D = Y.shape
+    nfev, n_steps, n_rejected = (np.zeros(B, dtype=int) for _ in range(3))
+    status, ends = [TERM_REACHED_END] * B, [None] * B
+    rows = np.arange(B)  # the active rows; the state arrays below hold only them
+
+    def f(s, Y, rows):
+        nfev[rows] += 1
+        return direction * rhs(t0 + direction * s, Y, rows)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.zeros(B)
+        F = f(s, Y, rows)
+        ys = [[y.copy()] for y in Y]
+        fs = [[direction * fr] for fr in F]
+        si = np.ones(B, dtype=int)
+        H = np.array([
+            _initial_step(lambda h, y: f(np.array([h]), y[None], rows[[j]])[0], Y[j], F[j],
+                          s_end, rtol, atol)
+            for j in range(B)
+        ])
+        err_prev = np.ones(B)
+        done = np.zeros(B, dtype=bool)  # rows ended by their last step
+
+        while True:
+            # The last sample is s_end, so this clamp also stops a row there.
+            target = samples[np.minimum(si, len(samples) - 1)]
+            clamp = s + H >= target
+            H = np.where(clamp, target - s, H)
+            # Written so that a NaN step size (from a NaN derivative) ends the row.
+            underflow = ~done & ~(H >= 16 * np.finfo(float).eps * np.maximum(np.abs(s), 1.0))
+            done |= underflow
+            if done.any():
+                for j in done.nonzero()[0]:
+                    if underflow[j]:
+                        status[rows[j]] = TERM_UNDERFLOW
+                    ends[rows[j]] = (s[j], Y[j].copy(), F[j])
+                keep = ~done
+                rows, s, H, si, err_prev, Y, F, target, clamp = (
+                    x[keep] for x in (rows, s, H, si, err_prev, Y, F, target, clamp))
+            if not rows.size:
+                break
+
+            K = np.empty((rows.size, 7, D))
+            K[:, 0] = F
+            for i in range(1, 7):
+                K[:, i] = f(s + _C[i] * H, Y + H[:, None] * np.matmul(_A[i], K[:, :i]), rows)
+            Y_new = Y + H[:, None] * np.matmul(_B5, K)
+            err = H[:, None] * np.matmul(_E, K)
+            scale = atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new))
+            # An overflowed row would enlarge its own scale and read as error 0.
+            err_norm = np.sqrt(np.mean((err / scale) ** 2, axis=1))
+            err_norm[~np.isfinite(Y_new).all(axis=1)] = np.inf
+            e = err_norm.tolist()
+
+            # Written so that a NaN error norm rejects the step.
+            accepted = err_norm <= 1.0
+            rej, acc = (~accepted).nonzero()[0], accepted.nonzero()[0]
+            n_rejected[rows[rej]] += 1
+            H[rej] *= [max(_MIN_FACTOR, _SAFETY * e[j] ** (-1 / 5)) for j in rej]
+
+            # Land exactly on the clamp target so sample bookkeeping stays exact.
+            s[acc] = np.where(clamp, target, s + H)[acc]
+            Y[acc], F[acc] = Y_new[acc], K[acc, 6]  # FSAL, copied out of K
+            n_steps[rows[acc]] += 1
+            hit = acc[s[acc] == samples[si[acc]]]
+            for j in hit:
+                ys[rows[j]].append(Y[j].copy())
+                fs[rows[j]].append(direction * F[j])
+            si[hit] += 1
+
+            done = s >= s_end
+            if step_callback is not None and acc.size:
+                verdicts = step_callback(t0 + direction * s[acc], Y[acc], direction * F[acc],
+                                         H[acc], rows[acc])
+                for j, verdict in zip(acc, verdicts):
+                    if verdict is not None:
+                        status[rows[j]], done[j] = verdict, True
+
+            # PI step-size update.
+            ep, e_acc = err_prev.tolist(), [max(e[j], 1e-10) for j in acc]
+            H[acc] *= [min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * ej ** (-_ALPHA) * ep[j]**_BETA))
+                       for ej, j in zip(e_acc, acc)]
+            err_prev[acc] = e_acc
+
+    return [_result(grid, status[g], *ends[g], ys[g], fs[g],
+                    int(n_steps[g]), int(n_rejected[g]), int(nfev[g])) for g in range(B)]
 
 
 def hermite_eval(t, t0, t1, y0, y1, f0, f1):

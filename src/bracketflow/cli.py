@@ -16,9 +16,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -145,9 +143,18 @@ _EVENT_FLAGS = {"blowup_threshold": "blowup_norm", "conv_threshold": "conv_tange
 _CLASSIFY_FLAGS = ("flat_tol", "einstein_tol", "soliton_tol", "zero_tol")
 
 
+def _number(cfg: dict, key: str, kind=float, default=None):
+    """cfg[key], or default when unset, as a kind; a value that is not one is malformed."""
+    value = cfg.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInputError(f"bad {key} value {value!r}") from exc
+
+
 def _events(cfg: dict) -> EventConfig:
     """cfg's event thresholds, each a finite number of its field's type."""
-    fields = {field: type(getattr(EventConfig, field))(cfg[flag])
+    fields = {field: _number(cfg, flag, type(getattr(EventConfig, field)))
               for flag, field in _EVENT_FLAGS.items() if flag in cfg}
     if not np.isfinite(list(fields.values())).all():
         raise MalformedInputError(f"event thresholds must be finite, got {fields}")
@@ -167,18 +174,15 @@ def _t_span(cfg: dict, default: tuple[float, float]):
 
 
 def _samples(cfg: dict, default: int, minimum: int = 2) -> int:
-    try:
-        samples = int(cfg.get("samples", default))
-    except (TypeError, ValueError) as exc:
-        raise MalformedInputError(f"bad samples value {cfg['samples']!r}") from exc
+    samples = _number(cfg, "samples", int, default)
     if samples < minimum:
         raise MalformedInputError(f"samples must be at least {minimum}, got {samples}")
     return samples
 
 
 def _tolerances(cfg: dict) -> tuple[float, float]:
-    rtol = float(cfg.get("tol", 1e-9))
-    atol = float(cfg.get("atol", rtol * 1e-3))
+    rtol = _number(cfg, "tol", float, 1e-9)
+    atol = _number(cfg, "atol", float, rtol * 1e-3)
     if not (0 < rtol < np.inf and 0 < atol < np.inf):
         raise MalformedInputError(f"tolerances must be positive and finite, got {rtol!r}, {atol!r}")
     return rtol, atol
@@ -352,7 +356,7 @@ def cmd_flow(cfg: dict) -> int:
 
 def _classify_tols(cfg: dict) -> dict:
     """The classify_limit tolerances set in cfg; the rest keep its defaults."""
-    return {flag: float(cfg[flag]) for flag in _CLASSIFY_FLAGS if flag in cfg}
+    return {flag: _number(cfg, flag) for flag in _CLASSIFY_FLAGS if flag in cfg}
 
 
 def _manifest(cfg: dict, src: Source, traj, state_cols: list[str]) -> dict:
@@ -386,29 +390,6 @@ def _parse_grid(text: str) -> list[tuple[str, float, float, int]]:
     return axes
 
 
-def _sweep_cell(fam, strategy: Normalization, t_span: tuple[float, float],
-                opts: dict, classify: dict, params: list[float]) -> dict:
-    """One grid cell: integrate_reduced(**opts) from params, classify_limit(**classify)."""
-    params = np.asarray(params, dtype=float)
-    system = flow.ReducedFlowSystem(fam, params, strategy)
-    row = {"params": [float(p) for p in params]}
-    try:
-        tangent, _ = system.tangent(params)
-        row["rhs"] = [float(v) for v in tangent]
-        traj = flow.integrate_reduced(fam, params, strategy, t_span, **opts)
-        verdict = analysis.classify_limit(traj, **classify)
-        row["verdict"] = verdict.verdict
-        row["termination"] = traj.termination
-        row["final"] = [float(v) for v in traj.states[-1]]
-    except NormalizationError as exc:
-        row.setdefault("rhs", [float("nan")] * len(params))
-        row["verdict"] = "normalization-error"
-        row["termination"] = "not-run"
-        row["final"] = row["params"]
-        row["note"] = str(exc)
-    return row
-
-
 def cmd_sweep(cfg: dict) -> int:
     if cfg.get("family") is None:
         raise MalformedInputError("sweep requires --family")
@@ -429,7 +410,8 @@ def cmd_sweep(cfg: dict) -> int:
     strategy = _strategy(cfg)
     t_span = list(_t_span(cfg, (0.0, 10.0)))
     opts = {"rtol": rtol, "atol": atol, "samples": _samples(cfg, 60), "events": _events(cfg)}
-    cell = partial(_sweep_cell, fam, strategy, tuple(t_span), opts, _classify_tols(cfg))
+    classify = _classify_tols(cfg)
+    _number(cfg, "jobs", int, 0)  # accepted and ignored: the cells run as one batch
     points = []
     for v1 in axis1:
         for v2 in axis2:
@@ -437,13 +419,21 @@ def cmd_sweep(cfg: dict) -> int:
             values[n1] = float(v1)
             values[n2] = float(v2)
             points.append([values[n] for n in names])
+    points = np.array(points).reshape(-1, len(names))
 
-    jobs = int(cfg.get("jobs", 0)) or (os.cpu_count() or 1)
-    if jobs > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(cell, points, chunksize=max(1, len(points) // (4 * jobs))))
-    else:
-        rows = [cell(p) for p in points]
+    # One batched tangent and one batched solve for every cell.
+    tangents = flow.ReducedFlowSystem(fam, strategy).tangent(points.T)[0].T
+    results = flow.integrate_reduced_batch(fam, points, strategy, tuple(t_span), **opts)
+    cells = []
+    for params, tangent, result in zip(points.tolist(), tangents.tolist(), results):
+        if isinstance(result, ValidityDriftError):
+            raise result
+        if isinstance(result, NormalizationError):
+            ending, final = ["not-run", "normalization-error"], params
+        else:
+            verdict = analysis.classify_limit(result, **classify).verdict
+            ending, final = [result.termination, verdict], result.states[-1]
+        cells.append([fmt17(v) for v in (*params, *tangent)] + ending + [fmt17(v) for v in final])
 
     out_csv = _outpath(cfg, "sweep.csv") or "sweep.csv"
     out_json = _outpath(cfg, "sweep.json") or "sweep.json"
@@ -453,12 +443,6 @@ def cmd_sweep(cfg: dict) -> int:
         + ["termination", "verdict"]
         + [f"final_{n}" for n in names]
     )
-    cells = [
-        [fmt17(v) for v in row["params"] + row["rhs"]]
-        + [row["termination"], row["verdict"]]
-        + [fmt17(v) for v in row["final"]]
-        for row in rows
-    ]
     _write_csv(out_csv, header, cells)
     manifest = {
         "family": fam.name,
@@ -468,11 +452,11 @@ def cmd_sweep(cfg: dict) -> int:
         "t_span": t_span,
         "rtol": rtol,
         "atol": atol,
-        "cells": len(rows),
+        "cells": len(cells),
         "columns": header,
     }
     _dump_json(manifest, out_json)
-    print(f"swept {len(rows)} cells -> {out_csv}")
+    print(f"swept {len(cells)} cells -> {out_csv}")
     return EXIT_OK
 
 
@@ -483,7 +467,7 @@ def cmd_check(cfg: dict) -> int:
         return EXIT_INVALID_POINT
     traj = _run_flow_from_cfg(cfg, src, min_samples=3)  # the audit's stencils
     audit = analysis.identity_audit(traj)
-    tol = float(cfg.get("audit_tol", 1e-4))
+    tol = _number(cfg, "audit_tol", float, 1e-4)
     doc = audit.as_dict()
     doc["tolerance"] = tol
     doc["passed"] = audit.passed(tol)
@@ -506,7 +490,7 @@ def cmd_equiv(cfg: dict) -> int:
         atol=atol,
         samples=_samples(cfg, 601),
     )
-    threshold = float(cfg.get("threshold", 1e-6))
+    threshold = _number(cfg, "threshold", float, 1e-6)
     doc = report.as_dict()
     doc["threshold"] = threshold
     ok = report.max_bracket_dev <= threshold and report.max_metric_dev <= threshold
@@ -554,7 +538,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("flow", parents=[common], help="integrate a flow, emit CSV + manifest")
     sweep = sub.add_parser("sweep", parents=[common], help="classify a parameter grid")
     sweep.add_argument("--grid", help="two axes, e.g. a=0:2:21,b=-1:2:31")
-    sweep.add_argument("--jobs", type=int, help="worker processes (default: cores)")
+    sweep.add_argument("--jobs", type=int,
+                       help="accepted and ignored: all cells run as one batch in one process")
     check = sub.add_parser("check", parents=[common], help="audit evolution identities")
     check.add_argument("--audit-tol", dest="audit_tol", type=float)
     equiv = sub.add_parser("equiv", parents=[common], help="verify flow equivalence")

@@ -81,7 +81,8 @@ class _FamilyBase:
     def context(self) -> dict:
         return {}
 
-    # Closed forms; subclasses return diagonal vectors of length n_p.
+    # Closed forms; subclasses return diagonal vectors of length n_p, and for
+    # params of shape (P, B), a batch of cells, one column or value per cell.
     def ricci_diag(self, params) -> np.ndarray:
         raise NotImplementedError
 
@@ -115,13 +116,14 @@ class _FamilyBase:
         return params
 
     def rate_scalars(self, params):
+        """(n, R, tr Ric^2, tr Ric M, |mu_p|^2)."""
         ric = self.ricci_diag(params)
         m = self.moment_diag(params)
         return (
             self.n_p,
-            float(np.sum(ric)),
-            float(np.sum(ric * ric)),
-            float(np.sum(ric * m)),
+            np.sum(ric, axis=0),
+            np.sum(ric * ric, axis=0),
+            np.sum(ric * m, axis=0),
             self.mu_p_norm2(params),
         )
 
@@ -164,7 +166,7 @@ class Unimodular3(_FamilyBase):
 
     def mu_p_norm2(self, params):
         a, b, c = params
-        return 2.0 * float(a**2 + b**2 + c**2)
+        return 2.0 * (a**2 + b**2 + c**2)
 
     def rhs(self, params):
         a, b, c = params
@@ -214,11 +216,11 @@ class Berger3(_FamilyBase):
 
     def mu_p_norm2(self, params):
         a, b, c = params
-        return float(2 * a**2 + 4 * c**2)
+        return 2 * a**2 + 4 * c**2
 
     def aux_norm2(self, params):
         a, b, c = params
-        return 2.0 * float(a**2 + b**2 + 2 * c**2 + 2)
+        return 2.0 * (a**2 + b**2 + 2 * c**2 + 2)
 
     def rhs(self, params):
         a, b, c = params
@@ -271,8 +273,9 @@ class SemisimpleFamily(_FamilyBase):
     def context(self) -> dict:
         return {"h_dim": self.h_dim, "m_dim": self.m_dim, "alpha": self.alpha}
 
-    def _blocks(self, vh: float, vm: float) -> np.ndarray:
-        return np.concatenate([np.full(self.h_dim, vh), np.full(self.m_dim, vm)])
+    def _blocks(self, vh, vm) -> np.ndarray:
+        """Diagonal (vh on h, vm on m); per column when vh and vm are arrays."""
+        return np.repeat(np.array([vh, vm]), [self.h_dim, self.m_dim], axis=0)
 
     def ricci_blocks(self, params) -> tuple[float, float]:
         a, b = params
@@ -299,9 +302,7 @@ class SemisimpleFamily(_FamilyBase):
     def mu_p_norm2(self, params):
         a, b = params
         al = self.alpha
-        return float(
-            self.h_dim * (2 - al) * a**2 + (self.m_dim - (1 - al) * self.h_dim) * b**2
-        )
+        return self.h_dim * (2 - al) * a**2 + (self.m_dim - (1 - al) * self.h_dim) * b**2
 
     def rhs(self, params):
         a, b = params

@@ -12,7 +12,10 @@ to its unnormalized parent.  Blowup time and type come from the closing sample.
 
 The bracket, metric and gauge ODEs and both solves of the (c, tau) rescaling
 (the probe for the reachable horizon and the sampled rerun) all run through
-one sampled solve, _rk.solve_rk54, and read its RKResult directly.
+one sampled solve, _rk.solve_rk54, and read its RKResult directly.  The
+reduced-family flow instead steps a whole batch of cells (a sweep grid, or
+one cell for integrate_reduced) in one _rk.solve_rk54_batch, reading the
+families' closed forms for all cells at once.
 
 A single integration owns its state; trajectories and all inputs are
 immutable once produced, so independent integrations may run concurrently.
@@ -32,6 +35,7 @@ from ._rk import (
     HermitePath,
     RKResult,
     solve_rk54,
+    solve_rk54_batch,
 )
 from .core import (
     BracketTensor,
@@ -67,6 +71,7 @@ __all__ = [
     "normalized_rhs",
     "integrate",
     "integrate_reduced",
+    "integrate_reduced_batch",
     "metric_rhs",
     "integrate_metric",
     "integrate_gauge",
@@ -78,6 +83,7 @@ __all__ = [
 TERM_BLOWUP = "blowup-detected"
 TERM_CONVERGED = "converged-to-fixed-point"
 _TERM_DRIFT = "validity-drift"
+_TERM_UNDEFINED = "normalization-undefined"
 _METRIC_BLOWUP_NORM = 1e8
 _GAUGE_RTOL, _GAUGE_ATOL = 1e-10, 1e-13
 _SCALING_RTOL, _SCALING_ATOL = 1e-10, 1e-13
@@ -129,28 +135,29 @@ def _require_pointwise(strategy: Normalization) -> None:
         raise NormalizationError(_NO_POINTWISE_RATE)
 
 
-def _rate_from_scalars(
-    strategy: Normalization,
-    n: int,
-    R: float,
-    tr_ric2: float,
-    tr_ric_m: float,
-    mu_p_norm2: float,
-) -> float:
+# The pointwise rates from the curvature scalars (n, R, tr Ric^2, tr Ric M,
+# |mu_p|^2), elementwise over arrays of cells: (rate, the position of the
+# scalar it divides by, why that scalar must not vanish).
+_RATES = {
+    "volume": (lambda n, R, tr2, trm, mp2: -R / n, 0, "volume normalization needs n != 0"),
+    "scalar-curvature": (lambda n, R, tr2, trm, mp2: -tr2 / R, 1,
+                         "scalar-curvature normalization needs R != 0"),
+    "bracket-norm": (lambda n, R, tr2, trm, mp2: 4.0 * trm / mp2, 4,
+                     "bracket-norm normalization needs mu_p != 0"),
+}
+
+
+def _rate_from_scalars(strategy: Normalization, *scalars: float) -> float:
+    """Rate r from the curvature scalars (n, R, tr Ric^2, tr Ric M, |mu_p|^2)."""
     if strategy.kind == "none":
         return 0.0
-    if strategy.kind == "volume":
-        return -R / n
-    if strategy.kind == "scalar-curvature":
-        if R == 0.0:
-            raise NormalizationError("scalar-curvature normalization needs R != 0")
-        return -tr_ric2 / R
-    if strategy.kind == "bracket-norm":
-        if mu_p_norm2 == 0.0:
-            raise NormalizationError("bracket-norm normalization needs mu_p != 0")
-        return 4.0 * tr_ric_m / mu_p_norm2
-    _require_pointwise(strategy)
-    raise NormalizationError(f"unknown normalization kind {strategy.kind!r}")
+    if strategy.kind not in _RATES:
+        _require_pointwise(strategy)
+        raise NormalizationError(f"unknown normalization kind {strategy.kind!r}")
+    rate, divisor, reason = _RATES[strategy.kind]
+    if scalars[divisor] == 0.0:
+        raise NormalizationError(reason)
+    return rate(*scalars)
 
 
 def _report_rate(
@@ -297,10 +304,9 @@ class ReducedFlowSystem:
 
     kind = "reduced"
 
-    def __init__(self, family, params0, strategy: Normalization):
+    def __init__(self, family, strategy: Normalization):
         self.family = family
         self.strategy = strategy
-        self.core0 = np.asarray(params0, dtype=float)
         self.param_names = list(family.param_names)
         self._weights = np.asarray(family.rate_weights, dtype=float)
 
@@ -321,18 +327,34 @@ class ReducedFlowSystem:
             return float(self.strategy.rate_fn(self.family.embed(core)))
         return _rate_from_scalars(self.strategy, *self.family.rate_scalars(core))
 
-    def tangent(self, core: np.ndarray) -> tuple[np.ndarray, float]:
-        base = self.family.rhs(core)
+    def rates(self, cores: np.ndarray) -> tuple[np.ndarray, dict[int, NormalizationError]]:
+        """Rates at the columns of cores (P, B), a batch of cells, and the
+        NormalizationError of each column (by index) whose rate is undefined;
+        its rate is NaN.  A custom rate calls rate_fn once per finite column
+        (a non-finite trial stage gets NaN, so the stepper rejects it)."""
+        kind = self.strategy.kind
+        r, errors = np.full(cores.shape[1], np.nan), {}
+        if kind not in _RATES:
+            for j, core in enumerate(cores.T):
+                try:
+                    r[j] = self.rate(core) if np.isfinite(core).all() else np.nan
+                except NormalizationError as exc:
+                    errors[j] = exc
+            return r, errors
+        scalars = self.family.rate_scalars(cores)
+        rate, divisor, reason = _RATES[kind]
+        ok = np.broadcast_to(scalars[divisor] != 0.0, r.shape)
+        r[ok] = rate(*(x[ok] if np.ndim(x) else x for x in scalars))
+        return r, {j: NormalizationError(reason) for j in np.flatnonzero(~ok).tolist()}
+
+    def tangent(self, cores: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+        """Tangents (P, B) and rates (B,) at the columns of cores (P, B), with
+        the errors of rates(cores); a column whose rate is undefined is NaN."""
+        base = self.family.rhs(cores)
         if self.strategy.kind == "none":
-            return base, 0.0
-        r = self.rate(core)
-        return base + r * self._weights * core, r
-
-    def aux_norm2(self, core: np.ndarray) -> float:
-        return self.family.aux_norm2(core)
-
-    def drift(self, core: np.ndarray) -> float:
-        return 0.0
+            return base, np.zeros(cores.shape[1]), {}
+        r, errors = self.rates(cores)
+        return base + r * self._weights[:, None] * cores, r, errors
 
     def describe(self) -> dict:
         return {"kind": self.kind, "family": self.family.name,
@@ -453,9 +475,17 @@ def _run_flow(
         atol=atol,
         step_callback=callback,
     )
+    traj = _trajectory(system, res, drift_message)
+    if res.status == _TERM_DRIFT:
+        raise ValidityDriftError(drift_message[0], traj)
+    return traj
+
+
+def _trajectory(system, res: RKResult, notes=()) -> FlowTrajectory:
+    """FlowTrajectory of a flow run whose states are (core, c, tau)."""
     estimate = _blowup_estimate(system, res) if res.status == TERM_BLOWUP else (None, None)
     ys = res.sample_y
-    traj = FlowTrajectory(
+    return FlowTrajectory(
         times=res.sample_t,
         states=ys[:, :-2].copy(),
         derivs=res.sample_f[:, :-2].copy(),
@@ -465,11 +495,8 @@ def _run_flow(
         strategy=system.strategy,
         termination=res.status,
         stats=IntegrationStats(res.n_steps, res.n_rejected, res.nfev, *estimate),
-        notes=tuple(drift_message),
+        notes=tuple(notes),
     )
-    if res.status == _TERM_DRIFT:
-        raise ValidityDriftError(drift_message[0], traj)
-    return traj
 
 
 def _check_strategy_start(mu: BracketTensor, strategy: Normalization) -> None:
@@ -509,8 +536,21 @@ def integrate(
 
 
 def integrate_reduced(
+    family, params0, strategy: Normalization = UNNORMALIZED,
+    t_span: tuple[float, float] = (0.0, 1.0), **options,
+) -> FlowTrajectory:
+    """Integrate the reduced parameter-space flow of a catalog family: the
+    batch of one of integrate_reduced_batch, whose keyword options it takes;
+    raises the exception the run ends with."""
+    (result,) = integrate_reduced_batch(family, [params0], strategy, t_span, **options)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def integrate_reduced_batch(
     family,
-    params0,
+    params0s,
     strategy: Normalization = UNNORMALIZED,
     t_span: tuple[float, float] = (0.0, 1.0),
     *,
@@ -518,11 +558,58 @@ def integrate_reduced(
     atol: float = 1e-12,
     samples: int = 200,
     events: EventConfig = EventConfig(),
-) -> FlowTrajectory:
-    """Integrate the reduced parameter-space flow of a catalog family."""
-    _require_pointwise(strategy)
-    system = ReducedFlowSystem(family, params0, strategy)
-    return _run_flow(system, t_span, rtol, atol, samples, events)
+) -> list:
+    """Integrate the reduced flow of a catalog family from every row of
+    params0s (B, P), all cells stepped together in one solve_rk54_batch.
+
+    Returns per cell its FlowTrajectory, or the exception the cell ends with:
+    the NormalizationError of a rate undefined at a stage of its run, or a
+    ValidityDriftError carrying its trajectory.  The events run per cell, and
+    each cell's result is bitwise that of the cell integrated alone.
+    """
+    params0s = np.asarray(params0s, dtype=float)
+    system = ReducedFlowSystem(family, strategy)
+    errors: dict[int, Exception] = {}
+
+    def rhs(t, Y, rows):
+        dcore, r, undefined = system.tangent(Y[:, :-2].T)
+        for j, exc in undefined.items():
+            errors.setdefault(int(rows[j]), exc)
+        c = Y[:, -2:-1]
+        return np.concatenate([dcore.T, r[:, None] * c, c * c], axis=1)
+
+    conv_count = np.zeros(len(params0s), dtype=int)
+    drifted = 0.0 > events.drift_factor * rtol  # the reduced families satisfy Jacobi exactly
+
+    def callback(t, Y, F, h, rows):
+        blowup = np.sqrt(family.aux_norm2(Y[:, :-2].T)) > events.blowup_norm
+        small = np.sqrt(2.0) * np.sqrt(np.sum(F[:, :-2] ** 2, axis=1)) < events.conv_tangent
+        conv_count[rows] = np.where(small, conv_count[rows] + 1, 0)
+        return [
+            _TERM_UNDEFINED if g in errors else TERM_BLOWUP if up
+            else TERM_CONVERGED if k >= events.conv_window else _TERM_DRIFT if drifted else None
+            for g, up, k in zip(rows.tolist(), blowup, conv_count[rows])
+        ]
+
+    results = solve_rk54_batch(
+        rhs,
+        np.column_stack([params0s, np.ones(len(params0s)), np.zeros(len(params0s))]),
+        np.linspace(float(t_span[0]), float(t_span[1]), samples),
+        rtol=rtol,
+        atol=atol,
+        step_callback=callback,
+    )
+    out = []
+    for g, res in enumerate(results):
+        if g in errors:
+            out.append(errors[g])
+        elif res.status == _TERM_DRIFT:
+            message = (f"Jacobi residual {0.0:.3e} exceeded {events.drift_factor:g} "
+                       f"* rtol at t = {res.sample_t[-1]:.6g}")
+            out.append(ValidityDriftError(message, _trajectory(system, res, [message])))
+        else:
+            out.append(_trajectory(system, res))
+    return out
 
 
 # ---------------------------------------------------------------------------

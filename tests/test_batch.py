@@ -1,0 +1,126 @@
+"""The batched Dormand-Prince solve and the reduced-family flow built on it."""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bracketflow._rk import solve_rk54_batch
+from bracketflow.families import Berger3
+from bracketflow.flow import (
+    SCALAR_CURVATURE,
+    UNNORMALIZED,
+    EventConfig,
+    FlowTrajectory,
+    NormalizationError,
+    custom_rate,
+    integrate_reduced,
+    integrate_reduced_batch,
+)
+
+
+def test_batch_rows_keep_the_accepted_derivative():
+    # y' = 30 cos(30 t) y rejects steps often.  A retry starts from the
+    # accepted derivative, a copy; solve_rk54, which keeps a view of its stage
+    # buffer, gives 3.6e-4 on this grid, with 39 rejections.
+    y0 = np.array([[1.0], [2.0], [0.5]])
+    res = solve_rk54_batch(lambda t, Y, rows: 30.0 * np.cos(30.0 * t)[:, None] * Y,
+                           y0, np.linspace(0.0, 3.0, 31), rtol=1e-6, atol=1e-9)
+    for r, (a,) in zip(res, y0):
+        assert r.status == "reached-t-end" and r.n_rejected > 0
+        exact = a * np.exp(np.sin(30.0 * r.sample_t))
+        assert np.abs(r.sample_y[:, 0] / exact - 1.0).max() <= 1e-5
+        assert r.nfev == 2 + 6 * (r.n_steps + r.n_rejected)
+
+
+def test_batch_row_underflow_leaves_its_neighbours_alone():
+    # Row 1 solves y' = y^2, which blows up at t = 1; rows 0 and 2 decay.
+    grid = np.linspace(0.0, 2.0, 11)
+    calls = []
+
+    def rhs(t, Y, rows):
+        calls.append(rows.copy())
+        return np.where((rows == 1)[:, None], Y * Y, -Y)
+
+    res = solve_rk54_batch(rhs, np.ones((3, 1)), grid)
+    (alone,) = solve_rk54_batch(lambda t, Y, rows: -Y, np.ones((1, 1)), grid)
+    assert res[1].status == "step-underflow" and res[1].sample_t[-1] == pytest.approx(1.0)
+    for r in (res[0], res[2]):
+        assert r.status == "reached-t-end"
+        assert r.sample_y.tobytes() == alone.sample_y.tobytes()
+        assert r.sample_f.tobytes() == alone.sample_f.tobytes()
+        assert (r.n_steps, r.n_rejected, r.nfev) == (alone.n_steps, alone.n_rejected, alone.nfev)
+    for g, r in enumerate(res):
+        # rhs sees only the active rows, and each row counts its own calls.
+        assert r.nfev == sum(g in rows for rows in calls) == 2 + 6 * (r.n_steps + r.n_rejected)
+
+
+# Cells of berger3 that blow up, collapse, or sit at a fixed point (a = b = 0,
+# where R = 0, so scalar-curvature is undefined from the start), forward and
+# backward in time; the last also rejects steps.
+_CELLS = ((1.0, 2.0, 0.0), (1.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.5, -0.3, 0.1), (0.0, -0.5, 0.0),
+          (1.8, 1.4, 1.0))
+_STRATEGIES = (UNNORMALIZED, SCALAR_CURVATURE)
+_SPANS = ((0.0, 5.0), (0.0, -1.0))
+_EVENTS = EventConfig(blowup_norm=1e3)
+
+
+def _batch(cells, strategy, span):
+    params = [_CELLS[i] for i in cells]
+    return integrate_reduced_batch(Berger3(), params, _STRATEGIES[strategy], _SPANS[span],
+                                   samples=21, events=_EVENTS)
+
+
+@lru_cache(maxsize=None)
+def _alone(cell, strategy, span):
+    return _batch([cell], strategy, span)[0]
+
+
+def _same(a, b) -> bool:
+    if not isinstance(a, FlowTrajectory):
+        return type(a) is type(b) and str(a) == str(b)
+    arrays = ("times", "states", "derivs", "c", "tau")
+    return (isinstance(b, FlowTrajectory)
+            and all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in arrays)
+            and (a.termination, a.stats) == (b.termination, b.stats))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.integers(0, len(_CELLS) - 1), min_size=1, max_size=6),
+       st.integers(0, len(_STRATEGIES) - 1), st.integers(0, len(_SPANS) - 1))
+def test_every_row_is_bitwise_the_cell_solved_alone(cells, strategy, span):
+    for cell, result in zip(cells, _batch(cells, strategy, span)):
+        assert _same(result, _alone(cell, strategy, span))
+
+
+def test_batch_mixes_every_ending():
+    ends = {(i, s, d): _alone(i, s, d) for i in range(len(_CELLS)) for s in (0, 1) for d in (0, 1)}
+    kinds = {r.termination if isinstance(r, FlowTrajectory) else type(r).__name__
+             for r in ends.values()}
+    assert kinds == {"blowup-detected", "reached-t-end", "converged-to-fixed-point",
+                     "NormalizationError"}
+    assert any(r.stats.n_rejected for (i, _, _), r in ends.items() if i == len(_CELLS) - 1)
+    with pytest.raises(NormalizationError, match="needs R != 0"):
+        integrate_reduced(Berger3(), _CELLS[2], SCALAR_CURVATURE, _SPANS[0])
+
+
+def test_custom_rate_runs_once_per_row_and_fails_per_row():
+    calls = []
+
+    def rate(mu):
+        calls.append(1)
+        if mu.c[2, 3, 0] < 0:  # the b < 0 cell
+            raise NormalizationError("no rate for b < 0")
+        return 0.1
+
+    strategy = custom_rate(rate)
+    cells = [(1.0, 0.5, 0.2), (1.0, -1.0, 0.0), (0.5, 0.3, 0.1)]
+    results = integrate_reduced_batch(Berger3(), cells, strategy, (0.0, 0.2), samples=11)
+    assert isinstance(results[1], NormalizationError)
+    # The failing cell ends at its first evaluation; the others rate each stage.
+    assert len(calls) == 1 + sum(r.stats.nfev for r in (results[0], results[2]))
+    for cell in (0, 2):
+        alone = integrate_reduced(Berger3(), cells[cell], strategy, (0.0, 0.2), samples=11)
+        assert _same(results[cell], alone)

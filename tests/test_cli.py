@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from bracketflow.cli import main
+from bracketflow.families import get_family
 
 
 def run(args):
@@ -194,6 +199,82 @@ def test_sweep_determinism_parallel(tmp_path, capsys):
     assert (tmp_path / "a/sweep.csv").read_bytes() == (tmp_path / "b/sweep.csv").read_bytes()
 
 
+# Termination and verdict of every cell in CSV order, as the sweep gave them
+# when it still ran one integrate_reduced per cell.
+_CELL_CODES = {
+    "Z": ("reached-t-end", "zero-collapse"),
+    "I": ("reached-t-end", "inconclusive"),
+    "B": ("blowup-detected", "finite-time-blowup"),
+    "E": ("converged-to-fixed-point", "einstein-limit"),
+    "S": ("converged-to-fixed-point", "soliton-limit"),
+    "F": ("converged-to-fixed-point", "flat-limit"),
+    "N": ("not-run", "normalization-error"),
+}
+_BERGER_GRID = (["--family", "berger3", "--params", "1,1,0", "--grid", "a=0:2:5,b=-1:2:7",
+                 "--t-span", "0:600", "--zero-tol", "0.05", "--samples", "50"], {}, (0.0, 600.0))
+_SEMISIMPLE_GRID = (["--family", "semisimple", "--params", "1,1,3,5", "--grid",
+                     "a=0.5:1.5:3,b=0.5:1.5:3", "--t-span", "0:1", "--samples", "20"],
+                    {"h_dim": 3, "m_dim": 5}, (0.0, 1.0))
+_UNIMODULAR_GRID = (["--family", "unimodular3", "--params", "1,1,0", "--grid", "a=0:2:3,b=0:2:3",
+                     "--t-span", "0:0.5", "--samples", "20"], {}, (0.0, 0.5))
+
+
+def _reference_tangent(fam, kind, p):
+    """Normalized tangent at the columns of p from the closed forms alone."""
+    ric, r = fam.ricci_diag(p), 0.0
+    if kind == "volume":
+        r = -ric.sum(axis=0) / fam.n_p
+    elif kind == "scalar-curvature":
+        r = -(ric * ric).sum(axis=0) / ric.sum(axis=0)
+    elif kind == "bracket-norm":
+        r = 4.0 * (ric * fam.moment_diag(p)).sum(axis=0) / fam.mu_p_norm2(p)
+    return fam.rhs(p) + r * np.array(fam.rate_weights)[:, None] * p
+
+
+@pytest.mark.parametrize(
+    "grid, normalization, expected",
+    [
+        (_BERGER_GRID, "none", "ZZFBBBB" + "ZZZBBBB" * 4),
+        (_SEMISIMPLE_GRID, "volume", "EIIIEIIIE"),
+        (_SEMISIMPLE_GRID, "scalar-curvature", "EIIIEIIIE"),
+        (_SEMISIMPLE_GRID, "bracket-norm", "EIIIEIIIE"),
+        (_UNIMODULAR_GRID, "volume", "FIIIFIIIF"),
+        (_UNIMODULAR_GRID, "scalar-curvature", "NSSSNBSBN"),
+        (_UNIMODULAR_GRID, "bracket-norm", "NSSSFISIF"),
+    ],
+)
+def test_sweep_cells_match_the_per_cell_runs(tmp_path, capsys, grid, normalization, expected):
+    argv, context, span = grid
+    assert run(["sweep", *argv, "--normalization", normalization, "--out", tmp_path]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "sweep.csv")))
+    assert [(r["termination"], r["verdict"]) for r in rows] == [_CELL_CODES[c] for c in expected]
+    # The cells that reach t_end end where an independent high-order solve does.
+    fam = get_family(argv[1], **context)
+    names = fam.param_names
+    reached = [r for r in rows if r["termination"] == "reached-t-end"]
+    if not reached:
+        return
+    start = np.array([[float(r[n]) for n in names] for r in reached])
+    final = np.array([[float(r[f"final_{n}"]) for n in names] for r in reached])
+    ref = solve_ivp(
+        lambda t, y: _reference_tangent(fam, normalization, y.reshape(-1, len(names)).T).T.ravel(),
+        span, start.ravel(), method="DOP853", rtol=1e-12, atol=1e-14,
+    )
+    assert ref.success
+    assert np.all(np.abs(final.ravel() - ref.y[:, -1]) <= 1e-6 * np.abs(ref.y[:, -1]))
+
+
+def test_sweep_imports_no_process_pool():
+    # The cells run as one batch: importing the CLI loads no worker pool.
+    code = ("import sys, bracketflow.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
 def test_check_command(tmp_path, capsys):
     argv = ["check", "--family", "unimodular3", "--params", "1,2,3",
             "--t-span", "0:0.2", "--samples", "241", "--out", tmp_path]
@@ -306,10 +387,21 @@ def test_bad_sampling_flags_exit_3(tmp_path, capsys, argv):
     assert err.startswith("malformed input: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("config", [{"samples": 1}, {"t_span": [1, 1]}])
+@pytest.mark.parametrize("config", [{"samples": 1}, {"t_span": [1, 1]}, {"tol": "abc"},
+                                    {"atol": [1]}, {"blowup_threshold": "abc"},
+                                    {"conv_window": "x"}])
 def test_bad_sampling_config_exits_3(tmp_path, capsys, config):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(config))
     assert run(["flow", *_U123, "--config", cfg_path, "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("malformed input: ") and "Traceback" not in err
+
+
+def test_bad_jobs_config_exits_3(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"jobs": "x"}))
+    assert run(["sweep", "--family", "berger3", "--params", "1,1,0", "--grid", "a=0:1:2,b=0:1:2",
+                "--config", cfg_path, "--out", tmp_path]) == 3
     err = capsys.readouterr().err
     assert err.startswith("malformed input: ") and "Traceback" not in err
