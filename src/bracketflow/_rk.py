@@ -1,11 +1,16 @@
 """Adaptive embedded Runge-Kutta 5(4) core (Dormand-Prince pair).
 
 solve_rk54 is the sampled solve of every single ODE of the package.  It maps
-a forward or backward time grid onto one forward loop in s = |t - t_grid[0]|,
-lands exactly on every sample and closes an early stop with a sample at the
-stopping time.  Step-size selection uses a PI controller on the embedded
-error estimate; a trial step whose state is not finite is rejected.  Sampled
-states carry the full order of the method and reruns are bit-reproducible.
+a forward or backward time grid onto one forward loop in s = |t - t_grid[0]|
+and closes an early stop with a sample at the stopping time.  Under
+sampling="clamped" (the default) it lands exactly on every sample; under
+sampling="dense" it steps freely, lands only on the last sample, and fills
+the samples inside each accepted step from the quartic continuous extension
+of the pair (Dormand & Prince 1980; Shampine 1986).  Step-size selection
+uses a PI controller on the embedded error estimate; a trial step whose
+state is not finite is rejected.  Clamped samples carry the full order of
+the method, dense ones the order of the extension; reruns are
+bit-reproducible either way.
 
 solve_rk54_batch steps many independent rows (the cells of a reduced-family
 sweep) in one vectorized loop, each row bitwise as if solved alone.
@@ -34,6 +39,19 @@ _A = [
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # Difference between 5th and embedded 4th order weights.
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+
+# Quartic continuous extension: over an accepted step of size h from (s, y)
+# with stages k, the state at s + x h is y + h (k.T @ _P) @ (x, x^2, x^3, x^4)
+# (the coefficients of scipy's RK45.P).
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -112,6 +130,16 @@ def _result(grid, status, s, y, f_cur, ys, fs, n_steps, n_rejected, nfev) -> RKR
     return RKResult(status, np.array(ts), np.array(ys), np.array(fs), n_steps, n_rejected, nfev)
 
 
+def _dense_samples(k, s, h, y, sample_s):
+    """States and derivatives (in s) at sample_s inside the accepted step of
+    size h from (s, y) with stages k, from the quartic continuous extension."""
+    q = k.T @ _P
+    x = (sample_s - s) / h
+    powers = np.cumprod(np.tile(x, (4, 1)), axis=0)  # x, x^2, x^3, x^4
+    slopes = np.vstack([np.ones_like(x), 2.0 * powers[0], 3.0 * powers[1], 4.0 * powers[2]])
+    return y + h * (q @ powers).T, (q @ slopes).T
+
+
 def solve_rk54(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     y0: np.ndarray,
@@ -119,18 +147,28 @@ def solve_rk54(
     rtol: float = 1e-9,
     atol: float = 1e-12,
     step_callback: Callable[[float, np.ndarray, np.ndarray, float], str | None] | None = None,
+    sampling: str = "clamped",
 ) -> RKResult:
     """Solve y' = rhs(t, y) from t_grid[0], sampled on t_grid.
 
     The grid may run forward or backward: the stepper runs forward in
-    s = |t - t_grid[0]|, clamping each step to land on the next sample, and
-    maps the samples and their derivatives back to t.  ``step_callback(t, y,
-    dy/dt, h)`` runs after each accepted step and may return a status string
-    to stop the run.  A run the callback or a step underflow stops early ends
-    with one more sample at its stopping time.  Trial stages run with NumPy's
+    s = |t - t_grid[0]| and maps the samples and their derivatives back to t.
+    sampling="clamped" clamps each step to land on the next sample.
+    sampling="dense" clamps only at the last sample; a sample strictly inside
+    an accepted step takes the state and derivative of the step's quartic
+    continuous extension (no extra rhs calls), and one on a step end that
+    step's state and derivative.  Dense mode copies the FSAL stage, which the
+    extension reads as the step's first stage, so a retry after a rejected
+    step starts from the accepted derivative.  ``step_callback(t, y, dy/dt,
+    h)`` runs after each accepted step and may return a status string to stop
+    the run.  A run the callback or a step underflow stops early ends with
+    one more sample at its stopping time.  Trial stages run with NumPy's
     overflow and invalid-value warnings off: a stage that overflows or is not
     finite is rejected, never accepted.
     """
+    if sampling not in ("clamped", "dense"):
+        raise ValueError(f"sampling must be 'clamped' or 'dense', got {sampling!r}")
+    dense = sampling == "dense"
     grid = _grid(t_grid, rtol, atol)
     t_grid, t0, direction, samples = grid
     s_end = float(samples[-1])
@@ -157,10 +195,11 @@ def solve_rk54(
 
         while s < s_end:
             # The last sample is s_end, so this clamp also stops the run there.
-            target = None
-            if s + h >= samples[si]:
-                h = samples[si] - s
-                target = samples[si]
+            target = s_end if dense else samples[si]
+            if s + h >= target:
+                h = target - s
+            else:
+                target = None
             # Written so that a NaN step size (from a NaN derivative) ends the run.
             if not h >= 16 * np.finfo(float).eps * max(abs(s), 1.0):
                 status = TERM_UNDERFLOW
@@ -181,8 +220,17 @@ def solve_rk54(
 
             # Land exactly on the clamp target so sample bookkeeping stays exact.
             s_new = target if target is not None else s + h
-            f_new = k[6]  # FSAL: last stage is f(s_new, y_new)
             n_steps += 1
+            if dense:
+                f_new = k[6].copy()  # FSAL: last stage is f(s_new, y_new)
+                sj = int(np.searchsorted(samples, s_new))  # the first sample >= s_new
+                if sj > si:
+                    y_in, f_in = _dense_samples(k, s, h, y, samples[si:sj])
+                    ys.extend(y_in)
+                    fs.extend(direction * f_in)
+                    si = sj
+            else:
+                f_new = k[6]  # FSAL, as a view of the stage buffer
 
             s, y, f_cur = s_new, y_new, f_new
             if s == samples[si]:

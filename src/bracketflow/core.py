@@ -341,18 +341,34 @@ def validate_point(
 def gl_action(mu: BracketTensor, h: np.ndarray) -> BracketTensor:
     """Raw linear action (h . mu)(x, y) = h mu(h^-1 x, h^-1 y).
 
+    No block or compatibility checks; see act_gl.
+    """
+    return unpack_state(mu.q, mu.n, gl_action_packed(mu.c, h))
+
+
+def gl_action_packed(c: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Packed state of h . mu for the structure array c (d, d, d) of mu, for
+    one h (d, d), or stacked by row for a stack of maps h (m, d, d).
+
     c'_ijm = sum_abl hinv_ai hinv_bj c_abl h_ml, summed over a, then b, then
     l as three matmuls: the path np.einsum(..., optimize=True) picks for this
     string, run as its pairwise steps run, so the bytes are equal without the
-    per-call path search. No block or compatibility checks; see act_gl.
+    per-call path search.  The packed entries are those of (c' - c'^T)/2;
+    an action that overflows raises ValueError, as unpack_state does.
     """
     h = np.asarray(h, dtype=float)
     hinv = np.linalg.inv(h)
-    d = mu.dim
-    t = (mu.c.transpose(1, 2, 0).reshape(d * d, d) @ hinv).reshape(d, d, d).transpose(0, 2, 1)
-    t = (t.transpose(1, 2, 0).reshape(d * d, d) @ hinv).reshape(d, d, d).transpose(0, 2, 1)
-    c = (t.reshape(d * d, d) @ h.T).reshape(d, d, d)
-    return _canonical(mu.q, mu.n, c)
+    d, lead = c.shape[0], h.shape[:-2]
+    iu, ju = _pairs(d)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        t = (c.transpose(1, 2, 0).reshape(d * d, d) @ hinv).reshape(*lead, d, d, d)
+        t = np.moveaxis(t.swapaxes(-1, -2), -3, -1).reshape(*lead, d * d, d) @ hinv
+        t = t.reshape(*lead, d, d, d).swapaxes(-1, -2)
+        c = (t.reshape(*lead, d * d, d) @ h.swapaxes(-1, -2)).reshape(*lead, d, d, d)
+        y = 0.5 * (c[..., iu, ju, :] - c[..., ju, iu, :])
+    if not np.isfinite(y).all():
+        raise ValueError("structure constants must be finite")
+    return y.reshape(*lead, -1)
 
 
 def compatibility_residual(mu: BracketTensor, g: np.ndarray) -> float:

@@ -12,10 +12,11 @@ to its unnormalized parent.  Blowup time and type come from the closing sample.
 
 The bracket, metric and gauge ODEs and both solves of the (c, tau) rescaling
 (the probe for the reachable horizon and the sampled rerun) all run through
-one sampled solve, _rk.solve_rk54, and read its RKResult directly.  The
-reduced-family flow instead steps a whole batch of cells (a sweep grid, or
-one cell for integrate_reduced) in one _rk.solve_rk54_batch, reading the
-families' closed forms for all cells at once.
+one sampled solve, _rk.solve_rk54, and read its RKResult directly; only
+equivalence_report asks it for dense samples, the rest land on every
+sample.  The reduced-family flow instead steps a whole batch of cells (a
+sweep grid, or one cell for integrate_reduced) in one _rk.solve_rk54_batch,
+reading the families' closed forms for all cells at once.
 
 A single integration owns its state; trajectories and all inputs are
 immutable once produced, so independent integrations may run concurrently.
@@ -44,6 +45,7 @@ from .core import (
     _packed_names,
     _pairs,
     act_gl,
+    gl_action_packed,
     pack_state,
     unpack_state,
 )
@@ -438,6 +440,7 @@ def _run_flow(
     atol: float,
     samples: int,
     events: EventConfig,
+    sampling: str = "clamped",
 ) -> FlowTrajectory:
     def rhs(t, y):
         dcore, r = system.tangent(y[:-2])
@@ -474,6 +477,7 @@ def _run_flow(
         rtol=rtol,
         atol=atol,
         step_callback=callback,
+        sampling=sampling,
     )
     traj = _trajectory(system, res, drift_message)
     if res.status == _TERM_DRIFT:
@@ -632,6 +636,15 @@ def _sym_sqrt(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (v * sq) @ v.T, (v / sq) @ v.T
 
 
+def _block_maps(q: int, h: np.ndarray) -> np.ndarray:
+    """diag(I_q, h) for a map h (n, n) on p, or for each map of a stack (m, n, n)."""
+    n = h.shape[-1]
+    out = np.zeros((*h.shape[:-2], q + n, q + n))
+    out[..., :q, :q] = np.eye(q)
+    out[..., q:, q:] = h
+    return out
+
+
 def _gauged_ricci(p: np.ndarray, mu0: BracketTensor):
     """(h, h^-1, Ric(diag(I, h) . mu0)) for the symmetric square root h of P.
 
@@ -641,8 +654,8 @@ def _gauged_ricci(p: np.ndarray, mu0: BracketTensor):
     from ._poly import tables  # as in TensorFlowSystem
 
     hs, hs_inv = _sym_sqrt(p)
-    gauged = act_gl(mu0, np.eye(mu0.q), hs, require_compatible=False)
-    return hs, hs_inv, tables(mu0.q, mu0.n).ricci_matrix(pack_state(gauged))
+    gauged = gl_action_packed(mu0.c, _block_maps(mu0.q, hs))
+    return hs, hs_inv, tables(mu0.q, mu0.n).ricci_matrix(gauged)
 
 
 def metric_ricci(p: np.ndarray, mu0: BracketTensor) -> np.ndarray:
@@ -706,12 +719,15 @@ def integrate_metric(
     rtol: float = 1e-9,
     atol: float = 1e-12,
     samples: int = 200,
+    sampling: str = "clamped",
 ) -> MetricTrajectory:
     """Integrate dP/dt = -2 P Ric(<P., .>) from P(0) = I.
 
     Ends in 'blowup-detected' once |P| > 1e8.  A trial stage whose P is not
     positive definite or not finite is rejected, so a run heading for a
     degenerate metric ends in 'step-underflow' with its samples so far.
+    sampling is solve_rk54's: "clamped" steps land on every sample, "dense"
+    steps are free and the samples come from the continuous extension.
     """
     point0.require_valid()
     mu0 = point0.bracket
@@ -735,6 +751,7 @@ def integrate_metric(
         rtol=rtol,
         atol=atol,
         step_callback=callback,
+        sampling=sampling,
     )
     return MetricTrajectory(
         times=res.sample_t,
@@ -756,23 +773,21 @@ class GaugeRecord:
 
     termination is 'reached-t-end', or 'step-underflow' when the gauge stops
     short of the end of its trajectory; times and h then cover the prefix
-    up to the stop.
+    up to the stop.  stats counts the steps and rhs evaluations of its solve.
     """
 
     times: np.ndarray
     h: np.ndarray
     side: str
     termination: str
-
-    def htt_h(self, i: int) -> np.ndarray:
-        return self.h[i].T @ self.h[i]
+    stats: IntegrationStats
 
     def pushforward(self, mu0: BracketTensor, i: int) -> BracketTensor:
         return act_gl(mu0, np.eye(mu0.q), self.h[i], require_compatible=False)
 
 
-def integrate_gauge(traj, side: str = "bracket") -> GaugeRecord:
-    """Integrate the gauge ODE along a stored trajectory.
+def integrate_gauge(traj, side: str = "bracket", *, sampling: str = "clamped") -> GaugeRecord:
+    """Integrate the gauge ODE along a stored trajectory, sampled at its times.
 
     side='bracket': dh/dt = -(Ric_mu(t) + r(t) I) h over a FlowTrajectory.
     side='metric':  dh/dt = -h Ric(<P(t)., .>) over a MetricTrajectory.
@@ -780,7 +795,9 @@ def integrate_gauge(traj, side: str = "bracket") -> GaugeRecord:
     built from its stored derivatives.  A trial stage whose interpolated P is
     not positive definite, or whose state is not finite, is rejected, so a
     gauge that cannot follow its trajectory to the end (as past a blowup)
-    ends in 'step-underflow' with the prefix it covered.
+    ends in 'step-underflow' with the prefix it covered.  sampling is
+    solve_rk54's: "clamped" steps land on every sample time, "dense" steps
+    are free and the samples come from the continuous extension.
     """
     if side not in ("bracket", "metric"):
         raise ValueError("side must be 'bracket' or 'metric'")
@@ -810,9 +827,11 @@ def integrate_gauge(traj, side: str = "bracket") -> GaugeRecord:
                 return np.full(y.shape, np.nan)
             return (-(y.reshape(n, n) @ ric)).ravel()
 
-    res = solve_rk54(rhs, np.eye(n).ravel(), traj.times, rtol=_GAUGE_RTOL, atol=_GAUGE_ATOL)
+    res = solve_rk54(rhs, np.eye(n).ravel(), traj.times, rtol=_GAUGE_RTOL, atol=_GAUGE_ATOL,
+                     sampling=sampling)
     return GaugeRecord(
-        times=res.sample_t, h=res.sample_y.reshape(-1, n, n), side=side, termination=res.status
+        times=res.sample_t, h=res.sample_y.reshape(-1, n, n), side=side,
+        termination=res.status, stats=IntegrationStats(res.n_steps, res.n_rejected, res.nfev),
     )
 
 
@@ -1049,7 +1068,9 @@ def ricci_norm_rate(mu: BracketTensor) -> float:
 
 @dataclass(frozen=True, eq=False)
 class EquivalenceReport:
-    """Max deviations between bracket-side and metric-side solutions."""
+    """Max deviations between bracket-side and metric-side solutions; stats
+    holds the counts of the four solves (bracket_flow, metric_flow,
+    bracket_gauge, metric_gauge)."""
 
     times: np.ndarray
     max_bracket_dev: float
@@ -1057,6 +1078,7 @@ class EquivalenceReport:
     iso_drift: float
     per_side: dict
     partial: bool
+    stats: dict
 
     def as_dict(self) -> dict:
         return {
@@ -1067,7 +1089,14 @@ class EquivalenceReport:
             "iso_drift": self.iso_drift,
             "per_side": self.per_side,
             "partial": self.partial,
+            "stats": {
+                solve: {"steps": st.n_steps, "rejected_steps": st.n_rejected, "rhs_evals": st.nfev}
+                for solve, st in self.stats.items()
+            },
         }
+
+
+_BLOCK = 64  # samples per stacked pushforward in equivalence_report
 
 
 def _shared_prefix(records) -> int:
@@ -1094,19 +1123,27 @@ def equivalence_report(
 
     Checks that the gauge pushforward of the initial bracket reproduces the
     bracket flow and that h^t h reproduces the metric flow; both checks are
-    gauge-invariant, so either gauge ODE must pass them.  When a flow or a
-    gauge stops short of the end of t_span, the report is marked partial and
-    compares only the leading samples whose times all four records share.
+    gauge-invariant, so either gauge ODE must pass them.  All four solves
+    step freely and fill the samples from their continuous extensions
+    (solve_rk54's sampling="dense"), and each comparison runs on all samples
+    at once.  When a flow or a gauge stops short of the end of t_span, the
+    report is marked partial and compares only the leading samples whose
+    times all four records share.
     """
+    point0.require_valid()
     mu0 = point0.bracket
-    traj = integrate(point0, UNNORMALIZED, t_span, rtol=rtol, atol=atol, samples=samples)
-    mtraj = integrate_metric(point0, t_span, rtol=rtol, atol=atol, samples=samples)
+    traj = _run_flow(TensorFlowSystem(mu0, UNNORMALIZED), t_span, rtol, atol, samples,
+                     EventConfig(), sampling="dense")
+    mtraj = integrate_metric(point0, t_span, rtol=rtol, atol=atol, samples=samples,
+                             sampling="dense")
     # Each gauge follows its flow only over the samples both flows share, so
     # it never crawls through the closing segment of a run past a blowup.
     m = _shared_prefix((traj, mtraj))
     gauges = {
-        "bracket": integrate_gauge(_head(traj, m, "times", "states", "derivs", "c", "tau")),
-        "metric": integrate_gauge(_head(mtraj, m, "times", "P", "derivs"), "metric"),
+        "bracket": integrate_gauge(_head(traj, m, "times", "states", "derivs", "c", "tau"),
+                                   sampling="dense"),
+        "metric": integrate_gauge(_head(mtraj, m, "times", "P", "derivs"), "metric",
+                                  sampling="dense"),
     }
     records = (traj, mtraj, *gauges.values())
     partial = any(r.termination != TERM_REACHED_END for r in records)
@@ -1115,18 +1152,18 @@ def equivalence_report(
 
     per_side = {}
     for side, gauge in gauges.items():
-        dev_mu = 0.0
-        dev_p = 0.0
-        for i in range(m):
-            pushed = gauge.pushforward(mu0, i)
-            dev_mu = max(
-                dev_mu,
-                float(np.sqrt(np.sum((pushed.c - traj.bracket_at(i).c) ** 2))),
-            )
-            # h^t h of a gauge near a blowup may overflow: an infinite deviation.
-            with np.errstate(over="ignore"):
-                dev_p = max(dev_p, float(np.linalg.norm(gauge.htt_h(i) - mtraj.P[i])))
-        per_side[side] = {"bracket_dev": dev_mu, "metric_dev": dev_p}
+        h = gauge.h[:m]
+        # In blocks of samples: the stacked action holds a few (block, d, d, d) arrays.
+        pushed = np.concatenate([gl_action_packed(mu0.c, _block_maps(mu0.q, h[i:i + _BLOCK]))
+                                 for i in range(0, m, _BLOCK)])
+        # h^t h of a gauge near a blowup may overflow: an infinite deviation.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # The full tensor holds each packed (i < j) entry twice, its diagonal is 0.
+            dev_mu = np.sqrt(2.0 * np.sum((pushed - traj.states[:m]) ** 2, axis=1))
+            dev_p = np.sqrt(np.sum((h.swapaxes(1, 2) @ h - mtraj.P[:m]) ** 2, axis=(1, 2)))
+        # fmax skips the NaN of an h^t h whose overflowed products cancel.
+        per_side[side] = {"bracket_dev": float(np.fmax.reduce(dev_mu, initial=0.0)),
+                          "metric_dev": float(np.fmax.reduce(dev_p, initial=0.0))}
 
     # Drift of the packed isotropy rows (i < q): their mirrors are exact negatives.
     d = mu0.dim
@@ -1141,4 +1178,6 @@ def equivalence_report(
         iso_drift=iso_drift,
         per_side=per_side,
         partial=partial,
+        stats={"bracket_flow": traj.stats, "metric_flow": mtraj.stats,
+               "bracket_gauge": gauges["bracket"].stats, "metric_gauge": gauges["metric"].stats},
     )

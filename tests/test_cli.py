@@ -387,6 +387,29 @@ def test_bad_sampling_flags_exit_3(tmp_path, capsys, argv):
     assert err.startswith("malformed input: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--drift-factor", "-1"], ["--drift-factor", "0"], ["--blowup-threshold", "0"],
+     ["--blowup-threshold", "-5"], ["--conv-threshold=-1e-3"], ["--conv-window", "0"]],
+)
+@pytest.mark.parametrize("command", [
+    ["flow", "--family", "berger3", "--params", "1,2,0", "--t-span", "0:1"],
+    ["sweep", "--family", "berger3", "--params", "1,1,0", "--grid", "a=0:1:2,b=0:1:2"],
+])
+def test_out_of_range_event_thresholds_exit_3(tmp_path, capsys, command, flags):
+    # A non-positive drift factor or blowup threshold would end every run at
+    # its first step; each threshold is checked against its range up front.
+    assert run(command + flags + ["--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("malformed input: ") and " must be " in err
+    assert not (tmp_path / "flow.json").exists() and not (tmp_path / "sweep.json").exists()
+
+
+def test_zero_conv_threshold_is_accepted(tmp_path, capsys):
+    assert run(["flow", "--family", "berger3", "--params", "1,2,0", "--t-span", "0:0.1",
+                "--conv-threshold", "0", "--conv-window", "1", "--out", tmp_path]) == 0
+
+
 @pytest.mark.parametrize("config", [{"samples": 1}, {"t_span": [1, 1]}, {"tol": "abc"},
                                     {"atol": [1]}, {"blowup_threshold": "abc"},
                                     {"conv_window": "x"}])

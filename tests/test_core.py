@@ -20,6 +20,7 @@ from bracketflow.core import (
     component_norms,
     component_split,
     gl_action,
+    gl_action_packed,
     jacobi_residual,
     pack_state,
     rescale,
@@ -180,6 +181,38 @@ def test_gl_action_matches_one_shot_einsum(seed, qn):
     hinv = np.linalg.inv(h)
     ref = np.einsum("ai,bj,abl,ml->ijm", hinv, hinv, mu.c, h)
     assert np.abs(gl_action(mu, h).c - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(0, 3), (1, 3), (0, 4), (2, 3)]),
+       st.integers(1, 7))
+def test_stacked_pushforward_matches_per_sample_gl_action(seed, qn, m):
+    # One contraction over a stack of maps reproduces gl_action map by map,
+    # and the packed difference norm sqrt(2 sum diff^2) is the full-tensor one.
+    q, n = qn
+    d = q + n
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(d, d, d))
+    mu = BracketTensor(q, n, c - c.transpose(1, 0, 2))
+    hs = np.eye(d) + 0.3 * rng.normal(size=(m, d, d))
+    stacked = gl_action_packed(mu.c, hs)
+    assert stacked.shape == (m, len(pack_state(mu)))
+    for h, row in zip(hs, stacked):
+        ref = pack_state(gl_action(mu, h))
+        assert np.abs(row - ref).max() <= 1e-14 * np.abs(ref).max()
+        other = rng.normal(size=ref.shape)
+        full = unpack_state(q, n, ref).c - unpack_state(q, n, other).c
+        assert np.isclose(np.sqrt(2.0 * np.sum((ref - other) ** 2)), np.sqrt(np.sum(full**2)),
+                          rtol=1e-14, atol=0.0)
+
+
+def test_gl_action_packed_rejects_an_overflowed_action():
+    mu = unimodular3(1, 2, 3).point.bracket
+    huge = np.diag([1e200, 1e-200, 1.0])
+    with pytest.raises(ValueError, match="structure constants must be finite"):
+        gl_action_packed(mu.c, np.stack([np.eye(3), huge]))
+    with pytest.raises(ValueError, match="structure constants must be finite"):
+        gl_action(mu, huge)
 
 
 def test_act_gl_preserves_validity(rng):

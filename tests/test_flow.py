@@ -399,6 +399,64 @@ def test_equivalence_report_seeds():
     assert rep.max_metric_dev <= 1e-6
 
 
+def test_equivalence_report_counts_its_four_solves():
+    # All four solves step freely (dense sampling), so 601 samples take far
+    # fewer than 600 steps each; every count keeps the rhs-evaluation identity.
+    rep = equivalence_report(unimodular3(1, 2, 3).point, (0.0, 0.3), samples=601)
+    assert len(rep.times) == 601 and not rep.partial
+    doc = rep.as_dict()["stats"]
+    assert set(doc) == {"bracket_flow", "metric_flow", "bracket_gauge", "metric_gauge"}
+    for name, stats in rep.stats.items():
+        assert stats.nfev == 2 + 6 * (stats.n_steps + stats.n_rejected)
+        assert 0 < stats.n_steps < 100
+        assert doc[name] == {"steps": stats.n_steps, "rejected_steps": stats.n_rejected,
+                             "rhs_evals": stats.nfev}
+
+
+@pytest.mark.parametrize("cat", [unimodular3(1, 2, 3), berger3(1, 1, 0)])
+def test_dense_metric_flow_and_gauges_match_clamped(cat):
+    # Dense sampling moves the sample states by rounding-level amounts only.
+    point = cat.point
+    rtol = 1e-9
+    clamped = integrate_metric(point, (0.0, 0.3), samples=61)
+    dense = integrate_metric(point, (0.0, 0.3), samples=61, sampling="dense")
+    assert dense.times.tobytes() == clamped.times.tobytes()
+    assert np.abs(dense.P - clamped.P).max() <= 10 * rtol
+    assert dense.stats.n_steps < clamped.stats.n_steps
+    for side, src in (("bracket", integrate(point, UNNORMALIZED, (0.0, 0.3), samples=61)),
+                      ("metric", clamped)):
+        g_clamped, g_dense = integrate_gauge(src, side), integrate_gauge(src, side, sampling="dense")
+        assert g_dense.termination == g_clamped.termination == "reached-t-end"
+        assert np.abs(g_dense.h - g_clamped.h).max() <= 10 * rtol
+        assert g_dense.stats.nfev == 2 + 6 * (g_dense.stats.n_steps + g_dense.stats.n_rejected)
+
+
+def test_metric_right_hand_side_reads_the_packed_action(monkeypatch):
+    # The gauged bracket goes from the packed action straight to the Ric
+    # table: the same bytes as through act_gl and pack_state, no BracketTensor.
+    import bracketflow.core as core_mod
+    import bracketflow.flow as flow_mod
+    from bracketflow._poly import tables
+    from bracketflow.core import act_gl
+
+    point = berger3(0.5, 1, 0).point
+    mu0 = point.bracket
+    p = integrate_metric(point, (0.0, 1.0), samples=5).P[-1]
+    hs, hs_inv = flow_mod._sym_sqrt(p)
+    gauged = act_gl(mu0, np.eye(1), hs, require_compatible=False)
+    via_bracket = hs_inv @ tables(1, 3).ricci_matrix(pack_state(gauged)) @ hs
+    assert flow_mod.metric_ricci(p, mu0).tobytes() == via_bracket.tobytes()
+
+    calls = []
+    for mod in (core_mod, flow_mod):
+        unpack = getattr(mod, "unpack_state")
+        monkeypatch.setattr(mod, "unpack_state",
+                            lambda *a, _f=unpack: calls.append(1) or _f(*a))
+    mtraj = integrate_metric(point, (0.0, 1.0), samples=11)
+    assert mtraj.stats.n_steps > 5
+    assert calls == []
+
+
 def test_equivalence_report_pairs_samples_by_time():
     # Past the blowup near t = 0.316 the bracket run, the metric run and the
     # metric-side gauge close at three different times.  Only the grid samples

@@ -1,0 +1,101 @@
+"""solve_rk54's dense sampling: free steps, samples from the quartic
+continuous extension, checked against scipy's RK45 dense output and a
+closed form."""
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+
+from bracketflow._rk import TERM_REACHED_END, solve_rk54
+
+RTOL, ATOL = 1e-6, 1e-9
+GRID = np.linspace(0.0, 3.0, 301)
+
+
+def oscillating(t, y):
+    # y' = 30 cos(30 t) y, so y = exp(sin(30 t)); steep enough to reject steps.
+    return 30.0 * np.cos(30.0 * t) * y
+
+
+def exact(t):
+    return np.exp(np.sin(30.0 * t))
+
+
+@pytest.mark.parametrize("grid", [GRID, -GRID])
+def test_dense_samples_match_the_closed_form_and_scipy(grid):
+    res = solve_rk54(oscillating, np.array([1.0]), grid, RTOL, ATOL, sampling="dense")
+    assert res.status == TERM_REACHED_END
+    assert res.n_rejected > 0  # retries start from the copied FSAL stage
+    assert res.sample_t.tobytes() == grid.tobytes()
+    y, f = res.sample_y[:, 0], res.sample_f[:, 0]
+    want = exact(grid)
+    assert np.max(np.abs(y - want) / want) <= 10 * RTOL
+    # The extension's derivative is one order below its state.
+    assert np.max(np.abs(f - oscillating(grid, want)) / (30.0 * want)) <= 100 * RTOL
+
+    ref = solve_ivp(oscillating, (grid[0], grid[-1]), [1.0], method="RK45",
+                    dense_output=True, rtol=RTOL, atol=ATOL)
+    assert ref.success
+    ref_y = ref.sol(grid)[0]
+    assert np.max(np.abs(y - ref_y) / ref_y) <= 10 * RTOL
+
+
+def test_dense_steps_are_not_sample_bound():
+    clamped = solve_rk54(oscillating, np.array([1.0]), GRID, RTOL, ATOL)
+    dense = solve_rk54(oscillating, np.array([1.0]), GRID, RTOL, ATOL, sampling="dense")
+    assert clamped.n_steps >= len(GRID) - 1
+    assert dense.n_steps < clamped.n_steps / 2
+
+
+def test_dense_counts_its_rhs_evaluations():
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return oscillating(t, y)
+
+    res = solve_rk54(f, np.array([1.0]), GRID, RTOL, ATOL, sampling="dense")
+    assert res.n_rejected > 0
+    assert res.nfev == len(calls) == 2 + 6 * (res.n_steps + res.n_rejected)
+
+
+def test_dense_reruns_are_byte_identical():
+    runs = [solve_rk54(oscillating, np.array([1.0, 2.0]), GRID, RTOL, ATOL, sampling="dense")
+            for _ in range(2)]
+    for field in ("sample_t", "sample_y", "sample_f"):
+        assert getattr(runs[0], field).tobytes() == getattr(runs[1], field).tobytes()
+    assert runs[0].n_steps == runs[1].n_steps and runs[0].nfev == runs[1].nfev
+
+
+def test_two_sample_grid_steps_as_clamped():
+    # With only the end sample both modes clamp the same steps; without a
+    # rejection the FSAL copy changes nothing, so the runs agree bitwise.
+    grid = np.array([0.0, 1.0])
+    clamped = solve_rk54(lambda t, y: -y, np.array([1.0, 0.5]), grid)
+    dense = solve_rk54(lambda t, y: -y, np.array([1.0, 0.5]), grid, sampling="dense")
+    assert clamped.n_rejected == 0
+    assert dense.sample_y.tobytes() == clamped.sample_y.tobytes()
+    assert dense.sample_f.tobytes() == clamped.sample_f.tobytes()
+
+
+def test_dense_early_stop_keeps_its_closing_sample():
+    # Events see accepted steps only; the samples before the stop come from
+    # the extension, and the stop adds one sample at the stopping time.
+    seen = []
+
+    def stop(t, y, f, h):
+        seen.append(t)
+        return "stopped" if t > 1.0 else None
+
+    res = solve_rk54(oscillating, np.array([1.0]), GRID, RTOL, ATOL, step_callback=stop,
+                     sampling="dense")
+    assert res.status == "stopped"
+    assert len(seen) == res.n_steps and res.sample_t[-1] == seen[-1]
+    inner = res.sample_t[:-1]
+    assert inner.tobytes() == GRID[: len(inner)].tobytes() and inner[-1] < seen[-1]
+    assert np.max(np.abs(res.sample_y[:, 0] - exact(res.sample_t)) / exact(res.sample_t)) <= 10 * RTOL
+
+
+def test_unknown_sampling_is_rejected():
+    with pytest.raises(ValueError, match="sampling"):
+        solve_rk54(lambda t, y: -y, np.array([1.0]), GRID, sampling="uniform")
