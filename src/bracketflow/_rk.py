@@ -378,23 +378,18 @@ def hermite_eval(t, t0, t1, y0, y1, f0, f1):
 
 
 class HermitePath:
-    """Piecewise-cubic Hermite interpolant over a sampled trajectory.
+    """Piecewise-cubic Hermite interpolant over a sampled forward trajectory.
 
-    Accepts increasing or decreasing sample grids; evaluation outside the
-    sampled range raises.
+    The sample times must increase; evaluation outside the sampled range
+    raises.
     """
 
     def __init__(self, times: np.ndarray, values: np.ndarray, derivs: np.ndarray):
         times = np.asarray(times, dtype=float)
         if len(times) < 2:
             raise ValueError("need at least two samples to interpolate")
-        self._reversed = times[-1] < times[0]
-        if self._reversed:
-            times = times[::-1]
-            values = values[::-1]
-            derivs = derivs[::-1]
         if not np.all(np.diff(times) > 0):
-            raise ValueError("sample times must be strictly monotone")
+            raise ValueError("sample times must be strictly increasing")
         self.times = times
         self.values = np.asarray(values, dtype=float)
         self.derivs = np.asarray(derivs, dtype=float)

@@ -42,6 +42,7 @@ from bracketflow.flow import (
     ValidityDriftError,
     _pack_sym,
     _run_flow,
+    _run_metric,
     _unpack_sym,
     bracket_rhs,
     custom_rate,
@@ -233,7 +234,7 @@ def test_validity_drift_aborts():
     )
     system = TensorFlowSystem(bad.bracket, UNNORMALIZED)
     with pytest.raises(ValidityDriftError) as info:
-        _run_flow(system, (0.0, 1.0), 1e-9, 1e-12, 20, EventConfig())
+        _run_flow(system, np.linspace(0.0, 1.0, 20), 1e-9, 1e-12, EventConfig())
     assert info.value.trajectory is not None
 
 
@@ -399,36 +400,59 @@ def test_equivalence_report_seeds():
     assert rep.max_metric_dev <= 1e-6
 
 
-def test_equivalence_report_counts_its_four_solves():
-    # All four solves step freely (dense sampling), so 601 samples take far
-    # fewer than 600 steps each; every count keeps the rhs-evaluation identity.
+def test_equivalence_report_counts_its_two_solves(monkeypatch):
+    # Each flow is solved together with its gauge, both pairs stepping freely
+    # (dense sampling), so 601 samples take far fewer than 600 steps each;
+    # every count keeps the rhs-evaluation identity.
+    import bracketflow.flow as flow_mod
+
+    calls = []
+    solve = flow_mod.solve_rk54
+    monkeypatch.setattr(flow_mod, "solve_rk54",
+                        lambda *a, **kw: calls.append(kw.get("sampling")) or solve(*a, **kw))
     rep = equivalence_report(unimodular3(1, 2, 3).point, (0.0, 0.3), samples=601)
+    assert calls == ["dense", "dense"]
     assert len(rep.times) == 601 and not rep.partial
     doc = rep.as_dict()["stats"]
-    assert set(doc) == {"bracket_flow", "metric_flow", "bracket_gauge", "metric_gauge"}
+    assert set(doc) == set(rep.per_side) == {"bracket", "metric"}
     for name, stats in rep.stats.items():
         assert stats.nfev == 2 + 6 * (stats.n_steps + stats.n_rejected)
-        assert 0 < stats.n_steps < 100
+        assert 0 < stats.n_steps < 200
         assert doc[name] == {"steps": stats.n_steps, "rejected_steps": stats.n_rejected,
                              "rhs_evals": stats.nfev}
 
 
+@pytest.mark.parametrize("samples", [137, 601, 1361])
+def test_equivalence_does_not_depend_on_the_sample_count(samples):
+    # berger3(0.5, 1, 0) blows up at t = 0.690085.  Each gauge is solved with
+    # its flow, so the deviations do not depend on how densely the samples
+    # cover the steep end of the span.
+    rep = equivalence_report(berger3(0.5, 1, 0).point, (0.0, 0.68), samples=samples)
+    assert not rep.partial and len(rep.times) == samples
+    assert rep.max_bracket_dev <= 1e-6
+    assert rep.max_metric_dev <= 1e-6
+
+
+def test_equivalence_past_a_blowup_stops_each_gauge_with_its_flow():
+    # Each pair stops where its flow stops, so no gauge keeps stepping toward
+    # the blowup near t = 0.690085.
+    rep = equivalence_report(berger3(0.5, 1, 0).point, (0.0, 1.0), samples=201)
+    assert rep.partial
+    assert np.isfinite(rep.max_bracket_dev) and np.isfinite(rep.max_metric_dev)
+    for stats in rep.stats.values():
+        assert stats.n_steps < 1000
+
+
 @pytest.mark.parametrize("cat", [unimodular3(1, 2, 3), berger3(1, 1, 0)])
-def test_dense_metric_flow_and_gauges_match_clamped(cat):
+def test_dense_metric_flow_matches_clamped(cat):
     # Dense sampling moves the sample states by rounding-level amounts only.
     point = cat.point
     rtol = 1e-9
     clamped = integrate_metric(point, (0.0, 0.3), samples=61)
-    dense = integrate_metric(point, (0.0, 0.3), samples=61, sampling="dense")
+    dense = _run_metric(point, np.linspace(0.0, 0.3, 61), rtol, 1e-12, "dense")
     assert dense.times.tobytes() == clamped.times.tobytes()
     assert np.abs(dense.P - clamped.P).max() <= 10 * rtol
     assert dense.stats.n_steps < clamped.stats.n_steps
-    for side, src in (("bracket", integrate(point, UNNORMALIZED, (0.0, 0.3), samples=61)),
-                      ("metric", clamped)):
-        g_clamped, g_dense = integrate_gauge(src, side), integrate_gauge(src, side, sampling="dense")
-        assert g_dense.termination == g_clamped.termination == "reached-t-end"
-        assert np.abs(g_dense.h - g_clamped.h).max() <= 10 * rtol
-        assert g_dense.stats.nfev == 2 + 6 * (g_dense.stats.n_steps + g_dense.stats.n_rejected)
 
 
 def test_metric_right_hand_side_reads_the_packed_action(monkeypatch):
@@ -458,17 +482,16 @@ def test_metric_right_hand_side_reads_the_packed_action(monkeypatch):
 
 
 def test_equivalence_report_pairs_samples_by_time():
-    # Past the blowup near t = 0.316 the bracket run, the metric run and the
-    # metric-side gauge close at three different times.  Only the grid samples
-    # they share are compared, so each deviation compares states at one time.
+    # Past the blowup near t = 0.316 the bracket pair and the metric pair
+    # close at two different times.  Only the grid samples they share are
+    # compared, so each deviation compares states at one time.
     rep = equivalence_report(unimodular3(1, 2, 3).point, (0.0, 0.5), samples=101)
     assert rep.partial
     grid = np.linspace(0.0, 0.5, 101)
     assert 2 <= len(rep.times) < len(grid)
     assert rep.times.tobytes() == grid[: len(rep.times)].tobytes()
     assert rep.per_side["metric"]["bracket_dev"] <= 1e-4
-    # Each gauge follows only the samples both flows share, so both reach the
-    # last of them, the grid sample 0.315 before the blowup.
+    # The last of them is the grid sample 0.315 before the blowup.
     assert rep.times[-1] == grid[63]
 
 
@@ -601,18 +624,19 @@ def test_solve_rk54_never_accepts_a_non_finite_state():
 
 
 def test_gauges_past_a_blowup_keep_their_covered_prefix():
-    # unimodular3(1, 2, 3) blows up near t = 0.316: neither gauge can follow
-    # its trajectory to the end, and each returns the samples it covered.
+    # unimodular3(1, 2, 3) blows up near t = 0.316 and both trajectories stop
+    # there.  Each gauge is re-solved with its flow on the trajectory's times,
+    # so it covers every sample up to the closing one, with a finite h.
     point = unimodular3(1, 2, 3).point
     traj = integrate(point, UNNORMALIZED, (0.0, 0.5), samples=101)
     mtraj = integrate_metric(point, (0.0, 0.5), samples=101)
     for side, src in (("bracket", traj), ("metric", mtraj)):
+        assert src.termination != "reached-t-end"
         gauge = integrate_gauge(src, side)
-        assert gauge.termination == "step-underflow"
-        k = len(gauge.times)
-        assert 2 < k <= len(src.times)
-        assert np.array_equal(gauge.times[: k - 1], src.times[: k - 1])
-        assert gauge.times[-1] <= src.times[-1]
+        k = len(src.times)
+        assert len(gauge.times) == k
+        assert gauge.times[:-1].tobytes() == src.times[:-1].tobytes()
+        assert gauge.times[-1] == pytest.approx(src.times[-1], abs=1e-9)
         assert gauge.h.shape == (k, 3, 3) and np.isfinite(gauge.h).all()
 
 

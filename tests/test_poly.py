@@ -116,7 +116,7 @@ def test_tangent_matches_pi_action_under_every_pointwise_rate(shape, seed):
             with pytest.raises(NormalizationError):
                 system.tangent(system.core0)
             continue
-        tangent, r = system.tangent(system.core0)
+        tangent, r, _ = system.tangent(system.core0)
         scale = rate_scale(strategy, rep, mu)
         assert abs(r - r_ref) <= TOL * scale
         assert np.abs(tangent - reference_tangent(mu, rep.Ric, r_ref)).max() <= TOL * (1 + scale)
