@@ -8,9 +8,10 @@ sampling="dense" it steps freely, lands only on the last sample, and fills
 the samples inside each accepted step from the quartic continuous extension
 of the pair (Dormand & Prince 1980; Shampine 1986).  Step-size selection
 uses a PI controller on the embedded error estimate; a trial step whose
-state is not finite is rejected.  Clamped samples carry the full order of
-the method, dense ones the order of the extension; reruns are
-bit-reproducible either way.
+state is not finite is rejected, and the retry starts from the accepted
+(FSAL) derivative.  Clamped samples carry the full order of the method,
+dense ones the order of the extension; reruns are bit-reproducible either
+way.
 
 solve_rk54_batch steps many independent rows (the cells of a reduced-family
 sweep) in one vectorized loop, each row bitwise as if solved alone.
@@ -23,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["RKResult", "solve_rk54", "solve_rk54_batch", "hermite_eval", "HermitePath"]
+__all__ = ["RKResult", "solve_rk54", "solve_rk54_batch"]
 
 # Dormand-Prince 5(4) tableau.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -41,7 +42,7 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 # Quartic continuous extension: over an accepted step of size h from (s, y)
-# with stages k, the state at s + x h is y + h (k.T @ _P) @ (x, x^2, x^3, x^4)
+# with stages k, the state at s + x h is y + ((h k).T @ _P) @ (x, x^2, x^3, x^4)
 # (the coefficients of scipy's RK45.P).
 _P = np.array([
     [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
@@ -132,12 +133,14 @@ def _result(grid, status, s, y, f_cur, ys, fs, n_steps, n_rejected, nfev) -> RKR
 
 def _dense_samples(k, s, h, y, sample_s):
     """States and derivatives (in s) at sample_s inside the accepted step of
-    size h from (s, y) with stages k, from the quartic continuous extension."""
-    q = k.T @ _P
+    size h from (s, y) with stages k, from the quartic continuous extension.
+    h is folded into the stages first: the products of k alone may overflow
+    where the increments of a finite step do not."""
+    q = (h * k).T @ _P
     x = (sample_s - s) / h
     powers = np.cumprod(np.tile(x, (4, 1)), axis=0)  # x, x^2, x^3, x^4
     slopes = np.vstack([np.ones_like(x), 2.0 * powers[0], 3.0 * powers[1], 4.0 * powers[2]])
-    return y + h * (q @ powers).T, (q @ slopes).T
+    return y + (q @ powers).T, (q @ slopes).T / h
 
 
 def solve_rk54(
@@ -157,14 +160,14 @@ def solve_rk54(
     sampling="dense" clamps only at the last sample; a sample strictly inside
     an accepted step takes the state and derivative of the step's quartic
     continuous extension (no extra rhs calls), and one on a step end that
-    step's state and derivative.  Dense mode copies the FSAL stage, which the
-    extension reads as the step's first stage, so a retry after a rejected
-    step starts from the accepted derivative.  ``step_callback(t, y, dy/dt,
-    h)`` runs after each accepted step and may return a status string to stop
-    the run.  A run the callback or a step underflow stops early ends with
-    one more sample at its stopping time.  Trial stages run with NumPy's
-    overflow and invalid-value warnings off: a stage that overflows or is not
-    finite is rejected, never accepted.
+    step's state and derivative.  In either mode the FSAL stage is copied out
+    of the stage buffer, so a retry after a rejected step starts from the
+    accepted derivative.  ``step_callback(t, y, dy/dt, h)`` runs after each
+    accepted step and may return a status string to stop the run.  A run the
+    callback or a step underflow stops early ends with one more sample at its
+    stopping time.  Trial stages run with NumPy's overflow and invalid-value
+    warnings off: a stage that overflows or is not finite is rejected, never
+    accepted.
     """
     if sampling not in ("clamped", "dense"):
         raise ValueError(f"sampling must be 'clamped' or 'dense', got {sampling!r}")
@@ -221,16 +224,16 @@ def solve_rk54(
             # Land exactly on the clamp target so sample bookkeeping stays exact.
             s_new = target if target is not None else s + h
             n_steps += 1
+            # FSAL: the last stage is f(s_new, y_new), copied out of the stage
+            # buffer so a retry after a rejected step starts from it.
+            f_new = k[6].copy()
             if dense:
-                f_new = k[6].copy()  # FSAL: last stage is f(s_new, y_new)
                 sj = int(np.searchsorted(samples, s_new))  # the first sample >= s_new
                 if sj > si:
                     y_in, f_in = _dense_samples(k, s, h, y, samples[si:sj])
                     ys.extend(y_in)
                     fs.extend(direction * f_in)
                     si = sj
-            else:
-                f_new = k[6]  # FSAL, as a view of the stage buffer
 
             s, y, f_cur = s_new, y_new, f_new
             if s == samples[si]:
@@ -267,9 +270,9 @@ def solve_rk54_batch(
     the active rows (rows: their indices in Y0; t, h: one value per row).  The
     callback runs on the rows that just accepted a step and returns a status
     or None for each.  Every row keeps its own step size, controller state,
-    samples, status and counters, and leaves the batch when it ends.  Unlike
-    solve_rk54, the accepted derivative is copied out of the stage buffer, so
-    a retry after a rejected step starts from it.  No arithmetic mixes rows,
+    samples, status and counters, and leaves the batch when it ends.  The
+    accepted derivative is copied out of the stage buffer, so a retry after a
+    rejected step starts from it.  No arithmetic mixes rows,
     so each row's result is bitwise that of the row solved alone.  As in
     solve_rk54, the stage sums are per-row matmuls and the controller's powers
     run on Python floats (NumPy's array powers round differently).
@@ -365,57 +368,3 @@ def solve_rk54_batch(
     return [_result(grid, status[g], *ends[g], ys[g], fs[g],
                     int(n_steps[g]), int(n_rejected[g]), int(nfev[g])) for g in range(B)]
 
-
-def hermite_eval(t, t0, t1, y0, y1, f0, f1):
-    """Cubic Hermite interpolation on one segment using stored derivatives."""
-    dt = t1 - t0
-    s = (t - t0) / dt
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return h00 * y0 + h10 * dt * f0 + h01 * y1 + h11 * dt * f1
-
-
-class HermitePath:
-    """Piecewise-cubic Hermite interpolant over a sampled forward trajectory.
-
-    The sample times must increase; evaluation outside the sampled range
-    raises.
-    """
-
-    def __init__(self, times: np.ndarray, values: np.ndarray, derivs: np.ndarray):
-        times = np.asarray(times, dtype=float)
-        if len(times) < 2:
-            raise ValueError("need at least two samples to interpolate")
-        if not np.all(np.diff(times) > 0):
-            raise ValueError("sample times must be strictly increasing")
-        self.times = times
-        self.values = np.asarray(values, dtype=float)
-        self.derivs = np.asarray(derivs, dtype=float)
-
-    @property
-    def t_min(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def t_max(self) -> float:
-        return float(self.times[-1])
-
-    def __call__(self, t: float) -> np.ndarray:
-        eps = 1e-12 * max(1.0, abs(self.t_min), abs(self.t_max))
-        if t < self.t_min - eps or t > self.t_max + eps:
-            raise ValueError(f"time {t} outside interpolation range "
-                             f"[{self.t_min}, {self.t_max}]")
-        t = min(max(t, self.t_min), self.t_max)
-        i = int(np.searchsorted(self.times, t, side="right") - 1)
-        i = min(max(i, 0), len(self.times) - 2)
-        return hermite_eval(
-            t,
-            self.times[i],
-            self.times[i + 1],
-            self.values[i],
-            self.values[i + 1],
-            self.derivs[i],
-            self.derivs[i + 1],
-        )

@@ -13,13 +13,15 @@ together with its flow, as a tail of the flow's state: h' = -(Ric + r I) h
 with the tangent's Ric on the bracket side, h' = -h Ric(<P., .>) on the
 metric side.
 
-The bracket and metric flows (with or without their gauges) and both solves
-of the (c, tau) rescaling (the probe for the reachable horizon and the
-sampled rerun) run through one sampled solve, _rk.solve_rk54, and read its
-RKResult directly; only equivalence_report asks it for dense samples.  The
-reduced-family flow instead steps a whole batch of cells (a sweep grid, or
-one cell for integrate_reduced) in one _rk.solve_rk54_batch, reading the
-families' closed forms for all cells at once.
+The bracket and metric flows, with or without their gauges, run through one
+sampled solve, _rk.solve_rk54, and read its RKResult directly; only
+equivalence_report asks it for dense samples.  The two rescalings of an
+unnormalized run (reparametrize, rescale_to_ricci_norm) are normalized
+bracket flows solved from the run's first bracket, whose (c, tau) record is
+c(t) . mu(tau(t)); no source sample is interpolated.  The reduced-family
+flow instead steps a whole batch of cells (a sweep grid, or one cell for
+integrate_reduced) in one _rk.solve_rk54_batch, reading the families' closed
+forms for all cells at once.
 
 A single integration owns its state; trajectories and all inputs are
 immutable once produced, so independent integrations may run concurrently.
@@ -27,7 +29,7 @@ immutable once produced, so independent integrations may run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -35,8 +37,6 @@ import numpy as np
 from . import core as _core
 from ._rk import (
     TERM_REACHED_END,
-    TERM_UNDERFLOW,
-    HermitePath,
     RKResult,
     solve_rk54,
     solve_rk54_batch,
@@ -399,9 +399,6 @@ class FlowTrajectory:
     def curvature_at(self, i: int) -> CurvatureReport:
         return curvature_pieces(self.bracket_at(i))
 
-    def interpolator(self) -> HermitePath:
-        return HermitePath(self.times, self.states, self.derivs)
-
     def describe(self) -> dict:
         d = {
             "system": self.system.describe(),
@@ -443,14 +440,16 @@ def _run_flow(
     t_grid: np.ndarray,
     rtol: float,
     atol: float,
-    events: EventConfig | None,
+    events: EventConfig | Callable | None,
     sampling: str = "clamped",
     gauge: bool = False,
 ):
     """Solve the flow with its (c, tau) record on t_grid; events=None runs no
-    event checks.  With gauge=True the state also carries the bracket-side
-    gauge h, h' = -(Ric + r I) h with Ric the sym vector the tangent read, and
-    the result is the pair (FlowTrajectory, GaugeRecord) of that one solve."""
+    event checks, and a callable in its place is the step callback (t, y,
+    dy/dt, h) -> status or None, on the whole state.  With gauge=True the
+    state also carries the bracket-side gauge h, h' = -(Ric + r I) h with Ric
+    the sym vector the tangent read, and the result is the pair
+    (FlowTrajectory, GaugeRecord) of that one solve."""
     m, n, full = system.core0.size, system.n, system.tables.full
     y0 = np.concatenate([system.core0, [1.0, 0.0]])
     if gauge:
@@ -497,7 +496,7 @@ def _run_flow(
         t_grid,
         rtol=rtol,
         atol=atol,
-        step_callback=None if events is None else callback,
+        step_callback=callback if isinstance(events, EventConfig) else events,
         sampling=sampling,
     )
     traj = _trajectory(system, res, drift_message)
@@ -850,119 +849,73 @@ def integrate_gauge(traj, side: str = "bracket") -> GaugeRecord:
 # Reparametrization between unnormalized and normalized solutions.
 
 
-class _SourceRun:
-    """Unnormalized forward run, read at source times tau clamped to its span."""
-
-    def __init__(self, traj: FlowTrajectory):
-        if traj.strategy.kind != "none":
-            raise ValueError("reparametrization expects an unnormalized source trajectory")
-        if traj.is_backward:
-            raise ValueError("reparametrization expects a forward source trajectory")
-        if not isinstance(traj.system, TensorFlowSystem):
-            raise ValueError("reparametrization expects a bracket-flow source trajectory")
-        self.traj = traj
-        self.path = traj.interpolator()
-        self.tau0 = float(traj.times[0])
-        self.tau_max = float(traj.times[-1])
-        self.tables = traj.system.tables
-
-    def clamp(self, tau) -> float:
-        return float(min(max(tau, self.tau0), self.tau_max))
-
-    def scaled(self, cval, tau) -> np.ndarray | None:
-        """Packed state of c . mu(tau) (core.rescale: the p x p -> k entries scale
-        by c^2, the p x p -> p entries by c), or None when it overflows."""
-        y = self.path(self.clamp(tau))
-        if not np.isfinite(cval * cval * np.abs(y).max()):
-            return None
-        return y * cval**self.tables.rate_w
-
-    def pp_norm(self, y: np.ndarray) -> float:
-        """Norm of the p x p components: the isotropy rows never rescale."""
-        y = y[self.tables.rate_w > 0]
-        return float(np.sqrt(2.0 * (y @ y)))
-
-    def exhausted(self, tau) -> bool:
-        return tau >= self.tau_max - 1e-12 * max(1.0, abs(self.tau_max))
-
-    def stalled(self, tau) -> bool:
-        """tau stopped clearly short of the source end."""
-        return tau < self.tau_max - 1e-6 * max(1.0, abs(self.tau_max))
-
-
 _AUTO_HORIZON = 100.0
+_TAU_END, _ZERO_SCALE = "tau-exhausted", "zero-scale"
 
 
-def _scaling_ode(src: _SourceRun, rhs, callback, horizon, samples):
-    """Two-phase solve of the (c, tau) system: a probe on [0, horizon] finds
-    the reachable horizon, then a rerun samples a uniform grid over it;
-    returns the probe's status with the rerun's RKResult.
-
-    A trial stage that is not finite, or whose rescaled bracket overflows
-    (rhs returns None), gets a NaN derivative, so the stepper rejects it.
-    The probe's stopping step may overshoot tau_max, so the final horizon is
-    backed off along tau' to land on the source boundary; otherwise the last
-    samples would sit at clamped tau and spoil finite differencing there.
-    """
-    if horizon <= 0:
-        raise ValueError("reparametrization needs t_end > 0")
-
-    def f(t, y):
-        dy = rhs(t, y) if np.isfinite(y).all() else None
-        return np.full(2, np.nan) if dy is None else dy
-
-    y0 = np.array([1.0, src.tau0])
-    probe = solve_rk54(
-        f, y0, np.array([0.0, horizon]), _SCALING_RTOL, _SCALING_ATOL, step_callback=callback
-    )
-    t_star = probe.sample_t[-1]
-    if probe.status == "tau-exhausted":
-        overshoot = float(probe.sample_y[-1, 1]) - src.tau_max
-        tau_rate = float(probe.sample_f[-1, 1])
-        if overshoot > 0 and tau_rate > 0:
-            t_star -= overshoot / tau_rate
-    if t_star <= 0:
-        raise ValueError("reparametrized range too short to sample")
-    res = solve_rk54(f, y0, np.linspace(0.0, t_star, samples), _SCALING_RTOL, _SCALING_ATOL)
-    if len(res.sample_t) < 2:
-        raise ValueError("reparametrized range too short to sample")
-    return probe.status, res
+def _tau_crossing(a, b, tau_end: float) -> float:
+    """Time at which the cubic through the step ends a and b, each (t, tau,
+    tau'), takes the value tau_end (as scipy's solve_event_equation does)."""
+    (t0, y0, d0), (t1, y1, d1) = a, b
+    h, dy = t1 - t0, y1 - y0
+    # y0 + h d0 x + (3 dy - h (2 d0 + d1)) x^2 + (h (d0 + d1) - 2 dy) x^3, x in [0, 1].
+    cubic = [h * (d0 + d1) - 2.0 * dy, 3.0 * dy - h * (2.0 * d0 + d1), h * d0, y0 - tau_end]
+    xs = [x.real for x in np.roots(cubic) if abs(x.imag) <= 1e-9 and -1e-9 <= x.real <= 1 + 1e-9]
+    return t0 + h * min(max(min(xs), 0.0), 1.0) if xs else t1
 
 
-def _scaled_trajectory(
-    src: _SourceRun,
-    strategy: Normalization,
-    res: RKResult,
-    scale_of,
-    termination: str,
-    notes: tuple[str, ...] = (),
+def _rescaled(
+    traj: FlowTrajectory, strategy: Normalization, t_end: float | None, samples: int
 ) -> FlowTrajectory:
-    """Normalized run c . mu(tau) on the sampled (c, tau) rows of res.
+    """The normalized run c(t) . mu(tau(t)) of an unnormalized forward tensor
+    run: the r-normalized flow solved from traj's first bracket, whose (c, tau)
+    record reads the source time tau, until tau reaches the source end."""
+    if traj.strategy.kind != "none":
+        raise ValueError("reparametrization expects an unnormalized source trajectory")
+    if traj.is_backward:
+        raise ValueError("reparametrization expects a forward source trajectory")
+    if not isinstance(traj.system, TensorFlowSystem):
+        raise ValueError("reparametrization expects a bracket-flow source trajectory")
+    if t_end is not None and not t_end > 0:
+        raise ValueError("reparametrization needs t_end > 0")
+    system = TensorFlowSystem(traj.bracket_at(0), strategy)
+    tab, m = system.tables, system.core0.size
+    if strategy.kind == "ricci-norm" and tab.ricci_norm2(system.core0) < 1e-24:
+        raise NormalizationError("ricci-norm rescaling needs a nonflat start")
+    tau0, tau_max = float(traj.times[0]), float(traj.times[-1])
+    pp = tab.rate_w > 0  # the p x p entries: the isotropy rows never rescale
+    zero = 1e-9 * max(float(np.sqrt(2.0 * np.sum(system.core0[pp] ** 2))), 1.0)
+    ends = [(0.0, 0.0, 1.0)]  # (t, tau - tau0, tau') at the last two accepted step ends
 
-    scale_of(y, tau) gives c at a row and its clamped source time.
-    """
-    system = TensorFlowSystem(src.traj.bracket_at(0), strategy)
-    states, derivs, cs, taus = [], [], [], []
-    for y in res.sample_y:
-        tau = src.clamp(y[1])
-        cval = scale_of(y, tau)
-        core = src.scaled(cval, tau)
-        states.append(core)
-        derivs.append(system.tangent(core)[0])
-        cs.append(cval)
-        taus.append(tau)
-    return FlowTrajectory(
-        times=res.sample_t,
-        states=np.array(states),
-        derivs=np.array(derivs),
-        c=np.array(cs),
-        tau=np.array(taus),
-        system=system,
-        strategy=strategy,
-        termination=termination,
-        stats=IntegrationStats(res.n_steps, res.n_rejected, res.nfev),
-        notes=notes,
-    )
+    def stop(t, y, f, h):
+        ends[:] = [ends[-1], (t, y[m + 1], f[m + 1])]
+        if y[m + 1] >= tau_max - tau0:
+            return _TAU_END
+        if np.sqrt(2.0 * np.sum(y[:m][pp] ** 2)) < zero:
+            return _ZERO_SCALE
+        return None
+
+    if t_end is None:
+        # A probe for the horizon, then the sampled run up to it.
+        probe = _run_flow(system, np.array([0.0, _AUTO_HORIZON]), _SCALING_RTOL,
+                          _SCALING_ATOL, stop)
+        status = probe.termination
+        t_star = _tau_crossing(*ends, tau_max - tau0) if status == _TAU_END else probe.times[-1]
+        run = _run_flow(system, np.linspace(0.0, t_star, samples), _SCALING_RTOL,
+                        _SCALING_ATOL, None)
+    else:
+        run = _run_flow(system, np.linspace(0.0, float(t_end), samples), _SCALING_RTOL,
+                        _SCALING_ATOL, stop)
+        status = run.termination
+        if status == _TAU_END:
+            raise ValueError(f"tau leaves the available source range before t_end={t_end}")
+    tau = run.tau + tau0
+    termination, notes = TERM_REACHED_END if status == _TAU_END else status, ()
+    if status == _ZERO_SCALE:
+        termination = TERM_CONVERGED
+        notes = ("normalized bracket collapsed to zero while tau stalled at "
+                 f"{tau[-1]:.6g} < {tau_max:.6g}",)
+    return replace(run, tau=tau, termination=termination, notes=notes)
 
 
 def reparametrize(
@@ -974,53 +927,19 @@ def reparametrize(
 ) -> FlowTrajectory:
     """Build the normalized solution c(t) . mu(tau(t)) from an unnormalized run.
 
-    Solves c' = r c, tau' = c^2 with the source trajectory interpolated in
-    tau, over [0, t_end] or, with t_end=None, over what the source supports
-    (up to t = 100); with an explicit t_end, running out of source range
-    raises.  Termination: 'reached-t-end'; 'converged-to-fixed-point' when
-    the normalized bracket collapses to zero (tau stalling short of the
-    source end while the scaling dies, reported in the notes); or
-    'step-underflow' when the steps underflow first, as where c . mu(tau)
-    overflows near a blowup of the source, ending at the last accepted point.
+    Solves the r-normalized flow from the run's first bracket, with its
+    scaling record c' = r c, tau' = c^2 (tau counted in the source's time),
+    over [0, t_end] or, with t_end=None, until tau reaches the end of the
+    source (up to t = 100): a probe finds the time t* at which tau crosses the
+    source end, as a root of the cubic through its last step, and a second
+    run samples [0, t*].  With an explicit t_end, tau passing the source end
+    raises.  Termination: 'reached-t-end'; 'converged-to-fixed-point' when the
+    normalized bracket collapses to zero (tau stalling short of the source
+    end while the scaling dies, reported in the notes); or 'step-underflow'
+    when the steps underflow first.
     """
     _require_pointwise(strategy)
-    src = _SourceRun(traj)
-    system = TensorFlowSystem(traj.bracket_at(0), strategy)
-    pp0 = src.pp_norm(traj.states[0])
-
-    def rhs(t, y):
-        cval, tau = y
-        core = src.scaled(cval, tau)
-        if core is None:
-            return None
-        return np.array([system.rate(core) * cval, cval * cval])
-
-    def callback(t, y, f, h):
-        cval, tau = y
-        if src.exhausted(tau):
-            return "tau-exhausted"
-        if src.pp_norm(src.scaled(cval, tau)) < 1e-9 * max(pp0, 1.0):
-            return "zero-scale"
-        return None
-
-    horizon = _AUTO_HORIZON if t_end is None else float(t_end)
-    status, res = _scaling_ode(src, rhs, callback, horizon, samples)
-    if t_end is not None and status == "tau-exhausted":
-        raise ValueError(f"tau leaves the available source range before t_end={t_end}")
-
-    notes: tuple[str, ...] = ()
-    termination = TERM_UNDERFLOW if status == TERM_UNDERFLOW else TERM_REACHED_END
-    final_c, final_tau = float(res.sample_y[-1][0]), float(res.sample_y[-1][1])
-    if status == "zero-scale" or (
-        src.stalled(final_tau)
-        and src.pp_norm(src.scaled(final_c, final_tau)) < 1e-8 * max(pp0, 1.0)
-    ):
-        notes = (
-            "normalized bracket collapsed to zero while tau stalled at "
-            f"{final_tau:.6g} < {src.tau_max:.6g}",
-        )
-        termination = TERM_CONVERGED
-    return _scaled_trajectory(src, strategy, res, lambda y, tau: float(y[0]), termination, notes)
+    return _rescaled(traj, strategy, t_end, samples)
 
 
 def rescale_to_ricci_norm(
@@ -1030,38 +949,13 @@ def rescale_to_ricci_norm(
 ) -> FlowTrajectory:
     """Reparametrize an unnormalized run so tr(Ric^2) stays constant.
 
-    The scaling is c(tau) = (tr Ric_0^2 / tr Ric(mu(tau))^2)^(1/4) and the
-    normalized time solves tau' = c(tau)^2 up to the end of the source.
-    Raises on a flat start.  The termination is 'reached-t-end', or
-    'step-underflow' as in reparametrize.  When tau stalls short of the
-    source end (c dies as Ric grows near a blowup), a note says so.
+    The scaling is c = (tr Ric_0^2 / tr Ric(mu(tau))^2)^(1/4): the run solves
+    the flow at the ricci-norm rate from the source's first bracket, as
+    reparametrize does with t_end=None, up to the source end.  Raises on a
+    flat start.  The termination is 'reached-t-end', or 'step-underflow' as
+    in reparametrize.
     """
-    src = _SourceRun(traj)
-    tr0 = src.tables.ricci_norm2(traj.states[0])
-    if tr0 < 1e-24:
-        raise NormalizationError("ricci-norm rescaling needs a nonflat start")
-
-    def c_of_tau(tau):
-        tr = src.tables.ricci_norm2(src.path(src.clamp(tau)))
-        if tr <= 0:
-            raise NormalizationError("trajectory reached a flat bracket")
-        return (tr0 / tr) ** 0.25
-
-    # Same (c, tau)-state layout as reparametrize; c rides along for records.
-    def rhs(t, y):
-        cval = c_of_tau(float(y[1]))
-        return np.array([0.0, cval * cval])
-
-    def callback(t, y, f, h):
-        return "tau-exhausted" if src.exhausted(y[1]) else None
-
-    status, res = _scaling_ode(src, rhs, callback, _AUTO_HORIZON, samples)
-    termination = TERM_UNDERFLOW if status == TERM_UNDERFLOW else TERM_REACHED_END
-    tau = float(res.sample_y[-1][1])
-    notes = (f"tau stalled at {tau:.6g} < {src.tau_max:.6g}",) if src.stalled(tau) else ()
-    return _scaled_trajectory(
-        src, RICCI_NORM, res, lambda y, tau: c_of_tau(tau), termination, notes
-    )
+    return _rescaled(traj, RICCI_NORM, None, samples)
 
 
 def ricci_norm_rate(mu: BracketTensor) -> float:

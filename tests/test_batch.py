@@ -23,8 +23,8 @@ from bracketflow.flow import (
 
 def test_batch_rows_keep_the_accepted_derivative():
     # y' = 30 cos(30 t) y rejects steps often.  A retry starts from the
-    # accepted derivative, a copy; solve_rk54, which keeps a view of its stage
-    # buffer, gives 3.6e-4 on this grid, with 39 rejections.
+    # accepted derivative, copied out of the stage buffer; a retry from the
+    # rejected trial's last stage gives 3.6e-4 on this grid, with 39 rejections.
     y0 = np.array([[1.0], [2.0], [0.5]])
     res = solve_rk54_batch(lambda t, Y, rows: 30.0 * np.cos(30.0 * t)[:, None] * Y,
                            y0, np.linspace(0.0, 3.0, 31), rtol=1e-6, atol=1e-9)
