@@ -1,8 +1,8 @@
 """Numerical audits and qualitative classification of flow trajectories.
 
-The identity audit compares finite differences of curvature quantities along
-a trajectory against their analytic evolution laws (with the normalization
-correction when a rate is active).  Classification applies a fixed decision
+The identity audit compares finite differences of curvature quantities on
+the stack of a trajectory's samples with their analytic evolution laws
+(rate-corrected on normalized runs).  Classification applies a fixed decision
 ladder to a terminated trajectory, and the injectivity-radius helpers report
 the closed-form and generic lower bounds used to label convergence strength.
 """
@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BracketTensor, InvalidPointError, act_pi_array, component_norms, validate_point
-from .curvature import _ricci_evolution, _sym, curvature_pieces
+from .core import (BracketTensor, InvalidPointError, act_pi_array, component_norms,
+                   unpack_array, validate_point)
+from .curvature import _pieces, _ricci_evolution, curvature_pieces
 from .families import Berger3, NoRealizationError
 from .flow import (
     TERM_BLOWUP,
@@ -39,9 +40,6 @@ __all__ = [
     "classify_limit",
     "injectivity_lower_bound",
 ]
-
-IDENTITY_NAMES = ("Ric", "M", "B", "H", "U", "R", "mu_p_norm2", "trB", "H_norm2")
-
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -67,110 +65,81 @@ class AuditReport:
         }
 
 
-def _central_derivative(tm, t0, tp, fm, f0, fp):
-    """Three-point derivative at t0, exact for quadratics on nonuniform grids."""
-    h1 = t0 - tm
-    h2 = tp - t0
-    return (
-        -h2 / (h1 * (h1 + h2)) * fm
-        + (h2 - h1) / (h1 * h2) * f0
-        + h1 / (h2 * (h1 + h2)) * fp
-    )
-
-
-def _derivative_stencils(t: np.ndarray):
-    """Centered finite-difference plans over the interior sample indices.
-
-    On a uniform grid the fourth-order five-point stencil is used and the
-    audited interior is the set of indices carrying a full stencil
-    (quantities near blowup have large higher derivatives, where second
-    order is not enough).  Nonuniform grids fall back to the three-point
-    formula on all interior indices.
-    """
-    m = len(t)
+def _derivative(t: np.ndarray):
+    """Centered finite differences along the sample times t: the audited
+    interior samples, and the map from samples (m, k) to derivatives there.
+    A uniform grid of at least 7 samples takes the fourth-order five-point
+    stencil (near blowup second order is not enough); any other grid takes
+    the three-point formula, exact for quadratics, on all interior samples."""
     gaps = np.diff(t)
     h = gaps[0]
-    uniform = np.all(np.abs(gaps - h) <= 1e-9 * abs(h))
-    if uniform and m >= 7:
-        return [(i, "five", h) for i in range(2, m - 2)]
-    return [(i, "three", None) for i in range(1, m - 1)]
+    if len(t) >= 7 and np.all(np.abs(gaps - h) <= 1e-9 * abs(h)):
+        return slice(2, -2), lambda f: (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
+    h1, h2 = gaps[:-1, None], gaps[1:, None]
+    wm, w0, wp = -h2 / (h1 * (h1 + h2)), (h2 - h1) / (h1 * h2), h1 / (h2 * (h1 + h2))
+    return slice(1, -1), lambda f: wm * f[:-2] + w0 * f[1:-1] + wp * f[2:]
+
+
+def _bracket_stack(traj: FlowTrajectory) -> tuple[int, np.ndarray]:
+    """q and the structure arrays (m, d, d, d) of all samples of traj."""
+    system = traj.system
+    if not isinstance(system, ReducedFlowSystem):
+        return system.q, unpack_array(system.q + system.n, traj.states)
+    # A family embedding writes each parameter, times a constant, into entries
+    # of its own: it is affine in the parameters, and exactly so entry by entry.
+    embed, p = system.family.embed, traj.states.shape[1]
+    base = embed(np.zeros(p))
+    steps = np.array([embed(e).c for e in np.eye(p)]) - base.c
+    return base.q, base.c + np.einsum("mk,k...->m...", traj.states, steps)
 
 
 def identity_audit(traj: FlowTrajectory) -> AuditReport:
     """Check the nine curvature evolution identities along a trajectory.
 
-    For each sampled interior time the finite difference of the quantity is
-    compared with the analytic right-hand side evaluated there; normalized
-    trajectories use the rate-corrected laws.  Relative error is measured
-    against 1 + the right-hand-side norm to stay scale-aware.
-    """
+    Each quantity and its analytic right-hand side are evaluated on the stack
+    of all samples by the einsum formulas of curvature.py (never the flow's
+    polynomial tables), and its finite difference at the interior samples is
+    compared with that right-hand side.  Normalized runs use the rate-corrected
+    laws; a reduced run's rate comes from the family's closed forms, as in its
+    flow.  Relative error is measured against 1 + the right-hand-side norm."""
     m = traj.n_samples
     if m < 3:
         raise ValueError("identity audit needs at least three samples")
+    q, c = _bracket_stack(traj)
+    mu_p, rep = c[:, q:, q:, q:], _pieces(c, q)
+    ric = rep.Ric
+    d0, d_m, d_b, d_u = _ricci_evolution(mu_p, rep)
+    if isinstance(traj.system, ReducedFlowSystem):
+        r, undefined = traj.system.rates(traj.states.T)
+        if undefined:
+            raise undefined[min(undefined)]
+    else:
+        r = _report_rate(c, q, traj.strategy, rep, d0)
 
-    quantities = {name: [] for name in IDENTITY_NAMES}
-    rhs = {name: [] for name in IDENTITY_NAMES}
-    # A reduced run's rate comes from the family's closed forms, as in its flow.
-    reduced = isinstance(traj.system, ReducedFlowSystem)
+    def inner(a, b):
+        return np.sum(a * b, axis=(-2, -1))
 
-    for i in range(m):
-        mu = traj.bracket_at(i)
-        rep = curvature_pieces(mu)
-        mu_p = mu.mu_p
-        ric = rep.Ric
-        d0, lap, ad_h, ad_rich = _ricci_evolution(mu_p, rep)
-        if reduced:
-            r = traj.system.rate(traj.states[i])
-        else:
-            r = _report_rate(mu, traj.strategy, rep, d0)
-        mu_p2 = float(np.sum(mu_p**2))
-        h2 = float(rep.H @ rep.H)
-        tr_b = float(np.trace(rep.B))
-
-        quantities["Ric"].append(ric)
-        quantities["M"].append(rep.M)
-        quantities["B"].append(rep.B)
-        quantities["H"].append(rep.H)
-        quantities["U"].append(rep.U)
-        quantities["R"].append(rep.R)
-        quantities["mu_p_norm2"].append(mu_p2)
-        quantities["trB"].append(tr_b)
-        quantities["H_norm2"].append(h2)
-
-        d_m = -0.5 * lap + 2 * r * rep.M
-        d_b = rep.B @ ric + ric @ rep.B + 2 * r * rep.B
-        d_u = 2 * _sym(ad_rich) + _sym(ad_h @ ric - ric @ ad_h) + 2 * r * rep.U
-        rhs["Ric"].append(d0 + 2 * r * ric)
-        rhs["M"].append(d_m)
-        rhs["B"].append(d_b)
-        rhs["H"].append(ric @ rep.H + r * rep.H)
-        rhs["U"].append(d_u)
-        rhs["R"].append(2 * float(np.sum(ric * ric)) + 2 * r * rep.R)
-        rhs["mu_p_norm2"].append(-8 * float(np.sum(ric * rep.M)) + 2 * r * mu_p2)
-        rhs["trB"].append(2 * float(np.sum(ric * rep.B)) + 2 * r * tr_b)
-        rhs["H_norm2"].append(-2 * float(np.sum(rep.U * rep.U)) + 2 * r * h2)
-
-    t = traj.times
-    plans = _derivative_stencils(t)
+    # name: (quantity Q, its unnormalized derivative, k); the rate r adds k r Q.
+    laws = {
+        "Ric": (ric, d0, 2),
+        "M": (rep.M, d_m, 2),
+        "B": (rep.B, d_b, 2),
+        "H": (rep.H, np.einsum("...ij,...j->...i", ric, rep.H), 1),
+        "U": (rep.U, d_u, 2),
+        "R": (rep.R, 2 * inner(ric, ric), 2),
+        "mu_p_norm2": (np.sum(mu_p**2, axis=(1, 2, 3)), -8 * inner(ric, rep.M), 2),
+        "trB": (np.trace(rep.B, axis1=1, axis2=2), 2 * inner(ric, rep.B), 2),
+        "H_norm2": (np.sum(rep.H**2, axis=1), -2 * inner(rep.U, rep.U), 2),
+    }
+    interior, derivative = _derivative(traj.times)
     errors = {}
-    for name in IDENTITY_NAMES:
-        q = quantities[name]
-        worst = 0.0
-        for i, kind, h in plans:
-            if kind == "five":
-                fd = (q[i - 2] - 8 * q[i - 1] + 8 * q[i + 1] - q[i + 2]) / (12 * h)
-            else:
-                fd = _central_derivative(
-                    t[i - 1], t[i], t[i + 1], q[i - 1], q[i], q[i + 1]
-                )
-            expect = rhs[name][i]
-            err = np.linalg.norm(np.atleast_1d(fd - expect))
-            scale = 1.0 + np.linalg.norm(np.atleast_1d(expect))
-            worst = max(worst, float(err / scale))
-        errors[name] = worst
-
+    for name, (quantity, plain, k) in laws.items():
+        f = quantity.reshape(m, -1)
+        expect = (plain.reshape(m, -1) + k * r[:, None] * f)[interior]
+        err = np.linalg.norm(derivative(f) - expect, axis=1)
+        errors[name] = float(np.max(err / (1.0 + np.linalg.norm(expect, axis=1))))
     return AuditReport(
-        max_rel_error=errors, samples_checked=len(plans), strategy=traj.strategy.kind
+        max_rel_error=errors, samples_checked=len(expect), strategy=traj.strategy.kind
     )
 
 
@@ -184,19 +153,11 @@ class DerivationBasis:
     block: bool
 
     def residuals(self, mu: BracketTensor) -> list[float]:
-        out = []
-        for a in self.basis:
-            full = self._full(a, mu)
-            out.append(float(np.linalg.norm(act_pi_array(full, mu.c))))
-        return out
-
-    def _full(self, a: np.ndarray, mu: BracketTensor) -> np.ndarray:
-        if not self.block:
-            return a
-        d = mu.dim
-        full = np.zeros((d, d))
-        full[mu.q :, mu.q :] = a
-        return full
+        q = mu.q if self.block else 0
+        full = np.zeros((self.dim, mu.dim, mu.dim))
+        full[:, q:, q:] = np.reshape(self.basis, (self.dim, mu.dim - q, mu.dim - q))
+        moved = act_pi_array(full, mu.c).reshape(self.dim, mu.dim**3)
+        return np.linalg.norm(moved, axis=1).tolist()
 
 
 def _derivations(mu: BracketTensor, tol: float, block: bool) -> DerivationBasis:
@@ -204,13 +165,9 @@ def _derivations(mu: BracketTensor, tol: float, block: bool) -> DerivationBasis:
     d = mu.dim
     q = mu.q if block else 0
     m = d - q
-    cols = []
-    for x in range(m):
-        for y in range(m):
-            e = np.zeros((d, d))
-            e[q + x, q + y] = 1.0
-            cols.append(act_pi_array(e, mu.c).ravel())
-    mat = np.column_stack(cols)
+    units = np.zeros((m * m, d, d))  # E_xy, x-major, on the last m directions
+    units[:, q:, q:] = np.eye(m * m).reshape(m * m, m, m)
+    mat = act_pi_array(units, mu.c).reshape(m * m, -1).T
     _, s, vt = np.linalg.svd(mat, full_matrices=True)
     smax = s.max() if len(s) else 0.0
     cut = tol * smax if smax > tol else tol

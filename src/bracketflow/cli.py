@@ -7,7 +7,9 @@ so identical configurations produce byte-identical files.  Exit codes:
 0 success, 1 identity audit failed (check), 2 invalid point, 3 malformed
 input, 4 validity drift, 5 equivalence failure, 6 normalization undefined.
 An equiv run whose flows or gauges stop short of the span (as past a blowup)
-reports "partial": true over the prefix they covered.
+reports "partial": true over the prefix they covered.  Its deviations and
+--threshold are absolute, so a partial report whose prefix ends next to a
+blowup, where |mu| is large, can exit 5 on scale alone.
 """
 
 from __future__ import annotations

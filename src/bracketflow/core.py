@@ -419,10 +419,10 @@ def act_pi(a: np.ndarray, mu: BracketTensor) -> BracketTensor:
 
 
 def act_pi_array(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """pi(A) applied to a raw structure array (any square dimension)."""
-    term0 = np.einsum("ml,ijl->ijm", a, c)
-    term1 = np.einsum("ai,ajm->ijm", a, c)
-    term2 = np.einsum("bj,ibm->ijm", a, c)
+    """pi(A) applied to a raw structure array (any square dimension), or stacks."""
+    term0 = np.einsum("...ml,...ijl->...ijm", a, c)
+    term1 = np.einsum("...ai,...ajm->...ijm", a, c)
+    term2 = np.einsum("...bj,...ibm->...ijm", a, c)
     return term0 - term1 - term2
 
 
@@ -435,7 +435,7 @@ def rescale(c_scale: float, mu: BracketTensor) -> BracketTensor:
     pp = _pairs(mu.dim)[0] >= q  # packed rows of p x p pairs
     y[pp, :q] *= c_scale**2
     y[pp, q:] *= c_scale
-    return unpack_state(q, mu.n, y)
+    return unpack_state(q, mu.n, y.ravel())
 
 
 def component_split(mu: BracketTensor) -> ComponentSplit:
@@ -476,7 +476,7 @@ def _canonical(q: int, n: int, c: np.ndarray) -> BracketTensor:
     to rounding: only finiteness is checked (upper - lower overflows above max/2)."""
     iu, ju = _pairs(q + n)
     with np.errstate(over="ignore", invalid="ignore"):
-        return unpack_state(q, n, 0.5 * (c[iu, ju] - c[ju, iu]))
+        return unpack_state(q, n, (0.5 * (c[iu, ju] - c[ju, iu])).ravel())
 
 
 def unpack_state(q: int, n: int, y: np.ndarray) -> BracketTensor:
@@ -493,10 +493,12 @@ def unpack_state(q: int, n: int, y: np.ndarray) -> BracketTensor:
 
 
 def unpack_array(d: int, y: np.ndarray) -> np.ndarray:
+    """Structure array of a packed state, or (m, d, d, d) of states (m, P)."""
+    y = np.asarray(y, dtype=float)
     iu, ju = _pairs(d)
-    c = np.zeros((d, d, d))
-    c[iu, ju, :] = np.asarray(y, dtype=float).reshape(len(iu), d)
-    c[ju, iu, :] = -c[iu, ju, :]
+    c = np.zeros(y.shape[:-1] + (d, d, d))
+    c[..., iu, ju, :] = y.reshape(y.shape[:-1] + (len(iu), d))
+    c[..., ju, iu, :] = -c[..., iu, ju, :]
     return c
 
 

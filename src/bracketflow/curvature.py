@@ -5,7 +5,9 @@ moment-map operator (a quadratic expression in the p-valued part of the
 bracket), B is the Killing form of the full algebra restricted to p, and
 U = S(ad H) symmetrizes left multiplication by the mean-curvature vector H.
 Traces and adjoints are always taken against the fixed orthonormal basis
-of p.
+of p.  Each formula also takes a stack of brackets with a leading sample
+axis (einsums over ``...``, transposes of the last two axes), so one
+definition serves a bracket and the stack of a whole trajectory.
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ __all__ = [
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def _ad(v: np.ndarray, mu_p: np.ndarray) -> np.ndarray:
+    """Matrix of left multiplication X -> mu_p(v, X) on p."""
+    return np.einsum("...i,...ijk->...kj", v, mu_p)
 
 
 def mean_curvature(mu: BracketTensor | np.ndarray) -> np.ndarray:
@@ -41,7 +48,7 @@ def mean_curvature(mu: BracketTensor | np.ndarray) -> np.ndarray:
     nothing there).
     """
     mu_p = mu.mu_p if isinstance(mu, BracketTensor) else np.asarray(mu, dtype=float)
-    return np.einsum("ijj->i", mu_p)
+    return np.einsum("...ijj->...i", mu_p)
 
 
 def killing_operator(mu: BracketTensor) -> np.ndarray:
@@ -50,10 +57,12 @@ def killing_operator(mu: BracketTensor) -> np.ndarray:
     <B X, Y> = tr ad(X) ad(Y) over the whole algebra, so unlike the other
     curvature pieces this sees the full bracket, isotropy rows included.
     """
-    q = mu.q
-    rows = mu.c[q:, :, :]
-    b = np.einsum("ilk,jkl->ij", rows, rows)
-    return _sym(b)
+    return _killing(mu.c, mu.q)
+
+
+def _killing(c: np.ndarray, q: int) -> np.ndarray:
+    rows = c[..., q:, :, :]
+    return _sym(np.einsum("...ilk,...jkl->...ij", rows, rows))
 
 
 def moment_operator(mu_p: np.ndarray) -> np.ndarray:
@@ -63,8 +72,8 @@ def moment_operator(mu_p: np.ndarray) -> np.ndarray:
     which the tests use as an independent oracle.
     """
     mu_p = np.asarray(mu_p, dtype=float)
-    first = np.einsum("xij,yij->xy", mu_p, mu_p)
-    second = np.einsum("ijx,ijy->xy", mu_p, mu_p)
+    first = np.einsum("...xij,...yij->...xy", mu_p, mu_p)
+    second = np.einsum("...ijx,...ijy->...xy", mu_p, mu_p)
     return _sym(-0.5 * first + 0.25 * second)
 
 
@@ -72,8 +81,7 @@ def mean_curvature_op(mu_p: np.ndarray, h: np.ndarray | None = None) -> np.ndarr
     """U = S(ad_{mu_p} H): symmetrized left multiplication by H."""
     if h is None:
         h = mean_curvature(mu_p)
-    ad_h = np.einsum("i,ijk->kj", h, mu_p)
-    return _sym(ad_h)
+    return _sym(_ad(h, mu_p))
 
 
 def ricci_operator(mu: BracketTensor) -> np.ndarray:
@@ -82,41 +90,39 @@ def ricci_operator(mu: BracketTensor) -> np.ndarray:
     Defined for every bracket, membership conditions or not; the flow
     right-hand side relies on that.
     """
-    mu_p = mu.mu_p
-    return moment_operator(mu_p) - 0.5 * killing_operator(mu) - mean_curvature_op(mu_p)
+    return curvature_pieces(mu).Ric
 
 
 @dataclass(frozen=True, eq=False)
 class CurvatureReport:
-    """All Ricci-curvature ingredients of one homogeneous point."""
+    """All Ricci-curvature ingredients of a homogeneous point, or of a stack of them."""
 
     H: np.ndarray
     B: np.ndarray
     M: np.ndarray
     U: np.ndarray
     Ric: np.ndarray
-    R: float
+    R: float | np.ndarray
 
     def as_dict(self) -> dict:
-        return {
-            "H": self.H.tolist(),
-            "B": self.B.tolist(),
-            "M": self.M.tolist(),
-            "U": self.U.tolist(),
-            "Ric": self.Ric.tolist(),
-            "R": self.R,
-        }
+        return {k: np.asarray(getattr(self, k)).tolist() for k in ("H", "B", "M", "U", "Ric", "R")}
 
 
 def curvature_pieces(mu: BracketTensor) -> CurvatureReport:
     """Assemble the full curvature report without membership checks."""
-    mu_p = mu.mu_p
+    return _pieces(mu.c, mu.q)
+
+
+def _pieces(c: np.ndarray, q: int) -> CurvatureReport:
+    """Curvature report of structure arrays c (..., d, d, d), q of isotropy."""
+    mu_p = c[..., q:, q:, q:]
     h = mean_curvature(mu_p)
-    b = killing_operator(mu)
+    b = _killing(c, q)
     m = moment_operator(mu_p)
     u = mean_curvature_op(mu_p, h)
     ric = m - 0.5 * b - u
-    return CurvatureReport(H=h, B=b, M=m, U=u, Ric=ric, R=float(np.trace(ric)))
+    r = np.trace(ric, axis1=-2, axis2=-1)
+    return CurvatureReport(H=h, B=b, M=m, U=u, Ric=ric, R=float(r) if r.ndim == 0 else r)
 
 
 def curvature_report(point: HomogeneousPoint) -> CurvatureReport:
@@ -138,9 +144,9 @@ def delta_adjoint(mu_p: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """
     mu_p = np.asarray(mu_p, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    t1 = -np.einsum("ijm,ijl->ml", lam, mu_p)
-    t2 = np.einsum("ijm,ajm->ai", lam, mu_p)
-    t3 = np.einsum("ijm,ibm->bj", lam, mu_p)
+    t1 = -np.einsum("...ijm,...ijl->...ml", lam, mu_p)
+    t2 = np.einsum("...ijm,...ajm->...ai", lam, mu_p)
+    t3 = np.einsum("...ijm,...ibm->...bj", lam, mu_p)
     return t1 + t2 + t3
 
 
@@ -150,20 +156,13 @@ def laplacian_op(mu_p: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _ricci_evolution(mu_p: np.ndarray, rep: CurvatureReport):
-    """Evolution law of Ric along the unnormalized bracket flow.
-
-    Returns (D0, Delta(Ric), ad_H, ad_(Ric H)) with dRic/dt = D0; the
-    normalized flow adds 2 r Ric.  The last three pieces also enter the laws
-    of M and U.
-    """
+    """Evolution laws along the unnormalized bracket flow: (D0, dM/dt, dB/dt,
+    dU/dt) with dRic/dt = D0 = dM/dt - dB/dt / 2 - dU/dt.  The normalized
+    flow adds 2 r times the quantity to each."""
     ric = rep.Ric
-    ad_h = np.einsum("i,ijk->kj", rep.H, mu_p)
-    ad_rich = np.einsum("i,ijk->kj", ric @ rep.H, mu_p)
-    lap = laplacian_op(mu_p, ric)
-    d0 = (
-        -0.5 * lap
-        - 0.5 * (rep.B @ ric + ric @ rep.B)
-        - 2 * _sym(ad_rich)
-        - _sym(ad_h @ ric - ric @ ad_h)
-    )
-    return d0, lap, ad_h, ad_rich
+    ad_h = _ad(rep.H, mu_p)
+    ad_rich = _ad(np.einsum("...ij,...j->...i", ric, rep.H), mu_p)
+    d_m = -0.5 * laplacian_op(mu_p, ric)
+    d_b = rep.B @ ric + ric @ rep.B
+    d_u = 2 * _sym(ad_rich) + _sym(ad_h @ ric - ric @ ad_h)
+    return d_m - 0.5 * d_b - d_u, d_m, d_b, d_u

@@ -45,6 +45,7 @@ from .core import (
     BracketTensor,
     CompatibilityError,
     HomogeneousPoint,
+    _canonical,
     _packed_names,
     _pairs,
     act_gl,
@@ -166,23 +167,28 @@ def _rate_from_scalars(strategy: Normalization, *scalars: float) -> float:
 
 
 def _report_rate(
-    mu: BracketTensor, strategy: Normalization, rep: CurvatureReport, d0: np.ndarray | None
-) -> float:
-    """Normalization rate r of one bracket from its curvature report.
-
-    d0 is the unnormalized Ric evolution D0, read by the ricci-norm rate only.
-    """
-    if strategy.kind == "custom":
-        return float(strategy.rate_fn(mu))
-    ric = rep.Ric
-    tr_ric2 = float(np.sum(ric * ric))
-    if strategy.kind == "ricci-norm":
-        if tr_ric2 <= 0:
+    c: np.ndarray, q: int, strategy: Normalization, rep: CurvatureReport, d0: np.ndarray | None
+) -> np.ndarray:
+    """Rates r of a stack of brackets c (m, d, d, d), whose first q directions
+    are isotropy, from their stacked curvature report rep; d0, the stacked
+    unnormalized Ric evolution, is read by the ricci-norm rate only.  A custom
+    rate calls rate_fn once per bracket; a rate undefined anywhere raises."""
+    kind, n, ric = strategy.kind, c.shape[-1] - q, rep.Ric
+    if kind == "custom":
+        return np.array([float(strategy.rate_fn(_canonical(q, n, ci))) for ci in c])
+    tr_ric2 = np.sum(ric * ric, axis=(-2, -1))
+    if kind == "ricci-norm":
+        if np.any(tr_ric2 <= 0):
             raise NormalizationError("ricci-norm rate undefined at a flat bracket")
-        return -float(np.sum(ric * d0)) / (2.0 * tr_ric2)
-    return _rate_from_scalars(
-        strategy, mu.n, rep.R, tr_ric2, float(np.sum(ric * rep.M)), float(np.sum(mu.mu_p**2))
-    )
+        return -np.sum(ric * d0, axis=(-2, -1)) / (2.0 * tr_ric2)
+    if kind not in _RATES:  # r = 0, or the error of a kind with no rate
+        return np.full(len(c), _rate_from_scalars(strategy))
+    rate, divisor, reason = _RATES[kind]
+    scalars = (n, rep.R, tr_ric2, np.sum(ric * rep.M, axis=(-2, -1)),
+               np.sum(c[..., q:, q:, q:] ** 2, axis=(-3, -2, -1)))
+    if not np.all(scalars[divisor]):
+        raise NormalizationError(reason)
+    return rate(*scalars)
 
 
 def normalization_rate(
@@ -550,7 +556,9 @@ def integrate(
     """Integrate the (normalized) bracket flow from a validated point.
 
     Backward runs use a decreasing t_span; the trajectory then carries
-    strictly decreasing sample times.  A Jacobi drift past the event
+    strictly decreasing sample times.  The record (c, tau) starts at (1, 0) at
+    t_span[0], so tau = t - t_span[0] unnormalized; the rescalings offset their
+    tau by the source's first time.  A Jacobi drift past the event
     threshold raises ValidityDriftError carrying the partial trajectory.
     """
     point.require_valid()
@@ -975,7 +983,9 @@ def ricci_norm_rate(mu: BracketTensor) -> float:
 class EquivalenceReport:
     """Max deviations between bracket-side and metric-side solutions; stats
     holds the counts of the two solves, each a flow integrated together with
-    its gauge, keyed like per_side (bracket, metric)."""
+    its gauge, keyed like per_side (bracket, metric).  The deviations are
+    absolute, so a partial report whose shared prefix ends next to a blowup
+    can exceed a fixed threshold on the scale of mu alone."""
 
     times: np.ndarray
     max_bracket_dev: float

@@ -19,16 +19,19 @@ from bracketflow.core import (
     validate_point,
 )
 from bracketflow.families import (
+    Berger3,
     SemisimpleFamily,
     berger3,
     semisimple_concrete_su2,
     unimodular3,
 )
 from bracketflow.flow import (
+    BRACKET_NORM,
     SCALAR_CURVATURE,
     UNNORMALIZED,
     VOLUME,
     EventConfig,
+    custom_rate,
     integrate,
     integrate_reduced,
 )
@@ -59,15 +62,18 @@ def derivation_dim_oracle(mu, tol=1e-8):
 
 
 def test_derivation_dims_match_oracle():
+    generic = np.random.default_rng(0).normal(size=(4, 4, 4))
     cases = [
         (unimodular3(1, 0, 0).point.bracket, 6),
         (BracketTensor.zero(0, 3), 9),
         (unimodular3(1, 1, 1).point.bracket, 3),
+        (BracketTensor(1, 3, generic - generic.transpose(1, 0, 2)), 0),
     ]
     for mu, expected in cases:
         basis = derivation_algebra(mu)
         assert basis.dim == expected
         assert derivation_dim_oracle(mu) == expected
+        assert len(basis.residuals(mu)) == expected
 
 
 def test_derivation_basis_quality(rng):
@@ -176,6 +182,57 @@ def test_identity_audit_ricci_norm_trajectory():
     base = integrate(unimodular3(1, 2, 3).point, UNNORMALIZED, (0, 0.15), samples=601)
     rn = rescale_to_ricci_norm(base, samples=241)
     assert identity_audit(rn).passed(1e-4)
+
+
+# Per-identity audit errors of runs that take the audit's less common paths
+# (rates, a reduced system, a nonuniform grid): (run, samples checked, errors).
+_AUDIT_PINS = {
+    "bracket-norm": (
+        lambda: integrate(unimodular3(1, 2, 3).point, BRACKET_NORM, (0, 1), samples=481),
+        477,
+        {"Ric": 6.024850962589992e-07, "M": 6.044798575931638e-07, "B": 6.542394268853495e-07,
+         "H": 0.0, "U": 0.0, "R": 6.004908558051591e-07, "mu_p_norm2": 1.5631940186722204e-11,
+         "trB": 6.084811138467251e-07, "H_norm2": 0.0},
+    ),
+    "custom-rate": (
+        lambda: integrate(berger3(1.2, 0.5, 0.3).point,
+                          custom_rate(lambda mu: 0.3 * float(np.sum(mu.mu_p**2))),
+                          (0, 0.2), samples=241),
+        237,
+        {"Ric": 4.045100328180675e-10, "M": 4.1327150849843585e-10, "B": 4.5969451798745247e-10,
+         "H": 0.0, "U": 0.0, "R": 4.3354024466406235e-10, "mu_p_norm2": 4.732502782256543e-10,
+         "trB": 4.696688034290082e-10, "H_norm2": 0.0},
+    ),
+    "reduced": (
+        lambda: integrate_reduced(Berger3(), (0.5, 1, 0), VOLUME, (0, 1), samples=481),
+        477,
+        {"Ric": 3.0458389933077856e-11, "M": 2.8163372224155546e-11, "B": 1.466124364020131e-11,
+         "H": 0.0, "U": 0.0, "R": 2.0330709410936538e-11, "mu_p_norm2": 3.9344531552146815e-11,
+         "trB": 1.667257208564797e-11, "H_norm2": 0.0},
+    ),
+    # Converges at sample 87 of 401: the closing gap is short, so the grid is
+    # nonuniform and the three-point formula runs on all 85 interior samples.
+    "converged": (
+        lambda: integrate(berger3(0.5, 1, 0).point, VOLUME, (0, 40), samples=401),
+        85,
+        {"Ric": 0.003732744721456622, "M": 0.003807737209564169, "B": 0.002628150424533497,
+         "H": 0.0, "U": 0.0, "R": 0.0024107371222747177, "mu_p_norm2": 0.005318259657430305,
+         "trB": 0.0032004175347674618, "H_norm2": 0.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_AUDIT_PINS))
+def test_identity_audit_pinned_runs(name):
+    run, checked, errors = _AUDIT_PINS[name]
+    traj = run()
+    audit = identity_audit(traj)
+    assert audit.samples_checked == checked
+    assert audit.max_rel_error == pytest.approx(errors, rel=1e-12, abs=0.0)
+    if name == "converged":
+        assert traj.termination == "converged-to-fixed-point" and traj.n_samples == 87
+        gaps = np.diff(traj.times)
+        assert gaps[-1] == pytest.approx(0.0802, abs=1e-4) and gaps[0] == pytest.approx(0.1)
 
 
 def test_identity_audit_needs_samples():

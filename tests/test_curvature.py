@@ -11,6 +11,8 @@ from bracketflow.core import (
     validate_point,
 )
 from bracketflow.curvature import (
+    _pieces,
+    _ricci_evolution,
     curvature_pieces,
     curvature_report,
     delta_adjoint,
@@ -24,6 +26,7 @@ from bracketflow.curvature import (
 from bracketflow.families import berger3, unimodular3
 
 from conftest import random_valid_point, solvable_point
+from test_poly import SHAPES, unit_bracket
 
 
 def random_skew_tensor(rng, n):
@@ -225,3 +228,23 @@ def test_ricci_operator_defined_off_membership(rng):
     ric = ricci_operator(BracketTensor(0, 3, c))
     assert ric.shape == (3, 3)
     assert np.abs(ric - ric.T).max() < 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(SHAPES), st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_stacked_curvature_matches_each_bracket(shape, seed, m):
+    # One definition serves a bracket and a stack: the pieces and the Ric
+    # evolution of an (m, d, d, d) stack are those of each bracket alone.
+    rng = np.random.default_rng(seed)
+    q = shape[0]
+    mus = [unit_bracket(*shape, rng) for _ in range(m)]
+    c = np.stack([mu.c for mu in mus])
+    rep = _pieces(c, q)
+    evolution = _ricci_evolution(c[:, q:, q:, q:], rep)
+    for i, mu in enumerate(mus):
+        one = curvature_pieces(mu)
+        pairs = [(rep.H, one.H), (rep.B, one.B), (rep.M, one.M), (rep.U, one.U),
+                 (rep.Ric, one.Ric), (rep.R, one.R)]
+        pairs += zip(evolution, _ricci_evolution(mu.mu_p, one))
+        for stacked, single in pairs:
+            assert np.abs(stacked[i] - single).max() <= 1e-14 * np.abs(single).max()

@@ -20,7 +20,7 @@ from bracketflow.core import (
     pack_state,
     unpack_state,
 )
-from bracketflow.curvature import _ricci_evolution, curvature_pieces
+from bracketflow.curvature import _pieces, _ricci_evolution, curvature_pieces
 from bracketflow.families import berger3
 from bracketflow.flow import (
     BRACKET_NORM,
@@ -111,7 +111,8 @@ def test_tangent_matches_pi_action_under_every_pointwise_rate(shape, seed):
     for strategy in STRATEGIES:
         system = TensorFlowSystem(mu, strategy)
         try:
-            r_ref = _report_rate(mu, strategy, rep, None)
+            stack = mu.c[None]
+            r_ref = _report_rate(stack, q, strategy, _pieces(stack, q), None)[0]
         except NormalizationError:
             with pytest.raises(NormalizationError):
                 system.tangent(system.core0)
