@@ -14,7 +14,8 @@ dense ones the order of the extension; reruns are bit-reproducible either
 way.
 
 solve_rk54_batch steps many independent rows (the cells of a reduced-family
-sweep) in one vectorized loop, each row bitwise as if solved alone.
+sweep) in one vectorized loop, each row bitwise as if solved alone; only the
+controller's powers and the end of a row run per row in Python.
 """
 
 from __future__ import annotations
@@ -91,20 +92,23 @@ def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, at
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
-def _initial_step(f, y0, f0, t_end, rtol, atol):
-    scale = atol + rtol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, t_end)
-    y1 = y0 + h0 * f0
-    f1 = f(h0, y1)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, t_end)
+def _initial_step(f, Y0, F0, t_end, rtol, atol):
+    """Initial step of each row of Y0 (B, D), one call f(h0, Y1) for all rows.
+    Python's min(a, b) and max(a, b) become where(b < a, b, a) and where(b > a,
+    b, a), which keep NaNs as they do; a denominator is raised only where its
+    quotient is unused, and the power runs on Python floats."""
+    scale = atol + rtol * np.abs(Y0)
+    d0 = np.sqrt(np.mean((Y0 / scale) ** 2, axis=1))
+    d1 = np.sqrt(np.mean((F0 / scale) ** 2, axis=1))
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-5))
+    h0 = np.where(t_end < h0, t_end, h0)
+    F1 = f(h0, Y0 + h0[:, None] * F0)
+    d2 = np.sqrt(np.mean(((F1 - F0) / scale) ** 2, axis=1)) / h0
+    d12 = np.where(d2 > d1, d2, d1)
+    h1 = np.where(d12 <= 1e-15, np.fmax(1e-6, h0 * 1e-3),
+                  [x ** (1 / 5) for x in (0.01 / np.maximum(d12, 1e-15)).tolist()])
+    h = np.where(h1 < 100 * h0, h1, 100 * h0)
+    return np.where(t_end < h, t_end, h)
 
 
 def _grid(t_grid, rtol: float, atol: float) -> tuple[np.ndarray, float, float, np.ndarray]:
@@ -121,14 +125,14 @@ def _grid(t_grid, rtol: float, atol: float) -> tuple[np.ndarray, float, float, n
 
 
 def _result(grid, status, s, y, f_cur, ys, fs, n_steps, n_rejected, nfev) -> RKResult:
-    """RKResult of a run stopped at s in (y, f_cur); an early stop adds a closing sample."""
+    """RKResult of a run stopped at s in (y, f_cur) with samples ys, fs; an
+    early stop adds a closing sample."""
     t_grid, t0, direction, samples = grid
-    ts = list(t_grid[: len(ys)])
+    ts, ys, fs = t_grid[: len(ys)].copy(), np.asarray(ys), np.asarray(fs)
     if status != TERM_REACHED_END and s > samples[len(ys) - 1]:
-        ts.append(t0 + direction * s)
-        ys.append(y)
-        fs.append(direction * f_cur)
-    return RKResult(status, np.array(ts), np.array(ys), np.array(fs), n_steps, n_rejected, nfev)
+        ts = np.append(ts, t0 + direction * s)
+        ys, fs = np.vstack([ys, y]), np.vstack([fs, direction * f_cur])
+    return RKResult(status, ts, ys, fs, n_steps, n_rejected, nfev)
 
 
 def _dense_samples(k, s, h, y, sample_s):
@@ -192,7 +196,8 @@ def solve_rk54(
         fs = [direction * f_cur]
         si = 1
 
-        h = _initial_step(f, y, f_cur, s_end, rtol, atol)
+        h = float(_initial_step(lambda h, Y: f(float(h[0]), Y[0])[None], y[None], f_cur[None],
+                                s_end, rtol, atol)[0])
         err_prev = 1.0
         k = np.empty((7, y.size))
 
@@ -262,46 +267,40 @@ def solve_rk54_batch(
     t_grid: np.ndarray,
     rtol: float = 1e-9,
     atol: float = 1e-12,
-    step_callback: Callable[..., list] | None = None,
+    step_callback: Callable[..., dict] | None = None,
 ) -> list[RKResult]:
     """solve_rk54 on every row of Y0 (B, D) at once; one RKResult per row.
 
     ``rhs(t, Y, rows)`` and ``step_callback(t, Y, dY/dt, h, rows)`` see only
     the active rows (rows: their indices in Y0; t, h: one value per row).  The
-    callback runs on the rows that just accepted a step and returns a status
-    or None for each.  Every row keeps its own step size, controller state,
-    samples, status and counters, and leaves the batch when it ends.  The
-    accepted derivative is copied out of the stage buffer, so a retry after a
-    rejected step starts from it.  No arithmetic mixes rows,
-    so each row's result is bitwise that of the row solved alone.  As in
-    solve_rk54, the stage sums are per-row matmuls and the controller's powers
-    run on Python floats (NumPy's array powers round differently).
+    callback runs on the rows that just accepted a step and returns
+    {index into rows: status} for the rows it stops.  Every row keeps its own
+    step size, controller state, samples, status and counters, and leaves the
+    batch when it ends.  No arithmetic mixes rows and the stage sums are
+    per-row matmuls, so each row is bitwise the row solved alone.  Only the
+    controller's powers (on Python floats: NumPy's array powers round
+    differently in the last bit) and the recording of an ending row run per row.
     """
     grid = _grid(t_grid, rtol, atol)
     t_grid, t0, direction, samples = grid
     s_end = float(samples[-1])
     Y = np.array(Y0, dtype=float)
     B, D = Y.shape
-    nfev, n_steps, n_rejected = (np.zeros(B, dtype=int) for _ in range(3))
     status, ends = [TERM_REACHED_END] * B, [None] * B
+    sample_y, sample_f = np.empty((2, B, len(samples), D))
     rows = np.arange(B)  # the active rows; the state arrays below hold only them
 
-    def f(s, Y, rows):
-        nfev[rows] += 1
+    def f(s, Y):
         return direction * rhs(t0 + direction * s, Y, rows)
 
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.zeros(B)
-        F = f(s, Y, rows)
-        ys = [[y.copy()] for y in Y]
-        fs = [[direction * fr] for fr in F]
+        F = f(s, Y)
+        sample_y[:, 0], sample_f[:, 0] = Y, direction * F
+        H = _initial_step(f, Y, F, s_end, rtol, atol)
+        nfev, n_steps, n_rejected = np.full(B, 2), np.zeros(B, dtype=int), np.zeros(B, dtype=int)
         si = np.ones(B, dtype=int)
-        H = np.array([
-            _initial_step(lambda h, y: f(np.array([h]), y[None], rows[[j]])[0], Y[j], F[j],
-                          s_end, rtol, atol)
-            for j in range(B)
-        ])
-        err_prev = np.ones(B)
+        beta = np.ones(B)  # the PI controller's err_prev ** _BETA, err_prev = 1 at first
         done = np.zeros(B, dtype=bool)  # rows ended by their last step
 
         while True:
@@ -316,55 +315,56 @@ def solve_rk54_batch(
                 for j in done.nonzero()[0]:
                     if underflow[j]:
                         status[rows[j]] = TERM_UNDERFLOW
-                    ends[rows[j]] = (s[j], Y[j].copy(), F[j])
+                    ends[rows[j]] = (s[j], Y[j], F[j], si[j], n_steps[j], n_rejected[j], nfev[j])
                 keep = ~done
-                rows, s, H, si, err_prev, Y, F, target, clamp = (
-                    x[keep] for x in (rows, s, H, si, err_prev, Y, F, target, clamp))
+                rows, s, H, si, beta, Y, F, target, clamp, n_steps, n_rejected, nfev = (
+                    x[keep] for x in (rows, s, H, si, beta, Y, F, target, clamp, n_steps,
+                                      n_rejected, nfev))
             if not rows.size:
                 break
 
             K = np.empty((rows.size, 7, D))
             K[:, 0] = F
             for i in range(1, 7):
-                K[:, i] = f(s + _C[i] * H, Y + H[:, None] * np.matmul(_A[i], K[:, :i]), rows)
+                K[:, i] = f(s + _C[i] * H, Y + H[:, None] * np.matmul(_A[i], K[:, :i]))
+            nfev += 6
             Y_new = Y + H[:, None] * np.matmul(_B5, K)
             err = H[:, None] * np.matmul(_E, K)
             scale = atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new))
             # An overflowed row would enlarge its own scale and read as error 0.
             err_norm = np.sqrt(np.mean((err / scale) ** 2, axis=1))
             err_norm[~np.isfinite(Y_new).all(axis=1)] = np.inf
-            e = err_norm.tolist()
 
             # Written so that a NaN error norm rejects the step.
             accepted = err_norm <= 1.0
-            rej, acc = (~accepted).nonzero()[0], accepted.nonzero()[0]
-            n_rejected[rows[rej]] += 1
-            H[rej] *= [max(_MIN_FACTOR, _SAFETY * e[j] ** (-1 / 5)) for j in rej]
-
+            n_steps += accepted
+            n_rejected += ~accepted
             # Land exactly on the clamp target so sample bookkeeping stays exact.
-            s[acc] = np.where(clamp, target, s + H)[acc]
-            Y[acc], F[acc] = Y_new[acc], K[acc, 6]  # FSAL, copied out of K
-            n_steps[rows[acc]] += 1
-            hit = acc[s[acc] == samples[si[acc]]]
-            for j in hit:
-                ys[rows[j]].append(Y[j].copy())
-                fs[rows[j]].append(direction * F[j])
-            si[hit] += 1
+            s = np.where(accepted, np.where(clamp, target, s + H), s)
+            Y = np.where(accepted[:, None], Y_new, Y)
+            F = np.where(accepted[:, None], K[:, 6], F)  # FSAL, copied out of K
+            hit = accepted & (s == samples[si])
+            at = rows[hit], si[hit]
+            sample_y[at], sample_f[at] = Y[hit], direction * F[hit]
+            si += hit
 
             done = s >= s_end
-            if step_callback is not None and acc.size:
-                verdicts = step_callback(t0 + direction * s[acc], Y[acc], direction * F[acc],
-                                         H[acc], rows[acc])
-                for j, verdict in zip(acc, verdicts):
-                    if verdict is not None:
-                        status[rows[j]], done[j] = verdict, True
+            if step_callback is not None and accepted.any():
+                acc = accepted.nonzero()[0]
+                stops = step_callback(t0 + direction * s[acc], Y[acc], direction * F[acc],
+                                      H[acc], rows[acc])
+                for j, verdict in stops.items():
+                    status[rows[acc[j]]], done[acc[j]] = verdict, True
 
-            # PI step-size update.
-            ep, e_acc = err_prev.tolist(), [max(e[j], 1e-10) for j in acc]
-            H[acc] *= [min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * ej ** (-_ALPHA) * ep[j]**_BETA))
-                       for ej, j in zip(e_acc, acc)]
-            err_prev[acc] = e_acc
+            # PI update on the accepted rows, shrink on the rejected ones.  fmax,
+            # like Python's max(_MIN_FACTOR, x), turns a NaN factor into _MIN_FACTOR.
+            e = np.where(accepted, np.maximum(err_norm, 1e-10), err_norm).tolist()
+            power = [x ** -a for x, a in zip(e, np.where(accepted, _ALPHA, 1 / 5).tolist())]
+            factor = _SAFETY * np.array(power)
+            factor = np.where(accepted, np.fmin(_MAX_FACTOR, factor * beta), factor)
+            H *= np.fmax(_MIN_FACTOR, factor)
+            beta = np.where(accepted, [x**_BETA for x in e], beta)
 
-    return [_result(grid, status[g], *ends[g], ys[g], fs[g],
-                    int(n_steps[g]), int(n_rejected[g]), int(nfev[g])) for g in range(B)]
-
+    return [_result(grid, status[g], s, y, f_end, sample_y[g, :n], sample_f[g, :n],
+                    int(steps), int(rejected), int(evals))
+            for g, (s, y, f_end, n, steps, rejected, evals) in enumerate(ends)]

@@ -5,7 +5,8 @@ Artifacts are CSV tables plus JSON sidecar manifests.  CSV floats are
 printed with 17 significant digits and rows are assembled in a fixed order,
 so identical configurations produce byte-identical files.  Exit codes:
 0 success, 1 identity audit failed (check), 2 invalid point, 3 malformed
-input, 4 validity drift, 5 equivalence failure, 6 normalization undefined.
+input (also check or equiv on a family with no tensor realization), 4
+validity drift, 5 equivalence failure, 6 normalization undefined.
 An equiv run whose flows or gauges stop short of the span (as past a blowup)
 reports "partial": true over the prefix they covered.  Its deviations and
 --threshold are absolute, so a partial report whose prefix ends next to a
@@ -456,6 +457,7 @@ def cmd_sweep(cfg: dict) -> int:
         + [f"final_{n}" for n in names]
     )
     _write_csv(out_csv, header, cells)
+    runs = [r.stats for r in results if not isinstance(r, NormalizationError)]
     manifest = {
         "family": fam.name,
         "context": fam.context(),
@@ -466,6 +468,9 @@ def cmd_sweep(cfg: dict) -> int:
         "atol": atol,
         "cells": len(cells),
         "columns": header,
+        "stats": {"steps": sum(s.n_steps for s in runs),
+                  "rejected_steps": sum(s.n_rejected for s in runs),
+                  "rhs_evals": sum(s.nfev for s in runs)},
     }
     _dump_json(manifest, out_json)
     print(f"swept {len(cells)} cells -> {out_csv}")
@@ -474,7 +479,9 @@ def cmd_sweep(cfg: dict) -> int:
 
 def cmd_check(cfg: dict) -> int:
     src = _resolve_source(cfg)
-    if src.point is not None and not src.point.valid:
+    if src.point is None:
+        raise MalformedInputError("check needs a seed with a tensor realization")
+    if not src.point.valid:
         print("seed point failed validation", file=sys.stderr)
         return EXIT_INVALID_POINT
     traj = _run_flow_from_cfg(cfg, src, min_samples=3)  # the audit's stencils

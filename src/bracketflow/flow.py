@@ -597,16 +597,21 @@ def integrate_reduced_batch(
     Returns per cell its FlowTrajectory, or the exception the cell ends with:
     the NormalizationError of a rate undefined at a stage of its run, or a
     ValidityDriftError carrying its trajectory.  The events run per cell, and
-    each cell's result is bitwise that of the cell integrated alone.
+    each cell's result is bitwise that of the cell integrated alone.  The
+    step callback tests them as arrays over the cells that just accepted a
+    step and returns {index: status} for the cells that end, so a status
+    string is made only for those.
     """
     params0s = np.asarray(params0s, dtype=float)
     system = ReducedFlowSystem(family, strategy)
     errors: dict[int, Exception] = {}
+    failed = np.zeros(len(params0s), dtype=bool)  # the cells in errors
 
     def rhs(t, Y, rows):
         dcore, r, undefined = system.tangent(Y[:, :-2].T)
         for j, exc in undefined.items():
             errors.setdefault(int(rows[j]), exc)
+            failed[rows[j]] = True
         c = Y[:, -2:-1]
         return np.concatenate([dcore.T, r[:, None] * c, c * c], axis=1)
 
@@ -614,14 +619,16 @@ def integrate_reduced_batch(
     drifted = 0.0 > events.drift_factor * rtol  # the reduced families satisfy Jacobi exactly
 
     def callback(t, Y, F, h, rows):
+        undefined = failed[rows]
         blowup = np.sqrt(family.aux_norm2(Y[:, :-2].T)) > events.blowup_norm
-        small = np.sqrt(2.0) * np.sqrt(np.sum(F[:, :-2] ** 2, axis=1)) < events.conv_tangent
-        conv_count[rows] = np.where(small, conv_count[rows] + 1, 0)
-        return [
-            _TERM_UNDEFINED if g in errors else TERM_BLOWUP if up
-            else TERM_CONVERGED if k >= events.conv_window else _TERM_DRIFT if drifted else None
-            for g, up, k in zip(rows.tolist(), blowup, conv_count[rows])
-        ]
+        small = np.sqrt(2.0) * np.sqrt((F[:, :-2] ** 2).sum(axis=1)) < events.conv_tangent
+        count = conv_count[rows] = np.where(small, conv_count[rows] + 1, 0)
+        converged = count >= events.conv_window
+        return {
+            j: _TERM_UNDEFINED if undefined[j] else TERM_BLOWUP if blowup[j]
+            else TERM_CONVERGED if converged[j] else _TERM_DRIFT
+            for j in np.flatnonzero(undefined | blowup | converged | drifted).tolist()
+        }
 
     results = solve_rk54_batch(
         rhs,

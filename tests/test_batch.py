@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bracketflow._rk import solve_rk54_batch
+from bracketflow._rk import solve_rk54, solve_rk54_batch
 from bracketflow.families import Berger3
 from bracketflow.flow import (
     SCALAR_CURVATURE,
@@ -33,6 +33,54 @@ def test_batch_rows_keep_the_accepted_derivative():
         exact = a * np.exp(np.sin(30.0 * r.sample_t))
         assert np.abs(r.sample_y[:, 0] / exact - 1.0).max() <= 1e-5
         assert r.nfev == 2 + 6 * (r.n_steps + r.n_rejected)
+
+
+def _oscillating(t, y):
+    # y' = 30 cos(30 t) y + sin y, for one t and y (D,) or for t (B,) and y (B, D).
+    return 30.0 * np.cos(30.0 * np.asarray(t))[..., None] * y + np.sin(y)
+
+
+def _sqrt_decay(t, y):
+    # y' = -sqrt(y) reaches y = 0 at t = 2 sqrt(y0); a trial stage past it is NaN.
+    return -np.sqrt(y)
+
+
+@pytest.mark.parametrize("rhs, y0, tol, stop_above", [
+    (_oscillating, [1.0, 2.0, 0.5], (1e-6, 1e-9), None),  # every row rejects steps
+    (_sqrt_decay, [1.0, 4.0], (1e-9, 1e-12), None),  # row 0 meets NaN stages, then underflows
+    (_oscillating, [1.0, 2.0, 0.5], (1e-6, 1e-9), 8.0),  # the callback stops rows 0 and 1
+])
+def test_each_row_is_bitwise_solve_rk54_alone(rhs, y0, tol, stop_above):
+    grid = np.linspace(0.0, 3.0, 31)
+    nan_rows = set()
+
+    def batch_rhs(t, Y, rows):
+        out = rhs(t, Y)
+        nan_rows.update(rows[~np.isfinite(out).all(axis=1)].tolist())
+        return out
+
+    stop_batch = stop_alone = None
+    if stop_above is not None:
+        def stop_batch(t, Y, F, h, rows):
+            return {j: "stopped" for j in np.flatnonzero(Y[:, 0] > stop_above).tolist()}
+
+        def stop_alone(t, y, f, h):
+            return "stopped" if y[0] > stop_above else None
+
+    res = solve_rk54_batch(batch_rhs, np.array(y0)[:, None], grid, *tol, step_callback=stop_batch)
+    for r, y in zip(res, y0):
+        alone = solve_rk54(rhs, np.array([y]), grid, *tol, step_callback=stop_alone)
+        assert r.status == alone.status
+        for field in ("sample_t", "sample_y", "sample_f"):
+            assert getattr(r, field).tobytes() == getattr(alone, field).tobytes()
+        assert (r.n_steps, r.n_rejected, r.nfev) == (alone.n_steps, alone.n_rejected, alone.nfev)
+    statuses = [r.status for r in res]
+    if rhs is _sqrt_decay:
+        assert nan_rows == {0} and statuses == ["step-underflow", "reached-t-end"]
+    elif stop_above is None:
+        assert all(r.n_rejected >= 4 for r in res)
+    else:
+        assert statuses == ["stopped", "stopped", "reached-t-end"]
 
 
 def test_batch_row_underflow_leaves_its_neighbours_alone():

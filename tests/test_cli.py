@@ -10,6 +10,7 @@ from scipy.integrate import solve_ivp
 
 from bracketflow.cli import main
 from bracketflow.families import get_family
+from bracketflow.flow import UNNORMALIZED, integrate_reduced
 
 
 def run(args):
@@ -264,6 +265,20 @@ def test_sweep_cells_match_the_per_cell_runs(tmp_path, capsys, grid, normalizati
     assert np.all(np.abs(final.ravel() - ref.y[:, -1]) <= 1e-6 * np.abs(ref.y[:, -1]))
 
 
+def test_sweep_stats_sum_the_cells_run_alone(tmp_path, capsys):
+    assert run(["sweep", "--family", "berger3", "--params", "1,1,0", "--grid", "a=0:2:3,b=-1:2:4",
+                "--t-span", "0:5", "--samples", "20", "--tol", "1e-9", "--atol", "1e-12",
+                "--out", tmp_path]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "sweep.csv")))
+    runs = [integrate_reduced(get_family("berger3"), [float(r[n]) for n in "abc"], UNNORMALIZED,
+                              (0.0, 5.0), rtol=1e-9, atol=1e-12, samples=20) for r in rows]
+    assert read_json(tmp_path / "sweep.json")["stats"] == {
+        "steps": sum(t.stats.n_steps for t in runs),
+        "rejected_steps": sum(t.stats.n_rejected for t in runs),
+        "rhs_evals": sum(t.stats.nfev for t in runs),
+    }
+
+
 def test_sweep_imports_no_process_pool():
     # The cells run as one batch: importing the CLI loads no worker pool.
     code = ("import sys, bracketflow.cli; "
@@ -283,6 +298,16 @@ def test_check_command(tmp_path, capsys):
     assert doc["passed"] is True and doc["worst"] <= 1e-4
     # An unreasonably tight tolerance flips the exit code.
     assert run(argv + ["--audit-tol", "1e-12"]) == 1
+
+
+def test_check_without_a_tensor_realization_exits_3(tmp_path, capsys):
+    # The audit needs the brackets, which this semisimple family cannot embed.
+    argv = ["check", "--family", "semisimple", "--params", "1,2,2,1", "--t-span", "0:1",
+            "--samples", "101", "--out", tmp_path / "out"]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err == "malformed input: check needs a seed with a tensor realization\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_equiv_command(tmp_path, capsys):
