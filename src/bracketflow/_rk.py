@@ -11,7 +11,8 @@ uses a PI controller on the embedded error estimate; a trial step whose
 state is not finite is rejected, and the retry starts from the accepted
 (FSAL) derivative.  Clamped samples carry the full order of the method,
 dense ones the order of the extension; reruns are bit-reproducible either
-way.
+way.  On a forward grid the rhs result is used as it is: the product with
+direction = 1.0 that a backward grid takes would be an exact copy.
 
 solve_rk54_batch steps many independent rows (the cells of a reduced-family
 sweep) in one vectorized loop, each row bitwise as if solved alone; only the
@@ -88,8 +89,8 @@ def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, at
     # An overflowed y1 would enlarge its own scale and read as error 0.
     if not np.isfinite(y1).all():
         return np.inf
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    z = err / (atol + rtol * np.maximum(np.abs(y0), np.abs(y1)))
+    return float(np.sqrt(np.add.reduce(z * z) / z.size))  # np.mean's reduction, unwrapped
 
 
 def _initial_step(f, Y0, F0, t_end, rtol, atol):
@@ -184,7 +185,8 @@ def solve_rk54(
     def f(s, y):
         nonlocal nfev
         nfev += 1
-        return direction * rhs(t0 + direction * s, y)
+        out = rhs(t0 + direction * s, y)
+        return out if direction == 1.0 else direction * out
 
     with np.errstate(over="ignore", invalid="ignore"):
         status = TERM_REACHED_END
@@ -200,6 +202,7 @@ def solve_rk54(
                                 s_end, rtol, atol)[0])
         err_prev = 1.0
         k = np.empty((7, y.size))
+        min_step = 16 * np.finfo(float).eps
 
         while s < s_end:
             # The last sample is s_end, so this clamp also stops the run there.
@@ -209,7 +212,7 @@ def solve_rk54(
             else:
                 target = None
             # Written so that a NaN step size (from a NaN derivative) ends the run.
-            if not h >= 16 * np.finfo(float).eps * max(abs(s), 1.0):
+            if not h >= min_step * max(abs(s), 1.0):
                 status = TERM_UNDERFLOW
                 break
 

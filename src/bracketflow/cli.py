@@ -195,7 +195,7 @@ def _samples(cfg: dict, default: int, minimum: int = 2) -> int:
 
 def _tolerances(cfg: dict) -> tuple[float, float]:
     rtol = _number(cfg, "tol", float, 1e-9)
-    atol = _number(cfg, "atol", float, rtol * 1e-3)
+    atol = _number(cfg, "atol", float, rtol / 1e3)  # 1e-12 at the default rtol, as in the API
     if not (0 < rtol < np.inf and 0 < atol < np.inf):
         raise MalformedInputError(f"tolerances must be positive and finite, got {rtol!r}, {atol!r}")
     return rtol, atol
@@ -527,7 +527,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--out", help="output directory for artifacts")
     common.add_argument("--tol", type=float, dest="tol", help="relative integrator tolerance")
-    common.add_argument("--atol", type=float, help="absolute integrator tolerance")
+    common.add_argument("--atol", type=float,
+                        help="absolute integrator tolerance (default tol / 1000, so 1e-12)")
     common.add_argument("--seed-format", dest="seed_format", choices=["json"])
     common.add_argument("--family", choices=sorted(_FAMILY_CHOICES))
     common.add_argument("--params", help="comma-separated family parameters")

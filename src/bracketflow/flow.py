@@ -236,13 +236,17 @@ class EventConfig:
 @dataclass(frozen=True)
 class IntegrationStats:
     """Step and rhs-evaluation counts; after a blowup, the blowup time T on the run's
-    own time axis and |T - t| |Ric| at the closing sample t, bounded at type I."""
+    own time axis and |T - t| |Ric| at the closing sample t, bounded at type I.
+    trigger_value is the value that ended a tensor run on an event: the aux norm
+    past the blowup norm, the last tangent norm of the convergence window, or
+    the Jacobi residual past the drift bound."""
 
     n_steps: int
     n_rejected: int
     nfev: int
     blowup_time_estimate: float | None = None
     blowup_ricci_product: float | None = None
+    trigger_value: float | None = None
 
 
 class TensorFlowSystem:
@@ -256,7 +260,16 @@ class TensorFlowSystem:
         self.core0 = pack_state(mu0)
         self.param_names = _packed_names(self.q + self.n)
         from ._poly import tables  # compiled on first use, not by `import bracketflow`
-        self.tables = tables(self.q, self.n)
+        self.tables = tab = tables(self.q, self.n)
+        # (core, ric) -> (n, R, tr Ric^2, tr Ric M, |mu_p|^2), 0 where the _RATES formula
+        # skips; the closures hold n and tab, not self, so a system frees by refcount.
+        n = self.n
+        self._scalars = {
+            "volume": lambda y, a: (n, tab.trace(a), 0, 0, 0),
+            "scalar-curvature": lambda y, a: (n, tab.trace(a), tab.trace_product(a, a), 0, 0),
+            "bracket-norm": lambda y, a: (
+                n, 0, 0, tab.trace_product(a, tab.moment(y, y)), tab.mu_p_norm2(y)),
+        }.get(strategy.kind)
 
     def bracket(self, core: np.ndarray) -> BracketTensor:
         return unpack_state(self.q, self.n, core)
@@ -271,8 +284,11 @@ class TensorFlowSystem:
     def rate(self, core: np.ndarray, ric: np.ndarray | None = None) -> float:
         """Normalization rate r at core, whose Ric sym vector is ric if given.
 
-        The ricci-norm rate reads D0, the derivative of Ric along the
-        unnormalized tangent, exactly: Ric is a quadratic form in the state.
+        A volume, scalar-curvature or bracket-norm rate evaluates only the
+        curvature scalars its _RATES formula reads, bound to the kind once
+        at construction.  The ricci-norm rate reads D0, the derivative of Ric
+        along the unnormalized tangent, exactly: Ric is a quadratic form in
+        the state.
         """
         tab, kind = self.tables, self.strategy.kind
         if kind == "none":
@@ -280,21 +296,19 @@ class TensorFlowSystem:
         if kind == "custom":
             return float(self.strategy.rate_fn(self.bracket(core)))
         ric = tab.ricci(core, core) if ric is None else ric
+        if self._scalars is not None:
+            return _rate_from_scalars(self.strategy, *self._scalars(core, ric))
+        if kind != "ricci-norm":
+            return _rate_from_scalars(self.strategy)  # raises: a kind with no rate
         tr_ric2 = tab.trace_product(ric, ric)
-        if kind == "ricci-norm":
-            if tr_ric2 <= 0:
-                raise NormalizationError("ricci-norm rate undefined at a flat bracket")
-            d0 = tab.ricci.polar(core, tab.flow_tangent(ric, core, 0.0))
-            return -tab.trace_product(ric, d0) / (2.0 * tr_ric2)
-        tr_ric_m = 0.0
-        if kind == "bracket-norm":  # the one rate reading tr(Ric M)
-            tr_ric_m = tab.trace_product(ric, tab.moment(core, core))
-        return _rate_from_scalars(
-            self.strategy, self.n, tab.trace(ric), tr_ric2, tr_ric_m, tab.mu_p_norm2(core)
-        )
+        if tr_ric2 <= 0:
+            raise NormalizationError("ricci-norm rate undefined at a flat bracket")
+        d0 = tab.ricci.polar(core, tab.flow_tangent(ric, core, 0.0))
+        return -tab.trace_product(ric, d0) / (2.0 * tr_ric2)
 
     def tangent(self, core: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-        """Packed tangent at core, its rate r and the Ric sym vector it reads."""
+        """Packed tangent at core, its rate r and the Ric sym vector it reads;
+        the rate reads only the scalars its kind's formula needs (see rate)."""
         if not np.isfinite(core).all():  # a non-finite trial stage: the stepper rejects it
             return np.full(core.shape, np.nan), np.nan, np.full(self.tables.sym_w.size, np.nan)
         ric = self.tables.ricci(core, core)
@@ -420,6 +434,8 @@ class FlowTrajectory:
         if self.stats.blowup_time_estimate is not None:
             d["blowup_time_estimate"] = self.stats.blowup_time_estimate
             d["blowup_ricci_product"] = self.stats.blowup_ricci_product
+        if self.stats.trigger_value is not None:
+            d["trigger_value"] = self.stats.trigger_value
         if self.notes:
             d["notes"] = list(self.notes)
         return d
@@ -463,32 +479,39 @@ def _run_flow(
 
         def rhs(t, y):
             dcore, r, ric = system.tangent(y[:m])
-            cval, h = y[m], y[m + 2:].reshape(n, n)
-            dh = -(ric[full] @ h) - r * h
-            return np.concatenate([dcore, [r * cval, cval * cval], dh.ravel()])
+            out, cval, h = np.empty(y.size), y[m], y[m + 2:].reshape(n, n)
+            out[:m], out[m], out[m + 1] = dcore, r * cval, cval * cval
+            out[m + 2:] = (-(ric[full] @ h) - r * h).ravel()
+            return out
     else:
 
         def rhs(t, y):
             dcore, r, _ = system.tangent(y[:m])
-            cval = y[m]
-            return np.concatenate([dcore, [r * cval, cval * cval]])
+            out, cval = np.empty(m + 2), y[m]
+            out[:m], out[m], out[m + 1] = dcore, r * cval, cval * cval
+            return out
 
-    conv_count = 0
+    conv_count, trigger = 0, None  # trigger: the value that ends the run, set on its last step
     drift_message: list[str] = []
 
     def callback(t, y, f, h):
-        nonlocal conv_count
+        nonlocal conv_count, trigger
         core = y[:m]
-        if float(np.sqrt(system.aux_norm2(core))) > events.blowup_norm:
+        size = float(np.sqrt(system.aux_norm2(core)))
+        if size > events.blowup_norm:
+            trigger = size
             return TERM_BLOWUP
-        if float(np.sqrt(2.0) * np.linalg.norm(f[:m])) < events.conv_tangent:
+        speed = float(np.sqrt(2.0) * np.sqrt(f[:m].dot(f[:m])))  # 1-D np.linalg.norm
+        if speed < events.conv_tangent:
             conv_count += 1
             if conv_count >= events.conv_window:
+                trigger = speed
                 return TERM_CONVERGED
         else:
             conv_count = 0
         drift = system.drift(core)
         if drift > events.drift_factor * rtol:
+            trigger = drift
             drift_message.append(
                 f"Jacobi residual {drift:.3e} exceeded "
                 f"{events.drift_factor:g} * rtol at t = {t:.6g}"
@@ -505,14 +528,15 @@ def _run_flow(
         step_callback=callback if isinstance(events, EventConfig) else events,
         sampling=sampling,
     )
-    traj = _trajectory(system, res, drift_message)
+    traj = _trajectory(system, res, drift_message, trigger)
     if res.status == _TERM_DRIFT:
         raise ValidityDriftError(drift_message[0], traj)
     return (traj, _gauge_record(res, "bracket", n)) if gauge else traj
 
 
-def _trajectory(system, res: RKResult, notes=()) -> FlowTrajectory:
-    """FlowTrajectory of a flow run whose states start with (core, c, tau)."""
+def _trajectory(system, res: RKResult, notes=(), trigger=None) -> FlowTrajectory:
+    """FlowTrajectory of a flow run whose states start with (core, c, tau);
+    trigger is the value that ended it on an event, if recorded."""
     estimate = _blowup_estimate(system, res) if res.status == TERM_BLOWUP else (None, None)
     ys, m = res.sample_y, len(system.param_names)
     return FlowTrajectory(
@@ -524,7 +548,7 @@ def _trajectory(system, res: RKResult, notes=()) -> FlowTrajectory:
         system=system,
         strategy=system.strategy,
         termination=res.status,
-        stats=IntegrationStats(res.n_steps, res.n_rejected, res.nfev, *estimate),
+        stats=IntegrationStats(res.n_steps, res.n_rejected, res.nfev, *estimate, trigger),
         notes=tuple(notes),
     )
 

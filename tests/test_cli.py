@@ -9,8 +9,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from bracketflow.cli import main
-from bracketflow.families import get_family
-from bracketflow.flow import UNNORMALIZED, integrate_reduced
+from bracketflow.families import berger3, get_family
+from bracketflow.flow import SCALAR_CURVATURE, UNNORMALIZED, integrate, integrate_reduced
 
 
 def run(args):
@@ -98,6 +98,22 @@ def test_exit_code_drift(tmp_path, capsys):
     assert "error" in manifest
 
 
+def test_default_tolerances_are_the_library_defaults(tmp_path, capsys):
+    # atol defaults to tol / 1000, which is the library's 1e-12 exactly, so a
+    # CLI run with default options is the library run with default options.
+    # On this run atol = 1.0000000000000002e-12 takes 4 more steps.
+    assert run(["flow", "--family", "berger3", "--params", "0.5,-0.1875,0", "--normalization",
+                "scalar-curvature", "--t-span", "0:60", "--out", tmp_path]) == 0
+    manifest = read_json(tmp_path / "flow.json")
+    assert (manifest["rtol"], manifest["atol"]) == (1e-9, 1e-12)
+    traj = integrate(berger3(0.5, -0.1875, 0).point, SCALAR_CURVATURE, (0.0, 60.0))
+    assert manifest["run"]["steps"] == traj.stats.n_steps
+    with open(tmp_path / "flow.csv") as f:
+        last = f.read().splitlines()[-1].split(",")
+    # 17 significant digits read back to the same doubles
+    assert np.array(last[8:], dtype=float).tobytes() == traj.states[-1].tobytes()
+
+
 def test_flow_blowup_manifest(tmp_path, capsys):
     code = run(["flow", "--family", "berger3", "--params", "1,2,0",
                 "--t-span", "0:5", "--out", tmp_path])
@@ -107,6 +123,7 @@ def test_flow_blowup_manifest(tmp_path, capsys):
     assert manifest["classification"]["verdict"] == "finite-time-blowup"
     # Type I: (T - t) |Ric| = sqrt(3) / 2 at the closing sample.
     assert manifest["run"]["blowup_ricci_product"] == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-6)
+    assert manifest["run"]["trigger_value"] > manifest["events"]["blowup_threshold"]
     with open(tmp_path / "flow.csv") as f:
         header = f.readline().strip().split(",")
     assert header[:8] == ["t", "c", "tau", "R", "ric_norm", "mu_p_norm2", "H_norm2", "trB"]

@@ -126,6 +126,10 @@ def test_integrate_blowup_forward():
     assert traj.stats.blowup_time_estimate == pytest.approx(traj.times[-1], rel=0.05)
     # Type I: (T - t) |Ric| = sqrt(3) / 2 at the closing sample.
     assert traj.stats.blowup_ricci_product == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-6)
+    # The aux norm that ended the run, read on its last step: the closing sample.
+    assert traj.stats.trigger_value == float(np.sqrt(traj.system.aux_norm2(traj.states[-1])))
+    assert traj.stats.trigger_value > EventConfig().blowup_norm
+    assert traj.describe()["trigger_value"] == traj.stats.trigger_value
     assert np.all(np.diff(traj.times) > 0)
     assert traj.c[0] == 1.0 and traj.tau[0] == 0.0
 
@@ -236,7 +240,9 @@ def test_validity_drift_aborts():
     system = TensorFlowSystem(bad.bracket, UNNORMALIZED)
     with pytest.raises(ValidityDriftError) as info:
         _run_flow(system, np.linspace(0.0, 1.0, 20), 1e-9, 1e-12, EventConfig())
-    assert info.value.trajectory is not None
+    traj = info.value.trajectory
+    assert traj.stats.trigger_value == system.drift(traj.states[-1]) > 1e3 * 1e-9
+    assert traj.describe()["trigger_value"] == traj.stats.trigger_value
 
 
 def test_step_underflow_near_singularity():
@@ -278,6 +284,10 @@ def test_convergence_event():
         events=EventConfig(conv_tangent=1e-10, conv_window=6),
     )
     assert traj.termination == "converged-to-fixed-point"
+    # The tangent norm that closed the window: the closing sample's.
+    speed = float(np.sqrt(2.0) * np.linalg.norm(traj.derivs[-1]))
+    assert traj.stats.trigger_value == speed < 1e-10
+    assert traj.describe()["trigger_value"] == speed
     a, b, _ = Berger3().project(traj.final_bracket(), tol=1e-5)
     assert a == pytest.approx(2 ** (1 / 3), abs=1e-3)
     assert b == pytest.approx(2 ** (2 / 3), abs=1e-3)
@@ -873,6 +883,8 @@ def test_rhs_evaluations_are_counted():
     stats = traj.stats
     assert stats.nfev == 2 + 6 * (stats.n_steps + stats.n_rejected)
     assert traj.describe()["rhs_evals"] == stats.nfev
+    assert traj.termination == "reached-t-end" and stats.trigger_value is None
+    assert "trigger_value" not in traj.describe()
 
 
 def test_flow_right_hand_side_builds_no_bracket(monkeypatch):

@@ -5,6 +5,8 @@ natural scale 1 and the bounds read as relative ones; a rate divides by R,
 |mu_p|^2 or tr(Ric^2), so its bound grows with the condition of that division.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,14 +23,16 @@ from bracketflow.core import (
     unpack_state,
 )
 from bracketflow.curvature import _pieces, _ricci_evolution, curvature_pieces
-from bracketflow.families import berger3
+from bracketflow.families import berger3, unimodular3
 from bracketflow.flow import (
     BRACKET_NORM,
+    RICCI_NORM,
     SCALAR_CURVATURE,
     UNNORMALIZED,
     VOLUME,
     NormalizationError,
     TensorFlowSystem,
+    _rate_from_scalars,
     _report_rate,
     custom_rate,
     ricci_norm_rate,
@@ -123,6 +127,66 @@ def test_tangent_matches_pi_action_under_every_pointwise_rate(shape, seed):
         assert np.abs(tangent - reference_tangent(mu, rep.Ric, r_ref)).max() <= TOL * (1 + scale)
         iso = tangent.reshape(-1, d)[_pairs(d)[0] < q]
         assert np.all(iso == 0.0) and not np.signbit(iso).any()
+
+
+def rate_from_every_scalar(tab, strategy, y, ric):
+    """Reference rate at y: all five curvature scalars into _rate_from_scalars,
+    and ricci-norm and custom by their own formulas."""
+    if strategy.kind == "custom":
+        return float(strategy.rate_fn(unpack_state(tab.q, tab.n, y)))
+    tr2 = tab.trace_product(ric, ric)
+    if strategy.kind == "ricci-norm":
+        if tr2 <= 0:
+            raise NormalizationError("ricci-norm rate undefined at a flat bracket")
+        d0 = tab.ricci.polar(y, tab.flow_tangent(ric, y, 0.0))
+        return -tab.trace_product(ric, d0) / (2.0 * tr2)
+    return _rate_from_scalars(strategy, tab.n, tab.trace(ric), tr2,
+                              tab.trace_product(ric, tab.moment(y, y)), tab.mu_p_norm2(y))
+
+
+def assert_tangent_is_the_rate_from_every_scalar(mu, y):
+    tab = tables(mu.q, mu.n)
+    ric = tab.ricci(y, y)
+    for strategy in STRATEGIES + [RICCI_NORM]:
+        system = TensorFlowSystem(mu, strategy)
+        try:
+            r = rate_from_every_scalar(tab, strategy, y, ric)
+        except NormalizationError as exc:
+            with pytest.raises(NormalizationError, match=f"^{re.escape(str(exc))}$"):
+                system.tangent(y)
+            continue
+        tangent, r_bound, ric_bound = system.tangent(y)
+        assert np.float64(r_bound).tobytes() == np.float64(r).tobytes(), strategy.kind
+        assert tangent.tobytes() == tab.flow_tangent(ric, y, r).tobytes(), strategy.kind
+        assert ric_bound.tobytes() == ric.tobytes()
+
+
+@SETTINGS
+@given(st.sampled_from(SHAPES), st.integers(0, 2**32 - 1),
+       st.sampled_from(["unit", "mu_p = 0", "zero", "non-finite"]))
+def test_tangent_is_bitwise_the_rate_from_every_scalar(shape, seed, variant):
+    # Each bound rate evaluates only the scalars its formula reads; one that
+    # read the wrong scalar would move r and the tangent off these bits.
+    mu = unit_bracket(*shape, np.random.default_rng(seed))
+    tab = tables(*shape)
+    y = pack_state(mu)
+    if variant == "non-finite":  # a rejected trial stage: the NaN triple, whatever the rate
+        y[seed % y.size] = [np.nan, np.inf, -np.inf][seed % 3]
+        for strategy in STRATEGIES + [RICCI_NORM]:
+            tangent, r, ric = TensorFlowSystem(mu, strategy).tangent(y)
+            assert tangent.shape == y.shape and np.isnan(tangent).all() and np.isnan(r)
+            assert ric.shape == tab.sym_w.shape and np.isnan(ric).all()
+        return
+    if variant != "unit":  # |mu_p|^2 = 0: bracket-norm raises; zero: R = tr Ric^2 = 0 too
+        y = np.where((tab.mu_p_w > 0) | (variant == "zero"), 0.0, y)
+    assert_tangent_is_the_rate_from_every_scalar(mu, y)
+
+
+@pytest.mark.parametrize("mu", [unimodular3(1, 1, 0).point.bracket,  # flat, mu_p != 0
+                                berger3(0, 1, 0).point.bracket],  # mu_p = 0, R != 0
+                         ids=["flat", "no-mu_p"])
+def test_undefined_bound_rates_raise_as_from_every_scalar(mu):
+    assert_tangent_is_the_rate_from_every_scalar(mu, pack_state(mu))
 
 
 @SETTINGS

@@ -99,3 +99,21 @@ def test_dense_early_stop_keeps_its_closing_sample():
 def test_unknown_sampling_is_rejected():
     with pytest.raises(ValueError, match="sampling"):
         solve_rk54(lambda t, y: -y, np.array([1.0]), GRID, sampling="uniform")
+
+
+@pytest.mark.parametrize("sampling", ["clamped", "dense"])
+@pytest.mark.parametrize("y0", [0.7, 0.75])  # 0.75 blows up before t = 1 and ends on underflow
+def test_backward_solve_is_the_mirrored_forward_solve(y0, sampling):
+    # y' = -y^3 backward in t is y' = y^3 forward in s = -t.  The forward f
+    # returns the rhs result itself, the backward f multiplies by -1.0; both
+    # are exact, so the runs agree bitwise and their derivatives differ by sign.
+    back = solve_rk54(lambda t, y: -y**3, np.array([y0]), np.linspace(0.0, -1.0, 11),
+                      RTOL, ATOL, sampling=sampling)
+    fwd = solve_rk54(lambda t, y: y**3, np.array([y0]), np.linspace(0.0, 1.0, 11),
+                     RTOL, ATOL, sampling=sampling)
+    assert fwd.n_rejected > 0
+    assert (back.status, back.n_steps, back.n_rejected, back.nfev) == (
+        fwd.status, fwd.n_steps, fwd.n_rejected, fwd.nfev)
+    assert np.array_equal(back.sample_t, -fwd.sample_t)  # t = 0.0 against -0.0
+    assert back.sample_y.tobytes() == fwd.sample_y.tobytes()
+    assert back.sample_f.tobytes() == (-fwd.sample_f).tobytes()
