@@ -16,7 +16,8 @@ direction = 1.0 that a backward grid takes would be an exact copy.
 
 solve_rk54_batch steps many independent rows (the cells of a reduced-family
 sweep) in one vectorized loop, each row bitwise as if solved alone; only the
-controller's powers and the end of a row run per row in Python.
+controller's powers and the end of a row run per row in Python.  Its forward
+grids skip the direction product on the rhs result in the same way.
 """
 
 from __future__ import annotations
@@ -283,6 +284,7 @@ def solve_rk54_batch(
     per-row matmuls, so each row is bitwise the row solved alone.  Only the
     controller's powers (on Python floats: NumPy's array powers round
     differently in the last bit) and the recording of an ending row run per row.
+    A forward grid takes the rhs result as it is, as solve_rk54 does.
     """
     grid = _grid(t_grid, rtol, atol)
     t_grid, t0, direction, samples = grid
@@ -293,49 +295,49 @@ def solve_rk54_batch(
     sample_y, sample_f = np.empty((2, B, len(samples), D))
     rows = np.arange(B)  # the active rows; the state arrays below hold only them
 
-    def f(s, Y):
-        return direction * rhs(t0 + direction * s, Y, rows)
+    def f(t, Y):  # dY/ds at t = t0 + direction * s
+        return rhs(t, Y, rows) if direction == 1.0 else direction * rhs(t, Y, rows)
 
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.zeros(B)
-        F = f(s, Y)
+        F = f(t0 + direction * s, Y)
         sample_y[:, 0], sample_f[:, 0] = Y, direction * F
-        H = _initial_step(f, Y, F, s_end, rtol, atol)
-        nfev, n_steps, n_rejected = np.full(B, 2), np.zeros(B, dtype=int), np.zeros(B, dtype=int)
+        H = _initial_step(lambda h, Y: f(t0 + direction * h, Y), Y, F, s_end, rtol, atol)
+        n_steps, n_rejected = np.zeros((2, B), dtype=int)
         si = np.ones(B, dtype=int)
         beta = np.ones(B)  # the PI controller's err_prev ** _BETA, err_prev = 1 at first
         done = np.zeros(B, dtype=bool)  # rows ended by their last step
+        min_step, last = 16 * np.finfo(float).eps, len(samples) - 1
 
         while True:
             # The last sample is s_end, so this clamp also stops a row there.
-            target = samples[np.minimum(si, len(samples) - 1)]
+            target = samples[np.minimum(si, last)]
             clamp = s + H >= target
             H = np.where(clamp, target - s, H)
-            # Written so that a NaN step size (from a NaN derivative) ends the row.
-            underflow = ~done & ~(H >= 16 * np.finfo(float).eps * np.maximum(np.abs(s), 1.0))
+            # Written so that a NaN step size (from a NaN derivative) ends the row; s >= 0.
+            underflow = ~done & ~(H >= min_step * np.maximum(s, 1.0))
             done |= underflow
             if done.any():
                 for j in done.nonzero()[0]:
                     if underflow[j]:
                         status[rows[j]] = TERM_UNDERFLOW
-                    ends[rows[j]] = (s[j], Y[j], F[j], si[j], n_steps[j], n_rejected[j], nfev[j])
+                    ends[rows[j]] = (s[j], Y[j], F[j], si[j], n_steps[j], n_rejected[j])
                 keep = ~done
-                rows, s, H, si, beta, Y, F, target, clamp, n_steps, n_rejected, nfev = (
+                rows, s, H, si, beta, Y, F, target, clamp, n_steps, n_rejected = (
                     x[keep] for x in (rows, s, H, si, beta, Y, F, target, clamp, n_steps,
-                                      n_rejected, nfev))
+                                      n_rejected))
             if not rows.size:
                 break
 
             K = np.empty((rows.size, 7, D))
             K[:, 0] = F
+            Hc, stage_t = H[:, None], t0 + direction * (s + _C[:, None] * H)
             for i in range(1, 7):
-                K[:, i] = f(s + _C[i] * H, Y + H[:, None] * np.matmul(_A[i], K[:, :i]))
-            nfev += 6
-            Y_new = Y + H[:, None] * np.matmul(_B5, K)
-            err = H[:, None] * np.matmul(_E, K)
-            scale = atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new))
+                K[:, i] = f(stage_t[i], Y + Hc * np.matmul(_A[i], K[:, :i]))
+            Y_new = Y + Hc * np.matmul(_B5, K)
+            z = Hc * np.matmul(_E, K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
+            err_norm = np.sqrt(np.add.reduce(z * z, axis=1) / D)  # np.mean's reduction, unwrapped
             # An overflowed row would enlarge its own scale and read as error 0.
-            err_norm = np.sqrt(np.mean((err / scale) ** 2, axis=1))
             err_norm[~np.isfinite(Y_new).all(axis=1)] = np.inf
 
             # Written so that a NaN error norm rejects the step.
@@ -344,16 +346,16 @@ def solve_rk54_batch(
             n_rejected += ~accepted
             # Land exactly on the clamp target so sample bookkeeping stays exact.
             s = np.where(accepted, np.where(clamp, target, s + H), s)
-            Y = np.where(accepted[:, None], Y_new, Y)
-            F = np.where(accepted[:, None], K[:, 6], F)  # FSAL, copied out of K
+            acc = accepted[:, None]
+            Y, F = np.where(acc, Y_new, Y), np.where(acc, K[:, 6], F)  # FSAL, copied out of K
             hit = accepted & (s == samples[si])
             at = rows[hit], si[hit]
             sample_y[at], sample_f[at] = Y[hit], direction * F[hit]
             si += hit
 
             done = s >= s_end
-            if step_callback is not None and accepted.any():
-                acc = accepted.nonzero()[0]
+            acc = accepted.nonzero()[0]
+            if step_callback is not None and acc.size:
                 stops = step_callback(t0 + direction * s[acc], Y[acc], direction * F[acc],
                                       H[acc], rows[acc])
                 for j, verdict in stops.items():
@@ -361,13 +363,13 @@ def solve_rk54_batch(
 
             # PI update on the accepted rows, shrink on the rejected ones.  fmax,
             # like Python's max(_MIN_FACTOR, x), turns a NaN factor into _MIN_FACTOR.
-            e = np.where(accepted, np.maximum(err_norm, 1e-10), err_norm).tolist()
-            power = [x ** -a for x, a in zip(e, np.where(accepted, _ALPHA, 1 / 5).tolist())]
-            factor = _SAFETY * np.array(power)
+            e = np.maximum(err_norm, 1e-10).tolist()  # a rejected row's norm is > 1 or NaN
+            power = map(pow, e, np.where(accepted, -_ALPHA, -1 / 5).tolist())
+            factor = _SAFETY * np.array(list(power))
             factor = np.where(accepted, np.fmin(_MAX_FACTOR, factor * beta), factor)
             H *= np.fmax(_MIN_FACTOR, factor)
             beta = np.where(accepted, [x**_BETA for x in e], beta)
 
     return [_result(grid, status[g], s, y, f_end, sample_y[g, :n], sample_f[g, :n],
-                    int(steps), int(rejected), int(evals))
-            for g, (s, y, f_end, n, steps, rejected, evals) in enumerate(ends)]
+                    int(steps), int(rejected), 2 + 6 * int(steps + rejected))
+            for g, (s, y, f_end, n, steps, rejected) in enumerate(ends)]

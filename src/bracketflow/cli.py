@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -522,6 +523,7 @@ def cmd_equiv(cfg: dict) -> int:
 # Argument parsing.
 
 
+@lru_cache(maxsize=1)  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override it")

@@ -170,13 +170,12 @@ class Unimodular3(_FamilyBase):
 
     def rhs(self, params):
         a, b, c = params
-        return np.array(
-            [
-                (-0.5 * (3 * a**2 - b**2 - c**2) + a * b + a * c - b * c) * a,
-                (-0.5 * (3 * b**2 - a**2 - c**2) + a * b - a * c + b * c) * b,
-                (-0.5 * (3 * c**2 - a**2 - b**2) - a * b + a * c + b * c) * c,
-            ]
-        )
+        a2, b2, c2, ab, ac, bc = a**2, b**2, c**2, a * b, a * c, b * c
+        out = np.empty(np.shape(params))
+        out[0] = (-0.5 * (3 * a2 - b2 - c2) + ab + ac - bc) * a
+        out[1] = (-0.5 * (3 * b2 - a2 - c2) + ab - ac + bc) * b
+        out[2] = (-0.5 * (3 * c2 - a2 - b2) - ab + ac + bc) * c
+        return out
 
     def embed(self, params) -> BracketTensor:
         a, b, c = (float(x) for x in params)
@@ -224,13 +223,11 @@ class Berger3(_FamilyBase):
 
     def rhs(self, params):
         a, b, c = params
-        return np.array(
-            [
-                (-1.5 * a**2 + 2 * b + 2 * a * c) * a,
-                (-(a**2) + 2 * b + 2 * a * c) * b,
-                0.5 * a**2 * c,
-            ]
-        )
+        out, a2, two_b, two_ac = np.empty(np.shape(params)), a**2, 2 * b, 2 * a * c
+        out[0] = (-1.5 * a2 + two_b + two_ac) * a
+        out[1] = (-a2 + two_b + two_ac) * b
+        out[2] = 0.5 * a2 * c
+        return out
 
     def embed(self, params) -> BracketTensor:
         a, b, c = (float(x) for x in params)
@@ -307,12 +304,10 @@ class SemisimpleFamily(_FamilyBase):
     def rhs(self, params):
         a, b = params
         al = self.alpha
-        return np.array(
-            [
-                0.25 * (al * a**2 + (1 - al) * b**2) * a,
-                -0.25 * (al * a**2 + (3 - al) * b**2 - 4 * a * b) * b,
-            ]
-        )
+        out, ala2, b2 = np.empty(np.shape(params)), al * a**2, b**2
+        out[0] = 0.25 * (ala2 + (1 - al) * b2) * a
+        out[1] = -0.25 * (ala2 + (3 - al) * b2 - 4 * a * b) * b
+        return out
 
     def einstein_loci(self) -> tuple[float, float]:
         """Slopes s of the Einstein lines b = s a."""

@@ -636,22 +636,23 @@ def integrate_reduced_batch(
         for j, exc in undefined.items():
             errors.setdefault(int(rows[j]), exc)
             failed[rows[j]] = True
-        c = Y[:, -2:-1]
-        return np.concatenate([dcore.T, r[:, None] * c, c * c], axis=1)
+        out, c = np.empty_like(Y), Y[:, -2]
+        out[:, :-2], out[:, -2], out[:, -1] = dcore.T, r * c, c * c
+        return out
 
     conv_count = np.zeros(len(params0s), dtype=int)
     drifted = 0.0 > events.drift_factor * rtol  # the reduced families satisfy Jacobi exactly
 
     def callback(t, Y, F, h, rows):
-        undefined = failed[rows]
+        undefined, dcore = failed[rows], F[:, :-2]
         blowup = np.sqrt(family.aux_norm2(Y[:, :-2].T)) > events.blowup_norm
-        small = np.sqrt(2.0) * np.sqrt((F[:, :-2] ** 2).sum(axis=1)) < events.conv_tangent
+        small = np.sqrt(2.0) * np.sqrt(np.add.reduce(dcore * dcore, axis=1)) < events.conv_tangent
         count = conv_count[rows] = np.where(small, conv_count[rows] + 1, 0)
         converged = count >= events.conv_window
         return {
             j: _TERM_UNDEFINED if undefined[j] else TERM_BLOWUP if blowup[j]
             else TERM_CONVERGED if converged[j] else _TERM_DRIFT
-            for j in np.flatnonzero(undefined | blowup | converged | drifted).tolist()
+            for j in (undefined | blowup | converged | drifted).nonzero()[0].tolist()
         }
 
     results = solve_rk54_batch(

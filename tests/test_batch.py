@@ -45,13 +45,30 @@ def _sqrt_decay(t, y):
     return -np.sqrt(y)
 
 
-@pytest.mark.parametrize("rhs, y0, tol, stop_above", [
-    (_oscillating, [1.0, 2.0, 0.5], (1e-6, 1e-9), None),  # every row rejects steps
-    (_sqrt_decay, [1.0, 4.0], (1e-9, 1e-12), None),  # row 0 meets NaN stages, then underflows
-    (_oscillating, [1.0, 2.0, 0.5], (1e-6, 1e-9), 8.0),  # the callback stops rows 0 and 1
+_GRID = np.linspace(0.0, 3.0, 31)
+
+
+@pytest.mark.parametrize("rhs, y0, tol, stop_above, grid", [
+    # every row rejects steps
+    pytest.param(_oscillating, [1.0, 2.0, 0.5], (1e-6, 1e-9), None, _GRID,
+                 id="_oscillating-y00-tol0-None"),
+    # row 0 meets NaN stages, then underflows
+    pytest.param(_sqrt_decay, [1.0, 4.0], (1e-9, 1e-12), None, _GRID,
+                 id="_sqrt_decay-y01-tol1-None"),
+    # the callback stops rows 0 and 1
+    pytest.param(_oscillating, [1.0, 2.0, 0.5], (1e-6, 1e-9), 8.0, _GRID,
+                 id="_oscillating-y02-tol2-8.0"),
+    # A backward grid and two grids off t = 0, with a time-dependent rhs: the
+    # batch maps s to t, and negates derivatives on backward grids only, as
+    # solve_rk54 does.
+    pytest.param(_oscillating, [1.0, 2.0, 0.5], (1e-6, 1e-9), None, np.linspace(3.0, 0.0, 31),
+                 id="backward"),
+    pytest.param(_oscillating, [1.0, 2.0, 0.5], (1e-6, 1e-9), None, np.linspace(0.5, 3.5, 31),
+                 id="offset-forward"),
+    pytest.param(_oscillating, [1.0, 2.0, 0.5], (1e-6, 1e-9), None, np.linspace(1.0, -2.0, 31),
+                 id="offset-backward"),
 ])
-def test_each_row_is_bitwise_solve_rk54_alone(rhs, y0, tol, stop_above):
-    grid = np.linspace(0.0, 3.0, 31)
+def test_each_row_is_bitwise_solve_rk54_alone(rhs, y0, tol, stop_above, grid):
     nan_rows = set()
 
     def batch_rhs(t, Y, rows):

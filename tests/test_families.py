@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from bracketflow.families import (
     semisimple_family,
     unimodular3,
 )
-from bracketflow.flow import UNNORMALIZED, bracket_rhs, integrate
+from bracketflow.flow import UNNORMALIZED, TensorFlowSystem, bracket_rhs, integrate
 
 
 def test_unimodular3_examples():
@@ -153,6 +155,36 @@ def test_reduced_rhs_matches_tensor_rhs(rng):
         tangent = bracket_rhs(cat.point)
         got = np.array([tangent.c[1, 2, 0], tangent.c[2, 0, 1], tangent.c[0, 1, 2]])
         assert np.abs(got - cat.reduced_rhs()).max() < 1e-12
+
+
+# Every coefficient of the closed forms and the tensor tables is dyadic, so on
+# integer points no operation rounds: the identities hold bitwise, and a family
+# rhs of degree at most 3 per parameter that agrees on 4 points per axis is the
+# tensor tangent as a polynomial.
+_INTEGER_GRID = list(itertools.product(range(-3, 4), repeat=3))
+
+
+@pytest.mark.parametrize("fam", [Unimodular3(), Berger3()], ids=lambda f: f.name)
+def test_family_closed_forms_are_the_tensor_ones_on_integer_points(fam):
+    entries = fam._realization[1]
+    for p in _INTEGER_GRID:
+        mu = fam.embed(np.array(p, dtype=float))
+        system = TensorFlowSystem(mu, UNNORMALIZED)
+        tangent = system.bracket(system.tangent(system.core0)[0]).c
+        assert np.array_equal(fam.rhs(np.array(p, dtype=float)), [tangent[e] for e in entries]), p
+        assert np.array_equal(fam.ricci_diag(np.array(p, dtype=float)),
+                              np.diag(curvature_pieces(mu).Ric)), p
+
+
+@pytest.mark.parametrize("fam", [Unimodular3(), Berger3(), SemisimpleFamily(3, 5)],
+                         ids=lambda f: f.name)
+def test_family_rhs_on_a_batch_is_bitwise_its_columns(fam, rng):
+    params = rng.uniform(-2.0, 2.0, size=(len(fam.param_names), 50))
+    params[:, :3] = np.round(params[:, :3])  # some integer and zero entries
+    batch = fam.rhs(params)
+    assert batch.shape == params.shape
+    for col, got in zip(params.T, batch.T):
+        assert got.tobytes() == fam.rhs(col).tobytes() == fam.rhs(col.tolist()).tobytes()
 
 
 def test_family_invariance_under_full_flow(rng):
