@@ -5,8 +5,9 @@ Artifacts are CSV tables plus JSON sidecar manifests.  CSV floats are
 printed with 17 significant digits and rows are assembled in a fixed order,
 so identical configurations produce byte-identical files.  Exit codes:
 0 success, 1 identity audit failed (check), 2 invalid point, 3 malformed
-input (also check or equiv on a family with no tensor realization), 4
-validity drift, 5 equivalence failure, 6 normalization undefined.
+input (also check or equiv on a family with no tensor realization, and sweep
+under ricci-norm), 4 validity drift, 5 equivalence failure, 6 normalization
+undefined.
 An equiv run whose flows or gauges stop short of the span (as past a blowup)
 reports "partial": true over the prefix they covered.  Its deviations and
 --threshold are absolute, so a partial report whose prefix ends next to a
@@ -31,7 +32,7 @@ from .core import (
     bracket_from_json,
     validate_point,
 )
-from .curvature import curvature_report
+from .curvature import _pieces, curvature_report
 from .flow import (
     EventConfig,
     Normalization,
@@ -202,30 +203,26 @@ def _tolerances(cfg: dict) -> tuple[float, float]:
     return rtol, atol
 
 
-def _row_diagnostics(traj, i) -> tuple[float, float, float, float, float]:
-    """(R, |Ric|, |mu_p|^2, |H|^2, tr B) at sample i, closed-form fallback."""
+def _diagnostics(traj) -> np.ndarray:
+    """Columns (R, |Ric|, |mu_p|^2, |H|^2, tr B) of every sample of traj,
+    from one curvature report of the sample stack.  A family with no tensor
+    realization takes its closed forms row by row: a float's ** 2 rounds as
+    pow does and an array's as x * x, so a stacked closed form moves the
+    last bits."""
     try:
-        rep = traj.curvature_at(i)
-        mu = traj.bracket_at(i)
-        mu_p2 = float(np.sum(mu.mu_p**2))
-        return (
-            rep.R,
-            float(np.linalg.norm(rep.Ric)),
-            mu_p2,
-            float(rep.H @ rep.H),
-            float(np.trace(rep.B)),
-        )
+        q, c = analysis._bracket_stack(traj)
     except families.NoRealizationError:
-        fam = traj.system.family
-        p = traj.states[i]
-        ric = fam.ricci_diag(p)
-        return (
-            float(np.sum(ric)),
-            float(np.linalg.norm(ric)),
-            fam.mu_p_norm2(p),
-            0.0,
-            float(np.sum(fam.killing_diag(p))),
-        )
+        fam, rows = traj.system.family, []
+        for p in traj.states:
+            ric = fam.ricci_diag(p)
+            rows.append((np.sum(ric), np.linalg.norm(ric), fam.mu_p_norm2(p), 0.0,
+                         np.sum(fam.killing_diag(p))))
+        return np.array(rows, dtype=float)
+    rep = _pieces(c, q)
+    ric = rep.Ric.reshape(len(c), -1)
+    return np.column_stack([rep.R, np.sqrt(np.vecdot(ric, ric)),
+                            np.sum(c[:, q:, q:, q:] ** 2, axis=(1, 2, 3)),
+                            np.vecdot(rep.H, rep.H), np.trace(rep.B, axis1=1, axis2=2)])
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -238,21 +235,8 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 def write_trajectory_csv(traj, path: str) -> list[str]:
     state_cols = list(traj.system.param_names)
     header = ["t", "c", "tau", "R", "ric_norm", "mu_p_norm2", "H_norm2", "trB"] + state_cols
-    rows = []
-    for i in range(traj.n_samples):
-        r, ric_norm, mu_p2, h2, tr_b = _row_diagnostics(traj, i)
-        row = [
-            traj.times[i],
-            traj.c[i],
-            traj.tau[i],
-            r,
-            ric_norm,
-            mu_p2,
-            h2,
-            tr_b,
-            *traj.states[i],
-        ]
-        rows.append([fmt17(v) for v in row])
+    table = np.column_stack([traj.times, traj.c, traj.tau, _diagnostics(traj), traj.states])
+    rows = ([fmt17(v) for v in row] for row in table.tolist())
     _write_csv(path, header, rows)
     return state_cols
 
@@ -407,6 +391,11 @@ def _parse_grid(text: str) -> list[tuple[str, float, float, int]]:
 def cmd_sweep(cfg: dict) -> int:
     if cfg.get("family") is None:
         raise MalformedInputError("sweep requires --family")
+    strategy = _strategy(cfg)
+    if strategy.kind == "ricci-norm":
+        raise MalformedInputError(
+            "sweep cannot run ricci-norm: the reduced flow has no pointwise ricci-norm rate "
+            "(flow --normalization ricci-norm rescales a single run)")
     src = _resolve_source(cfg)
     fam = src.family
     grid = _parse_grid(cfg.get("grid", ""))
@@ -421,7 +410,6 @@ def cmd_sweep(cfg: dict) -> int:
     axis2 = np.linspace(lo2, hi2, c2)
 
     rtol, atol = _tolerances(cfg)
-    strategy = _strategy(cfg)
     t_span = list(_t_span(cfg, (0.0, 10.0)))
     opts = {"rtol": rtol, "atol": atol, "samples": _samples(cfg, 60), "events": _events(cfg)}
     classify = _classify_tols(cfg)

@@ -477,19 +477,14 @@ def _run_flow(
     if gauge:
         y0 = np.concatenate([y0, np.eye(n).ravel()])
 
-        def rhs(t, y):
-            dcore, r, ric = system.tangent(y[:m])
-            out, cval, h = np.empty(y.size), y[m], y[m + 2:].reshape(n, n)
-            out[:m], out[m], out[m + 1] = dcore, r * cval, cval * cval
+    def rhs(t, y):
+        dcore, r, ric = system.tangent(y[:m])
+        out, cval = np.empty(y.size), y[m]
+        out[:m], out[m], out[m + 1] = dcore, r * cval, cval * cval
+        if gauge:
+            h = y[m + 2:].reshape(n, n)
             out[m + 2:] = (-(ric[full] @ h) - r * h).ravel()
-            return out
-    else:
-
-        def rhs(t, y):
-            dcore, r, _ = system.tangent(y[:m])
-            out, cval = np.empty(m + 2), y[m]
-            out[:m], out[m], out[m + 1] = dcore, r * cval, cval * cval
-            return out
+        return out
 
     conv_count, trigger = 0, None  # trigger: the value that ends the run, set on its last step
     drift_message: list[str] = []
@@ -759,10 +754,10 @@ def _pack_sym(p: np.ndarray) -> np.ndarray:
 
 
 def _unpack_sym(n: int, y: np.ndarray) -> np.ndarray:
-    p = np.zeros((n, n))
-    p[_pairs(n, 0)] = y
-    p = p + p.T - np.diag(np.diag(p))
-    return p
+    """Symmetric (n, n) of a packed upper triangle, or (m, n, n) of a stack (m, k)."""
+    p = np.zeros((*y.shape[:-1], n, n))
+    p[(..., *_pairs(n, 0))] = y
+    return p + p.swapaxes(-1, -2) - np.eye(n) * p
 
 
 def integrate_metric(
@@ -827,7 +822,7 @@ def _run_metric(
                      sampling=sampling)
     mtraj = MetricTrajectory(
         times=res.sample_t,
-        P=np.array([_unpack_sym(n, y) for y in res.sample_y[:, :k]]),
+        P=_unpack_sym(n, res.sample_y[:, :k]),
         point0=point0,
         termination=res.status,
         stats=IntegrationStats(res.n_steps, res.n_rejected, res.nfev),

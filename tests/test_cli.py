@@ -8,9 +8,23 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from bracketflow.cli import main
-from bracketflow.families import berger3, get_family
-from bracketflow.flow import SCALAR_CURVATURE, UNNORMALIZED, integrate, integrate_reduced
+from bracketflow.cli import fmt17, main, write_trajectory_csv
+from bracketflow.core import act_gl, validate_point
+from bracketflow.curvature import curvature_pieces
+from bracketflow.families import (Berger3, NoRealizationError, SemisimpleFamily, berger3,
+                                  get_family)
+from bracketflow.flow import (
+    BRACKET_NORM,
+    SCALAR_CURVATURE,
+    UNNORMALIZED,
+    VOLUME,
+    EventConfig,
+    ValidityDriftError,
+    integrate,
+    integrate_reduced,
+    rescale_to_ricci_norm,
+)
+from conftest import solvable_point
 
 
 def run(args):
@@ -479,3 +493,77 @@ def test_bad_jobs_config_exits_3(tmp_path, capsys):
                 "--config", cfg_path, "--out", tmp_path]) == 3
     err = capsys.readouterr().err
     assert err.startswith("malformed input: ") and "Traceback" not in err
+
+
+def test_sweep_refuses_ricci_norm(tmp_path, capsys):
+    # The reduced flow has no pointwise ricci-norm rate, so no cell could run.
+    assert run(["sweep", "--family", "berger3", "--params", "1,1,0", "--grid", "a=0:2:2,b=-1:2:2",
+                "--t-span", "0:1", "--samples", "5", "--normalization", "ricci-norm",
+                "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("malformed input: ") and "ricci-norm" in err
+    assert not (tmp_path / "sweep.csv").exists() and not (tmp_path / "sweep.json").exists()
+
+
+def _reference_rows(traj) -> list[str]:
+    """traj's CSV rows with each sample's diagnostics computed on their own:
+    from the curvature report of its bracket, or from the family's closed
+    forms when there is no bracket."""
+    rows = []
+    for i in range(traj.n_samples):
+        try:
+            mu = traj.bracket_at(i)
+        except NoRealizationError:
+            fam, p = traj.system.family, traj.states[i]
+            ric = fam.ricci_diag(p)
+            diag = (np.sum(ric), np.linalg.norm(ric), fam.mu_p_norm2(p), 0.0,
+                    np.sum(fam.killing_diag(p)))
+        else:
+            rep = curvature_pieces(mu)
+            diag = (rep.R, np.linalg.norm(rep.Ric), np.sum(mu.mu_p**2), rep.H @ rep.H,
+                    np.trace(rep.B))
+        cells = (traj.times[i], traj.c[i], traj.tau[i], *diag, *traj.states[i])
+        rows.append(",".join(fmt17(v) for v in cells))
+    return rows
+
+
+def _assert_csv_is_per_row(traj, path):
+    write_trajectory_csv(traj, path)
+    assert path.read_text().splitlines()[1:] == _reference_rows(traj)
+
+
+def _moved_berger():
+    # q = 1, with H != 0 after a compatible change of basis.
+    rot = np.array([[1.0, 0.0, 0.0], [0.0, 0.8, -0.6], [0.0, 0.6, 0.8]])
+    h_n = rot @ np.diag([1.3, 0.7, 0.7])
+    return validate_point(act_gl(berger3(0.5, 1.0, 0.2).point.bracket, np.array([[1.2]]), h_n))
+
+
+@pytest.mark.parametrize("strategy", [UNNORMALIZED, VOLUME, SCALAR_CURVATURE, BRACKET_NORM],
+                         ids=lambda s: s.kind)
+@pytest.mark.parametrize("t_span", [(0.0, 0.5), (0.0, -0.5)], ids=["forward", "backward"])
+def test_csv_diagnostics_are_the_per_row_ones_on_tensor_runs(tmp_path, strategy, t_span):
+    for i, point in enumerate([solvable_point(1.0, 0.6), _moved_berger()]):
+        traj = integrate(point, strategy, t_span, samples=21)
+        _assert_csv_is_per_row(traj, tmp_path / f"flow{i}.csv")
+
+
+def test_csv_diagnostics_are_the_per_row_ones_on_rescaled_and_partial_runs(tmp_path):
+    base = integrate(solvable_point(1.0, 0.6), UNNORMALIZED, (0.0, 0.5), samples=41)
+    _assert_csv_is_per_row(rescale_to_ricci_norm(base, samples=31), tmp_path / "rn.csv")
+    with pytest.raises(ValidityDriftError) as info:  # a drift factor below float noise
+        integrate(_moved_berger(), UNNORMALIZED, (0.0, 1.0), samples=41,
+                  events=EventConfig(drift_factor=1e-14))
+    partial = info.value.trajectory
+    assert partial.n_samples < 41
+    _assert_csv_is_per_row(partial, tmp_path / "drift.csv")
+
+
+def test_csv_diagnostics_are_the_per_row_ones_on_reduced_runs(tmp_path):
+    traj = integrate_reduced(Berger3(), [0.5, 1.0, 0.2], VOLUME, (0.0, 3.0), samples=41)
+    _assert_csv_is_per_row(traj, tmp_path / "berger.csv")
+    # No tensor realization: the closed forms, which a stacked evaluation would
+    # round differently (an array's ** 2 is x * x, a float's is pow).
+    traj = integrate_reduced(SemisimpleFamily(5, 9), [0.7, 0.3], UNNORMALIZED, (0.0, -1.0),
+                             samples=200)
+    _assert_csv_is_per_row(traj, tmp_path / "semisimple.csv")

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bracketflow.core import validate_point
+from bracketflow.core import component_norms, validate_point
 from bracketflow.curvature import curvature_pieces, curvature_report
 from bracketflow.families import (
     Berger3,
@@ -174,6 +174,20 @@ def test_family_closed_forms_are_the_tensor_ones_on_integer_points(fam):
         assert np.array_equal(fam.rhs(np.array(p, dtype=float)), [tangent[e] for e in entries]), p
         assert np.array_equal(fam.ricci_diag(np.array(p, dtype=float)),
                               np.diag(curvature_pieces(mu).Ric)), p
+
+
+@pytest.mark.parametrize("fam", [Unimodular3(), Berger3()], ids=lambda f: f.name)
+def test_family_curvature_scalars_are_the_tensor_ones_on_integer_points(fam):
+    for p in _INTEGER_GRID:
+        p = np.array(p, dtype=float)
+        mu = fam.embed(p)
+        rep = curvature_pieces(mu)
+        mu_p2, _, aux2 = component_norms(mu)
+        assert np.array_equal(fam.moment_diag(p), np.diag(rep.M)), p
+        assert np.array_equal(fam.killing_diag(p), np.diag(rep.B)), p
+        assert fam.mu_p_norm2(p) == mu_p2 and fam.aux_norm2(p) == aux2, p
+        want = (3, rep.R, np.sum(rep.Ric**2), np.sum(rep.Ric * rep.M), mu_p2)
+        assert fam.rate_scalars(p) == want, p
 
 
 @pytest.mark.parametrize("fam", [Unimodular3(), Berger3(), SemisimpleFamily(3, 5)],
