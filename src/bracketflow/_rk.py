@@ -3,16 +3,17 @@
 solve_rk54 is the sampled solve of every single ODE of the package.  It maps
 a forward or backward time grid onto one forward loop in s = |t - t_grid[0]|
 and closes an early stop with a sample at the stopping time.  Under
-sampling="clamped" (the default) it lands exactly on every sample; under
-sampling="dense" it steps freely, lands only on the last sample, and fills
-the samples inside each accepted step from the quartic continuous extension
-of the pair (Dormand & Prince 1980; Shampine 1986).  Step-size selection
-uses a PI controller on the embedded error estimate; a trial step whose
-state is not finite is rejected, and the retry starts from the accepted
-(FSAL) derivative.  Clamped samples carry the full order of the method,
-dense ones the order of the extension; reruns are bit-reproducible either
-way.  On a forward grid the rhs result is used as it is: the product with
-direction = 1.0 that a backward grid takes would be an exact copy.
+sampling="dense", the mode of every tensor and metric solve, it steps freely,
+lands only on the last sample, and fills the samples inside each accepted
+step from the quartic continuous extension of the pair (Dormand & Prince
+1980; Shampine 1986).  Under sampling="clamped" it lands on every sample; that
+stays the default only as the one-row twin of solve_rk54_batch, which always
+clamps.  Step-size selection uses a PI controller on the embedded error
+estimate; a trial step whose state is not finite is rejected, and the retry
+starts from the accepted (FSAL) derivative.  Clamped samples carry the full
+order of the method, dense ones the order of the extension; reruns are
+bit-reproducible either way.  On a forward grid the rhs result is used as it
+is: the product with direction = 1.0 of a backward grid would be an exact copy.
 
 solve_rk54_batch steps many independent rows (the cells of a reduced-family
 sweep) in one vectorized loop, each row bitwise as if solved alone; only the

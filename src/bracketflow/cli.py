@@ -5,9 +5,9 @@ Artifacts are CSV tables plus JSON sidecar manifests.  CSV floats are
 printed with 17 significant digits and rows are assembled in a fixed order,
 so identical configurations produce byte-identical files.  Exit codes:
 0 success, 1 identity audit failed (check), 2 invalid point, 3 malformed
-input (also check or equiv on a family with no tensor realization, and sweep
-under ricci-norm), 4 validity drift, 5 equivalence failure, 6 normalization
-undefined.
+input (also check or equiv on a family with no tensor realization, sweep
+under ricci-norm, and flow or check under ricci-norm on a backward span), 4
+validity drift, 5 equivalence failure, 6 normalization undefined.
 An equiv run whose flows or gauges stop short of the span (as past a blowup)
 reports "partial": true over the prefix they covered.  Its deviations and
 --threshold are absolute, so a partial report whose prefix ends next to a
@@ -319,6 +319,8 @@ def _run_flow_from_cfg(cfg: dict, src: Source, min_samples: int = 2):
     if strategy.kind == "ricci-norm":
         if src.point is None:
             raise MalformedInputError("ricci-norm needs a realizable seed")
+        if float(t_span[1]) < float(t_span[0]):
+            raise MalformedInputError("ricci-norm rescales a forward run: --t-span must increase")
         base = flow.integrate(src.point, flow.UNNORMALIZED, t_span, **opts)
         return flow.rescale_to_ricci_norm(base, samples=samples)
 

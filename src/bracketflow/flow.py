@@ -14,14 +14,15 @@ with the tangent's Ric on the bracket side, h' = -h Ric(<P., .>) on the
 metric side.
 
 The bracket and metric flows, with or without their gauges, run through one
-sampled solve, _rk.solve_rk54, and read its RKResult directly; only
-equivalence_report asks it for dense samples.  The two rescalings of an
-unnormalized run (reparametrize, rescale_to_ricci_norm) are normalized
-bracket flows solved from the run's first bracket, whose (c, tau) record is
-c(t) . mu(tau(t)); no source sample is interpolated.  The reduced-family
-flow instead steps a whole batch of cells (a sweep grid, or one cell for
-integrate_reduced) in one _rk.solve_rk54_batch, reading the families' closed
-forms for all cells at once.
+sampled solve, _rk.solve_rk54, and read its RKResult directly; each steps
+freely at the caller's rtol and fills its samples from the continuous
+extension (sampling="dense").  The two rescalings of an unnormalized run
+(reparametrize, rescale_to_ricci_norm) are normalized bracket flows solved
+from the run's first bracket, whose (c, tau) record is c(t) . mu(tau(t)); no
+source sample is interpolated.  The reduced-family flow instead steps a whole
+batch of cells (a sweep grid, or one cell for integrate_reduced) in one
+_rk.solve_rk54_batch, landing on every sample and reading the families'
+closed forms for all cells at once.
 
 A single integration owns its state; trajectories and all inputs are
 immutable once produced, so independent integrations may run concurrently.
@@ -222,9 +223,9 @@ class EventConfig:
     """Event thresholds for flow integration.
 
     blowup_norm triggers on the auxiliary tensor norm; conv_tangent must stay
-    below threshold for conv_window consecutive accepted steps to declare
-    convergence; the run aborts when the Jacobi residual exceeds
-    drift_factor * rtol.
+    below threshold for conv_window consecutive accepted steps (free steps on
+    a tensor run, one per sample on a reduced run) to declare convergence; the
+    run aborts when the Jacobi residual exceeds drift_factor * rtol.
     """
 
     blowup_norm: float = 1e6
@@ -463,7 +464,6 @@ def _run_flow(
     rtol: float,
     atol: float,
     events: EventConfig | Callable | None,
-    sampling: str = "clamped",
     gauge: bool = False,
 ):
     """Solve the flow with its (c, tau) record on t_grid; events=None runs no
@@ -514,15 +514,8 @@ def _run_flow(
             return _TERM_DRIFT
         return None
 
-    res = solve_rk54(
-        rhs,
-        y0,
-        t_grid,
-        rtol=rtol,
-        atol=atol,
-        step_callback=callback if isinstance(events, EventConfig) else events,
-        sampling=sampling,
-    )
+    res = solve_rk54(rhs, y0, t_grid, rtol=rtol, atol=atol, sampling="dense",
+                     step_callback=callback if isinstance(events, EventConfig) else events)
     traj = _trajectory(system, res, drift_message, trigger)
     if res.status == _TERM_DRIFT:
         raise ValidityDriftError(drift_message[0], traj)
@@ -784,7 +777,6 @@ def _run_metric(
     t_grid: np.ndarray,
     rtol: float,
     atol: float,
-    sampling: str = "clamped",
     gauge: bool = False,
 ):
     """Solve the metric flow on t_grid.  With gauge=True the state also
@@ -819,7 +811,7 @@ def _run_metric(
         return None
 
     res = solve_rk54(rhs, y0, t_grid, rtol=rtol, atol=atol, step_callback=callback,
-                     sampling=sampling)
+                     sampling="dense")
     mtraj = MetricTrajectory(
         times=res.sample_t,
         P=_unpack_sym(n, res.sample_y[:, :k]),
@@ -1062,19 +1054,18 @@ def equivalence_report(
     Checks that the gauge pushforward of the initial bracket reproduces the
     bracket flow and that h^t h reproduces the metric flow; both checks are
     gauge-invariant, so either gauge must pass them.  Each pair is one solve
-    at min(rtol, 1e-10) and min(atol, 1e-13), stepping freely and filling the
-    samples from its continuous extension (solve_rk54's sampling="dense");
-    each comparison runs on all samples at once.  When a pair stops short of
-    the end of t_span, the report is marked partial and compares only the
-    leading samples whose times both pairs share.
+    at min(rtol, 1e-10) and min(atol, 1e-13), stepping freely as every tensor
+    and metric solve does; each comparison runs on all samples at once.  When
+    a pair stops short of the end of t_span, the report is marked partial and
+    compares only the leading samples whose times both pairs share.
     """
     point0.require_valid()
     mu0 = point0.bracket
     grid = np.linspace(float(t_span[0]), float(t_span[1]), samples)
     rtol, atol = min(rtol, _GAUGE_RTOL), min(atol, _GAUGE_ATOL)
     traj, bracket_gauge = _run_flow(TensorFlowSystem(mu0, UNNORMALIZED), grid, rtol, atol,
-                                    EventConfig(), "dense", gauge=True)
-    mtraj, metric_gauge = _run_metric(point0, grid, rtol, atol, "dense", gauge=True)
+                                    EventConfig(), gauge=True)
+    mtraj, metric_gauge = _run_metric(point0, grid, rtol, atol, gauge=True)
     gauges = {"bracket": bracket_gauge, "metric": metric_gauge}
     partial = any(r.termination != TERM_REACHED_END for r in (traj, mtraj))
     m = _shared_prefix((traj, mtraj))

@@ -505,6 +505,16 @@ def test_sweep_refuses_ricci_norm(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists() and not (tmp_path / "sweep.json").exists()
 
 
+@pytest.mark.parametrize("command", ["flow", "check"])
+def test_ricci_norm_refuses_a_backward_span(tmp_path, capsys, command):
+    # The rescaling re-solves the normalized flow forward from the first bracket.
+    assert run([command, *_U123, "--t-span", "0:-1", "--samples", "31",
+                "--normalization", "ricci-norm", "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("malformed input: ") and "ricci-norm" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def _reference_rows(traj) -> list[str]:
     """traj's CSV rows with each sample's diagnostics computed on their own:
     from the curvature report of its bracket, or from the family's closed

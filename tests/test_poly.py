@@ -6,6 +6,7 @@ natural scale 1 and the bounds read as relative ones; a rate divides by R,
 """
 
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from bracketflow.core import (
     act_pi_array,
     jacobi_residual,
     pack_state,
+    unpack_array,
     unpack_state,
 )
 from bracketflow.curvature import _pieces, _ricci_evolution, curvature_pieces
@@ -217,6 +219,35 @@ def test_ricci_norm_rate_is_the_evolution_law(shape, seed):
         return
     r_ref = -float(np.sum(rep.Ric * d0_ref)) / (2.0 * tr2)
     assert abs(ricci_norm_rate(mu) - r_ref) <= TOL * y2**3 / tr2 * (1.0 + abs(r_ref) / y2)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_tables_are_the_einsum_formulas_on_integer_brackets(shape):
+    # On integer entries every product and sum of both sides is exact (the
+    # coefficients are dyadic), so the tables must equal the einsum formulas
+    # bitwise; a sign or index slip cannot hide below a tolerance.
+    q, n = shape
+    d = q + n
+    tab = tables(q, n)
+    iu, ju = _pairs(d)
+    pp = iu >= q  # the packed p x p rows
+    trip = np.array(list(combinations(range(d), 3)))  # _poly's triple order
+    ys = np.random.default_rng(0).integers(-3, 4, size=(200, len(iu) * d)).astype(float)
+    c = unpack_array(d, ys)
+    rep = _pieces(c, q)
+    a = np.zeros((len(ys), d, d))
+    a[:, q:, q:] = rep.Ric
+    tangent = -act_pi_array(a, c)[:, iu, ju][:, pp]
+    t = np.einsum("...ijl,...lkm->...ijkm", c, c)
+    cyclic = t + t.transpose(0, 2, 3, 1, 4) + t.transpose(0, 3, 1, 2, 4)
+    for y, ci, ric_ref, m_ref, tan_ref, jac_ref in zip(
+            ys, c, rep.Ric, rep.M, tangent, cyclic[:, trip[:, 0], trip[:, 1], trip[:, 2]]):
+        ric = tab.ricci(y, y)
+        assert np.array_equal(ric[tab.full], ric_ref)
+        assert np.array_equal(tab.moment(y, y)[tab.full], m_ref)
+        assert np.array_equal(tab.tangent(ric, y).reshape(-1, d)[pp], tan_ref)
+        assert tab.mu_p_norm2(y) == np.sum(ci[q:, q:, q:] ** 2)
+        assert np.array_equal(tab.jacobi(y, y).reshape(-1, d), jac_ref)
 
 
 def test_tables_are_sparse_and_cached():
