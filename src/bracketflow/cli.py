@@ -9,9 +9,10 @@ input (also check or equiv on a family with no tensor realization, sweep
 under ricci-norm, and flow or check under ricci-norm on a backward span), 4
 validity drift, 5 equivalence failure, 6 normalization undefined.
 An equiv run whose flows or gauges stop short of the span (as past a blowup)
-reports "partial": true over the prefix they covered.  Its deviations and
---threshold are absolute, so a partial report whose prefix ends next to a
-blowup, where |mu| is large, can exit 5 on scale alone.
+reports "partial": true over the prefix they covered.  --threshold reads
+its absolute deviations, so a partial report whose prefix ends next to a
+blowup, where |mu| is large, can exit 5 on scale alone; equiv.json's per_side
+also records each side's deviations relative to |mu(t)| and |P(t)|.
 """
 
 from __future__ import annotations

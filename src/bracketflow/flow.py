@@ -8,10 +8,14 @@ and the blowup estimate read the packed state through the polynomial tables
 of _poly; only a custom rate builds a BracketTensor, to call its rate
 function.  Every trajectory co-integrates the scaling pair (c, tau) with
 c' = r c, tau' = c^2, which ties a normalized run to its unnormalized parent.
-Blowup time and type come from the closing sample.  A gauge is integrated
-together with its flow, as a tail of the flow's state: h' = -(Ric + r I) h
-with the tangent's Ric on the bracket side, h' = -h Ric(<P., .>) on the
-metric side.
+Blowup time and type come from the closing sample.  The metric flow
+dP/dt = -2 R reads the Ricci form R of <P., .> from P and P^-1
+(_metric_ricci_form, whose contractions of the initial bracket are made once
+per run): no square root of P, no gauged bracket and no _poly table, so the
+equivalence report compares two independent computations.  A gauge is
+integrated together with its flow, as a tail of the flow's state:
+h' = -(Ric + r I) h with the tangent's Ric on the bracket side,
+h' = -h P^-1 R on the metric side.
 
 The bracket and metric flows, with or without their gauges, run through one
 sampled solve, _rk.solve_rk54, and read its RKResult directly; each steps
@@ -30,7 +34,9 @@ immutable once produced, so independent integrations may run concurrently.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -54,7 +60,7 @@ from .core import (
     pack_state,
     unpack_state,
 )
-from .curvature import CurvatureReport, curvature_pieces
+from .curvature import CurvatureReport, _killing, curvature_pieces
 
 __all__ = [
     "Normalization",
@@ -675,15 +681,6 @@ class MetricState:
     P: np.ndarray
 
 
-def _sym_sqrt(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric positive square root and its inverse."""
-    w, v = np.linalg.eigh(p)
-    if w.min() <= 0:
-        raise ValueError("metric operator must be positive definite")
-    sq = np.sqrt(w)
-    return (v * sq) @ v.T, (v / sq) @ v.T
-
-
 def _block_maps(q: int, h: np.ndarray) -> np.ndarray:
     """diag(I_q, h) for a map h (n, n) on p, or for each map of a stack (m, n, n)."""
     n = h.shape[-1]
@@ -693,32 +690,42 @@ def _block_maps(q: int, h: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gauged_ricci(p: np.ndarray, mu0: BracketTensor):
-    """(h, h^-1, Ric(diag(I, h) . mu0)) for the symmetric square root h of P.
-
-    The point moved by diag(I, h) has the fixed inner product; the Ricci
-    operator of <P., .> is its Ricci operator conjugated back by h.
+def _metric_ricci_form(mu0: BracketTensor) -> Callable[[np.ndarray], tuple]:
+    """P -> (R, P^-1), R the Ricci form of the inner product <P., .> on p
+    (Besse, Einstein Manifolds, 7.38, in the basis X_i with Gram matrix P):
+    R = -1/2 sum P^-1_ab mu_xak P_kl mu_ybl + 1/4 P W P - B/2 - sym(V P), with
+    mu the p-part of mu0, B its Killing form, t_i = tr ad(X_i),
+    W_kl = sum P^-1_ac P^-1_bd mu_abk mu_cdl and V_xk = sum (P^-1 t)_a mu_axk.
+    The P-free contractions are made once, here; the Ricci operator is P^-1 R.
+    A P that is not positive definite raises LinAlgError (a ValueError) from
+    the Cholesky test; a non-finite P gives a NaN R.
     """
-    from ._poly import tables  # as in TensorFlowSystem
+    n, mu = mu0.n, mu0.mu_p
+    # Each term's weight (-1/2, 1/4, -1/2) sits on its P-free factor.
+    first = -0.5 * np.einsum("xak,ybl->xyabkl", mu, mu).reshape(n * n, -1)
+    second = 0.25 * np.einsum("abk,cdl->klacbd", mu, mu).reshape(n * n, -1)
+    half_b = 0.5 * _killing(mu0.c, mu0.q)
+    t, mu_flat = np.einsum("ijj->i", mu), -0.5 * mu.reshape(n, n * n)
 
-    hs, hs_inv = _sym_sqrt(p)
-    gauged = gl_action_packed(mu0.c, _block_maps(mu0.q, hs))
-    return hs, hs_inv, tables(mu0.q, mu0.n).ricci_matrix(gauged)
+    def form(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        np.linalg.cholesky(p)  # the positive-definiteness test
+        p_inv = np.linalg.inv(p)
+        m = (first @ np.multiply.outer(p_inv, p).ravel()).reshape(n, n)
+        w = (second @ np.multiply.outer(p_inv, p_inv).ravel()).reshape(n, n)
+        vp = ((p_inv @ t) @ mu_flat).reshape(n, n) @ p
+        return m + p @ w @ p - half_b + (vp + vp.T), p_inv
+
+    return form
 
 
 def metric_ricci(p: np.ndarray, mu0: BracketTensor) -> np.ndarray:
-    """Ricci operator of the inner product <P., .> on the fixed space."""
-    hs, hs_inv, ric = _gauged_ricci(p, mu0)
-    return hs_inv @ ric @ hs
-
-
-def _metric_tangent(p: np.ndarray, mu0: BracketTensor) -> np.ndarray:
-    hs, _, ric = _gauged_ricci(p, mu0)
-    return -2.0 * hs @ ric @ hs
+    """Ricci operator P^-1 R of the inner product <P., .> on the fixed space."""
+    r, p_inv = _metric_ricci_form(mu0)(p)
+    return p_inv @ r
 
 
 def metric_rhs(state: MetricState, point0: HomogeneousPoint) -> np.ndarray:
-    """Tangent -2 P Ric(<P., .>) of the metric-side flow; symmetric."""
+    """Tangent -2 P Ric(<P., .>) = -2 R of the metric-side flow; symmetric."""
     point0.require_valid()
     mu0 = point0.bracket
     p = np.asarray(state.P, dtype=float)
@@ -726,7 +733,10 @@ def metric_rhs(state: MetricState, point0: HomogeneousPoint) -> np.ndarray:
         raise CompatibilityError(
             "inner product is not invariant under the isotropy operators"
         )
-    return _metric_tangent(p, mu0)
+    with suppress(np.linalg.LinAlgError):  # from the Cholesky test
+        if np.isfinite(p).all():
+            return -2.0 * _metric_ricci_form(mu0)(p)[0]
+    raise ValueError("metric operator must be positive definite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -746,11 +756,19 @@ def _pack_sym(p: np.ndarray) -> np.ndarray:
     return p[_pairs(p.shape[0], 0)]
 
 
+@lru_cache(maxsize=None)
+def _sym_index(n: int) -> np.ndarray:
+    """Read-only (n, n) index of each entry's slot in the packed upper triangle."""
+    iu, ju = _pairs(n, 0)
+    idx = np.empty((n, n), dtype=np.intp)
+    idx[iu, ju] = idx[ju, iu] = np.arange(iu.size)
+    idx.setflags(write=False)
+    return idx
+
+
 def _unpack_sym(n: int, y: np.ndarray) -> np.ndarray:
     """Symmetric (n, n) of a packed upper triangle, or (m, n, n) of a stack (m, k)."""
-    p = np.zeros((*y.shape[:-1], n, n))
-    p[(..., *_pairs(n, 0))] = y
-    return p + p.swapaxes(-1, -2) - np.eye(n) * p
+    return y[..., _sym_index(n)]
 
 
 def integrate_metric(
@@ -761,11 +779,13 @@ def integrate_metric(
     atol: float = 1e-12,
     samples: int = 200,
 ) -> MetricTrajectory:
-    """Integrate dP/dt = -2 P Ric(<P., .>) from P(0) = I.
+    """Integrate dP/dt = -2 P Ric(<P., .>) = -2 R from P(0) = I, with R the
+    Ricci form of <P., .> computed from P and P^-1 (see _metric_ricci_form).
 
     Ends in 'blowup-detected' once |P| > 1e8.  A trial stage whose P is not
-    positive definite or not finite is rejected, so a run heading for a
-    degenerate metric ends in 'step-underflow' with its samples so far.
+    positive definite (its Cholesky test fails) or not finite gets a NaN
+    derivative and is rejected, so a run heading for a degenerate metric ends
+    in 'step-underflow' with its samples so far.
     """
     point0.require_valid()
     grid = np.linspace(float(t_span[0]), float(t_span[1]), samples)
@@ -779,31 +799,26 @@ def _run_metric(
     atol: float,
     gauge: bool = False,
 ):
-    """Solve the metric flow on t_grid.  With gauge=True the state also
-    carries the metric-side gauge h, h' = -h Ric(<P., .>), both terms from one
-    _gauged_ricci call, and the result is the pair (MetricTrajectory,
-    GaugeRecord) of that one solve."""
-    mu0 = point0.bracket
-    n = mu0.n
+    """Solve the metric flow dP/dt = -2 R on t_grid, R the Ricci form of
+    <P., .>.  With gauge=True the state also carries the metric-side gauge h,
+    h' = -h P^-1 R, both terms from one _metric_ricci_form call, and the
+    result is the pair (MetricTrajectory, GaugeRecord) of that one solve."""
+    n = point0.bracket.n
     k = n * (n + 1) // 2  # the packed P ahead of the gauge
+    form = _metric_ricci_form(point0.bracket)
     y0 = _pack_sym(np.eye(n))
     if gauge:
         y0 = np.concatenate([y0, np.eye(n).ravel()])
 
-        def tangent(y):
-            hs, hs_inv, ric = _gauged_ricci(_unpack_sym(n, y[:k]), mu0)
-            dh = -(y[k:].reshape(n, n) @ (hs_inv @ ric @ hs))
-            return np.concatenate([_pack_sym(-2.0 * hs @ ric @ hs), dh.ravel()])
-    else:
-
-        def tangent(y):
-            return _pack_sym(_metric_tangent(_unpack_sym(n, y), mu0))
-
     def rhs(t, y):
         try:
-            return tangent(y)
-        except ValueError:  # from _sym_sqrt, or an overflowed gauged bracket
+            r, p_inv = form(_unpack_sym(n, y[:k]))
+        except ValueError:  # LinAlgError: a trial stage whose P is not positive definite
             return np.full(y.shape, np.nan)
+        if not gauge:
+            return _pack_sym(-2.0 * r)
+        dh = -(y[k:].reshape(n, n) @ (p_inv @ r))
+        return np.concatenate([_pack_sym(-2.0 * r), dh.ravel()])
 
     def callback(t, y, f, h):
         if np.linalg.norm(_unpack_sym(n, y[:k])) > _METRIC_BLOWUP_NORM:
@@ -1002,9 +1017,12 @@ def ricci_norm_rate(mu: BracketTensor) -> float:
 class EquivalenceReport:
     """Max deviations between bracket-side and metric-side solutions; stats
     holds the counts of the two solves, each a flow integrated together with
-    its gauge, keyed like per_side (bracket, metric).  The deviations are
-    absolute, so a partial report whose shared prefix ends next to a blowup
-    can exceed a fixed threshold on the scale of mu alone."""
+    its gauge, keyed like per_side (bracket, metric).  The max_* fields and
+    each side's bracket_dev |h . mu0 - mu(t)| and metric_dev |h^t h - P(t)|
+    are absolute, so a partial report whose shared prefix ends next to a
+    blowup can exceed a fixed threshold on the scale of mu alone; each side
+    also holds bracket_rel_dev and metric_rel_dev, the max over the samples
+    of the same deviations divided by |mu(t)| and |P(t)|."""
 
     times: np.ndarray
     max_bracket_dev: float
@@ -1071,6 +1089,8 @@ def equivalence_report(
     m = _shared_prefix((traj, mtraj))
     times = traj.times[:m]
 
+    size_mu = np.sqrt(2.0 * np.sum(traj.states[:m] ** 2, axis=1))  # |mu(t)|
+    size_p = np.sqrt(np.sum(mtraj.P[:m] ** 2, axis=(1, 2)))  # |P(t)|
     per_side = {}
     for side, gauge in gauges.items():
         h = gauge.h[:m]
@@ -1078,13 +1098,16 @@ def equivalence_report(
         pushed = np.concatenate([gl_action_packed(mu0.c, _block_maps(mu0.q, h[i:i + _BLOCK]))
                                  for i in range(0, m, _BLOCK)])
         # h^t h of a gauge near a blowup may overflow: an infinite deviation.
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # The full tensor holds each packed (i < j) entry twice, its diagonal is 0.
             dev_mu = np.sqrt(2.0 * np.sum((pushed - traj.states[:m]) ** 2, axis=1))
             dev_p = np.sqrt(np.sum((h.swapaxes(1, 2) @ h - mtraj.P[:m]) ** 2, axis=(1, 2)))
-        # fmax skips the NaN of an h^t h whose overflowed products cancel.
-        per_side[side] = {"bracket_dev": float(np.fmax.reduce(dev_mu, initial=0.0)),
-                          "metric_dev": float(np.fmax.reduce(dev_p, initial=0.0))}
+            rel_mu, rel_p = dev_mu / size_mu, dev_p / size_p
+        # fmax skips the NaN of an h^t h whose overflowed products cancel, and
+        # of 0 / 0 on a zero bracket.
+        per_side[side] = {key: float(np.fmax.reduce(dev, initial=0.0)) for key, dev in (
+            ("bracket_dev", dev_mu), ("metric_dev", dev_p),
+            ("bracket_rel_dev", rel_mu), ("metric_rel_dev", rel_p))}
 
     # Drift of the packed isotropy rows (i < q): their mirrors are exact negatives.
     d = mu0.dim

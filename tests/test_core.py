@@ -12,6 +12,7 @@ from bracketflow.core import (
     CompatibilityError,
     MalformedInputError,
     _canonical,
+    _pairs,
     act_gl,
     act_pi,
     bracket_eval,
@@ -204,6 +205,43 @@ def test_stacked_pushforward_matches_per_sample_gl_action(seed, qn, m):
         full = unpack_state(q, n, ref).c - unpack_state(q, n, other).c
         assert np.isclose(np.sqrt(2.0 * np.sum((ref - other) ** 2)), np.sqrt(np.sum(full**2)),
                           rtol=1e-14, atol=0.0)
+
+
+def _integer_maps(rng, d, m):
+    """m maps (m, d, d) whose inverses and products with integer brackets are
+    exact: signed permutations times dyadic diagonals, and unit
+    upper-triangular integer matrices, alternating."""
+    maps = []
+    for i in range(m):
+        if i % 2:
+            maps.append(np.eye(d) + np.triu(rng.integers(-2, 3, size=(d, d)), 1))
+        else:
+            signs = rng.choice([-1.0, 1.0], size=d) * 2.0 ** rng.integers(-2, 3, size=d)
+            maps.append(np.eye(d)[rng.permutation(d)] * signs)
+    return np.array(maps)
+
+
+@pytest.mark.parametrize("qn", [(0, 3), (1, 3), (0, 4)])
+def test_gl_action_packed_is_the_einsum_on_integer_brackets(qn):
+    # Integer brackets and maps whose inverses are exact: every product and
+    # sum of both sides is exact, so the packed action must equal the
+    # one-shot einsum, antisymmetrized and packed, bitwise; a transposed
+    # factor or a swapped h and h^-1 cannot hide below a tolerance.
+    q, n = qn
+    d = q + n
+    rng = np.random.default_rng(0)
+    iu, ju = _pairs(d)
+    for _ in range(100):
+        c = unpack_array(d, rng.integers(-3, 4, size=len(iu) * d).astype(float))
+        hs = _integer_maps(rng, d, 4)
+        refs = []
+        for h in hs:
+            hinv = np.linalg.inv(h)
+            assert np.array_equal(h @ hinv, np.eye(d))  # the inverse is exact
+            full = np.einsum("ai,bj,abl,ml->ijm", hinv, hinv, c, h)
+            refs.append((0.5 * (full[iu, ju] - full[ju, iu])).ravel())
+            assert np.array_equal(gl_action_packed(c, h), refs[-1])
+        assert np.array_equal(gl_action_packed(c, hs), np.array(refs))
 
 
 def test_gl_action_packed_rejects_an_overflowed_action():

@@ -13,6 +13,7 @@ from bracketflow.core import (
     BracketTensor,
     CompatibilityError,
     InvalidPointError,
+    act_gl,
     component_norms,
     jacobi_residual,
     pack_state,
@@ -27,6 +28,7 @@ from bracketflow.families import (
     SemisimpleSu2,
     Unimodular3,
     berger3,
+    semisimple_concrete_su2,
     unimodular3,
 )
 from bracketflow.flow import (
@@ -40,8 +42,10 @@ from bracketflow.flow import (
     NormalizationError,
     TensorFlowSystem,
     ValidityDriftError,
+    _metric_ricci_form,
     _pack_sym,
     _run_flow,
+    _run_metric,
     _unpack_sym,
     bracket_rhs,
     custom_rate,
@@ -50,6 +54,7 @@ from bracketflow.flow import (
     integrate_gauge,
     integrate_metric,
     integrate_reduced,
+    metric_ricci,
     metric_rhs,
     normalization_rate,
     normalized_rhs,
@@ -492,30 +497,128 @@ def test_tensor_runs_are_not_sample_bound():
         assert np.all(np.abs(a - b) <= 10 * rtol * np.maximum(1.0, np.abs(b)))
 
 
-def test_metric_right_hand_side_reads_the_packed_action(monkeypatch):
-    # The gauged bracket goes from the packed action straight to the Ric
-    # table: the same bytes as through act_gl and pack_state, no BracketTensor.
+def _gauged_route(mu0, hs):
+    """(h Ric h, h^-1 Ric h) with Ric that of the gauged bracket diag(I, h) .
+    mu0 from the _poly tables: the Ricci form and operator of <h^2 ., .>
+    along the route the metric side took before it read P and P^-1."""
+    from bracketflow._poly import tables
+
+    gauged = act_gl(mu0, np.eye(mu0.q), hs, require_compatible=False)
+    ric = tables(mu0.q, mu0.n).ricci_matrix(pack_state(gauged))
+    return hs @ ric @ hs, np.linalg.inv(hs) @ ric @ hs
+
+
+def _sym_sqrt(p):
+    w, v = np.linalg.eigh(p)
+    return (v * np.sqrt(w)) @ v.T
+
+
+def test_metric_ricci_form_matches_the_gauged_route(monkeypatch):
+    # The metric side reads P and P^-1, no square root and no gauged bracket;
+    # the route through both is the oracle, on the metrics of three runs and
+    # on random positive definite P at q = 0.
     import bracketflow.core as core_mod
     import bracketflow.flow as flow_mod
-    from bracketflow._poly import tables
-    from bracketflow.core import act_gl
 
-    point = berger3(0.5, 1, 0).point
-    mu0 = point.bracket
-    p = integrate_metric(point, (0.0, 1.0), samples=5).P[-1]
-    hs, hs_inv = flow_mod._sym_sqrt(p)
-    gauged = act_gl(mu0, np.eye(1), hs, require_compatible=False)
-    via_bracket = hs_inv @ tables(1, 3).ricci_matrix(pack_state(gauged)) @ hs
-    assert flow_mod.metric_ricci(p, mu0).tobytes() == via_bracket.tobytes()
+    cases = []
+    for cat, span in ((unimodular3(1, 2, 3), (0.0, 0.3)), (berger3(0.5, 1, 0), (0.0, 1.0)),
+                      (semisimple_concrete_su2(0.9, 0.6), (0.0, 1.0))):
+        cases += [(cat.point, p) for p in integrate_metric(cat.point, span, samples=6).P]
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        a = rng.normal(size=(3, 3))
+        cases.append((random_valid_point(rng, allow_q1=False), a @ a.T + 0.1 * np.eye(3)))
+    for point, p in cases:
+        form_ref, op_ref = _gauged_route(point.bracket, _sym_sqrt(p))
+        r, p_inv = _metric_ricci_form(point.bracket)(p)
+        assert np.abs(r - form_ref).max() <= 1e-12 * np.abs(form_ref).max()
+        op = metric_ricci(p, point.bracket)
+        assert np.abs(op - op_ref).max() <= 1e-12 * np.abs(op_ref).max()
+        assert metric_rhs(MetricState(p), point).tobytes() == (-2.0 * r).tobytes()
 
-    calls = []
-    for mod in (core_mod, flow_mod):
-        unpack = getattr(mod, "unpack_state")
-        monkeypatch.setattr(mod, "unpack_state",
-                            lambda *a, _f=unpack: calls.append(1) or _f(*a))
+    # A metric run builds no BracketTensor, takes no square root and pushes
+    # no bracket by a map.
+    point, calls = berger3(0.5, 1, 0).point, []
+    for mod, name in ((core_mod, "unpack_state"), (flow_mod, "unpack_state"),
+                      (core_mod, "gl_action_packed"), (flow_mod, "gl_action_packed"),
+                      (np.linalg, "eigh")):
+        f = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _f=f, _n=name: calls.append(_n) or _f(*a))
     mtraj = integrate_metric(point, (0.0, 1.0), samples=11)
     assert mtraj.stats.n_steps > 5
     assert calls == []
+
+
+def _dyadic_metric_cases():
+    """(bracket, k) with integer brackets and P = diag(4^k): random
+    antisymmetric ones at q = 0, and berger3 on the grid {-3, ..., 3}^3 with
+    k = (k0, k1, k1), which the isotropy allows."""
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        yield unpack_state(0, 3, rng.integers(-3, 4, size=9).astype(float)), rng.integers(-2, 3, 3)
+    for params in np.ndindex(7, 7, 7):
+        k0, k1 = rng.integers(-2, 3, 2)
+        yield Berger3().embed(np.array(params) - 3.0), np.array([k0, k1, k1])
+
+
+def test_metric_ricci_form_is_the_gauged_route_on_dyadic_metrics():
+    # With integer brackets and P = diag(4^k), so h = diag(2^k), every
+    # product and partial sum of both routes is dyadic and exact: they agree
+    # bitwise, so no weight, sign or index of the four terms can hide below
+    # a tolerance.
+    for mu0, k in _dyadic_metric_cases():
+        form_ref, op_ref = _gauged_route(mu0, np.diag(2.0**k))
+        r, p_inv = _metric_ricci_form(mu0)(np.diag(4.0**k))
+        assert np.array_equal(r, form_ref)
+        assert np.array_equal(p_inv @ r, op_ref)
+
+
+def _solve_rhs(monkeypatch, run):
+    """The right-hand side that run() hands to its first solve_rk54."""
+    import bracketflow.flow as flow_mod
+
+    solve, seen = flow_mod.solve_rk54, []
+    monkeypatch.setattr(flow_mod, "solve_rk54",
+                        lambda rhs, *a, **kw: seen.append(rhs) or solve(rhs, *a, **kw))
+    run()
+    return seen[0]
+
+
+def test_gauge_right_hand_sides_are_exact_on_integer_states(monkeypatch):
+    # Bracket side: h' = -(Ric + r I) h on integer states and an integer
+    # rate, against the einsum Ric of curvature._pieces.  Metric side:
+    # (P', h') = (-2 R, -h P^-1 R) at P = diag(4^k) against the gauged route.
+    from bracketflow.core import unpack_array
+    from bracketflow.curvature import _pieces
+
+    rng = np.random.default_rng(1)
+    grid = np.array([0.0, 1e-6])
+    for q, n in ((0, 3), (1, 3)):
+        d = q + n
+        mu0 = unpack_state(q, n, rng.integers(-3, 4, size=d * d * (d - 1) // 2).astype(float))
+        system = TensorFlowSystem(mu0, custom_rate(lambda mu: 2.0))
+        rhs = _solve_rhs(monkeypatch, lambda: _run_flow(system, grid, 1e-9, 1e-12,
+                                                        lambda *a: "stop", gauge=True))
+        m = system.core0.size
+        for _ in range(50):
+            core = rng.integers(-3, 4, size=m).astype(float)
+            h = rng.integers(-3, 4, size=(n, n)).astype(float)
+            out = rhs(0.0, np.concatenate([core, [1.0, 0.0], h.ravel()]))
+            ric = _pieces(unpack_array(d, core), q).Ric
+            assert np.array_equal(out[m + 2:], (-np.einsum("ij,jk->ik", ric, h) - 2.0 * h).ravel())
+    monkeypatch.undo()
+
+    for i, (mu0, k) in enumerate(_dyadic_metric_cases()):
+        if i % 10:
+            continue
+        rhs = _solve_rhs(monkeypatch, lambda: _run_metric(validate_point(mu0), grid, 1e-9,
+                                                          1e-12, gauge=True))
+        monkeypatch.undo()
+        form_ref, op_ref = _gauged_route(mu0, np.diag(2.0**k))
+        h = rng.integers(-3, 4, size=(3, 3)).astype(float)
+        out = rhs(0.0, np.concatenate([_pack_sym(np.diag(4.0**k)), h.ravel()]))
+        assert np.array_equal(out[:6], _pack_sym(-2.0 * form_ref))
+        assert np.array_equal(out[6:], (-np.einsum("ij,jk->ik", h, op_ref)).ravel())
 
 
 def test_equivalence_report_pairs_samples_by_time():
