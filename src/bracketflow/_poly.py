@@ -12,6 +12,7 @@ vectors"); Tables.full maps one back to an n x n matrix.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations
 
@@ -164,7 +165,8 @@ class Tables:
 
     def jacobi_residual(self, y: np.ndarray) -> float:
         s = self.jacobi(y, y).reshape(-1, self.q + self.n)
-        return float(np.sqrt(np.einsum("tm,tm->t", s, s)).max(initial=0.0))
+        # sqrt is monotone and correctly rounded: the root of the max is the max of the roots.
+        return math.sqrt(float(np.einsum("tm,tm->t", s, s).max(initial=0.0)))
 
 
 @lru_cache(maxsize=None)

@@ -9,20 +9,23 @@ step from the quartic continuous extension of the pair (Dormand & Prince
 1980; Shampine 1986).  Under sampling="clamped" it lands on every sample; that
 stays the default only as the one-row twin of solve_rk54_batch, which always
 clamps.  Step-size selection uses a PI controller on the embedded error
-estimate; a trial step whose state is not finite is rejected, and the retry
-starts from the accepted (FSAL) derivative.  Clamped samples carry the full
-order of the method, dense ones the order of the extension; reruns are
-bit-reproducible either way.  On a forward grid the rhs result is used as it
-is: the product with direction = 1.0 of a backward grid would be an exact copy.
+estimate.  No stage is tested for finiteness: the rhs may return NaN or inf
+at a non-finite stage, which reaches the step's new state, and a new state
+that is not finite is rejected; the retry starts from the accepted (FSAL)
+derivative.  Clamped samples carry the full order of the method, dense ones
+the order of the extension; reruns are bit-reproducible either way.  A
+forward grid calls rhs itself: the product with direction = 1.0 of a backward
+grid would be an exact copy.  Neither loop counts its rhs calls; nfev is
+2 + 6 (n_steps + n_rejected).
 
 solve_rk54_batch steps many independent rows (the cells of a reduced-family
 sweep) in one vectorized loop, each row bitwise as if solved alone; only the
-controller's powers and the end of a row run per row in Python.  Its forward
-grids skip the direction product on the rhs result in the same way.
+controller's powers and the end of a row run per row in Python.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -87,14 +90,6 @@ class RKResult:
     nfev: int
 
 
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, atol: float) -> float:
-    # An overflowed y1 would enlarge its own scale and read as error 0.
-    if not np.isfinite(y1).all():
-        return np.inf
-    z = err / (atol + rtol * np.maximum(np.abs(y0), np.abs(y1)))
-    return float(np.sqrt(np.add.reduce(z * z) / z.size))  # np.mean's reduction, unwrapped
-
-
 def _initial_step(f, Y0, F0, t_end, rtol, atol):
     """Initial step of each row of Y0 (B, D), one call f(h0, Y1) for all rows.
     Python's min(a, b) and max(a, b) become where(b < a, b, a) and where(b > a,
@@ -127,7 +122,7 @@ def _grid(t_grid, rtol: float, atol: float) -> tuple[np.ndarray, float, float, n
     return t_grid, t0, 1.0 if t1 > t0 else -1.0, np.abs(t_grid - t0)
 
 
-def _result(grid, status, s, y, f_cur, ys, fs, n_steps, n_rejected, nfev) -> RKResult:
+def _result(grid, status, s, y, f_cur, ys, fs, n_steps, n_rejected) -> RKResult:
     """RKResult of a run stopped at s in (y, f_cur) with samples ys, fs; an
     early stop adds a closing sample."""
     t_grid, t0, direction, samples = grid
@@ -135,7 +130,7 @@ def _result(grid, status, s, y, f_cur, ys, fs, n_steps, n_rejected, nfev) -> RKR
     if status != TERM_REACHED_END and s > samples[len(ys) - 1]:
         ts = np.append(ts, t0 + direction * s)
         ys, fs = np.vstack([ys, y]), np.vstack([fs, direction * f_cur])
-    return RKResult(status, ts, ys, fs, n_steps, n_rejected, nfev)
+    return RKResult(status, ts, ys, fs, n_steps, n_rejected, 2 + 6 * (n_steps + n_rejected))
 
 
 def _dense_samples(k, s, h, y, sample_s):
@@ -173,8 +168,8 @@ def solve_rk54(
     accepted step and may return a status string to stop the run.  A run the
     callback or a step underflow stops early ends with one more sample at its
     stopping time.  Trial stages run with NumPy's overflow and invalid-value
-    warnings off: a stage that overflows or is not finite is rejected, never
-    accepted.
+    warnings off: a step whose new state is not finite is rejected, never
+    accepted.  nfev, the number of rhs calls, is 2 + 6 (n_steps + n_rejected).
     """
     if sampling not in ("clamped", "dense"):
         raise ValueError(f"sampling must be 'clamped' or 'dense', got {sampling!r}")
@@ -182,28 +177,24 @@ def solve_rk54(
     grid = _grid(t_grid, rtol, atol)
     t_grid, t0, direction, samples = grid
     s_end = float(samples[-1])
-    nfev = 0
-
-    def f(s, y):
-        nonlocal nfev
-        nfev += 1
-        out = rhs(t0 + direction * s, y)
-        return out if direction == 1.0 else direction * out
+    f = rhs if direction == 1.0 else (lambda t, y: direction * rhs(t, y))  # dy/ds at t
+    stage_c = _C.tolist()
 
     with np.errstate(over="ignore", invalid="ignore"):
         status = TERM_REACHED_END
         n_steps = n_rejected = 0
         s = 0.0
         y = np.asarray(y0, dtype=float).copy()
-        f_cur = f(s, y)
+        f_cur = f(t0 + direction * s, y)
         ys = [y.copy()]
         fs = [direction * f_cur]
         si = 1
 
-        h = float(_initial_step(lambda h, Y: f(float(h[0]), Y[0])[None], y[None], f_cur[None],
-                                s_end, rtol, atol)[0])
+        h = float(_initial_step(lambda h, Y: f(t0 + direction * float(h[0]), Y[0])[None],
+                                y[None], f_cur[None], s_end, rtol, atol)[0])
         err_prev = 1.0
         k = np.empty((7, y.size))
+        abs_y = np.abs(y)  # of the accepted state, shared by its trial steps' error scales
         min_step = 16 * np.finfo(float).eps
 
         while s < s_end:
@@ -220,10 +211,15 @@ def solve_rk54(
 
             k[0] = f_cur
             for i in range(1, 7):
-                k[i] = f(s + _C[i] * h, y + h * (_A[i] @ k[:i]))
-            y_new = y + h * (_B5 @ k)
-            err = h * (_E @ k)
-            err_norm = _error_norm(err, y, y_new, rtol, atol)
+                k[i] = f(t0 + direction * (s + stage_c[i] * h), y + h * _A[i].dot(k[:i]))
+            y_new = y + h * _B5.dot(k)
+            abs_new = np.abs(y_new)
+            # An overflowed y_new would enlarge its own scale and read as error 0.
+            if np.isfinite(y_new).all():
+                z = h * _E.dot(k) / (atol + rtol * np.maximum(abs_y, abs_new))
+                err_norm = math.sqrt(float(np.add.reduce(z * z)) / z.size)  # np.mean's reduction
+            else:
+                err_norm = math.inf
 
             # Written so that a NaN error norm rejects the step.
             if not err_norm <= 1.0:
@@ -237,15 +233,14 @@ def solve_rk54(
             # FSAL: the last stage is f(s_new, y_new), copied out of the stage
             # buffer so a retry after a rejected step starts from it.
             f_new = k[6].copy()
-            if dense:
+            if dense and samples[si] < s_new:
                 sj = int(np.searchsorted(samples, s_new))  # the first sample >= s_new
-                if sj > si:
-                    y_in, f_in = _dense_samples(k, s, h, y, samples[si:sj])
-                    ys.extend(y_in)
-                    fs.extend(direction * f_in)
-                    si = sj
+                y_in, f_in = _dense_samples(k, s, h, y, samples[si:sj])
+                ys.extend(y_in)
+                fs.extend(direction * f_in)
+                si = sj
 
-            s, y, f_cur = s_new, y_new, f_new
+            s, y, f_cur, abs_y = s_new, y_new, f_new, abs_new
             if s == samples[si]:
                 ys.append(y.copy())
                 fs.append(direction * f_cur)
@@ -263,7 +258,7 @@ def solve_rk54(
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
             err_prev = e
 
-    return _result(grid, status, s, y, f_cur, ys, fs, n_steps, n_rejected, nfev)
+    return _result(grid, status, s, y, f_cur, ys, fs, n_steps, n_rejected)
 
 
 def solve_rk54_batch(
@@ -372,5 +367,5 @@ def solve_rk54_batch(
             beta = np.where(accepted, [x**_BETA for x in e], beta)
 
     return [_result(grid, status[g], s, y, f_end, sample_y[g, :n], sample_f[g, :n],
-                    int(steps), int(rejected), 2 + 6 * int(steps + rejected))
+                    int(steps), int(rejected))
             for g, (s, y, f_end, n, steps, rejected) in enumerate(ends)]

@@ -34,6 +34,7 @@ immutable once produced, so independent integrations may run concurrently.
 
 from __future__ import annotations
 
+import math
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -105,6 +106,7 @@ _NO_POINTWISE_RATE = (
     "ricci-norm has no pointwise rate; integrate unnormalized and "
     "apply rescale_to_ricci_norm"
 )
+_FLAT_RICCI = "ricci-norm rate undefined at a flat bracket"
 
 
 class NormalizationError(ValueError):
@@ -173,6 +175,34 @@ def _rate_from_scalars(strategy: Normalization, *scalars: float) -> float:
     return rate(*scalars)
 
 
+def _bound_rate(strategy: Normalization, tab, q: int, n: int) -> Callable:
+    """The rate (core, ric) -> r of a tensor system on the tables tab, bound to its kind
+    once, in the float operations of _rate_from_scalars (ricci-norm: D0, the exact
+    derivative of Ric along the unnormalized tangent).  An exact zero divisor raises,
+    except at a non-finite trial stage (NaN).  No closure holds the system, so it frees
+    by refcount."""
+    reason = _RATES[strategy.kind][2] if strategy.kind in _RATES else _FLAT_RICCI
+
+    def quotient(core, num, den):
+        if den != 0.0:
+            return num / den
+        if np.isfinite(core).all():
+            raise NormalizationError(reason)
+        return np.nan
+
+    return {
+        "none": lambda y, a: 0.0,
+        "volume": lambda y, a: -tab.trace(a) / n,  # n >= 1
+        "scalar-curvature": lambda y, a: quotient(y, -tab.trace_product(a, a), tab.trace(a)),
+        "bracket-norm": lambda y, a: quotient(
+            y, 4.0 * tab.trace_product(a, tab.moment(y, y)), tab.mu_p_norm2(y)),
+        "ricci-norm": lambda y, a: quotient(
+            y, -tab.trace_product(a, tab.ricci.polar(y, tab.flow_tangent(a, y, 0.0))),
+            2.0 * tab.trace_product(a, a)),
+        "custom": lambda y, a: float(strategy.rate_fn(unpack_state(q, n, y))),
+    }.get(strategy.kind, lambda y, a: _rate_from_scalars(strategy))  # raises: no rate
+
+
 def _report_rate(
     c: np.ndarray, q: int, strategy: Normalization, rep: CurvatureReport, d0: np.ndarray | None
 ) -> np.ndarray:
@@ -186,7 +216,7 @@ def _report_rate(
     tr_ric2 = np.sum(ric * ric, axis=(-2, -1))
     if kind == "ricci-norm":
         if np.any(tr_ric2 <= 0):
-            raise NormalizationError("ricci-norm rate undefined at a flat bracket")
+            raise NormalizationError(_FLAT_RICCI)
         return -np.sum(ric * d0, axis=(-2, -1)) / (2.0 * tr_ric2)
     if kind not in _RATES:  # r = 0, or the error of a kind with no rate
         return np.full(len(c), _rate_from_scalars(strategy))
@@ -268,15 +298,8 @@ class TensorFlowSystem:
         self.param_names = _packed_names(self.q + self.n)
         from ._poly import tables  # compiled on first use, not by `import bracketflow`
         self.tables = tab = tables(self.q, self.n)
-        # (core, ric) -> (n, R, tr Ric^2, tr Ric M, |mu_p|^2), 0 where the _RATES formula
-        # skips; the closures hold n and tab, not self, so a system frees by refcount.
-        n = self.n
-        self._scalars = {
-            "volume": lambda y, a: (n, tab.trace(a), 0, 0, 0),
-            "scalar-curvature": lambda y, a: (n, tab.trace(a), tab.trace_product(a, a), 0, 0),
-            "bracket-norm": lambda y, a: (
-                n, 0, 0, tab.trace_product(a, tab.moment(y, y)), tab.mu_p_norm2(y)),
-        }.get(strategy.kind)
+        self._custom = strategy.kind == "custom"
+        self._rate = _bound_rate(strategy, tab, self.q, self.n)
 
     def bracket(self, core: np.ndarray) -> BracketTensor:
         return unpack_state(self.q, self.n, core)
@@ -288,38 +311,19 @@ class TensorFlowSystem:
         """Derivative of Ric along dcore, exact (Ric is quadratic in the state)."""
         return self.tables.ricci.polar(core, dcore)[self.tables.full]
 
-    def rate(self, core: np.ndarray, ric: np.ndarray | None = None) -> float:
-        """Normalization rate r at core, whose Ric sym vector is ric if given.
-
-        A volume, scalar-curvature or bracket-norm rate evaluates only the
-        curvature scalars its _RATES formula reads, bound to the kind once
-        at construction.  The ricci-norm rate reads D0, the derivative of Ric
-        along the unnormalized tangent, exactly: Ric is a quadratic form in
-        the state.
-        """
-        tab, kind = self.tables, self.strategy.kind
-        if kind == "none":
-            return 0.0
-        if kind == "custom":
-            return float(self.strategy.rate_fn(self.bracket(core)))
-        ric = tab.ricci(core, core) if ric is None else ric
-        if self._scalars is not None:
-            return _rate_from_scalars(self.strategy, *self._scalars(core, ric))
-        if kind != "ricci-norm":
-            return _rate_from_scalars(self.strategy)  # raises: a kind with no rate
-        tr_ric2 = tab.trace_product(ric, ric)
-        if tr_ric2 <= 0:
-            raise NormalizationError("ricci-norm rate undefined at a flat bracket")
-        d0 = tab.ricci.polar(core, tab.flow_tangent(ric, core, 0.0))
-        return -tab.trace_product(ric, d0) / (2.0 * tr_ric2)
+    def rate(self, core: np.ndarray) -> float:
+        """Normalization rate r at core (see _bound_rate)."""
+        return self._rate(core, self.tables.ricci(core, core))
 
     def tangent(self, core: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-        """Packed tangent at core, its rate r and the Ric sym vector it reads;
-        the rate reads only the scalars its kind's formula needs (see rate)."""
-        if not np.isfinite(core).all():  # a non-finite trial stage: the stepper rejects it
+        """Packed tangent at core, its rate r and the Ric sym vector it reads.  A
+        non-finite trial stage never raises: its NaN or inf reaches the tangent, which
+        the stepper rejects.  A custom rate_fn takes a bracket, which unpack_state does
+        not build from non-finite entries, so there that stage gets the NaN triple."""
+        if self._custom and not np.isfinite(core).all():
             return np.full(core.shape, np.nan), np.nan, np.full(self.tables.sym_w.size, np.nan)
         ric = self.tables.ricci(core, core)
-        r = self.rate(core, ric)
+        r = self._rate(core, ric)
         return self.tables.flow_tangent(ric, core, r), r, ric
 
     def aux_norm2(self, core: np.ndarray) -> float:
@@ -498,11 +502,11 @@ def _run_flow(
     def callback(t, y, f, h):
         nonlocal conv_count, trigger
         core = y[:m]
-        size = float(np.sqrt(system.aux_norm2(core)))
+        size = math.sqrt(system.aux_norm2(core))
         if size > events.blowup_norm:
             trigger = size
             return TERM_BLOWUP
-        speed = float(np.sqrt(2.0) * np.sqrt(f[:m].dot(f[:m])))  # 1-D np.linalg.norm
+        speed = math.sqrt(2.0) * math.sqrt(float(f[:m].dot(f[:m])))  # 1-D np.linalg.norm
         if speed < events.conv_tangent:
             conv_count += 1
             if conv_count >= events.conv_window:
@@ -729,12 +733,11 @@ def metric_rhs(state: MetricState, point0: HomogeneousPoint) -> np.ndarray:
     point0.require_valid()
     mu0 = point0.bracket
     p = np.asarray(state.P, dtype=float)
-    if _core.compatibility_residual(mu0, p) > _core.COMPATIBILITY_TOL * (1.0 + np.linalg.norm(p)):
-        raise CompatibilityError(
-            "inner product is not invariant under the isotropy operators"
-        )
-    with suppress(np.linalg.LinAlgError):  # from the Cholesky test
-        if np.isfinite(p).all():
+    if np.isfinite(p).all():  # first: a non-finite P would poison the compatibility test
+        tol = _core.COMPATIBILITY_TOL * (1.0 + np.linalg.norm(p))
+        if _core.compatibility_residual(mu0, p) > tol:
+            raise CompatibilityError("inner product is not invariant under the isotropy operators")
+        with suppress(np.linalg.LinAlgError):  # from the Cholesky test
             return -2.0 * _metric_ricci_form(mu0)(p)[0]
     raise ValueError("metric operator must be positive definite")
 

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
@@ -21,7 +21,7 @@ from bracketflow.core import (
     unpack_state,
     validate_point,
 )
-from bracketflow.curvature import ricci_operator
+from bracketflow.curvature import curvature_pieces, ricci_operator
 from bracketflow.families import (
     Berger3,
     SemisimpleFamily,
@@ -865,6 +865,26 @@ def test_metric_rhs_rejects_an_indefinite_metric():
         metric_rhs(MetricState(np.diag([1.0, -1.0, 1.0])), point)
 
 
+@pytest.mark.parametrize("strategy", [UNNORMALIZED, VOLUME, SCALAR_CURVATURE, BRACKET_NORM,
+                                      custom_rate(lambda mu: 0.1)], ids=lambda s: s.kind)
+def test_an_overflowing_tensor_run_ends_typed(strategy):
+    # From 1e100 mu the first derivative overflows, so every trial stage is
+    # non-finite: no rate may raise on one, and the stepper rejects them all.
+    point = berger3(1, 1, 0).point
+    big = validate_point(rescale(1e100, point.bracket), h2_status=point.h2_status)
+    traj = integrate(big, strategy, (0.0, 1.0), samples=5,
+                     events=EventConfig(blowup_norm=np.inf))
+    assert traj.termination == "step-underflow"
+    assert np.isfinite(traj.states).all() and not np.isfinite(traj.derivs).all()
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_metric_rhs_rejects_a_non_finite_metric(bad):
+    # Tested before the isotropy compatibility, whose matmuls would warn on it.
+    with pytest.raises(ValueError, match="positive definite"):
+        metric_rhs(MetricState(np.diag([bad, 1.0, 1.0])), berger3(1, 1, 0).point)
+
+
 def test_metric_flow_ends_typed_before_a_degenerate_metric():
     # P loses positive definiteness near t = 0.41 on this seed; the trial
     # stages past it are rejected, so the run ends typed with its samples.
@@ -947,19 +967,28 @@ def test_rescalings_do_not_depend_on_the_source_sampling():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.one_of(st.floats(0.1, 10.0), st.floats(-10.0, -0.1)))
+@example(356443, 0.109375)  # R = 4.0e-4 against max |Ric| = 0.97: -R/n nearly cancels
 def test_ricci_and_rates_are_homogeneous_of_degree_two(seed, c):
     mu = random_valid_point(np.random.default_rng(seed), allow_q1=False).bracket
     moved = rescale(c, mu)
-    ric = ricci_operator(mu)
-    assert np.abs(ricci_operator(moved) - c**2 * ric).max() <= 1e-12 * c**2 * np.abs(ric).max()
+    rep = curvature_pieces(mu)
+    ric, n = rep.Ric, mu.n
+    ric_max = np.abs(ric).max()
+    assert np.abs(ricci_operator(moved) - c**2 * ric).max() <= 1e-12 * c**2 * ric_max
+    # A rate rounds relative to the size of the terms it sums, which exceeds
+    # |r| where they cancel; a quotient by R carries R's error relative to R.
+    scales = (lambda r: n * ric_max,  # -R/n, R a sum of n entries of Ric
+              lambda r: abs(r) * n * ric_max / abs(rep.R),  # -tr Ric^2 / R
+              lambda r: 4.0 * np.abs(ric * rep.M).sum() / np.sum(mu.mu_p**2),  # 4 tr(Ric M) / mu_p^2
+              lambda r: 0.0)  # ricci-norm: |r| alone
     rates = [lambda m, s=s: normalization_rate(m, s)
              for s in (VOLUME, SCALAR_CURVATURE, BRACKET_NORM)]
-    for rate in rates + [ricci_norm_rate]:
+    for rate, scale in zip(rates + [ricci_norm_rate], scales):
         try:
             r = rate(mu)
         except NormalizationError:  # undefined here, e.g. R = 0 or a flat bracket
             continue
-        assert rate(moved) == pytest.approx(c**2 * r, rel=1e-12)
+        assert abs(rate(moved) - c**2 * r) <= 1e-12 * c**2 * max(abs(r), scale(r))
 
 
 def test_computed_brackets_skip_the_validating_constructor(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from bracketflow._rk import TERM_REACHED_END, solve_rk54
+from bracketflow._rk import TERM_REACHED_END, TERM_UNDERFLOW, solve_rk54
 
 RTOL, ATOL = 1e-6, 1e-9
 GRID = np.linspace(0.0, 3.0, 301)
@@ -47,16 +47,34 @@ def test_dense_steps_are_not_sample_bound():
     assert dense.n_steps < clamped.n_steps / 2
 
 
-def test_dense_counts_its_rhs_evaluations():
+# (rhs, y0, grid, step_callback, status) of runs that end in each way; on
+# these coarse grids both sampling modes reject steps.
+COARSE = np.linspace(0.0, 3.0, 7)
+ENDINGS = {
+    "forward": (oscillating, 1.0, COARSE, None, TERM_REACHED_END),
+    "backward": (oscillating, 1.0, -COARSE, None, TERM_REACHED_END),
+    "stopped": (oscillating, 1.0, COARSE, lambda t, y, f, h: "stopped" if t > 1.0 else None,
+                "stopped"),
+    "underflow": (lambda t, y: y**3, 0.75, np.linspace(0.0, 1.0, 11), None, TERM_UNDERFLOW),
+}
+
+
+@pytest.mark.parametrize("sampling", ["clamped", "dense"])
+@pytest.mark.parametrize("ending", ENDINGS)
+def test_nfev_is_the_count_of_rhs_calls(ending, sampling):
+    # nfev is not counted but computed, as 2 + 6 (n_steps + n_rejected): one
+    # call at the start, one for the initial step and six per trial step.
+    rhs, y0, grid, stop, status = ENDINGS[ending]
     calls = []
 
-    def f(t, y):
+    def counted(t, y):
         calls.append(t)
-        return oscillating(t, y)
+        return rhs(t, y)
 
-    res = solve_rk54(f, np.array([1.0]), GRID, RTOL, ATOL, sampling="dense")
-    assert res.n_rejected > 0
-    assert res.nfev == len(calls) == 2 + 6 * (res.n_steps + res.n_rejected)
+    res = solve_rk54(counted, np.array([y0]), grid, RTOL, ATOL, step_callback=stop,
+                     sampling=sampling)
+    assert res.status == status and res.n_rejected > 0
+    assert res.nfev == len(calls)
 
 
 def test_dense_reruns_are_byte_identical():
