@@ -66,18 +66,20 @@ class AuditReport:
 
 
 def _derivative(t: np.ndarray):
-    """Centered finite differences along the sample times t: the audited
+    """Finite differences along the sample times t, on any spacing: the audited
     interior samples, and the map from samples (m, k) to derivatives there.
-    A uniform grid of at least 7 samples takes the fourth-order five-point
-    stencil (near blowup second order is not enough); any other grid takes
-    the three-point formula, exact for quadratics, on all interior samples."""
-    gaps = np.diff(t)
-    h = gaps[0]
-    if len(t) >= 7 and np.all(np.abs(gaps - h) <= 1e-9 * abs(h)):
-        return slice(2, -2), lambda f: (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
-    h1, h2 = gaps[:-1, None], gaps[1:, None]
-    wm, w0, wp = -h2 / (h1 * (h1 + h2)), (h2 - h1) / (h1 * h2), h1 / (h2 * (h1 + h2))
-    return slice(1, -1), lambda f: wm * f[:-2] + w0 * f[1:-1] + wp * f[2:]
+    Each is the derivative at the centre sample of the Lagrange polynomial
+    through the 5 samples around it, exact for quartics (3 and quadratics on a
+    grid of 3 or 4), with weights from the window's own offsets d (Fornberg,
+    Math. Comp. 51, 1988): (1, -8, 0, 8, -1) / 12h on a uniform grid."""
+    w = 5 if len(t) >= 5 else 3
+    c, n = w // 2, len(t) - w + 1
+    d = t[np.arange(w)[:, None] + np.arange(n)] - t[c:c + n]  # (w, n), d[c] = 0
+    gaps = d[:, None] - d + np.eye(w)[:, :, None]  # d_j - d_k, and 1 where k = j
+    # w_j = prod_{k != j, c} (-d_k) / prod_{k != j} (d_j - d_k); w_c = -sum_{k != c} 1 / d_k
+    weights = gaps[c].prod(0) / gaps[c] / gaps.prod(1)
+    weights[c] = -np.sum(1 / np.delete(d, c, axis=0), axis=0)
+    return slice(c, c + n), lambda f: sum(weights[j, :, None] * f[j:j + n] for j in range(w))
 
 
 def _bracket_stack(traj: FlowTrajectory) -> tuple[int, np.ndarray]:

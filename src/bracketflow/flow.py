@@ -358,23 +358,21 @@ class ReducedFlowSystem:
         h = float(np.linalg.norm(core) / np.linalg.norm(dcore))
         return (self.ricci(core + h * dcore) - self.ricci(core - h * dcore)) / (2.0 * h)
 
-    def rate(self, core: np.ndarray) -> float:
-        """Rate r from the family's closed-form scalars."""
-        if self.strategy.kind == "custom":
-            return float(self.strategy.rate_fn(self.family.embed(core)))
-        return _rate_from_scalars(self.strategy, *self.family.rate_scalars(core))
-
     def rates(self, cores: np.ndarray) -> tuple[np.ndarray, dict[int, NormalizationError]]:
         """Rates at the columns of cores (P, B), a batch of cells, and the
         NormalizationError of each column (by index) whose rate is undefined;
         its rate is NaN.  A custom rate calls rate_fn once per finite column
         (a non-finite trial stage gets NaN, so the stepper rejects it)."""
         kind = self.strategy.kind
+        if kind == "none":
+            return np.zeros(cores.shape[1]), {}
         r, errors = np.full(cores.shape[1], np.nan), {}
-        if kind not in _RATES:
+        if kind not in _RATES:  # custom, or the error of a kind with no rate
             for j, core in enumerate(cores.T):
                 try:
-                    r[j] = self.rate(core) if np.isfinite(core).all() else np.nan
+                    if np.isfinite(core).all():
+                        r[j] = (float(self.strategy.rate_fn(self.family.embed(core)))
+                                if kind == "custom" else _rate_from_scalars(self.strategy))
                 except NormalizationError as exc:
                     errors[j] = exc
             return r, errors

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bracketflow.analysis import (
+    _derivative,
     block_derivations,
     classify_limit,
     derivation_algebra,
@@ -27,13 +28,16 @@ from bracketflow.families import (
 )
 from bracketflow.flow import (
     BRACKET_NORM,
+    RICCI_NORM,
     SCALAR_CURVATURE,
     UNNORMALIZED,
     VOLUME,
     EventConfig,
+    NormalizationError,
     custom_rate,
     integrate,
     integrate_reduced,
+    integrate_reduced_batch,
 )
 
 from conftest import random_valid_point, solvable_point
@@ -193,36 +197,36 @@ _AUDIT_PINS = {
     "bracket-norm": (
         lambda: integrate(unimodular3(1, 2, 3).point, BRACKET_NORM, (0, 1), samples=481),
         477,
-        {"Ric": 6.031845369597915e-07, "M": 6.052085749832523e-07, "B": 6.548778516322522e-07,
-         "H": 0.0, "U": 0.0, "R": 6.010645326981451e-07, "mu_p_norm2": 3.9745856383888167e-07,
-         "trB": 6.090465726012115e-07, "H_norm2": 0.0},
+        {"Ric": 6.031845360341813e-07, "M": 6.052085707712107e-07, "B": 6.548778585191622e-07,
+         "H": 0.0, "U": 0.0, "R": 6.010645382964112e-07, "mu_p_norm2": 3.974573701270856e-07,
+         "trB": 6.090465839467264e-07, "H_norm2": 0.0},
     ),
     "custom-rate": (
         lambda: integrate(berger3(1.2, 0.5, 0.3).point,
                           custom_rate(lambda mu: 0.3 * float(np.sum(mu.mu_p**2))),
                           (0, 0.2), samples=241),
         237,
-        {"Ric": 1.707669533138461e-07, "M": 1.1205659188908127e-07, "B": 1.734733216459387e-07,
-         "H": 0.0, "U": 0.0, "R": 1.7936125430375182e-07, "mu_p_norm2": 1.2077966572053049e-07,
-         "trB": 1.723153210203627e-07, "H_norm2": 0.0},
+        {"Ric": 1.7076695640186531e-07, "M": 1.1205662479728376e-07, "B": 1.7347331898480216e-07,
+         "H": 0.0, "U": 0.0, "R": 1.7936125079138587e-07, "mu_p_norm2": 1.2077963613284137e-07,
+         "trB": 1.7231529225986668e-07, "H_norm2": 0.0},
     ),
     "reduced": (
         lambda: integrate_reduced(Berger3(), (0.5, 1, 0), VOLUME, (0, 1), samples=481),
         477,
-        {"Ric": 3.0458389933077856e-11, "M": 2.8163372224155546e-11, "B": 1.466124364020131e-11,
-         "H": 0.0, "U": 0.0, "R": 2.0330709410936538e-11, "mu_p_norm2": 3.9344531552146815e-11,
-         "trB": 1.667257208564797e-11, "H_norm2": 0.0},
+        {"Ric": 3.0442899268697996e-11, "M": 2.8162540849484687e-11, "B": 1.475152990634673e-11,
+         "H": 0.0, "U": 0.0, "R": 2.038965395313474e-11, "mu_p_norm2": 3.934798930013263e-11,
+         "trB": 1.6752107257819762e-11, "H_norm2": 0.0},
     ),
     # Converges at sample 91 of 401 (t = 8.9502), once conv_window consecutive
     # accepted steps, which step freely past the samples, read a small tangent.
-    # The closing gap is short, so the grid is nonuniform and the three-point
-    # formula runs on all 89 interior samples.
+    # The closing gap is short, so the grid is nonuniform; the five-point
+    # weights follow each window's own times, on all 87 samples two from an end.
     "converged": (
         lambda: integrate(berger3(0.5, 1, 0).point, VOLUME, (0, 40), samples=401),
-        89,
-        {"Ric": 0.003732745002897995, "M": 0.0038077460834752912, "B": 0.002628146789407115,
-         "H": 0.0, "U": 0.0, "R": 0.002410739273211179, "mu_p_norm2": 0.005318272051579286,
-         "trB": 0.0032004175919046716, "H_norm2": 0.0},
+        87,
+        {"Ric": 0.00014931339645621734, "M": 0.00014210037363357708, "B": 7.883610304615393e-05,
+         "H": 0.0, "U": 0.0, "R": 9.858550498016946e-05, "mu_p_norm2": 0.0001984713342347348,
+         "trB": 9.585525519686988e-05, "H_norm2": 0.0},
     ),
 }
 
@@ -238,6 +242,51 @@ def test_identity_audit_pinned_runs(name):
         assert traj.termination == "converged-to-fixed-point" and traj.n_samples == 91
         gaps = np.diff(traj.times)
         assert gaps[-1] == pytest.approx(0.0502, abs=1e-4) and gaps[0] == pytest.approx(0.1)
+
+
+def test_derivative_is_exact_on_quartics_over_any_grid():
+    # Random nonuniform grids, including the 5- and 6-sample ones: five-point
+    # weights from each window's own times differentiate quartics exactly.
+    rng = np.random.default_rng(7)
+    for m in (5, 6, 7, 12, 40):
+        t = rng.uniform(-2.0, 2.0) + np.cumsum(rng.uniform(0.02, 0.3, m))
+        coef = rng.normal(size=(5, 3))  # three quartics, one per column
+        interior, derivative = _derivative(t)
+        f = np.polynomial.polynomial.polyval(t, coef).T
+        want = np.polynomial.polynomial.polyval(t, np.polynomial.polynomial.polyder(coef)).T
+        assert len(t[interior]) == m - 4
+        np.testing.assert_allclose(derivative(f), want[interior], rtol=0, atol=1e-9 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_derivative_is_exact_on_quadratics_over_short_grids(m):
+    t = np.array([0.0, 0.1, 0.35, 0.5])[:m]
+    f = (1.5 - 2.0 * t + 3.0 * t * t)[:, None]
+    interior, derivative = _derivative(t)
+    assert len(t[interior]) == m - 2
+    np.testing.assert_allclose(derivative(f)[:, 0], (-2.0 + 6.0 * t)[interior], rtol=1e-13, atol=1e-13)
+
+
+def test_derivative_on_a_uniform_grid_is_the_classic_stencil():
+    t, h = np.linspace(0.0, 2.0, 9), 0.25
+    interior, derivative = _derivative(t)
+    weights = derivative(np.eye(9))  # row i: the weights of the i-th audited sample
+    assert (interior.start, len(weights)) == (2, 5)
+    for i, row in enumerate(weights):
+        np.testing.assert_allclose(row[i:i + 5], np.array([1, -8, 0, 8, -1]) / (12 * h),
+                                   rtol=1e-14, atol=1e-14)
+        assert not np.any(np.delete(row, np.s_[i:i + 5]))
+
+
+def test_unnormalized_reduced_audit_reads_no_rate_scalars():
+    fam, calls = Berger3(), []
+    scalars = fam.rate_scalars
+    fam.rate_scalars = lambda params: calls.append(1) or scalars(params)
+    identity_audit(integrate_reduced(fam, (1, 2, 0), UNNORMALIZED, (0, 1), samples=101))
+    assert calls == []
+    # A ricci-norm cell still ends with the error of a kind with no rate.
+    (result,) = integrate_reduced_batch(fam, [(1, 2, 0)], RICCI_NORM, (0, 1), samples=11)
+    assert isinstance(result, NormalizationError) and "no pointwise rate" in str(result)
 
 
 def test_identity_audit_needs_samples():

@@ -321,9 +321,14 @@ def test_sweep_imports_no_process_pool():
     assert out.stdout.strip() == "[]"
 
 
-def test_check_command(tmp_path, capsys):
-    argv = ["check", "--family", "unimodular3", "--params", "1,2,3",
-            "--t-span", "0:0.2", "--samples", "241", "--out", tmp_path]
+@pytest.mark.parametrize("case", [
+    ["--family", "unimodular3", "--params", "1,2,3", "--t-span", "0:0.2", "--samples", "241"],
+    # Converges at t = 8.9, so its closing sample makes the grid nonuniform.
+    ["--family", "berger3", "--params", "0.5,1,0", "--normalization", "volume",
+     "--t-span", "0:40", "--samples", "1001"],
+], ids=["unimodular3", "converged"])
+def test_check_command(tmp_path, capsys, case):
+    argv = ["check", *case, "--out", tmp_path]
     assert run(argv) == 0
     doc = read_json(tmp_path / "check.json")
     assert doc["passed"] is True and doc["worst"] <= 1e-4
