@@ -6,17 +6,18 @@ and closes an early stop with a sample at the stopping time.  Under
 sampling="dense", the mode of every tensor and metric solve, it steps freely,
 lands only on the last sample, and fills the samples inside each accepted
 step from the quartic continuous extension of the pair (Dormand & Prince
-1980; Shampine 1986).  Under sampling="clamped" it lands on every sample; that
-stays the default only as the one-row twin of solve_rk54_batch, which always
-clamps.  Step-size selection uses a PI controller on the embedded error
-estimate.  No stage is tested for finiteness: the rhs may return NaN or inf
-at a non-finite stage, which reaches the step's new state, and a new state
-that is not finite is rejected; the retry starts from the accepted (FSAL)
-derivative.  Clamped samples carry the full order of the method, dense ones
-the order of the extension; reruns are bit-reproducible either way.  A
-forward grid calls rhs itself: the product with direction = 1.0 of a backward
-grid would be an exact copy.  Neither loop counts its rhs calls; nfev is
-2 + 6 (n_steps + n_rejected).
+1980; Shampine 1986), which the step callback also receives, so a caller may
+keep the steps to sample them later.  Under sampling="clamped" it lands on
+every sample; that stays the default only as the one-row twin of
+solve_rk54_batch, which always clamps.  Step-size selection uses a PI
+controller on the embedded error estimate.  No stage is tested for finiteness:
+the rhs may return NaN or inf at a non-finite stage, which reaches the step's
+new state, and a new state that is not finite is rejected; the retry starts
+from the accepted (FSAL) derivative.  Clamped samples carry the full order of
+the method, dense ones the order of the extension; reruns are bit-reproducible
+either way.  A forward grid calls rhs itself: the product with direction = 1.0
+of a backward grid would be an exact copy.  Neither loop counts its rhs calls;
+nfev is 2 + 6 (n_steps + n_rejected).
 
 solve_rk54_batch steps many independent rows (the cells of a reduced-family
 sweep) in one vectorized loop, each row bitwise as if solved alone; only the
@@ -151,7 +152,7 @@ def solve_rk54(
     t_grid: np.ndarray,
     rtol: float = 1e-9,
     atol: float = 1e-12,
-    step_callback: Callable[[float, np.ndarray, np.ndarray, float], str | None] | None = None,
+    step_callback: Callable[[float, np.ndarray, np.ndarray, tuple], str | None] | None = None,
     sampling: str = "clamped",
 ) -> RKResult:
     """Solve y' = rhs(t, y) from t_grid[0], sampled on t_grid.
@@ -164,12 +165,15 @@ def solve_rk54(
     continuous extension (no extra rhs calls), and one on a step end that
     step's state and derivative.  In either mode the FSAL stage is copied out
     of the stage buffer, so a retry after a rejected step starts from the
-    accepted derivative.  ``step_callback(t, y, dy/dt, h)`` runs after each
-    accepted step and may return a status string to stop the run.  A run the
-    callback or a step underflow stops early ends with one more sample at its
-    stopping time.  Trial stages run with NumPy's overflow and invalid-value
-    warnings off: a step whose new state is not finite is rejected, never
-    accepted.  nfev, the number of rhs calls, is 2 + 6 (n_steps + n_rejected).
+    accepted derivative.  ``step_callback(t, y, dy/dt, step)`` runs after each
+    accepted step and may return a status string to stop the run; step is
+    the step's extension (k, s, h, y) in s, the leading arguments of
+    _dense_samples, with k the live stage buffer (copy it to keep it).  A
+    run the callback or a step underflow stops early ends with one more
+    sample at its stopping time.  Trial stages run with NumPy's overflow and
+    invalid-value warnings off: a step whose new state is not finite is
+    rejected, never accepted.  nfev, the number of rhs calls, is
+    2 + 6 (n_steps + n_rejected).
     """
     if sampling not in ("clamped", "dense"):
         raise ValueError(f"sampling must be 'clamped' or 'dense', got {sampling!r}")
@@ -240,6 +244,7 @@ def solve_rk54(
                 fs.extend(direction * f_in)
                 si = sj
 
+            step = (k, s, h, y)
             s, y, f_cur, abs_y = s_new, y_new, f_new, abs_new
             if s == samples[si]:
                 ys.append(y.copy())
@@ -247,7 +252,7 @@ def solve_rk54(
                 si += 1
 
             if step_callback is not None:
-                verdict = step_callback(t0 + direction * s, y, direction * f_cur, h)
+                verdict = step_callback(t0 + direction * s, y, direction * f_cur, step)
                 if verdict is not None:
                     status = verdict
                     break

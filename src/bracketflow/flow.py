@@ -23,10 +23,11 @@ freely at the caller's rtol and fills its samples from the continuous
 extension (sampling="dense").  The two rescalings of an unnormalized run
 (reparametrize, rescale_to_ricci_norm) are normalized bracket flows solved
 from the run's first bracket, whose (c, tau) record is c(t) . mu(tau(t)); no
-source sample is interpolated.  The reduced-family flow instead steps a whole
-batch of cells (a sweep grid, or one cell for integrate_reduced) in one
-_rk.solve_rk54_batch, landing on every sample and reading the families'
-closed forms for all cells at once.
+source sample is interpolated; without an end time, their one solve keeps its
+steps, ends where tau meets the source end and fills the samples from them.
+The reduced-family flow instead steps a whole batch of cells (a sweep grid,
+or one cell for integrate_reduced) in one _rk.solve_rk54_batch, landing on
+every sample and reading the families' closed forms for all cells at once.
 
 A single integration owns its state; trajectories and all inputs are
 immutable once produced, so independent integrations may run concurrently.
@@ -44,8 +45,10 @@ import numpy as np
 
 from . import core as _core
 from ._rk import (
+    _P,
     TERM_REACHED_END,
     RKResult,
+    _dense_samples,
     solve_rk54,
     solve_rk54_batch,
 )
@@ -261,13 +264,23 @@ class EventConfig:
     blowup_norm triggers on the auxiliary tensor norm; conv_tangent must stay
     below threshold for conv_window consecutive accepted steps (free steps on
     a tensor run, one per sample on a reduced run) to declare convergence; the
-    run aborts when the Jacobi residual exceeds drift_factor * rtol.
+    run aborts when the Jacobi residual exceeds drift_factor * rtol.  A value out
+    of range raises ValueError (a non-positive blowup_norm or drift_factor would
+    end every run at its first step).
     """
 
     blowup_norm: float = 1e6
     conv_tangent: float = 1e-10
     conv_window: int = 8
     drift_factor: float = 1e3
+
+    def __post_init__(self):
+        for name, bound, ok in (("blowup_norm", "> 0", self.blowup_norm > 0),
+                                ("conv_tangent", ">= 0", self.conv_tangent >= 0),
+                                ("conv_window", ">= 1", self.conv_window >= 1),
+                                ("drift_factor", "> 0", self.drift_factor > 0)):
+            if not ok:
+                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -476,7 +489,7 @@ def _run_flow(
 ):
     """Solve the flow with its (c, tau) record on t_grid; events=None runs no
     event checks, and a callable in its place is the step callback (t, y,
-    dy/dt, h) -> status or None, on the whole state.  With gauge=True the
+    dy/dt, step) -> status or None, on the whole state.  With gauge=True the
     state also carries the bracket-side gauge h, h' = -(Ric + r I) h with Ric
     the sym vector the tangent read, and the result is the pair
     (FlowTrajectory, GaugeRecord) of that one solve."""
@@ -497,7 +510,7 @@ def _run_flow(
     conv_count, trigger = 0, None  # trigger: the value that ends the run, set on its last step
     drift_message: list[str] = []
 
-    def callback(t, y, f, h):
+    def callback(t, y, f, step):
         nonlocal conv_count, trigger
         core = y[:m]
         size = math.sqrt(system.aux_norm2(core))
@@ -614,9 +627,8 @@ def integrate_reduced_batch(
     """Integrate the reduced flow of a catalog family from every row of
     params0s (B, P), all cells stepped together in one solve_rk54_batch.
 
-    Returns per cell its FlowTrajectory, or the exception the cell ends with:
-    the NormalizationError of a rate undefined at a stage of its run, or a
-    ValidityDriftError carrying its trajectory.  The events run per cell, and
+    Returns per cell its FlowTrajectory, or the NormalizationError of a rate
+    undefined at a stage of its run.  The events run per cell, and
     each cell's result is bitwise that of the cell integrated alone.  The
     step callback tests them as arrays over the cells that just accepted a
     step and returns {index: status} for the cells that end, so a status
@@ -637,7 +649,6 @@ def integrate_reduced_batch(
         return out
 
     conv_count = np.zeros(len(params0s), dtype=int)
-    drifted = 0.0 > events.drift_factor * rtol  # the reduced families satisfy Jacobi exactly
 
     def callback(t, Y, F, h, rows):
         undefined, dcore = failed[rows], F[:, :-2]
@@ -646,9 +657,8 @@ def integrate_reduced_batch(
         count = conv_count[rows] = np.where(small, conv_count[rows] + 1, 0)
         converged = count >= events.conv_window
         return {
-            j: _TERM_UNDEFINED if undefined[j] else TERM_BLOWUP if blowup[j]
-            else TERM_CONVERGED if converged[j] else _TERM_DRIFT
-            for j in (undefined | blowup | converged | drifted).nonzero()[0].tolist()
+            j: _TERM_UNDEFINED if undefined[j] else TERM_BLOWUP if blowup[j] else TERM_CONVERGED
+            for j in (undefined | blowup | converged).nonzero()[0].tolist()
         }
 
     results = solve_rk54_batch(
@@ -659,17 +669,8 @@ def integrate_reduced_batch(
         atol=atol,
         step_callback=callback,
     )
-    out = []
-    for g, res in enumerate(results):
-        if g in errors:
-            out.append(errors[g])
-        elif res.status == _TERM_DRIFT:
-            message = (f"Jacobi residual {0.0:.3e} exceeded {events.drift_factor:g} "
-                       f"* rtol at t = {res.sample_t[-1]:.6g}")
-            out.append(ValidityDriftError(message, _trajectory(system, res, [message])))
-        else:
-            out.append(_trajectory(system, res))
-    return out
+    return [errors[g] if g in errors else _trajectory(system, res)
+            for g, res in enumerate(results)]
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +822,7 @@ def _run_metric(
         dh = -(y[k:].reshape(n, n) @ (p_inv @ r))
         return np.concatenate([_pack_sym(-2.0 * r), dh.ravel()])
 
-    def callback(t, y, f, h):
+    def callback(t, y, f, step):
         if np.linalg.norm(_unpack_sym(n, y[:k])) > _METRIC_BLOWUP_NORM:
             return TERM_BLOWUP
         return None
@@ -896,17 +897,6 @@ _AUTO_HORIZON = 100.0
 _TAU_END, _ZERO_SCALE = "tau-exhausted", "zero-scale"
 
 
-def _tau_crossing(a, b, tau_end: float) -> float:
-    """Time at which the cubic through the step ends a and b, each (t, tau,
-    tau'), takes the value tau_end (as scipy's solve_event_equation does)."""
-    (t0, y0, d0), (t1, y1, d1) = a, b
-    h, dy = t1 - t0, y1 - y0
-    # y0 + h d0 x + (3 dy - h (2 d0 + d1)) x^2 + (h (d0 + d1) - 2 dy) x^3, x in [0, 1].
-    cubic = [h * (d0 + d1) - 2.0 * dy, 3.0 * dy - h * (2.0 * d0 + d1), h * d0, y0 - tau_end]
-    xs = [x.real for x in np.roots(cubic) if abs(x.imag) <= 1e-9 and -1e-9 <= x.real <= 1 + 1e-9]
-    return t0 + h * min(max(min(xs), 0.0), 1.0) if xs else t1
-
-
 def _rescaled(
     traj: FlowTrajectory, strategy: Normalization, t_end: float | None, samples: int
 ) -> FlowTrajectory:
@@ -926,32 +916,43 @@ def _rescaled(
     if strategy.kind == "ricci-norm" and tab.ricci_norm2(system.core0) < 1e-24:
         raise NormalizationError("ricci-norm rescaling needs a nonflat start")
     tau0, tau_max = float(traj.times[0]), float(traj.times[-1])
+    tau_end = tau_max - tau0
+    # The auto horizon ends once tau is within the solve's own error of the
+    # source end, which tau may approach only asymptotically.
+    tau_stop = tau_end - (0.0 if t_end is not None else _SCALING_ATOL + _SCALING_RTOL * tau_end)
     pp = tab.rate_w > 0  # the p x p entries: the isotropy rows never rescale
     zero = 1e-9 * max(float(np.sqrt(2.0 * np.sum(system.core0[pp] ** 2))), 1.0)
-    ends = [(0.0, 0.0, 1.0)]  # (t, tau - tau0, tau') at the last two accepted step ends
+    steps = []  # the auto horizon's accepted steps (k, s, h, y), with s = t
 
-    def stop(t, y, f, h):
-        ends[:] = [ends[-1], (t, y[m + 1], f[m + 1])]
-        if y[m + 1] >= tau_max - tau0:
+    def stop(t, y, f, step):
+        if t_end is None:
+            steps.append((step[0].copy(), *step[1:]))
+        if y[m + 1] >= tau_stop:
             return _TAU_END
         if np.sqrt(2.0 * np.sum(y[:m][pp] ** 2)) < zero:
             return _ZERO_SCALE
         return None
 
+    grid = (np.array([0.0, _AUTO_HORIZON]) if t_end is None
+            else np.linspace(0.0, float(t_end), samples))
+    run = _run_flow(system, grid, _SCALING_RTOL, _SCALING_ATOL, stop)
+    status = run.termination
     if t_end is None:
-        # A probe for the horizon, then the sampled run up to it.
-        probe = _run_flow(system, np.array([0.0, _AUTO_HORIZON]), _SCALING_RTOL,
-                          _SCALING_ATOL, stop)
-        status = probe.termination
-        t_star = _tau_crossing(*ends, tau_max - tau0) if status == _TAU_END else probe.times[-1]
-        run = _run_flow(system, np.linspace(0.0, t_star, samples), _SCALING_RTOL,
-                        _SCALING_ATOL, None)
-    else:
-        run = _run_flow(system, np.linspace(0.0, float(t_end), samples), _SCALING_RTOL,
-                        _SCALING_ATOL, stop)
-        status = run.termination
-        if status == _TAU_END:
-            raise ValueError(f"tau leaves the available source range before t_end={t_end}")
+        # t* is the first root in [0, 1] of tau(x) = tau_end on the last step's
+        # quartic, or the end of that step when its quartic stays short of it.
+        k, s, h, y = steps[-1]
+        roots = np.roots([*((h * k[:, m + 1]) @ _P)[::-1], y[m + 1] - tau_end])
+        xs = [x.real for x in roots if abs(x.imag) <= 1e-9 and 0.0 <= x.real <= 1.0]
+        grid = np.linspace(0.0, s + h * min(xs) if status == _TAU_END and xs else s + h,
+                           samples)
+        cuts = np.searchsorted(grid, [s + h for _, s, h, _ in steps], side="right")
+        parts = [_dense_samples(*step, grid[i:j])
+                 for step, i, j in zip(steps, [0, *cuts], cuts) if j > i]
+        ys, fs = np.vstack([p[0] for p in parts]), np.vstack([p[1] for p in parts])
+        run = replace(run, times=grid, states=ys[:, :m], derivs=fs[:, :m], c=ys[:, m],
+                      tau=ys[:, m + 1])
+    elif status == _TAU_END:
+        raise ValueError(f"tau leaves the available source range before t_end={t_end}")
     tau = run.tau + tau0
     termination, notes = TERM_REACHED_END if status == _TAU_END else status, ()
     if status == _ZERO_SCALE:
@@ -973,9 +974,10 @@ def reparametrize(
     Solves the r-normalized flow from the run's first bracket, with its
     scaling record c' = r c, tau' = c^2 (tau counted in the source's time),
     over [0, t_end] or, with t_end=None, until tau reaches the end of the
-    source (up to t = 100): a probe finds the time t* at which tau crosses the
-    source end, as a root of the cubic through its last step, and a second
-    run samples [0, t*].  With an explicit t_end, tau passing the source end
+    source (up to t = 100), in one solve that ends once tau is within its own
+    error of the source end.  Its last step's quartic extension gives t*, the
+    root of tau(t) = tau_end (or that step's end), and the extensions of the
+    steps it keeps give the samples on [0, t*].  With an explicit t_end, tau passing the source end
     raises.  Termination: 'reached-t-end'; 'converged-to-fixed-point' when the
     normalized bracket collapses to zero (tau stalling short of the source
     end while the scaling dies, reported in the notes); or 'step-underflow'
@@ -993,10 +995,10 @@ def rescale_to_ricci_norm(
     """Reparametrize an unnormalized run so tr(Ric^2) stays constant.
 
     The scaling is c = (tr Ric_0^2 / tr Ric(mu(tau))^2)^(1/4): the run solves
-    the flow at the ricci-norm rate from the source's first bracket, as
-    reparametrize does with t_end=None, up to the source end.  Raises on a
-    flat start.  The termination is 'reached-t-end', or 'step-underflow' as
-    in reparametrize.
+    the flow at the ricci-norm rate from the source's first bracket in one
+    solve, as reparametrize does with t_end=None, up to the source end.
+    Raises on a flat start.  The termination is 'reached-t-end', or
+    'step-underflow' as in reparametrize.
     """
     return _rescaled(traj, RICCI_NORM, None, samples)
 

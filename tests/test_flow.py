@@ -1,3 +1,4 @@
+import math
 import time
 import warnings
 
@@ -247,6 +248,17 @@ def test_validity_drift_aborts():
     traj = info.value.trajectory
     assert traj.stats.trigger_value == system.drift(traj.states[-1]) > 1e3 * 1e-9
     assert traj.describe()["trigger_value"] == traj.stats.trigger_value
+
+
+@pytest.mark.parametrize("field, value", [
+    ("blowup_norm", 0.0), ("blowup_norm", np.nan), ("conv_tangent", -1e-3), ("conv_window", 0),
+    ("drift_factor", 0.0), ("drift_factor", -1.0),
+])
+def test_event_config_rejects_thresholds_out_of_range(field, value):
+    # A non-positive blowup norm or drift factor would end every run at its
+    # first step; an infinite blowup norm stays allowed.
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        EventConfig(**{field: value})
 
 
 def test_step_underflow_near_singularity():
@@ -900,23 +912,23 @@ def test_metric_flow_ends_typed_before_a_degenerate_metric():
     "cat, t_span",
     [(unimodular3(1, 2, 3), (0.0, 1.0)), (berger3(0.5, 1, 0), (0.0, 3.0))],
 )
-def test_reparametrize_blown_up_source_ends_in_step_underflow(cat, t_span, strategy):
+def test_reparametrize_reaches_the_end_of_a_blown_up_source(cat, t_span, strategy):
     # The normalized flow is solved from the source's first bracket, so the
-    # run reaches the end of a source that stopped at its blowup (an
-    # interpolated source once ended these runs in step-underflow).
+    # run reaches the end of a source that stopped at its blowup, well before
+    # the auto horizon's t = 100.
     base = integrate(cat.point, UNNORMALIZED, t_span)
     assert base.termination == "blowup-detected"
     rep = reparametrize(base, strategy, samples=41)
     assert rep.termination == "reached-t-end"
     assert rep.n_samples == 41 and np.all(np.diff(rep.times) > 0)
     assert np.all(np.isfinite(rep.states)) and np.all(np.isfinite(rep.c))
-    assert rep.tau[-1] == pytest.approx(base.times[-1], abs=1e-6)
+    assert rep.tau[-1] == pytest.approx(base.times[-1], abs=1e-9)
+    assert rep.times[-1] < 50.0
 
 
-def test_reparametrize_reports_probe_underflow_with_t_end():
+def test_reparametrize_with_t_end_reads_only_the_first_bracket():
     # The source stops at its blowup near t = 0.69 with only two samples
-    # before it.  Only its first bracket is read, so the run reaches t_end
-    # (an interpolated source once underflowed at t ~ 0.097).
+    # before it.  Only its first bracket is read, so the run reaches t_end.
     base = integrate(berger3(0.5, 1, 0).point, UNNORMALIZED, (0.0, 40.0), samples=61)
     rep = reparametrize(base, VOLUME, t_end=1.0)
     assert rep.termination == "reached-t-end"
@@ -931,21 +943,46 @@ def test_reparametrize_rejects_nonpositive_t_end():
             reparametrize(base, VOLUME, t_end=t_end)
 
 
-def test_rescale_to_ricci_norm_notes_a_stalled_tau():
+def test_rescale_to_ricci_norm_reaches_the_end_of_a_blown_up_source():
     # The source blows up near t = 0.316, where c = (tr Ric_0^2 /
-    # tr Ric^2)^(1/4) dies.  Solved from the first bracket, tau does not stall
-    # (an interpolated source once stalled it at 0.3116): the run reaches the
-    # source end, with no note, in well under a second.
+    # tr Ric^2)^(1/4) dies.  Solved from the first bracket, the run reaches
+    # the source end, with no note, in well under a second.  tau only
+    # approaches that end, so the run (and the volume one) ends once tau is
+    # within the solve's own error of it, before t = 10.
     base = integrate(unimodular3(1, 2, 3).point, UNNORMALIZED, (0.0, 1.0))
     start = time.perf_counter()
     rn = rescale_to_ricci_norm(base)
     assert time.perf_counter() - start < 1.0
     assert rn.termination == "reached-t-end"
     assert rn.tau[-1] == pytest.approx(0.3157762, abs=1e-6)
-    assert rn.tau[-1] == pytest.approx(base.times[-1], abs=1e-6)
     assert rn.notes == ()
+    for run in (rn, reparametrize(base, VOLUME)):
+        assert run.tau[-1] == pytest.approx(base.times[-1], abs=1e-9)
+        assert run.times[-1] < 10.0
+
+
+def test_auto_horizon_is_one_solve_ending_on_the_tau_root(monkeypatch):
+    # The Heisenberg soliton's ricci-norm run reaches the source end tau = 2
+    # at t* = ln 7 / 3 in closed form.  t* is the root of tau(t) = 2 on the
+    # crossing step's quartic, and the samples on [0, t*] come from the steps
+    # of the rescaling's one solve.
+    import bracketflow.flow as flow_mod
+
+    calls = []
+    solve = flow_mod.solve_rk54
+    monkeypatch.setattr(flow_mod, "solve_rk54",
+                        lambda *a, **kw: calls.append(kw.get("sampling")) or solve(*a, **kw))
     heis = integrate(unimodular3(1, 0, 0).point, UNNORMALIZED, (0.0, 2.0), samples=20)
-    assert rescale_to_ricci_norm(heis, samples=20).notes == ()
+    calls.clear()
+    rn = rescale_to_ricci_norm(heis, samples=20)
+    assert calls == ["dense"] and rn.notes == ()
+    assert abs(rn.times[-1] - math.log(7.0) / 3.0) <= 1e-9
+    assert abs(rn.tau[-1] - 2.0) <= 1e-9
+    assert rn.n_samples == 20 and rn.times[0] == 0.0 and np.all(np.diff(rn.times) > 0)
+    calls.clear()
+    rep = reparametrize(heis, VOLUME, samples=20)
+    assert calls == ["dense"]
+    assert rep.termination == "reached-t-end" and abs(rep.tau[-1] - 2.0) <= 1e-9
 
 
 def test_rescalings_do_not_depend_on_the_source_sampling():
