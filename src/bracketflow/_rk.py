@@ -1,23 +1,25 @@
-"""Adaptive embedded Runge-Kutta 5(4) core (Dormand-Prince pair).
+"""Adaptive embedded Runge-Kutta pairs: Dormand-Prince 5(4) and 8(5,3).
 
-solve_rk54 is the sampled solve of every single ODE of the package.  It maps
-a forward or backward time grid onto one forward loop in s = |t - t_grid[0]|
-and closes an early stop with a sample at the stopping time.  Under
-sampling="dense", the mode of every tensor and metric solve, it steps freely,
-lands only on the last sample, and fills the samples inside each accepted
-step from the quartic continuous extension of the pair (Dormand & Prince
-1980; Shampine 1986), which the step callback also receives, so a caller may
-keep the steps to sample them later.  Under sampling="clamped" it lands on
-every sample; that stays the default only as the one-row twin of
-solve_rk54_batch, which always clamps.  Step-size selection uses a PI
-controller on the embedded error estimate.  No stage is tested for finiteness:
-the rhs may return NaN or inf at a non-finite stage, which reaches the step's
-new state, and a new state that is not finite is rejected; the retry starts
-from the accepted (FSAL) derivative.  Clamped samples carry the full order of
-the method, dense ones the order of the extension; reruns are bit-reproducible
-either way.  A forward grid calls rhs itself: the product with direction = 1.0
-of a backward grid would be an exact copy.  Neither loop counts its rhs calls;
-nfev is 2 + 6 (n_steps + n_rejected).
+solve_rk54 is the sampled solve of every single ODE of the package, one
+scalar loop parametrized by its pair: DP5, the 5(4) pair with its quartic
+continuous extension (Dormand & Prince 1980; Shampine 1986) and a PI
+controller, or DOP853, the 8(5,3) pair (Prince & Dormand 1981; Hairer,
+Norsett & Wanner II.10) with the error rule, controller and 7th-degree
+extension of scipy's DOP853 (its coefficients as float64 literals: scipy is a
+test-only dependency), at half the caller's tolerances.  A forward or
+backward grid maps onto one forward loop in s = |t - t_grid[0]|; rhs is
+called as given and the signed step enters the stage sums, the extension and
+the initial step.  An early stop closes with a sample at the stopping time.
+Under sampling="dense", the mode of every tensor and metric solve, it steps
+freely, lands only on the last sample and fills the samples inside each
+accepted step from the pair's extension, whose extra stages (DOP853's 3) are
+computed only for such a step; the step callback also receives each step, so
+a caller may keep it to sample it later.  Under sampling="clamped" it lands
+on every sample; that stays the default only as the one-row twin of
+solve_rk54_batch, which always clamps and steps DP5.  No stage is tested for
+finiteness: a NaN or inf stage reaches the step's new state, and a new state
+that is not finite is rejected; the retry starts from the accepted (FSAL)
+derivative.  Reruns are bit-reproducible.  nfev counts the rhs calls.
 
 solve_rk54_batch steps many independent rows (the cells of a reduced-family
 sweep) in one vectorized loop, each row bitwise as if solved alone; only the
@@ -27,6 +29,7 @@ controller's powers and the end of a row run per row in Python.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,12 +65,107 @@ _P = np.array([
     [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
 
+# Dormand-Prince 8(5,3), scipy's dop853_coefficients by repr: 12 stages, the FSAL
+# stage (row 12 of _A8 holds the weights B) and the 3 stages of the extension.
+_C8 = [
+    0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
+    1.0, 1.0, 0.1, 0.2, 0.7777777777777778
+]
+_A8 = [np.array([])] + [np.array(row) for row in (
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0, 0.08876275643042054],
+    [0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125],
+    [0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+    0.008273789163814023],
+    [0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+    20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+    15.279233632882423, -33.28821096898486, -0.020331201708508627],
+    [-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+    -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+    27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+    0.6433927460157636],
+    [0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+    0.04471061572777259],
+    [0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025,
+    -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+    -0.008298],
+    [0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
+    -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
+    -0.00034046500868740456, 0.1413124436746325],
+    [-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+    0.3567271874552811, 0, 0, 0, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987],
+)]
+_E53 = np.array([  # E5 and E3
+    [0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+     1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+     -0.022355307863886294, 0],
+    [-0.18980075407240762, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+     -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0],
+])
+_D8 = np.array([
+    [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+    2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+    -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894],
+    [10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+    -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+    15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408],
+    [19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+    -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+    -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279],
+    [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+    93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+    -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564],
+])
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 # PI controller exponents for a 5th-order propagating solution.
 _ALPHA = 0.7 / 5.0
 _BETA = 0.4 / 5.0
+
+
+def _nested_extension(b, d):
+    """(16, 7) map from the stages (h k) of a DOP853 step to the coefficients of
+    x, ..., x^7 in scipy's Dop853DenseOutput, x (F0 + (1 - x) (F1 + x (F2 + ...)))
+    with F = (dy, h f0 - dy, 2 dy - h (f0 + f1), h D k), dy = h b . k, unrolled."""
+    e, b = np.eye(16), np.pad(b, (0, 16 - b.size))
+    q = np.zeros((8, 16))  # the coefficients of x^0, ..., x^7
+    for i, row in enumerate([*d[::-1], 2 * b - e[0] - e[12], e[0] - b, b]):
+        q[0] += row
+        q = np.roll(q, 1, axis=0) if i % 2 == 0 else q - np.roll(q, 1, axis=0)
+    return q[1:].T
+
+
+def _dp5_error(k, h, scale):
+    z = h * _E.dot(k) / scale
+    return math.sqrt(float(np.add.reduce(z * z)) / z.size)  # np.mean's reduction
+
+
+def _dop853_error(k, h, scale):
+    """scipy's DOP853._estimate_error_norm, with h folded into E5 and E3."""
+    e = (h * _E53).dot(k) / scale
+    n5, n3 = np.add.reduce(e * e, axis=1).tolist()
+    return n5 / math.sqrt((n5 + 0.01 * n3) * scale.size) if n5 or n3 else 0.0
+
+
+# A pair as solve_rk54 reads it: a step of signed size h from (s, y) takes the stages
+# k[i] = rhs(t(s + c[i] |h|), y + h a[i] . k), 1 <= i < b.size, the last at y + h b . k;
+# later stages extend it to y + ((h k).T @ p) @ (x, ..., x^deg).  error(k, h, scale) is
+# the error norm, 1 / order its exponent, (alpha, beta) the PI exponents, retry_max the
+# largest factor after a rejection, tol the fraction of the caller's tolerances; fold
+# puts h into the weights before a sum over the stages (DOP853's would overflow).
+_Pair = namedtuple("_Pair", "c a b p error order alpha beta retry_max tol fold")
+DP5 = _Pair(_C.tolist(), _A, _B5, _P, _dp5_error, 5, _ALPHA, _BETA, _MAX_FACTOR, 1.0, False)
+DOP853 = _Pair(_C8, _A8, np.append(_A8[12], 0.0), _nested_extension(_A8[12], _D8),
+               _dop853_error, 8, 1 / 8, 0.0, 1.0, 0.5, True)
 
 TERM_REACHED_END = "reached-t-end"
 TERM_UNDERFLOW = "step-underflow"
@@ -79,7 +177,7 @@ class RKResult:
 
     sample_t, sample_y and sample_f stack the sample times, states and
     derivatives by row; a run that stopped early ends with one more sample at
-    its stopping time.  nfev counts the rhs calls, 2 + 6 (n_steps + n_rejected).
+    its stopping time.  nfev counts the rhs calls.
     """
 
     status: str
@@ -91,7 +189,7 @@ class RKResult:
     nfev: int
 
 
-def _initial_step(f, Y0, F0, t_end, rtol, atol):
+def _initial_step(f, Y0, F0, t_end, rtol, atol, direction, order):
     """Initial step of each row of Y0 (B, D), one call f(h0, Y1) for all rows.
     Python's min(a, b) and max(a, b) become where(b < a, b, a) and where(b > a,
     b, a), which keep NaNs as they do; a denominator is raised only where its
@@ -101,11 +199,11 @@ def _initial_step(f, Y0, F0, t_end, rtol, atol):
     d1 = np.sqrt(np.mean((F0 / scale) ** 2, axis=1))
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / np.maximum(d1, 1e-5))
     h0 = np.where(t_end < h0, t_end, h0)
-    F1 = f(h0, Y0 + h0[:, None] * F0)
+    F1 = f(h0, Y0 + (direction * h0)[:, None] * F0)
     d2 = np.sqrt(np.mean(((F1 - F0) / scale) ** 2, axis=1)) / h0
     d12 = np.where(d2 > d1, d2, d1)
     h1 = np.where(d12 <= 1e-15, np.fmax(1e-6, h0 * 1e-3),
-                  [x ** (1 / 5) for x in (0.01 / np.maximum(d12, 1e-15)).tolist()])
+                  [x ** (1 / order) for x in (0.01 / np.maximum(d12, 1e-15)).tolist()])
     h = np.where(h1 < 100 * h0, h1, 100 * h0)
     return np.where(t_end < h, t_end, h)
 
@@ -123,27 +221,33 @@ def _grid(t_grid, rtol: float, atol: float) -> tuple[np.ndarray, float, float, n
     return t_grid, t0, 1.0 if t1 > t0 else -1.0, np.abs(t_grid - t0)
 
 
-def _result(grid, status, s, y, f_cur, ys, fs, n_steps, n_rejected) -> RKResult:
+def _result(grid, status, s, y, f_cur, ys, fs, n_steps, n_rejected, nfev) -> RKResult:
     """RKResult of a run stopped at s in (y, f_cur) with samples ys, fs; an
     early stop adds a closing sample."""
     t_grid, t0, direction, samples = grid
     ts, ys, fs = t_grid[: len(ys)].copy(), np.asarray(ys), np.asarray(fs)
     if status != TERM_REACHED_END and s > samples[len(ys) - 1]:
         ts = np.append(ts, t0 + direction * s)
-        ys, fs = np.vstack([ys, y]), np.vstack([fs, direction * f_cur])
-    return RKResult(status, ts, ys, fs, n_steps, n_rejected, 2 + 6 * (n_steps + n_rejected))
+        ys, fs = np.vstack([ys, y]), np.vstack([fs, f_cur])
+    return RKResult(status, ts, ys, fs, n_steps, n_rejected, nfev)
 
 
-def _dense_samples(k, s, h, y, sample_s):
-    """States and derivatives (in s) at sample_s inside the accepted step of
-    size h from (s, y) with stages k, from the quartic continuous extension.
-    h is folded into the stages first: the products of k alone may overflow
-    where the increments of a finite step do not."""
-    q = (h * k).T @ _P
-    x = (sample_s - s) / h
-    powers = np.cumprod(np.tile(x, (4, 1)), axis=0)  # x, x^2, x^3, x^4
-    slopes = np.vstack([np.ones_like(x), 2.0 * powers[0], 3.0 * powers[1], 4.0 * powers[2]])
-    return y + (q @ powers).T, (q @ slopes).T / h
+def _weighted(h, w, k, fold):
+    """h w . k, the weights w summed over the stages k; with fold, h w first."""
+    return (h * w).dot(k) if fold else h * w.dot(k)
+
+
+def _dense_samples(pair, k, s, h, y, sample_s):
+    """States and derivatives (in t) at sample_s inside the accepted step of signed size h
+    from (s, y) with (extended) stages k.  h goes into the stages first, and for a folding
+    pair x's powers into the weights: k alone, or DOP853's monomial coefficients, may
+    overflow where the increments of a finite step do not."""
+    x = (sample_s - s) / abs(h)
+    powers = np.cumprod(np.tile(x, (pair.p.shape[1], 1)), axis=0)  # x, ..., x^deg
+    slopes = np.arange(1, len(powers) + 1)[:, None] * np.vstack([np.ones_like(x), powers[:-1]])
+    hk, p = (h * k).T, pair.p
+    at = (lambda w: hk @ (p @ w)) if pair.fold else (lambda w: (hk @ p) @ w)
+    return y + at(powers).T, at(slopes).T / h
 
 
 def solve_rk54(
@@ -154,26 +258,26 @@ def solve_rk54(
     atol: float = 1e-12,
     step_callback: Callable[[float, np.ndarray, np.ndarray, tuple], str | None] | None = None,
     sampling: str = "clamped",
+    pair: _Pair = DP5,
 ) -> RKResult:
-    """Solve y' = rhs(t, y) from t_grid[0], sampled on t_grid.
+    """Solve y' = rhs(t, y) from t_grid[0], sampled on t_grid, by pair.
 
     The grid may run forward or backward: the stepper runs forward in
-    s = |t - t_grid[0]| and maps the samples and their derivatives back to t.
-    sampling="clamped" clamps each step to land on the next sample.
-    sampling="dense" clamps only at the last sample; a sample strictly inside
-    an accepted step takes the state and derivative of the step's quartic
-    continuous extension (no extra rhs calls), and one on a step end that
+    s = |t - t_grid[0]| with the signed step h.  sampling="clamped" clamps
+    each step to land on the next sample.  sampling="dense" clamps only at the
+    last sample; a sample strictly inside an accepted step takes the state and
+    derivative of the step's continuous extension, and one on a step end that
     step's state and derivative.  In either mode the FSAL stage is copied out
     of the stage buffer, so a retry after a rejected step starts from the
     accepted derivative.  ``step_callback(t, y, dy/dt, step)`` runs after each
     accepted step and may return a status string to stop the run; step is
-    the step's extension (k, s, h, y) in s, the leading arguments of
-    _dense_samples, with k the live stage buffer (copy it to keep it).  A
-    run the callback or a step underflow stops early ends with one more
-    sample at its stopping time.  Trial stages run with NumPy's overflow and
-    invalid-value warnings off: a step whose new state is not finite is
-    rejected, never accepted.  nfev, the number of rhs calls, is
-    2 + 6 (n_steps + n_rejected).
+    (extend, k, s, h, y), where extend(k, s, h, y) computes the extension
+    stages into k (the live stage buffer: copy it to keep it) and returns its
+    rhs calls, after which _dense_samples(pair, k, s, h, y, ...) samples the
+    step.  A run the callback or a step underflow stops early ends with one
+    more sample at its stopping time.  Trial stages run with NumPy's overflow
+    and invalid-value warnings off: a step whose new state is not finite is
+    rejected, never accepted.  nfev counts the rhs calls of the solve.
     """
     if sampling not in ("clamped", "dense"):
         raise ValueError(f"sampling must be 'clamped' or 'dense', got {sampling!r}")
@@ -181,23 +285,30 @@ def solve_rk54(
     grid = _grid(t_grid, rtol, atol)
     t_grid, t0, direction, samples = grid
     s_end = float(samples[-1])
-    f = rhs if direction == 1.0 else (lambda t, y: direction * rhs(t, y))  # dy/ds at t
-    stage_c = _C.tolist()
+    rtol, atol = pair.tol * rtol, pair.tol * atol
+    c, a, b, fold = pair.c, pair.a, pair.b, pair.fold
+    n = b.size  # the stages of a step, the FSAL stage last
+
+    def extend(k, s, h, y):
+        for i in range(n, len(c)):
+            k[i] = rhs(t0 + direction * (s + c[i] * abs(h)), y + _weighted(h, a[i], k[:i], fold))
+        return len(c) - n  # the rhs calls made
 
     with np.errstate(over="ignore", invalid="ignore"):
         status = TERM_REACHED_END
-        n_steps = n_rejected = 0
+        n_steps = n_rejected = n_extra = 0
         s = 0.0
         y = np.asarray(y0, dtype=float).copy()
-        f_cur = f(t0 + direction * s, y)
-        ys = [y.copy()]
-        fs = [direction * f_cur]
+        f_cur = rhs(t0 + direction * s, y)
+        ys, fs = [y.copy()], [f_cur]
         si = 1
 
-        h = float(_initial_step(lambda h, Y: f(t0 + direction * float(h[0]), Y[0])[None],
-                                y[None], f_cur[None], s_end, rtol, atol)[0])
-        err_prev = 1.0
-        k = np.empty((7, y.size))
+        h = float(_initial_step(lambda h, Y: rhs(t0 + direction * float(h[0]), Y[0])[None],
+                                y[None], f_cur[None], s_end, rtol, atol, direction,
+                                pair.order)[0])
+        err_prev, retry = 1.0, False
+        k = np.empty((len(c), y.size))
+        k_step = k[:n]
         abs_y = np.abs(y)  # of the accepted state, shared by its trial steps' error scales
         min_step = 16 * np.finfo(float).eps
 
@@ -213,22 +324,23 @@ def solve_rk54(
                 status = TERM_UNDERFLOW
                 break
 
+            hs = direction * h
             k[0] = f_cur
-            for i in range(1, 7):
-                k[i] = f(t0 + direction * (s + stage_c[i] * h), y + h * _A[i].dot(k[:i]))
-            y_new = y + h * _B5.dot(k)
+            for i in range(1, n):
+                k[i] = rhs(t0 + direction * (s + c[i] * h), y + _weighted(hs, a[i], k[:i], fold))
+            y_new = y + _weighted(hs, b, k_step, fold)
             abs_new = np.abs(y_new)
             # An overflowed y_new would enlarge its own scale and read as error 0.
             if np.isfinite(y_new).all():
-                z = h * _E.dot(k) / (atol + rtol * np.maximum(abs_y, abs_new))
-                err_norm = math.sqrt(float(np.add.reduce(z * z)) / z.size)  # np.mean's reduction
+                err_norm = pair.error(k_step, hs, atol + rtol * np.maximum(abs_y, abs_new))
             else:
                 err_norm = math.inf
 
             # Written so that a NaN error norm rejects the step.
             if not err_norm <= 1.0:
                 n_rejected += 1
-                h *= max(_MIN_FACTOR, _SAFETY * err_norm ** (-1 / 5))
+                retry = True
+                h *= max(_MIN_FACTOR, _SAFETY * err_norm ** (-1 / pair.order))
                 continue
 
             # Land exactly on the clamp target so sample bookkeeping stays exact.
@@ -236,34 +348,36 @@ def solve_rk54(
             n_steps += 1
             # FSAL: the last stage is f(s_new, y_new), copied out of the stage
             # buffer so a retry after a rejected step starts from it.
-            f_new = k[6].copy()
+            f_new = k[n - 1].copy()
             if dense and samples[si] < s_new:
                 sj = int(np.searchsorted(samples, s_new))  # the first sample >= s_new
-                y_in, f_in = _dense_samples(k, s, h, y, samples[si:sj])
+                n_extra += extend(k, s, hs, y)
+                y_in, f_in = _dense_samples(pair, k, s, hs, y, samples[si:sj])
                 ys.extend(y_in)
-                fs.extend(direction * f_in)
+                fs.extend(f_in)
                 si = sj
 
-            step = (k, s, h, y)
+            step = (extend, k, s, hs, y)
             s, y, f_cur, abs_y = s_new, y_new, f_new, abs_new
             if s == samples[si]:
                 ys.append(y.copy())
-                fs.append(direction * f_cur)
+                fs.append(f_cur)
                 si += 1
 
             if step_callback is not None:
-                verdict = step_callback(t0 + direction * s, y, direction * f_cur, step)
+                verdict = step_callback(t0 + direction * s, y, f_cur, step)
                 if verdict is not None:
                     status = verdict
                     break
 
-            # PI step-size update.
+            # PI step-size update, at most retry_max right after a rejection.
             e = max(err_norm, 1e-10)
-            factor = _SAFETY * e ** (-_ALPHA) * err_prev**_BETA
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            err_prev = e
+            factor = _SAFETY * e ** -pair.alpha * err_prev**pair.beta
+            h *= min(pair.retry_max if retry else _MAX_FACTOR, max(_MIN_FACTOR, factor))
+            err_prev, retry = e, False
 
-    return _result(grid, status, s, y, f_cur, ys, fs, n_steps, n_rejected)
+    nfev = 2 + (n - 1) * (n_steps + n_rejected) + n_extra
+    return _result(grid, status, s, y, f_cur, ys, fs, n_steps, n_rejected, nfev)
 
 
 def solve_rk54_batch(
@@ -285,7 +399,8 @@ def solve_rk54_batch(
     per-row matmuls, so each row is bitwise the row solved alone.  Only the
     controller's powers (on Python floats: NumPy's array powers round
     differently in the last bit) and the recording of an ending row run per row.
-    A forward grid takes the rhs result as it is, as solve_rk54 does.
+    The rhs is called as given, and the signed step enters the stage sums, as
+    in solve_rk54 with DP5.
     """
     grid = _grid(t_grid, rtol, atol)
     t_grid, t0, direction, samples = grid
@@ -296,14 +411,12 @@ def solve_rk54_batch(
     sample_y, sample_f = np.empty((2, B, len(samples), D))
     rows = np.arange(B)  # the active rows; the state arrays below hold only them
 
-    def f(t, Y):  # dY/ds at t = t0 + direction * s
-        return rhs(t, Y, rows) if direction == 1.0 else direction * rhs(t, Y, rows)
-
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.zeros(B)
-        F = f(t0 + direction * s, Y)
-        sample_y[:, 0], sample_f[:, 0] = Y, direction * F
-        H = _initial_step(lambda h, Y: f(t0 + direction * h, Y), Y, F, s_end, rtol, atol)
+        F = rhs(t0 + direction * s, Y, rows)
+        sample_y[:, 0], sample_f[:, 0] = Y, F
+        H = _initial_step(lambda h, Y: rhs(t0 + direction * h, Y, rows), Y, F, s_end, rtol, atol,
+                          direction, DP5.order)
         n_steps, n_rejected = np.zeros((2, B), dtype=int)
         si = np.ones(B, dtype=int)
         beta = np.ones(B)  # the PI controller's err_prev ** _BETA, err_prev = 1 at first
@@ -332,9 +445,9 @@ def solve_rk54_batch(
 
             K = np.empty((rows.size, 7, D))
             K[:, 0] = F
-            Hc, stage_t = H[:, None], t0 + direction * (s + _C[:, None] * H)
+            Hc, stage_t = (direction * H)[:, None], t0 + direction * (s + _C[:, None] * H)
             for i in range(1, 7):
-                K[:, i] = f(stage_t[i], Y + Hc * np.matmul(_A[i], K[:, :i]))
+                K[:, i] = rhs(stage_t[i], Y + Hc * np.matmul(_A[i], K[:, :i]), rows)
             Y_new = Y + Hc * np.matmul(_B5, K)
             z = Hc * np.matmul(_E, K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
             err_norm = np.sqrt(np.add.reduce(z * z, axis=1) / D)  # np.mean's reduction, unwrapped
@@ -351,14 +464,13 @@ def solve_rk54_batch(
             Y, F = np.where(acc, Y_new, Y), np.where(acc, K[:, 6], F)  # FSAL, copied out of K
             hit = accepted & (s == samples[si])
             at = rows[hit], si[hit]
-            sample_y[at], sample_f[at] = Y[hit], direction * F[hit]
+            sample_y[at], sample_f[at] = Y[hit], F[hit]
             si += hit
 
             done = s >= s_end
             acc = accepted.nonzero()[0]
             if step_callback is not None and acc.size:
-                stops = step_callback(t0 + direction * s[acc], Y[acc], direction * F[acc],
-                                      H[acc], rows[acc])
+                stops = step_callback(t0 + direction * s[acc], Y[acc], F[acc], H[acc], rows[acc])
                 for j, verdict in stops.items():
                     status[rows[acc[j]]], done[acc[j]] = verdict, True
 
@@ -372,5 +484,5 @@ def solve_rk54_batch(
             beta = np.where(accepted, [x**_BETA for x in e], beta)
 
     return [_result(grid, status[g], s, y, f_end, sample_y[g, :n], sample_f[g, :n],
-                    int(steps), int(rejected))
+                    int(steps), int(rejected), 2 + 6 * int(steps + rejected))
             for g, (s, y, f_end, n, steps, rejected) in enumerate(ends)]

@@ -19,8 +19,8 @@ h' = -h P^-1 R on the metric side.
 
 The bracket and metric flows, with or without their gauges, run through one
 sampled solve, _rk.solve_rk54, and read its RKResult directly; each steps
-freely at the caller's rtol and fills its samples from the continuous
-extension (sampling="dense").  The two rescalings of an unnormalized run
+freely (DOP853 on the bracket side, DP5 on the metric side) and fills its
+samples from its pair's extension.  The rescalings of an unnormalized run
 (reparametrize, rescale_to_ricci_norm) are normalized bracket flows solved
 from the run's first bracket, whose (c, tau) record is c(t) . mu(tau(t)); no
 source sample is interpolated; without an end time, their one solve keeps its
@@ -44,14 +44,7 @@ from typing import Callable
 import numpy as np
 
 from . import core as _core
-from ._rk import (
-    _P,
-    TERM_REACHED_END,
-    RKResult,
-    _dense_samples,
-    solve_rk54,
-    solve_rk54_batch,
-)
+from ._rk import DOP853, TERM_REACHED_END, RKResult, _dense_samples, solve_rk54, solve_rk54_batch
 from .core import (
     BracketTensor,
     CompatibilityError,
@@ -535,7 +528,7 @@ def _run_flow(
             return _TERM_DRIFT
         return None
 
-    res = solve_rk54(rhs, y0, t_grid, rtol=rtol, atol=atol, sampling="dense",
+    res = solve_rk54(rhs, y0, t_grid, rtol=rtol, atol=atol, sampling="dense", pair=DOP853,
                      step_callback=callback if isinstance(events, EventConfig) else events)
     traj = _trajectory(system, res, drift_message, trigger)
     if res.status == _TERM_DRIFT:
@@ -922,11 +915,11 @@ def _rescaled(
     tau_stop = tau_end - (0.0 if t_end is not None else _SCALING_ATOL + _SCALING_RTOL * tau_end)
     pp = tab.rate_w > 0  # the p x p entries: the isotropy rows never rescale
     zero = 1e-9 * max(float(np.sqrt(2.0 * np.sum(system.core0[pp] ** 2))), 1.0)
-    steps = []  # the auto horizon's accepted steps (k, s, h, y), with s = t
+    steps = []  # the auto horizon's accepted steps (extend, k, s, h, y), with s = t
 
     def stop(t, y, f, step):
         if t_end is None:
-            steps.append((step[0].copy(), *step[1:]))
+            steps.append((step[0], step[1].copy(), *step[2:]))
         if y[m + 1] >= tau_stop:
             return _TAU_END
         if np.sqrt(2.0 * np.sum(y[:m][pp] ** 2)) < zero:
@@ -939,18 +932,25 @@ def _rescaled(
     status = run.termination
     if t_end is None:
         # t* is the first root in [0, 1] of tau(x) = tau_end on the last step's
-        # quartic, or the end of that step when its quartic stays short of it.
-        k, s, h, y = steps[-1]
-        roots = np.roots([*((h * k[:, m + 1]) @ _P)[::-1], y[m + 1] - tau_end])
+        # extension (tau' = c^2 >= 0, so that step brackets it), or the end of
+        # that step when its extension stays short of it.
+        extend, k, s, h, y = last = steps[-1]
+        nfev = run.stats.nfev + extend(k, s, h, y)
+        roots = np.roots([*((h * k[:, m + 1]) @ DOP853.p)[::-1], y[m + 1] - tau_end])
         xs = [x.real for x in roots if abs(x.imag) <= 1e-9 and 0.0 <= x.real <= 1.0]
         grid = np.linspace(0.0, s + h * min(xs) if status == _TAU_END and xs else s + h,
                            samples)
-        cuts = np.searchsorted(grid, [s + h for _, s, h, _ in steps], side="right")
-        parts = [_dense_samples(*step, grid[i:j])
-                 for step, i, j in zip(steps, [0, *cuts], cuts) if j > i]
+        # The samples of each kept step; a step that holds one is extended once.
+        ends = np.searchsorted(grid, [st[2] + st[3] for st in steps[:-1]], side="right")
+        parts = []
+        for st, i, j in zip(steps, [0, *ends], [*ends, samples]):
+            if j > i:
+                if st is not last:
+                    nfev += extend(*st[1:])
+                parts.append(_dense_samples(DOP853, *st[1:], grid[i:j]))
         ys, fs = np.vstack([p[0] for p in parts]), np.vstack([p[1] for p in parts])
         run = replace(run, times=grid, states=ys[:, :m], derivs=fs[:, :m], c=ys[:, m],
-                      tau=ys[:, m + 1])
+                      tau=ys[:, m + 1], stats=replace(run.stats, nfev=nfev))
     elif status == _TAU_END:
         raise ValueError(f"tau leaves the available source range before t_end={t_end}")
     tau = run.tau + tau0
@@ -975,13 +975,13 @@ def reparametrize(
     scaling record c' = r c, tau' = c^2 (tau counted in the source's time),
     over [0, t_end] or, with t_end=None, until tau reaches the end of the
     source (up to t = 100), in one solve that ends once tau is within its own
-    error of the source end.  Its last step's quartic extension gives t*, the
-    root of tau(t) = tau_end (or that step's end), and the extensions of the
-    steps it keeps give the samples on [0, t*].  With an explicit t_end, tau passing the source end
-    raises.  Termination: 'reached-t-end'; 'converged-to-fixed-point' when the
-    normalized bracket collapses to zero (tau stalling short of the source
-    end while the scaling dies, reported in the notes); or 'step-underflow'
-    when the steps underflow first.
+    error of the source end.  Its last step's 7th-degree extension gives t*,
+    the root of tau(t) = tau_end (or that step's end), and the extensions of
+    the steps it keeps give the samples on [0, t*].  With an explicit t_end,
+    tau passing the source end raises.  Termination: 'reached-t-end';
+    'converged-to-fixed-point' when the normalized bracket collapses to zero
+    (tau stalling short of the source end while the scaling dies, reported in
+    the notes); or 'step-underflow' when the steps underflow first.
     """
     _require_pointwise(strategy)
     return _rescaled(traj, strategy, t_end, samples)

@@ -197,18 +197,18 @@ _AUDIT_PINS = {
     "bracket-norm": (
         lambda: integrate(unimodular3(1, 2, 3).point, BRACKET_NORM, (0, 1), samples=481),
         477,
-        {"Ric": 6.031845360341813e-07, "M": 6.052085707712107e-07, "B": 6.548778585191622e-07,
-         "H": 0.0, "U": 0.0, "R": 6.010645382964112e-07, "mu_p_norm2": 3.974573701270856e-07,
-         "trB": 6.090465839467264e-07, "H_norm2": 0.0},
+        {"Ric": 1.0747027519020282e-06, "M": 1.8188871897214087e-06, "B": 1.8274898706107997e-06,
+         "H": 0.0, "U": 0.0, "R": 6.00552008464302e-07, "mu_p_norm2": 6.75012415740639e-07,
+         "trB": 6.084872822141535e-07, "H_norm2": 0.0},
     ),
     "custom-rate": (
         lambda: integrate(berger3(1.2, 0.5, 0.3).point,
                           custom_rate(lambda mu: 0.3 * float(np.sum(mu.mu_p**2))),
                           (0, 0.2), samples=241),
         237,
-        {"Ric": 1.7076695640186531e-07, "M": 1.1205662479728376e-07, "B": 1.7347331898480216e-07,
-         "H": 0.0, "U": 0.0, "R": 1.7936125079138587e-07, "mu_p_norm2": 1.2077963613284137e-07,
-         "trB": 1.7231529225986668e-07, "H_norm2": 0.0},
+        {"Ric": 7.598341407364603e-08, "M": 8.215168953530651e-08, "B": 9.482551821220088e-08,
+         "H": 0.0, "U": 0.0, "R": 8.579372599454424e-08, "mu_p_norm2": 8.810970734220252e-08,
+         "trB": 9.544139070154172e-08, "H_norm2": 0.0},
     ),
     "reduced": (
         lambda: integrate_reduced(Berger3(), (0.5, 1, 0), VOLUME, (0, 1), samples=481),
@@ -217,16 +217,16 @@ _AUDIT_PINS = {
          "H": 0.0, "U": 0.0, "R": 2.038965395313474e-11, "mu_p_norm2": 3.934798930013263e-11,
          "trB": 1.6752107257819762e-11, "H_norm2": 0.0},
     ),
-    # Converges at sample 91 of 401 (t = 8.9502), once conv_window consecutive
+    # Converges at sample 138 of 401 (t = 13.694), once conv_window consecutive
     # accepted steps, which step freely past the samples, read a small tangent.
     # The closing gap is short, so the grid is nonuniform; the five-point
-    # weights follow each window's own times, on all 87 samples two from an end.
+    # weights follow each window's own times, on all 134 samples two from an end.
     "converged": (
         lambda: integrate(berger3(0.5, 1, 0).point, VOLUME, (0, 40), samples=401),
-        87,
-        {"Ric": 0.00014931339645621734, "M": 0.00014210037363357708, "B": 7.883610304615393e-05,
-         "H": 0.0, "U": 0.0, "R": 9.858550498016946e-05, "mu_p_norm2": 0.0001984713342347348,
-         "trB": 9.585525519686988e-05, "H_norm2": 0.0},
+        134,
+        {"Ric": 0.00014929911529851039, "M": 0.00014208257809763928, "B": 7.884670933655345e-05,
+         "H": 0.0, "U": 0.0, "R": 9.858581938333697e-05, "mu_p_norm2": 0.00019844647924133123,
+         "trB": 9.58681511375917e-05, "H_norm2": 0.0},
     ),
 }
 
@@ -239,9 +239,9 @@ def test_identity_audit_pinned_runs(name):
     assert audit.samples_checked == checked
     assert audit.max_rel_error == pytest.approx(errors, rel=1e-12, abs=0.0)
     if name == "converged":
-        assert traj.termination == "converged-to-fixed-point" and traj.n_samples == 91
+        assert traj.termination == "converged-to-fixed-point" and traj.n_samples == 138
         gaps = np.diff(traj.times)
-        assert gaps[-1] == pytest.approx(0.0502, abs=1e-4) and gaps[0] == pytest.approx(0.1)
+        assert gaps[-1] == pytest.approx(0.0940, abs=1e-4) and gaps[0] == pytest.approx(0.1)
 
 
 def test_derivative_is_exact_on_quartics_over_any_grid():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 
-from bracketflow._rk import solve_rk54
+from bracketflow._rk import DOP853, DP5, solve_rk54
 from bracketflow.core import (
     BracketTensor,
     CompatibilityError,
@@ -430,23 +430,39 @@ def test_equivalence_report_seeds():
     assert rep.max_metric_dev <= 1e-6
 
 
+def _counted_solves(monkeypatch):
+    """(sampling, pair, rhs calls) of each solve_rk54 call of flow.py, in a
+    list that fills as the solves run."""
+    import bracketflow.flow as flow_mod
+
+    solve, solves = flow_mod.solve_rk54, []
+
+    def counted(rhs, *a, **kw):
+        record = [kw.get("sampling"), kw.get("pair", DP5), 0]
+        solves.append(record)
+
+        def f(t, y):
+            record[2] += 1
+            return rhs(t, y)
+
+        return solve(f, *a, **kw)
+
+    monkeypatch.setattr(flow_mod, "solve_rk54", counted)
+    return solves
+
+
 def test_equivalence_report_counts_its_two_solves(monkeypatch):
     # Each flow is solved together with its gauge, both pairs stepping freely
     # (dense sampling), so 601 samples take far fewer than 600 steps each;
-    # every count keeps the rhs-evaluation identity.
-    import bracketflow.flow as flow_mod
-
-    calls = []
-    solve = flow_mod.solve_rk54
-    monkeypatch.setattr(flow_mod, "solve_rk54",
-                        lambda *a, **kw: calls.append(kw.get("sampling")) or solve(*a, **kw))
+    # each side reports the rhs calls its solve made.
+    solves = _counted_solves(monkeypatch)
     rep = equivalence_report(unimodular3(1, 2, 3).point, (0.0, 0.3), samples=601)
-    assert calls == ["dense", "dense"]
+    counts = [stats.nfev for stats in rep.stats.values()]  # bracket, then metric
+    assert solves == [["dense", DOP853, counts[0]], ["dense", DP5, counts[1]]]
     assert len(rep.times) == 601 and not rep.partial
     doc = rep.as_dict()["stats"]
     assert set(doc) == set(rep.per_side) == {"bracket", "metric"}
     for name, stats in rep.stats.items():
-        assert stats.nfev == 2 + 6 * (stats.n_steps + stats.n_rejected)
         assert 0 < stats.n_steps < 200
         assert doc[name] == {"steps": stats.n_steps, "rejected_steps": stats.n_rejected,
                              "rhs_evals": stats.nfev}
@@ -507,6 +523,15 @@ def test_tensor_runs_are_not_sample_bound():
     for field in ("states", "c", "tau"):
         a, b = getattr(dense, field), getattr(clamped, field)
         assert np.all(np.abs(a - b) <= 10 * rtol * np.maximum(1.0, np.abs(b)))
+
+
+def test_tensor_runs_step_the_eighth_order_pair():
+    # The bracket flow is a smooth cubic field, which DOP853 follows at rtol
+    # 1e-9 to its fixed point in about a fifth of the steps the 5(4) pair
+    # took (176, with the same convergence window).
+    traj = integrate(unimodular3(1, 2, 3).point, BRACKET_NORM, (0, 5), samples=20)
+    assert traj.termination == "converged-to-fixed-point"
+    assert traj.stats.n_steps < 60
 
 
 def _gauged_route(mu0, hs):
@@ -766,17 +791,36 @@ def test_solve_rk54_ends_on_a_nan_initial_derivative():
     assert list(res.sample_t) == [0.0]
 
 
+def _overflowing_run(sampling, pair):
+    """y' = 1e308 from y = 1e308, which overflows y at t = 0.7977."""
+    return solve_rk54(lambda t, y: np.array([1e308]), np.array([1e308]),
+                      np.linspace(0.0, 1.0, 11), sampling=sampling, pair=pair)
+
+
 @pytest.mark.parametrize("sampling", ["clamped", "dense"])
 def test_solve_rk54_never_accepts_a_non_finite_state(sampling):
     # y' = 1e308 overflows y within the span; an overflowed trial state would
     # enlarge its own error scale and read as error 0.  A dense sample inside
     # a finite step stays finite too.
-    res = solve_rk54(lambda t, y: np.array([1e308]), np.array([1e308]),
-                     np.linspace(0.0, 1.0, 11), sampling=sampling)
+    res = _overflowing_run(sampling, DP5)
     assert res.status == "step-underflow"
     assert res.n_rejected > 0
     assert 0.7 < res.sample_t[-1] < 0.8
     assert np.isfinite(res.sample_y).all()
+
+
+@pytest.mark.parametrize("sampling", ["clamped", "dense"])
+def test_dop853_never_accepts_a_non_finite_state(sampling):
+    # As for DP5.  DOP853's weights reach 545: it folds h into each weight row
+    # before the sum over the stages, and the powers of x into each stage's
+    # extension weight, or its sums would overflow within finite steps and
+    # the run would end at t = 0 with no finite dense sample.
+    res = _overflowing_run(sampling, DOP853)
+    assert res.status == "step-underflow"
+    assert res.n_rejected > 0
+    assert 0.797 < res.sample_t[-1] < 0.798
+    assert np.isfinite(res.sample_y).all()
+    assert np.allclose(res.sample_y[:, 0], 1e308 * (1.0 + res.sample_t), rtol=1e-12, atol=0.0)
 
 
 def test_gauges_past_a_blowup_keep_their_covered_prefix():
@@ -964,7 +1008,7 @@ def test_rescale_to_ricci_norm_reaches_the_end_of_a_blown_up_source():
 def test_auto_horizon_is_one_solve_ending_on_the_tau_root(monkeypatch):
     # The Heisenberg soliton's ricci-norm run reaches the source end tau = 2
     # at t* = ln 7 / 3 in closed form.  t* is the root of tau(t) = 2 on the
-    # crossing step's quartic, and the samples on [0, t*] come from the steps
+    # crossing step's extension, and the samples on [0, t*] come from the steps
     # of the rescaling's one solve.
     import bracketflow.flow as flow_mod
 
@@ -1062,9 +1106,12 @@ def test_solve_rk54_rejects_non_finite_tolerances(tol):
         solve_rk54(lambda t, y: -y, np.array([1.0]), np.linspace(0.0, 1.0, 5), **tol)
 
 
-def test_rhs_evaluations_are_counted():
-    # Two evaluations start the run (f at t0 and the initial-step probe),
-    # then six stages per attempted step; the run reports them as rhs_evals.
+def test_rhs_evaluations_are_counted(monkeypatch):
+    # Two evaluations start a run (f at t0 and the initial-step probe).  DP5
+    # then takes six stages per attempted step; DOP853, which every tensor run
+    # steps, twelve, and three more on each step that holds a sample.  Each
+    # run reports its calls as rhs_evals, an auto-horizon rescaling also the
+    # extension stages it computes after its solve.
     calls = []
 
     def f(t, y):
@@ -1074,10 +1121,16 @@ def test_rhs_evaluations_are_counted():
     res = solve_rk54(f, np.array([1.0]), np.linspace(0.0, 1.0, 11), rtol=1e-6, atol=1e-9)
     assert res.n_rejected > 0
     assert res.nfev == len(calls) == 2 + 6 * (res.n_steps + res.n_rejected)
+    solves = _counted_solves(monkeypatch)
     traj = integrate(berger3(1, 2, 0).point, VOLUME, (0.0, 1.0), samples=11)
     stats = traj.stats
-    assert stats.nfev == 2 + 6 * (stats.n_steps + stats.n_rejected)
+    assert solves == [["dense", DOP853, stats.nfev]]
+    extended, rest = divmod(stats.nfev - 2 - 12 * (stats.n_steps + stats.n_rejected), 3)
+    assert rest == 0 and 0 < extended <= stats.n_steps
     assert traj.describe()["rhs_evals"] == stats.nfev
+    solves.clear()
+    rescaled = rescale_to_ricci_norm(integrate(unimodular3(1, 0, 0).point, UNNORMALIZED, (0, 2)))
+    assert solves[-1][2] == rescaled.stats.nfev
     assert traj.termination == "reached-t-end" and stats.trigger_value is None
     assert "trigger_value" not in traj.describe()
 

@@ -1,12 +1,13 @@
-"""solve_rk54's dense sampling: free steps, samples from the quartic
-continuous extension, checked against scipy's RK45 dense output and a
-closed form."""
+"""solve_rk54's dense sampling: free steps, samples from the continuous
+extension of each pair (DP5's quartic, DOP853's 7th-degree one), checked
+against scipy's dense output and a closed form."""
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as dop853
 
-from bracketflow._rk import TERM_REACHED_END, TERM_UNDERFLOW, solve_rk54
+from bracketflow._rk import DOP853, TERM_REACHED_END, TERM_UNDERFLOW, solve_rk54
 
 RTOL, ATOL = 1e-6, 1e-9
 GRID = np.linspace(0.0, 3.0, 301)
@@ -135,3 +136,82 @@ def test_backward_solve_is_the_mirrored_forward_solve(y0, sampling):
     assert np.array_equal(back.sample_t, -fwd.sample_t)  # t = 0.0 against -0.0
     assert back.sample_y.tobytes() == fwd.sample_y.tobytes()
     assert back.sample_f.tobytes() == (-fwd.sample_f).tobytes()
+
+
+def test_dop853_coefficients_are_scipys():
+    # The literals are scipy's dop853_coefficients by repr, bitwise; the
+    # weights B are row 12 of A, and the FSAL stage has weight 0.
+    assert np.array(DOP853.c).tobytes() == dop853.C.tobytes()
+    for i in range(1, dop853.N_STAGES_EXTENDED):
+        assert DOP853.a[i].tobytes() == dop853.A[i, :i].tobytes()
+        assert not dop853.A[i, i:].any()
+    assert DOP853.b.tobytes() == np.append(dop853.B, 0.0).tobytes()
+    from bracketflow._rk import _D8, _E53
+
+    assert _E53.tobytes() == np.array([dop853.E5, dop853.E3]).tobytes()
+    assert _D8.tobytes() == dop853.D.tobytes()
+
+
+# DOP853 runs at the package's default tolerances, where the bracket flow
+# runs.  Its E5/E3 error rule (scipy's too) weighs the 3rd-order estimate in:
+# on this oscillator at rtol 1e-6 it accepts one backward step 400 times
+# its tolerance off, so a looser tolerance would bound nothing useful here.
+RTOL8, ATOL8 = 1e-9, 1e-12
+
+
+@pytest.mark.parametrize("grid", [GRID, -GRID])
+def test_dop853_dense_samples_match_the_closed_form_and_scipy(grid):
+    res = solve_rk54(oscillating, np.array([1.0]), grid, RTOL8, ATOL8, sampling="dense",
+                     pair=DOP853)
+    assert res.status == TERM_REACHED_END
+    assert res.n_rejected > 0
+    assert res.sample_t.tobytes() == grid.tobytes()
+    y, f = res.sample_y[:, 0], res.sample_f[:, 0]
+    want = exact(grid)
+    assert np.max(np.abs(y - want) / want) <= 20 * RTOL8
+    # The extension's derivative is one order below its state, over steps
+    # of about 0.01.
+    assert np.max(np.abs(f - oscillating(grid, want)) / (30.0 * want)) <= 1000 * RTOL8
+
+    ref = solve_ivp(oscillating, (grid[0], grid[-1]), [1.0], method="DOP853",
+                    dense_output=True, rtol=RTOL8, atol=ATOL8)
+    assert ref.success
+    ref_y = ref.sol(grid)[0]
+    assert np.max(np.abs(y - ref_y) / ref_y) <= 200 * RTOL8  # scipy's own error is 110 rtol
+
+
+@pytest.mark.parametrize("sampling", ["clamped", "dense"])
+@pytest.mark.parametrize("y0", [0.7, 0.75])
+def test_dop853_backward_solve_is_the_mirrored_forward_solve(y0, sampling):
+    # As for DP5: the signed step enters the stage sums, the extension and
+    # the initial step, and negation is exact.
+    back = solve_rk54(lambda t, y: -y**3, np.array([y0]), np.linspace(0.0, -1.0, 11),
+                      RTOL, ATOL, sampling=sampling, pair=DOP853)
+    fwd = solve_rk54(lambda t, y: y**3, np.array([y0]), np.linspace(0.0, 1.0, 11),
+                     RTOL, ATOL, sampling=sampling, pair=DOP853)
+    assert fwd.n_rejected > 0
+    assert (back.status, back.n_steps, back.n_rejected, back.nfev) == (
+        fwd.status, fwd.n_steps, fwd.n_rejected, fwd.nfev)
+    assert np.array_equal(back.sample_t, -fwd.sample_t)
+    assert back.sample_y.tobytes() == fwd.sample_y.tobytes()
+    assert back.sample_f.tobytes() == (-fwd.sample_f).tobytes()
+
+
+@pytest.mark.parametrize("sampling", ["clamped", "dense"])
+@pytest.mark.parametrize("ending", ENDINGS)
+def test_dop853_nfev_is_the_count_of_rhs_calls(ending, sampling):
+    # Two calls start the run, twelve stages make each trial step, and a
+    # dense run adds three extension stages on each step that holds a sample.
+    rhs, y0, grid, stop, status = ENDINGS[ending]
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return rhs(t, y)
+
+    res = solve_rk54(counted, np.array([y0]), grid, RTOL, ATOL, step_callback=stop,
+                     sampling=sampling, pair=DOP853)
+    assert res.status == status and res.n_rejected > 0
+    assert res.nfev == len(calls)
+    extended = (res.nfev - 2 - 12 * (res.n_steps + res.n_rejected)) / 3
+    assert extended == 0 if sampling == "clamped" else 0 < extended < res.n_steps
