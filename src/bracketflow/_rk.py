@@ -4,26 +4,28 @@ solve_rk54 is the sampled solve of every single ODE of the package, one
 scalar loop parametrized by its pair: DP5, the 5(4) pair with its quartic
 continuous extension (Dormand & Prince 1980; Shampine 1986) and a PI
 controller, or DOP853, the 8(5,3) pair (Prince & Dormand 1981; Hairer,
-Norsett & Wanner II.10) with the error rule, controller and 7th-degree
-extension of scipy's DOP853 (its coefficients as float64 literals: scipy is a
-test-only dependency), at half the caller's tolerances.  A forward or
-backward grid maps onto one forward loop in s = |t - t_grid[0]|; rhs is
-called as given and the signed step enters the stage sums, the extension and
-the initial step.  An early stop closes with a sample at the stopping time.
-Under sampling="dense", the mode of every tensor and metric solve, it steps
-freely, lands only on the last sample and fills the samples inside each
-accepted step from the pair's extension, whose extra stages (DOP853's 3) are
-computed only for such a step; the step callback also receives each step, so
-a caller may keep it to sample it later.  Under sampling="clamped" it lands
-on every sample; that stays the default only as the one-row twin of
-solve_rk54_batch, which always clamps and steps DP5.  No stage is tested for
-finiteness: a NaN or inf stage reaches the step's new state, and a new state
-that is not finite is rejected; the retry starts from the accepted (FSAL)
-derivative.  Reruns are bit-reproducible.  nfev counts the rhs calls.
+Norsett & Wanner II.10) with the error rule and 7th-degree extension of
+scipy's DOP853 (its coefficients as float64 literals: scipy is a test-only
+dependency), scipy's controller times Gustafsson's predictive factor, at half
+the caller's tolerances.  A forward or backward grid maps onto one forward
+loop in s = |t - t_grid[0]|; rhs is called as given and the signed step enters
+the stage sums, the extension and the initial step.  An early stop closes with
+a sample at the stopping time.  Under sampling="dense", the mode of every
+tensor and metric solve, it steps freely, lands only on the last sample and
+fills the samples inside each accepted step from the pair's extension, whose
+extra stages (DOP853's 3) are computed only for such a step; the step callback
+also receives each step, so a caller may keep it to sample it later.  Under
+sampling="clamped" it lands on every sample; that stays the default only as
+the one-row twin of solve_rk54_batch, which always clamps and steps DOP853.
+No stage is tested for finiteness: a NaN or inf stage reaches the step's new
+state, and a new state that is not finite is rejected; the retry starts from
+the accepted (FSAL) derivative.  Reruns are bit-reproducible.  nfev counts the
+rhs calls.
 
 solve_rk54_batch steps many independent rows (the cells of a reduced-family
-sweep) in one vectorized loop, each row bitwise as if solved alone; only the
-controller's powers and the end of a row run per row in Python.
+sweep) by DOP853 in one vectorized loop, each row bitwise the clamped solve of
+the row alone; only the controller's powers and the end of a row run per row
+in Python.
 """
 
 from __future__ import annotations
@@ -162,10 +164,14 @@ def _dop853_error(k, h, scale):
 # the error norm, 1 / order its exponent, (alpha, beta) the PI exponents, retry_max the
 # largest factor after a rejection, tol the fraction of the caller's tolerances; fold
 # puts h into the weights before a sum over the stages (DOP853's would overflow).
-_Pair = namedtuple("_Pair", "c a b p error order alpha beta retry_max tol fold")
-DP5 = _Pair(_C.tolist(), _A, _B5, _P, _dp5_error, 5, _ALPHA, _BETA, _MAX_FACTOR, 1.0, False)
+# predictive multiplies an accepted step's factor by Gustafsson's min(1, (h_n / h_n-1)
+# (e_n-1 / e_n)^(1 / order)) (ACM TOMS 20, 1994; Hairer-Wanner IV.8) when this step and
+# the one before it ran unclamped, so the step keeps shrinking toward a blowup.
+_Pair = namedtuple("_Pair", "c a b p error order alpha beta retry_max tol fold predictive")
+DP5 = _Pair(_C.tolist(), _A, _B5, _P, _dp5_error, 5, _ALPHA, _BETA, _MAX_FACTOR, 1.0, False,
+            False)
 DOP853 = _Pair(_C8, _A8, np.append(_A8[12], 0.0), _nested_extension(_A8[12], _D8),
-               _dop853_error, 8, 1 / 8, 0.0, 1.0, 0.5, True)
+               _dop853_error, 8, 1 / 8, 0.0, 1.0, 0.5, True, True)
 
 TERM_REACHED_END = "reached-t-end"
 TERM_UNDERFLOW = "step-underflow"
@@ -306,7 +312,7 @@ def solve_rk54(
         h = float(_initial_step(lambda h, Y: rhs(t0 + direction * float(h[0]), Y[0])[None],
                                 y[None], f_cur[None], s_end, rtol, atol, direction,
                                 pair.order)[0])
-        err_prev, retry = 1.0, False
+        err_prev, retry, h_free = 1.0, False, 0.0  # h_free: the last step's size if unclamped
         k = np.empty((len(c), y.size))
         k_step = k[:n]
         abs_y = np.abs(y)  # of the accepted state, shared by its trial steps' error scales
@@ -370,9 +376,13 @@ def solve_rk54(
                     status = verdict
                     break
 
-            # PI step-size update, at most retry_max right after a rejection.
+            # PI step-size update (times the predictive factor), at most retry_max right
+            # after a rejection.
             e = max(err_norm, 1e-10)
             factor = _SAFETY * e ** -pair.alpha * err_prev**pair.beta
+            if pair.predictive and target is None and h_free:
+                factor *= min(1.0, h / h_free * (err_prev / e) ** (1 / pair.order))
+            h_free = h if target is None else 0.0
             h *= min(pair.retry_max if retry else _MAX_FACTOR, max(_MIN_FACTOR, factor))
             err_prev, retry = e, False
 
@@ -388,23 +398,26 @@ def solve_rk54_batch(
     atol: float = 1e-12,
     step_callback: Callable[..., dict] | None = None,
 ) -> list[RKResult]:
-    """solve_rk54 on every row of Y0 (B, D) at once; one RKResult per row.
+    """solve_rk54 by DOP853 on every row of Y0 (B, D) at once, landing on every
+    sample; one RKResult per row.
 
     ``rhs(t, Y, rows)`` and ``step_callback(t, Y, dY/dt, h, rows)`` see only
     the active rows (rows: their indices in Y0; t, h: one value per row).  The
     callback runs on the rows that just accepted a step and returns
     {index into rows: status} for the rows it stops.  Every row keeps its own
-    step size, controller state, samples, status and counters, and leaves the
-    batch when it ends.  No arithmetic mixes rows and the stage sums are
-    per-row matmuls, so each row is bitwise the row solved alone.  Only the
-    controller's powers (on Python floats: NumPy's array powers round
-    differently in the last bit) and the recording of an ending row run per row.
-    The rhs is called as given, and the signed step enters the stage sums, as
-    in solve_rk54 with DP5.
+    step size, controller history, samples, status and counters, and leaves
+    the batch when it ends.  No arithmetic mixes rows, and the stage sums are
+    per-row matmuls of the folded weights, so each row is bitwise the clamped
+    solve_rk54(..., pair=DOP853) of the row alone.  Only the controller's
+    powers (on Python floats: NumPy's array powers round differently in the
+    last bit) and the recording of an ending row run per row.
     """
     grid = _grid(t_grid, rtol, atol)
     t_grid, t0, direction, samples = grid
     s_end = float(samples[-1])
+    rtol, atol = DOP853.tol * rtol, DOP853.tol * atol
+    n, a, b, expo = DOP853.b.size, DOP853.a, DOP853.b, 1 / DOP853.order
+    c = np.array(DOP853.c[:n])[:, None]
     Y = np.array(Y0, dtype=float)
     B, D = Y.shape
     status, ends = [TERM_REACHED_END] * B, [None] * B
@@ -416,10 +429,12 @@ def solve_rk54_batch(
         F = rhs(t0 + direction * s, Y, rows)
         sample_y[:, 0], sample_f[:, 0] = Y, F
         H = _initial_step(lambda h, Y: rhs(t0 + direction * h, Y, rows), Y, F, s_end, rtol, atol,
-                          direction, DP5.order)
+                          direction, DOP853.order)
         n_steps, n_rejected = np.zeros((2, B), dtype=int)
         si = np.ones(B, dtype=int)
-        beta = np.ones(B)  # the PI controller's err_prev ** _BETA, err_prev = 1 at first
+        # Per row as in solve_rk54: the last accepted error norm, the last step's size
+        # if it ran unclamped (else 0) and whether the last attempt was rejected.
+        e_prev, h_free, retry = np.ones(B), np.zeros(B), np.zeros(B, dtype=bool)
         done = np.zeros(B, dtype=bool)  # rows ended by their last step
         min_step, last = 16 * np.finfo(float).eps, len(samples) - 1
 
@@ -437,20 +452,22 @@ def solve_rk54_batch(
                         status[rows[j]] = TERM_UNDERFLOW
                     ends[rows[j]] = (s[j], Y[j], F[j], si[j], n_steps[j], n_rejected[j])
                 keep = ~done
-                rows, s, H, si, beta, Y, F, target, clamp, n_steps, n_rejected = (
-                    x[keep] for x in (rows, s, H, si, beta, Y, F, target, clamp, n_steps,
-                                      n_rejected))
+                rows, s, H, si, Y, F, target, clamp, n_steps, n_rejected, e_prev, h_free, retry = (
+                    x[keep] for x in (rows, s, H, si, Y, F, target, clamp, n_steps, n_rejected,
+                                      e_prev, h_free, retry))
             if not rows.size:
                 break
 
-            K = np.empty((rows.size, 7, D))
+            K = np.empty((rows.size, n, D))
             K[:, 0] = F
-            Hc, stage_t = (direction * H)[:, None], t0 + direction * (s + _C[:, None] * H)
-            for i in range(1, 7):
-                K[:, i] = rhs(stage_t[i], Y + Hc * np.matmul(_A[i], K[:, :i]), rows)
-            Y_new = Y + Hc * np.matmul(_B5, K)
-            z = Hc * np.matmul(_E, K) / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
-            err_norm = np.sqrt(np.add.reduce(z * z, axis=1) / D)  # np.mean's reduction, unwrapped
+            Hc, stage_t = (direction * H)[:, None], t0 + direction * (s + c * H)
+            for i in range(1, n):
+                K[:, i] = rhs(stage_t[i], Y + np.matmul((Hc * a[i])[:, None], K[:, :i])[:, 0], rows)
+            Y_new = Y + np.matmul((Hc * b)[:, None], K)[:, 0]
+            scale = atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new))
+            E = np.matmul(Hc[:, :, None] * _E53, K) / scale[:, None]
+            n5, n3 = np.add.reduce(E * E, axis=2).T
+            err_norm = np.where((n5 != 0) | (n3 != 0), n5 / np.sqrt((n5 + 0.01 * n3) * D), 0.0)
             # An overflowed row would enlarge its own scale and read as error 0.
             err_norm[~np.isfinite(Y_new).all(axis=1)] = np.inf
 
@@ -461,7 +478,7 @@ def solve_rk54_batch(
             # Land exactly on the clamp target so sample bookkeeping stays exact.
             s = np.where(accepted, np.where(clamp, target, s + H), s)
             acc = accepted[:, None]
-            Y, F = np.where(acc, Y_new, Y), np.where(acc, K[:, 6], F)  # FSAL, copied out of K
+            Y, F = np.where(acc, Y_new, Y), np.where(acc, K[:, n - 1], F)  # FSAL, copied out of K
             hit = accepted & (s == samples[si])
             at = rows[hit], si[hit]
             sample_y[at], sample_f[at] = Y[hit], F[hit]
@@ -474,15 +491,22 @@ def solve_rk54_batch(
                 for j, verdict in stops.items():
                     status[rows[acc[j]]], done[acc[j]] = verdict, True
 
-            # PI update on the accepted rows, shrink on the rejected ones.  fmax,
-            # like Python's max(_MIN_FACTOR, x), turns a NaN factor into _MIN_FACTOR.
-            e = np.maximum(err_norm, 1e-10).tolist()  # a rejected row's norm is > 1 or NaN
-            power = map(pow, e, np.where(accepted, -_ALPHA, -1 / 5).tolist())
-            factor = _SAFETY * np.array(list(power))
-            factor = np.where(accepted, np.fmin(_MAX_FACTOR, factor * beta), factor)
-            H *= np.fmax(_MIN_FACTOR, factor)
-            beta = np.where(accepted, [x**_BETA for x in e], beta)
+            # solve_rk54's update: 0.9 e^(-1/8) on every row, Gustafsson's factor on the
+            # accepted rows whose step and the one before ran unclamped, then the clamps.
+            # fmax, like Python's max(_MIN_FACTOR, x), turns a NaN factor into _MIN_FACTOR.
+            e = np.maximum(err_norm, 1e-10)  # a rejected row's norm is > 1 or NaN
+            factor = _SAFETY * np.array([x ** -expo for x in e.tolist()])
+            free = accepted & ~clamp
+            pred = (free & (h_free > 0)).nonzero()[0]
+            ratio = (e_prev[pred] / e[pred]).tolist()
+            g = H[pred] / h_free[pred] * np.array([x**expo for x in ratio])
+            factor[pred] *= np.where(g < 1.0, g, 1.0)
+            h_free = np.where(accepted, np.where(free, H, 0.0), h_free)
+            e_prev = np.where(accepted, e, e_prev)
+            H = H * np.fmin(np.where(retry, DOP853.retry_max, _MAX_FACTOR),
+                            np.fmax(_MIN_FACTOR, factor))
+            retry = ~accepted
 
-    return [_result(grid, status[g], s, y, f_end, sample_y[g, :n], sample_f[g, :n],
-                    int(steps), int(rejected), 2 + 6 * int(steps + rejected))
-            for g, (s, y, f_end, n, steps, rejected) in enumerate(ends)]
+    return [_result(grid, status[g], s, y, f_end, sample_y[g, :m], sample_f[g, :m],
+                    int(steps), int(rejected), 2 + (n - 1) * int(steps + rejected))
+            for g, (s, y, f_end, m, steps, rejected) in enumerate(ends)]

@@ -26,8 +26,9 @@ from the run's first bracket, whose (c, tau) record is c(t) . mu(tau(t)); no
 source sample is interpolated; without an end time, their one solve keeps its
 steps, ends where tau meets the source end and fills the samples from them.
 The reduced-family flow instead steps a whole batch of cells (a sweep grid,
-or one cell for integrate_reduced) in one _rk.solve_rk54_batch, landing on
-every sample and reading the families' closed forms for all cells at once.
+or one cell for integrate_reduced) by DOP853 in one _rk.solve_rk54_batch,
+landing on every sample and reading the families' closed forms for all cells
+at once.
 
 A single integration owns its state; trajectories and all inputs are
 immutable once produced, so independent integrations may run concurrently.

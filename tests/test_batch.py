@@ -1,13 +1,15 @@
-"""The batched Dormand-Prince solve and the reduced-family flow built on it."""
+"""The batched DOP853 solve and the reduced-family flow built on it."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
-from bracketflow._rk import solve_rk54, solve_rk54_batch
+from bracketflow._rk import DOP853, solve_rk54, solve_rk54_batch
 from bracketflow.families import Berger3
 from bracketflow.flow import (
     SCALAR_CURVATURE,
@@ -15,6 +17,7 @@ from bracketflow.flow import (
     EventConfig,
     FlowTrajectory,
     NormalizationError,
+    ReducedFlowSystem,
     custom_rate,
     integrate_reduced,
     integrate_reduced_batch,
@@ -24,7 +27,8 @@ from bracketflow.flow import (
 def test_batch_rows_keep_the_accepted_derivative():
     # y' = 30 cos(30 t) y rejects steps often.  A retry starts from the
     # accepted derivative, copied out of the stage buffer; a retry from the
-    # rejected trial's last stage gives 3.6e-4 on this grid, with 39 rejections.
+    # rejected trial's last stage gives 1.5e-2 on this grid, with 676
+    # rejections.  The rows read 6.8e-6 (5.6e-5 without the predictive factor).
     y0 = np.array([[1.0], [2.0], [0.5]])
     res = solve_rk54_batch(lambda t, Y, rows: 30.0 * np.cos(30.0 * t)[:, None] * Y,
                            y0, np.linspace(0.0, 3.0, 31), rtol=1e-6, atol=1e-9)
@@ -32,7 +36,7 @@ def test_batch_rows_keep_the_accepted_derivative():
         assert r.status == "reached-t-end" and r.n_rejected > 0
         exact = a * np.exp(np.sin(30.0 * r.sample_t))
         assert np.abs(r.sample_y[:, 0] / exact - 1.0).max() <= 1e-5
-        assert r.nfev == 2 + 6 * (r.n_steps + r.n_rejected)
+        assert r.nfev == 2 + 12 * (r.n_steps + r.n_rejected)
 
 
 def _oscillating(t, y):
@@ -43,6 +47,11 @@ def _oscillating(t, y):
 def _sqrt_decay(t, y):
     # y' = -sqrt(y) reaches y = 0 at t = 2 sqrt(y0); a trial stage past it is NaN.
     return -np.sqrt(y)
+
+
+def _square(t, y):
+    # y' = y^2 blows up at t = 1 / y0.
+    return y * y
 
 
 _GRID = np.linspace(0.0, 3.0, 31)
@@ -67,6 +76,13 @@ _GRID = np.linspace(0.0, 3.0, 31)
                  id="offset-forward"),
     pytest.param(_oscillating, [1.0, 2.0, 0.5], (1e-6, 1e-9), None, np.linspace(1.0, -2.0, 31),
                  id="offset-backward"),
+    # Steps that shrink toward a blowup at t = 2, 1, 0.5 and 0.4, and none for
+    # y0 = 0.25, which reaches the end; the callback stops the rest at
+    # |y| > 1e6, between samples.  The predictive factor reads each row's
+    # last two steps, through the steps clamped onto samples and the rows
+    # that leave the batch.
+    pytest.param(_square, [0.5, 1.0, 2.0, 2.5, 0.25], (1e-9, 1e-12), 1e6, _GRID,
+                 id="blowup"),
 ])
 def test_each_row_is_bitwise_solve_rk54_alone(rhs, y0, tol, stop_above, grid):
     nan_rows = set()
@@ -86,7 +102,7 @@ def test_each_row_is_bitwise_solve_rk54_alone(rhs, y0, tol, stop_above, grid):
 
     res = solve_rk54_batch(batch_rhs, np.array(y0)[:, None], grid, *tol, step_callback=stop_batch)
     for r, y in zip(res, y0):
-        alone = solve_rk54(rhs, np.array([y]), grid, *tol, step_callback=stop_alone)
+        alone = solve_rk54(rhs, np.array([y]), grid, *tol, step_callback=stop_alone, pair=DOP853)
         assert r.status == alone.status
         for field in ("sample_t", "sample_y", "sample_f"):
             assert getattr(r, field).tobytes() == getattr(alone, field).tobytes()
@@ -94,6 +110,9 @@ def test_each_row_is_bitwise_solve_rk54_alone(rhs, y0, tol, stop_above, grid):
     statuses = [r.status for r in res]
     if rhs is _sqrt_decay:
         assert nan_rows == {0} and statuses == ["step-underflow", "reached-t-end"]
+    elif rhs is _square:
+        assert statuses == ["stopped"] * 4 + ["reached-t-end"]
+        assert all(r.sample_t[-1] == pytest.approx(1 / y, rel=1e-5) for r, y in zip(res, y0[:4]))
     elif stop_above is None:
         assert all(r.n_rejected >= 4 for r in res)
     else:
@@ -119,7 +138,48 @@ def test_batch_row_underflow_leaves_its_neighbours_alone():
         assert (r.n_steps, r.n_rejected, r.nfev) == (alone.n_steps, alone.n_rejected, alone.nfev)
     for g, r in enumerate(res):
         # rhs sees only the active rows, and each row counts its own calls.
-        assert r.nfev == sum(g in rows for rows in calls) == 2 + 6 * (r.n_steps + r.n_rejected)
+        assert r.nfev == sum(g in rows for rows in calls) == 2 + 12 * (r.n_steps + r.n_rejected)
+
+
+def test_a_reduced_blowup_takes_few_steps():
+    # The longest row of the bench sweep: 2 or 3 samples, the rest of its
+    # steps shrink toward the blowup near t = 17.93.  Without the predictive
+    # factor DOP853 rejects about every other step there (96 rejections), and
+    # DP5 at the same tolerances takes 591 steps.
+    traj = integrate_reduced(Berger3(), (2, 0.2, 0), UNNORMALIZED, (0, 600), samples=60)
+    assert traj.termination == "blowup-detected"
+    assert traj.stats.n_steps + traj.stats.n_rejected < 200
+
+
+def test_reduced_batch_agrees_with_scipy():
+    # Each cell of a berger3 grid that collapses (b < 0), grows or blows up,
+    # against scipy's DOP853 at rtol 1e-13 on the same reduced field.
+    family, events, rtol, atol = Berger3(), EventConfig(), 1e-9, 1e-12
+    system = ReducedFlowSystem(family, UNNORMALIZED)
+
+    def field(t, y):
+        dcore, r, _ = system.tangent(y[:-2, None])
+        return np.concatenate([dcore[:, 0], r * y[-2:-1], y[-2:-1] ** 2])
+
+    def crossing(t, y):
+        return math.sqrt(family.aux_norm2(y[:-2, None])[0]) - events.blowup_norm
+
+    crossing.terminal = True
+    cells = [(a, b, 0.0) for a in (0.5, 1.0, 2.0) for b in (-1.0, -0.3, 0.4, 1.5)]
+    ends = set()
+    for cell, traj in zip(cells, integrate_reduced_batch(family, cells, UNNORMALIZED, (0.0, 3.0),
+                                                         samples=13, events=events)):
+        ref = solve_ivp(field, (0.0, 3.0), np.array([*cell, 1.0, 0.0]), method="DOP853",
+                        rtol=1e-13, atol=1e-16, dense_output=True, events=crossing)
+        ends.add(traj.termination)
+        if traj.termination == "reached-t-end":
+            y, want = np.column_stack([traj.states, traj.c, traj.tau]), ref.sol(traj.times).T
+            assert np.all(np.abs(y - want) <= atol + rtol * np.abs(want))
+        else:
+            # The row stops on the first accepted step past the blowup norm.
+            assert traj.termination == "blowup-detected"
+            assert traj.times[-1] >= ref.t_events[0][0]
+    assert ends == {"reached-t-end", "blowup-detected"}
 
 
 # Cells of berger3 that blow up, collapse, or sit at a fixed point (a = b = 0,

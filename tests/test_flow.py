@@ -534,6 +534,16 @@ def test_tensor_runs_step_the_eighth_order_pair():
     assert traj.stats.n_steps < 60
 
 
+def test_tensor_runs_follow_a_blowup_without_rejections():
+    # Toward a blowup each step must be shorter than the last.  The error
+    # exponent alone keeps the step after a rejection (its factor is capped at
+    # 1 there), so the next trial fails again: 68 rejections in 71 steps on
+    # this run.  The predictive factor carries the ratio of the last two steps.
+    traj = integrate(berger3(1, 2, 0).point, UNNORMALIZED, (0, 5), samples=20)
+    assert traj.termination == "blowup-detected"
+    assert traj.stats.n_steps <= 71 and traj.stats.n_rejected <= 5
+
+
 def _gauged_route(mu0, hs):
     """(h Ric h, h^-1 Ric h) with Ric that of the gauged bracket diag(I, h) .
     mu0 from the _poly tables: the Ricci form and operator of <h^2 ., .>
