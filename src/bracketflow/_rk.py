@@ -1,31 +1,29 @@
-"""Adaptive embedded Runge-Kutta pairs: Dormand-Prince 5(4) and 8(5,3).
+"""Adaptive embedded Runge-Kutta: the Dormand-Prince 8(5,3) pair.
 
-solve_rk54 is the sampled solve of every single ODE of the package, one
-scalar loop parametrized by its pair: DP5, the 5(4) pair with its quartic
-continuous extension (Dormand & Prince 1980; Shampine 1986) and a PI
-controller, or DOP853, the 8(5,3) pair (Prince & Dormand 1981; Hairer,
-Norsett & Wanner II.10) with the error rule and 7th-degree extension of
-scipy's DOP853 (its coefficients as float64 literals: scipy is a test-only
-dependency), scipy's controller times Gustafsson's predictive factor, at half
-the caller's tolerances.  A forward or backward grid maps onto one forward
-loop in s = |t - t_grid[0]|; rhs is called as given and the signed step enters
-the stage sums, the extension and the initial step.  An early stop closes with
-a sample at the stopping time.  Under sampling="dense", the mode of every
-tensor and metric solve, it steps freely, lands only on the last sample and
-fills the samples inside each accepted step from the pair's extension, whose
-extra stages (DOP853's 3) are computed only for such a step; the step callback
-also receives each step, so a caller may keep it to sample it later.  Under
-sampling="clamped" it lands on every sample; that stays the default only as
-the one-row twin of solve_rk54_batch, which always clamps and steps DOP853.
-No stage is tested for finiteness: a NaN or inf stage reaches the step's new
-state, and a new state that is not finite is rejected; the retry starts from
-the accepted (FSAL) derivative.  Reruns are bit-reproducible.  nfev counts the
-rhs calls.
+solve_rk54 is the sampled solve of every single ODE of the package, one scalar
+loop stepping DOP853, the 8(5,3) pair (Prince & Dormand 1981; Hairer, Norsett &
+Wanner II.10), with the error rule and 7th-degree extension of scipy's DOP853
+(its coefficients as float64 literals: scipy is a test-only dependency) and
+scipy's controller times Gustafsson's predictive factor, at half the caller's
+tolerances.  (The "54" in the names is that of the 5(4) pair they first
+stepped.)  A forward or backward grid maps onto one forward loop in
+s = |t - t_grid[0]|; rhs is called as given and the signed step enters the
+stage sums, the extension and the initial step.  An early stop closes with a
+sample at the stopping time.  Under sampling="dense", the mode of every tensor
+and metric solve, it steps freely, lands only on the last sample and fills the
+samples inside each accepted step from the extension, whose 3 extra stages
+are computed only for such a step; the step callback also receives each step,
+so a caller may keep it to sample it later.  Under sampling="clamped" it lands
+on every sample; that stays the default only as the one-row twin of
+solve_rk54_batch, which always clamps.  No stage is tested for finiteness: a
+NaN or inf stage reaches the step's new state, and a new state that is not
+finite is rejected; the retry starts from the accepted (FSAL) derivative.
+Reruns are bit-reproducible.  nfev counts the rhs calls.
 
 solve_rk54_batch steps many independent rows (the cells of a reduced-family
-sweep) by DOP853 in one vectorized loop, each row bitwise the clamped solve of
-the row alone; only the controller's powers and the end of a row run per row
-in Python.
+sweep) in one vectorized loop, each row bitwise the clamped solve of the row
+alone; only the controller's powers and the end of a row run per row in
+Python.
 """
 
 from __future__ import annotations
@@ -38,34 +36,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = ["RKResult", "solve_rk54", "solve_rk54_batch"]
-
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-# Difference between 5th and embedded 4th order weights.
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-
-# Quartic continuous extension: over an accepted step of size h from (s, y)
-# with stages k, the state at s + x h is y + ((h k).T @ _P) @ (x, x^2, x^3, x^4)
-# (the coefficients of scipy's RK45.P).
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
 
 # Dormand-Prince 8(5,3), scipy's dop853_coefficients by repr: 12 stages, the FSAL
 # stage (row 12 of _A8 holds the weights B) and the 3 stages of the extension.
@@ -129,9 +99,7 @@ _D8 = np.array([
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-# PI controller exponents for a 5th-order propagating solution.
-_ALPHA = 0.7 / 5.0
-_BETA = 0.4 / 5.0
+_EXPO = 1 / 8  # the error exponent: 1 / the order of the propagated solution
 
 
 def _nested_extension(b, d):
@@ -146,11 +114,6 @@ def _nested_extension(b, d):
     return q[1:].T
 
 
-def _dp5_error(k, h, scale):
-    z = h * _E.dot(k) / scale
-    return math.sqrt(float(np.add.reduce(z * z)) / z.size)  # np.mean's reduction
-
-
 def _dop853_error(k, h, scale):
     """scipy's DOP853._estimate_error_norm, with h folded into E5 and E3."""
     e = (h * _E53).dot(k) / scale
@@ -158,20 +121,13 @@ def _dop853_error(k, h, scale):
     return n5 / math.sqrt((n5 + 0.01 * n3) * scale.size) if n5 or n3 else 0.0
 
 
-# A pair as solve_rk54 reads it: a step of signed size h from (s, y) takes the stages
-# k[i] = rhs(t(s + c[i] |h|), y + h a[i] . k), 1 <= i < b.size, the last at y + h b . k;
-# later stages extend it to y + ((h k).T @ p) @ (x, ..., x^deg).  error(k, h, scale) is
-# the error norm, 1 / order its exponent, (alpha, beta) the PI exponents, retry_max the
-# largest factor after a rejection, tol the fraction of the caller's tolerances; fold
-# puts h into the weights before a sum over the stages (DOP853's would overflow).
-# predictive multiplies an accepted step's factor by Gustafsson's min(1, (h_n / h_n-1)
-# (e_n-1 / e_n)^(1 / order)) (ACM TOMS 20, 1994; Hairer-Wanner IV.8) when this step and
-# the one before it ran unclamped, so the step keeps shrinking toward a blowup.
-_Pair = namedtuple("_Pair", "c a b p error order alpha beta retry_max tol fold predictive")
-DP5 = _Pair(_C.tolist(), _A, _B5, _P, _dp5_error, 5, _ALPHA, _BETA, _MAX_FACTOR, 1.0, False,
-            False)
-DOP853 = _Pair(_C8, _A8, np.append(_A8[12], 0.0), _nested_extension(_A8[12], _D8),
-               _dop853_error, 8, 1 / 8, 0.0, 1.0, 0.5, True, True)
+# The tableau as the solvers read it: a step of signed size h from (s, y) takes the stages
+# k[i] = rhs(t(s + c[i] |h|), y + (h a[i]) . k), 1 <= i < b.size, the last (FSAL) at
+# y + (h b) . k; the 3 later stages extend it to y + ((h k).T @ p) @ (x, ..., x^7).  h goes
+# into the weights before each sum over the stages, whose weights reach 545: k alone may
+# overflow where the increments of a finite step do not.
+_Tableau = namedtuple("_Tableau", "c a b p")
+DOP853 = _Tableau(_C8, _A8, np.append(_A8[12], 0.0), _nested_extension(_A8[12], _D8))
 
 TERM_REACHED_END = "reached-t-end"
 TERM_UNDERFLOW = "step-underflow"
@@ -195,7 +151,7 @@ class RKResult:
     nfev: int
 
 
-def _initial_step(f, Y0, F0, t_end, rtol, atol, direction, order):
+def _initial_step(f, Y0, F0, t_end, rtol, atol, direction):
     """Initial step of each row of Y0 (B, D), one call f(h0, Y1) for all rows.
     Python's min(a, b) and max(a, b) become where(b < a, b, a) and where(b > a,
     b, a), which keep NaNs as they do; a denominator is raised only where its
@@ -209,7 +165,7 @@ def _initial_step(f, Y0, F0, t_end, rtol, atol, direction, order):
     d2 = np.sqrt(np.mean(((F1 - F0) / scale) ** 2, axis=1)) / h0
     d12 = np.where(d2 > d1, d2, d1)
     h1 = np.where(d12 <= 1e-15, np.fmax(1e-6, h0 * 1e-3),
-                  [x ** (1 / order) for x in (0.01 / np.maximum(d12, 1e-15)).tolist()])
+                  [x**_EXPO for x in (0.01 / np.maximum(d12, 1e-15)).tolist()])
     h = np.where(h1 < 100 * h0, h1, 100 * h0)
     return np.where(t_end < h, t_end, h)
 
@@ -238,22 +194,16 @@ def _result(grid, status, s, y, f_cur, ys, fs, n_steps, n_rejected, nfev) -> RKR
     return RKResult(status, ts, ys, fs, n_steps, n_rejected, nfev)
 
 
-def _weighted(h, w, k, fold):
-    """h w . k, the weights w summed over the stages k; with fold, h w first."""
-    return (h * w).dot(k) if fold else h * w.dot(k)
-
-
-def _dense_samples(pair, k, s, h, y, sample_s):
+def _dense_samples(k, s, h, y, sample_s):
     """States and derivatives (in t) at sample_s inside the accepted step of signed size h
-    from (s, y) with (extended) stages k.  h goes into the stages first, and for a folding
-    pair x's powers into the weights: k alone, or DOP853's monomial coefficients, may
-    overflow where the increments of a finite step do not."""
+    from (s, y) with extended stages k.  h goes into the stages first and x's powers into
+    the weights: k alone, or the monomial coefficients, may overflow where the increments
+    of a finite step do not."""
     x = (sample_s - s) / abs(h)
-    powers = np.cumprod(np.tile(x, (pair.p.shape[1], 1)), axis=0)  # x, ..., x^deg
+    powers = np.cumprod(np.tile(x, (DOP853.p.shape[1], 1)), axis=0)  # x, ..., x^7
     slopes = np.arange(1, len(powers) + 1)[:, None] * np.vstack([np.ones_like(x), powers[:-1]])
-    hk, p = (h * k).T, pair.p
-    at = (lambda w: hk @ (p @ w)) if pair.fold else (lambda w: (hk @ p) @ w)
-    return y + at(powers).T, at(slopes).T / h
+    hk = (h * k).T
+    return y + (hk @ (DOP853.p @ powers)).T, (hk @ (DOP853.p @ slopes)).T / h
 
 
 def solve_rk54(
@@ -264,9 +214,9 @@ def solve_rk54(
     atol: float = 1e-12,
     step_callback: Callable[[float, np.ndarray, np.ndarray, tuple], str | None] | None = None,
     sampling: str = "clamped",
-    pair: _Pair = DP5,
 ) -> RKResult:
-    """Solve y' = rhs(t, y) from t_grid[0], sampled on t_grid, by pair.
+    """Solve y' = rhs(t, y) from t_grid[0], sampled on t_grid, by DOP853 at half
+    the tolerances rtol and atol.
 
     The grid may run forward or backward: the stepper runs forward in
     s = |t - t_grid[0]| with the signed step h.  sampling="clamped" clamps
@@ -279,7 +229,7 @@ def solve_rk54(
     accepted step and may return a status string to stop the run; step is
     (extend, k, s, h, y), where extend(k, s, h, y) computes the extension
     stages into k (the live stage buffer: copy it to keep it) and returns its
-    rhs calls, after which _dense_samples(pair, k, s, h, y, ...) samples the
+    rhs calls, after which _dense_samples(k, s, h, y, ...) samples the
     step.  A run the callback or a step underflow stops early ends with one
     more sample at its stopping time.  Trial stages run with NumPy's overflow
     and invalid-value warnings off: a step whose new state is not finite is
@@ -291,13 +241,13 @@ def solve_rk54(
     grid = _grid(t_grid, rtol, atol)
     t_grid, t0, direction, samples = grid
     s_end = float(samples[-1])
-    rtol, atol = pair.tol * rtol, pair.tol * atol
-    c, a, b, fold = pair.c, pair.a, pair.b, pair.fold
+    rtol, atol = 0.5 * rtol, 0.5 * atol
+    c, a, b = DOP853.c, DOP853.a, DOP853.b
     n = b.size  # the stages of a step, the FSAL stage last
 
     def extend(k, s, h, y):
         for i in range(n, len(c)):
-            k[i] = rhs(t0 + direction * (s + c[i] * abs(h)), y + _weighted(h, a[i], k[:i], fold))
+            k[i] = rhs(t0 + direction * (s + c[i] * abs(h)), y + (h * a[i]).dot(k[:i]))
         return len(c) - n  # the rhs calls made
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -310,8 +260,7 @@ def solve_rk54(
         si = 1
 
         h = float(_initial_step(lambda h, Y: rhs(t0 + direction * float(h[0]), Y[0])[None],
-                                y[None], f_cur[None], s_end, rtol, atol, direction,
-                                pair.order)[0])
+                                y[None], f_cur[None], s_end, rtol, atol, direction)[0])
         err_prev, retry, h_free = 1.0, False, 0.0  # h_free: the last step's size if unclamped
         k = np.empty((len(c), y.size))
         k_step = k[:n]
@@ -333,12 +282,12 @@ def solve_rk54(
             hs = direction * h
             k[0] = f_cur
             for i in range(1, n):
-                k[i] = rhs(t0 + direction * (s + c[i] * h), y + _weighted(hs, a[i], k[:i], fold))
-            y_new = y + _weighted(hs, b, k_step, fold)
+                k[i] = rhs(t0 + direction * (s + c[i] * h), y + (hs * a[i]).dot(k[:i]))
+            y_new = y + (hs * b).dot(k_step)
             abs_new = np.abs(y_new)
             # An overflowed y_new would enlarge its own scale and read as error 0.
             if np.isfinite(y_new).all():
-                err_norm = pair.error(k_step, hs, atol + rtol * np.maximum(abs_y, abs_new))
+                err_norm = _dop853_error(k_step, hs, atol + rtol * np.maximum(abs_y, abs_new))
             else:
                 err_norm = math.inf
 
@@ -346,7 +295,7 @@ def solve_rk54(
             if not err_norm <= 1.0:
                 n_rejected += 1
                 retry = True
-                h *= max(_MIN_FACTOR, _SAFETY * err_norm ** (-1 / pair.order))
+                h *= max(_MIN_FACTOR, _SAFETY * err_norm**-_EXPO)
                 continue
 
             # Land exactly on the clamp target so sample bookkeeping stays exact.
@@ -358,7 +307,7 @@ def solve_rk54(
             if dense and samples[si] < s_new:
                 sj = int(np.searchsorted(samples, s_new))  # the first sample >= s_new
                 n_extra += extend(k, s, hs, y)
-                y_in, f_in = _dense_samples(pair, k, s, hs, y, samples[si:sj])
+                y_in, f_in = _dense_samples(k, s, hs, y, samples[si:sj])
                 ys.extend(y_in)
                 fs.extend(f_in)
                 si = sj
@@ -376,14 +325,16 @@ def solve_rk54(
                     status = verdict
                     break
 
-            # PI step-size update (times the predictive factor), at most retry_max right
-            # after a rejection.
+            # scipy's step-size update, times Gustafsson's predictive factor
+            # min(1, (h_n / h_n-1) (e_n-1 / e_n)^(1/8)) (ACM TOMS 20, 1994; Hairer-Wanner
+            # IV.8) when this step and the one before it ran unclamped, so the step keeps
+            # shrinking toward a blowup; no growth right after a rejection.
             e = max(err_norm, 1e-10)
-            factor = _SAFETY * e ** -pair.alpha * err_prev**pair.beta
-            if pair.predictive and target is None and h_free:
-                factor *= min(1.0, h / h_free * (err_prev / e) ** (1 / pair.order))
+            factor = _SAFETY * e**-_EXPO
+            if target is None and h_free:
+                factor *= min(1.0, h / h_free * (err_prev / e) ** _EXPO)
             h_free = h if target is None else 0.0
-            h *= min(pair.retry_max if retry else _MAX_FACTOR, max(_MIN_FACTOR, factor))
+            h *= min(1.0 if retry else _MAX_FACTOR, max(_MIN_FACTOR, factor))
             err_prev, retry = e, False
 
     nfev = 2 + (n - 1) * (n_steps + n_rejected) + n_extra
@@ -408,15 +359,15 @@ def solve_rk54_batch(
     step size, controller history, samples, status and counters, and leaves
     the batch when it ends.  No arithmetic mixes rows, and the stage sums are
     per-row matmuls of the folded weights, so each row is bitwise the clamped
-    solve_rk54(..., pair=DOP853) of the row alone.  Only the controller's
+    solve_rk54 of the row alone.  Only the controller's
     powers (on Python floats: NumPy's array powers round differently in the
     last bit) and the recording of an ending row run per row.
     """
     grid = _grid(t_grid, rtol, atol)
     t_grid, t0, direction, samples = grid
     s_end = float(samples[-1])
-    rtol, atol = DOP853.tol * rtol, DOP853.tol * atol
-    n, a, b, expo = DOP853.b.size, DOP853.a, DOP853.b, 1 / DOP853.order
+    rtol, atol = 0.5 * rtol, 0.5 * atol
+    n, a, b = DOP853.b.size, DOP853.a, DOP853.b
     c = np.array(DOP853.c[:n])[:, None]
     Y = np.array(Y0, dtype=float)
     B, D = Y.shape
@@ -429,7 +380,7 @@ def solve_rk54_batch(
         F = rhs(t0 + direction * s, Y, rows)
         sample_y[:, 0], sample_f[:, 0] = Y, F
         H = _initial_step(lambda h, Y: rhs(t0 + direction * h, Y, rows), Y, F, s_end, rtol, atol,
-                          direction, DOP853.order)
+                          direction)
         n_steps, n_rejected = np.zeros((2, B), dtype=int)
         si = np.ones(B, dtype=int)
         # Per row as in solve_rk54: the last accepted error norm, the last step's size
@@ -495,15 +446,15 @@ def solve_rk54_batch(
             # accepted rows whose step and the one before ran unclamped, then the clamps.
             # fmax, like Python's max(_MIN_FACTOR, x), turns a NaN factor into _MIN_FACTOR.
             e = np.maximum(err_norm, 1e-10)  # a rejected row's norm is > 1 or NaN
-            factor = _SAFETY * np.array([x ** -expo for x in e.tolist()])
+            factor = _SAFETY * np.array([x**-_EXPO for x in e.tolist()])
             free = accepted & ~clamp
             pred = (free & (h_free > 0)).nonzero()[0]
             ratio = (e_prev[pred] / e[pred]).tolist()
-            g = H[pred] / h_free[pred] * np.array([x**expo for x in ratio])
+            g = H[pred] / h_free[pred] * np.array([x**_EXPO for x in ratio])
             factor[pred] *= np.where(g < 1.0, g, 1.0)
             h_free = np.where(accepted, np.where(free, H, 0.0), h_free)
             e_prev = np.where(accepted, e, e_prev)
-            H = H * np.fmin(np.where(retry, DOP853.retry_max, _MAX_FACTOR),
+            H = H * np.fmin(np.where(retry, 1.0, _MAX_FACTOR),
                             np.fmax(_MIN_FACTOR, factor))
             retry = ~accepted
 

@@ -19,8 +19,10 @@ h' = -h P^-1 R on the metric side.
 
 The bracket and metric flows, with or without their gauges, run through one
 sampled solve, _rk.solve_rk54, and read its RKResult directly; each steps
-freely (DOP853 on the bracket side, DP5 on the metric side) and fills its
-samples from its pair's extension.  The rescalings of an unnormalized run
+DOP853 freely at half the caller's tolerances and fills its samples from the
+pair's 7th-degree extension.  Both check their invariants after each step:
+the Jacobi identity on the bracket side, the isotropy invariance of P on the
+metric side.  The rescalings of an unnormalized run
 (reparametrize, rescale_to_ricci_norm) are normalized bracket flows solved
 from the run's first bracket, whose (c, tau) record is c(t) . mu(tau(t)); no
 source sample is interpolated; without an end time, their one solve keeps its
@@ -529,7 +531,7 @@ def _run_flow(
             return _TERM_DRIFT
         return None
 
-    res = solve_rk54(rhs, y0, t_grid, rtol=rtol, atol=atol, sampling="dense", pair=DOP853,
+    res = solve_rk54(rhs, y0, t_grid, rtol=rtol, atol=atol, sampling="dense",
                      step_callback=callback if isinstance(events, EventConfig) else events)
     traj = _trajectory(system, res, drift_message, trigger)
     if res.status == _TERM_DRIFT:
@@ -778,8 +780,12 @@ def integrate_metric(
     """Integrate dP/dt = -2 P Ric(<P., .>) = -2 R from P(0) = I, with R the
     Ricci form of <P., .> computed from P and P^-1 (see _metric_ricci_form).
 
-    Ends in 'blowup-detected' once |P| > 1e8.  A trial stage whose P is not
-    positive definite (its Cholesky test fails) or not finite gets a NaN
+    Steps DOP853 at half of rtol and atol.  Ends in 'blowup-detected' once
+    |P| > 1e8, and in 'validity-drift' once P's commutator with an isotropy
+    operator (core.compatibility_residual) passes EventConfig().drift_factor *
+    rtol * |P|, as a run collapsing toward a finite-time singularity does;
+    either keeps its samples, and raises nothing.  A trial stage whose P is
+    not positive definite (its Cholesky test fails) or not finite gets a NaN
     derivative and is rejected, so a run heading for a degenerate metric ends
     in 'step-underflow' with its samples so far.
     """
@@ -798,10 +804,15 @@ def _run_metric(
     """Solve the metric flow dP/dt = -2 R on t_grid, R the Ricci form of
     <P., .>.  With gauge=True the state also carries the metric-side gauge h,
     h' = -h P^-1 R, both terms from one _metric_ricci_form call, and the
-    result is the pair (MetricTrajectory, GaugeRecord) of that one solve."""
-    n = point0.bracket.n
+    result is the pair (MetricTrajectory, GaugeRecord) of that one solve.
+    The run ends in 'validity-drift' once P's isotropy residual passes
+    drift_factor * rtol * |P|, the twin of the bracket side's Jacobi drift."""
+    mu0 = point0.bracket
+    n = mu0.n
     k = n * (n + 1) // 2  # the packed P ahead of the gauge
-    form = _metric_ricci_form(point0.bracket)
+    form = _metric_ricci_form(mu0)
+    iso = [mu0.ad_iso_p(z) for z in range(mu0.q)]  # made once: none at q = 0
+    drift_bound = EventConfig().drift_factor * rtol
     y0 = _pack_sym(np.eye(n))
     if gauge:
         y0 = np.concatenate([y0, np.eye(n).ravel()])
@@ -817,8 +828,13 @@ def _run_metric(
         return np.concatenate([_pack_sym(-2.0 * r), dh.ravel()])
 
     def callback(t, y, f, step):
-        if np.linalg.norm(_unpack_sym(n, y[:k])) > _METRIC_BLOWUP_NORM:
+        p = _unpack_sym(n, y[:k])
+        size = np.linalg.norm(p)
+        if size > _METRIC_BLOWUP_NORM:
             return TERM_BLOWUP
+        # core.compatibility_residual on the operators made once.
+        if iso and max(float(np.linalg.norm(p @ a - a @ p)) for a in iso) > drift_bound * size:
+            return _TERM_DRIFT
         return None
 
     res = solve_rk54(rhs, y0, t_grid, rtol=rtol, atol=atol, step_callback=callback,
@@ -948,7 +964,7 @@ def _rescaled(
             if j > i:
                 if st is not last:
                     nfev += extend(*st[1:])
-                parts.append(_dense_samples(DOP853, *st[1:], grid[i:j]))
+                parts.append(_dense_samples(*st[1:], grid[i:j]))
         ys, fs = np.vstack([p[0] for p in parts]), np.vstack([p[1] for p in parts])
         run = replace(run, times=grid, states=ys[:, :m], derivs=fs[:, :m], c=ys[:, m],
                       tau=ys[:, m + 1], stats=replace(run.stats, nfev=nfev))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from bracketflow._rk import DOP853, solve_rk54, solve_rk54_batch
+from bracketflow._rk import solve_rk54, solve_rk54_batch
 from bracketflow.families import Berger3
 from bracketflow.flow import (
     SCALAR_CURVATURE,
@@ -102,7 +102,7 @@ def test_each_row_is_bitwise_solve_rk54_alone(rhs, y0, tol, stop_above, grid):
 
     res = solve_rk54_batch(batch_rhs, np.array(y0)[:, None], grid, *tol, step_callback=stop_batch)
     for r, y in zip(res, y0):
-        alone = solve_rk54(rhs, np.array([y]), grid, *tol, step_callback=stop_alone, pair=DOP853)
+        alone = solve_rk54(rhs, np.array([y]), grid, *tol, step_callback=stop_alone)
         assert r.status == alone.status
         for field in ("sample_t", "sample_y", "sample_f"):
             assert getattr(r, field).tobytes() == getattr(alone, field).tobytes()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 
-from bracketflow._rk import DOP853, DP5, solve_rk54
+from bracketflow._rk import solve_rk54
 from bracketflow.core import (
     BracketTensor,
     CompatibilityError,
@@ -431,18 +431,18 @@ def test_equivalence_report_seeds():
 
 
 def _counted_solves(monkeypatch):
-    """(sampling, pair, rhs calls) of each solve_rk54 call of flow.py, in a
-    list that fills as the solves run."""
+    """(sampling, rhs calls) of each solve_rk54 call of flow.py, in a list
+    that fills as the solves run."""
     import bracketflow.flow as flow_mod
 
     solve, solves = flow_mod.solve_rk54, []
 
     def counted(rhs, *a, **kw):
-        record = [kw.get("sampling"), kw.get("pair", DP5), 0]
+        record = [kw.get("sampling"), 0]
         solves.append(record)
 
         def f(t, y):
-            record[2] += 1
+            record[1] += 1
             return rhs(t, y)
 
         return solve(f, *a, **kw)
@@ -451,21 +451,31 @@ def _counted_solves(monkeypatch):
     return solves
 
 
+def _dop853_extended(stats):
+    """The steps a dense DOP853 solve extended, from its counts: two calls
+    start the run, twelve make each trial step and three extend a step."""
+    extended, rest = divmod(stats.nfev - 2 - 12 * (stats.n_steps + stats.n_rejected), 3)
+    assert rest == 0 and 0 < extended <= stats.n_steps
+    return extended
+
+
 def test_equivalence_report_counts_its_two_solves(monkeypatch):
-    # Each flow is solved together with its gauge, both pairs stepping freely
-    # (dense sampling), so 601 samples take far fewer than 600 steps each;
-    # each side reports the rhs calls its solve made.
+    # Each flow is solved together with its gauge, both stepping DOP853
+    # freely (dense sampling), so 601 samples take far fewer than 600 steps
+    # each; each side reports the rhs calls its solve made.
     solves = _counted_solves(monkeypatch)
     rep = equivalence_report(unimodular3(1, 2, 3).point, (0.0, 0.3), samples=601)
     counts = [stats.nfev for stats in rep.stats.values()]  # bracket, then metric
-    assert solves == [["dense", DOP853, counts[0]], ["dense", DP5, counts[1]]]
+    assert solves == [["dense", counts[0]], ["dense", counts[1]]]
     assert len(rep.times) == 601 and not rep.partial
     doc = rep.as_dict()["stats"]
     assert set(doc) == set(rep.per_side) == {"bracket", "metric"}
     for name, stats in rep.stats.items():
         assert 0 < stats.n_steps < 200
+        _dop853_extended(stats)
         assert doc[name] == {"steps": stats.n_steps, "rejected_steps": stats.n_rejected,
                              "rhs_evals": stats.nfev}
+    assert rep.stats["metric"].n_steps < 40  # 22; 145 on the 5(4) pair
 
 
 @pytest.mark.parametrize("samples", [137, 601, 1361])
@@ -510,6 +520,28 @@ def test_dense_metric_flow_matches_clamped(cat):
     assert dense.times.tobytes() == clamped.times.tobytes()
     assert np.abs(dense.P - clamped.P).max() <= 10 * rtol
     assert dense.stats.n_steps < clamped.stats.n_steps
+
+
+@pytest.mark.parametrize("cat, span", [(unimodular3(1, 2, 3), (0.0, 0.3)),
+                                       (berger3(1, 1, 0), (0.0, 0.3)),
+                                       (semisimple_concrete_su2(0.9, 0.6), (0.0, 1.0))],
+                         ids=["unimodular3", "berger3", "semisimple-su2"])
+def test_metric_flow_agrees_with_scipy(cat, span):
+    # Against scipy's DOP853 at rtol 1e-13 on the same P-only field, every
+    # sample lies within 4 (atol + rtol |P|).  The worst is 2.2, on a sample
+    # inside a step of unimodular3 (0.62 on the 5(4) pair); the closing samples
+    # read at most 0.044.
+    rtol, atol = 1e-9, 1e-12
+    point, n = cat.point, cat.point.bracket.n
+    form = _metric_ricci_form(point.bracket)
+    mtraj = integrate_metric(point, span, rtol=rtol, atol=atol, samples=61)
+    assert mtraj.termination == "reached-t-end"
+    ref = solve_ivp(lambda t, y: _pack_sym(-2.0 * form(_unpack_sym(n, y))[0]), span,
+                    _pack_sym(np.eye(n)), method="DOP853", t_eval=mtraj.times, rtol=1e-13,
+                    atol=1e-16)
+    assert ref.success
+    want = _unpack_sym(n, ref.y.T)
+    assert np.all(np.abs(mtraj.P - want) <= 4 * (atol + rtol * np.abs(want)))
 
 
 def test_tensor_runs_are_not_sample_bound():
@@ -801,31 +833,17 @@ def test_solve_rk54_ends_on_a_nan_initial_derivative():
     assert list(res.sample_t) == [0.0]
 
 
-def _overflowing_run(sampling, pair):
-    """y' = 1e308 from y = 1e308, which overflows y at t = 0.7977."""
-    return solve_rk54(lambda t, y: np.array([1e308]), np.array([1e308]),
-                      np.linspace(0.0, 1.0, 11), sampling=sampling, pair=pair)
-
-
 @pytest.mark.parametrize("sampling", ["clamped", "dense"])
 def test_solve_rk54_never_accepts_a_non_finite_state(sampling):
-    # y' = 1e308 overflows y within the span; an overflowed trial state would
-    # enlarge its own error scale and read as error 0.  A dense sample inside
-    # a finite step stays finite too.
-    res = _overflowing_run(sampling, DP5)
-    assert res.status == "step-underflow"
-    assert res.n_rejected > 0
-    assert 0.7 < res.sample_t[-1] < 0.8
-    assert np.isfinite(res.sample_y).all()
-
-
-@pytest.mark.parametrize("sampling", ["clamped", "dense"])
-def test_dop853_never_accepts_a_non_finite_state(sampling):
-    # As for DP5.  DOP853's weights reach 545: it folds h into each weight row
-    # before the sum over the stages, and the powers of x into each stage's
-    # extension weight, or its sums would overflow within finite steps and
-    # the run would end at t = 0 with no finite dense sample.
-    res = _overflowing_run(sampling, DOP853)
+    # y' = 1e308 from y = 1e308 overflows y at t = 0.7977; an overflowed trial
+    # state would enlarge its own error scale and read as error 0.  A dense
+    # sample inside a finite step stays finite too.  DOP853's weights reach
+    # 545: it folds h into each weight row before the sum over the stages,
+    # and the powers of x into each stage's extension weight, or its sums
+    # would overflow within finite steps and the run would end at t = 0 with
+    # no finite dense sample.
+    res = solve_rk54(lambda t, y: np.array([1e308]), np.array([1e308]),
+                     np.linspace(0.0, 1.0, 11), sampling=sampling)
     assert res.status == "step-underflow"
     assert res.n_rejected > 0
     assert 0.797 < res.sample_t[-1] < 0.798
@@ -952,13 +970,18 @@ def test_metric_rhs_rejects_a_non_finite_metric(bad):
 
 
 def test_metric_flow_ends_typed_before_a_degenerate_metric():
-    # P loses positive definiteness near t = 0.41 on this seed; the trial
-    # stages past it are rejected, so the run ends typed with its samples.
-    traj = integrate_metric(berger3(1, 2, 0).point, (0.0, 1.0), samples=101)
-    assert traj.termination == "step-underflow"
+    # P collapses toward a finite-time singularity near t = 0.41 on this seed,
+    # and stops being isotropy-invariant on the way: its residual relative to
+    # |P| grows past the drift bound, so the run ends typed with its samples
+    # (at t = 0.4058), each of them a metric metric_rhs accepts.
+    point = berger3(1, 2, 0).point
+    traj = integrate_metric(point, (0.0, 1.0), samples=101)
+    assert traj.termination == "validity-drift"
     assert 0.3 < traj.times[-1] < 1.0 and len(traj.times) > 30
     assert np.isfinite(traj.P).all()
     assert all(np.linalg.eigvalsh(p).min() > 0 for p in traj.P)
+    for p in traj.P:
+        metric_rhs(MetricState(p), point)  # raises CompatibilityError past its tolerance
 
 
 @pytest.mark.parametrize("strategy", [VOLUME, SCALAR_CURVATURE, BRACKET_NORM])
@@ -1117,11 +1140,11 @@ def test_solve_rk54_rejects_non_finite_tolerances(tol):
 
 
 def test_rhs_evaluations_are_counted(monkeypatch):
-    # Two evaluations start a run (f at t0 and the initial-step probe).  DP5
-    # then takes six stages per attempted step; DOP853, which every tensor run
-    # steps, twelve, and three more on each step that holds a sample.  Each
-    # run reports its calls as rhs_evals, an auto-horizon rescaling also the
-    # extension stages it computes after its solve.
+    # Two evaluations start a run (f at t0 and the initial-step probe).  DOP853
+    # then takes twelve stages per attempted step, and on a dense run three
+    # more on each step that holds a sample.  Each run reports its calls as
+    # rhs_evals, an auto-horizon rescaling also the extension stages it
+    # computes after its solve.
     calls = []
 
     def f(t, y):
@@ -1130,17 +1153,16 @@ def test_rhs_evaluations_are_counted(monkeypatch):
 
     res = solve_rk54(f, np.array([1.0]), np.linspace(0.0, 1.0, 11), rtol=1e-6, atol=1e-9)
     assert res.n_rejected > 0
-    assert res.nfev == len(calls) == 2 + 6 * (res.n_steps + res.n_rejected)
+    assert res.nfev == len(calls) == 2 + 12 * (res.n_steps + res.n_rejected)
     solves = _counted_solves(monkeypatch)
     traj = integrate(berger3(1, 2, 0).point, VOLUME, (0.0, 1.0), samples=11)
     stats = traj.stats
-    assert solves == [["dense", DOP853, stats.nfev]]
-    extended, rest = divmod(stats.nfev - 2 - 12 * (stats.n_steps + stats.n_rejected), 3)
-    assert rest == 0 and 0 < extended <= stats.n_steps
+    assert solves == [["dense", stats.nfev]]
+    _dop853_extended(stats)
     assert traj.describe()["rhs_evals"] == stats.nfev
     solves.clear()
     rescaled = rescale_to_ricci_norm(integrate(unimodular3(1, 0, 0).point, UNNORMALIZED, (0, 2)))
-    assert solves[-1][2] == rescaled.stats.nfev
+    assert solves[-1][1] == rescaled.stats.nfev
     assert traj.termination == "reached-t-end" and stats.trigger_value is None
     assert "trigger_value" not in traj.describe()
 

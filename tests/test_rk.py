@@ -1,6 +1,6 @@
-"""solve_rk54's dense sampling: free steps, samples from the continuous
-extension of each pair (DP5's quartic, DOP853's 7th-degree one), checked
-against scipy's dense output and a closed form."""
+"""solve_rk54's DOP853 pair and its dense sampling: free steps, samples from
+the 7th-degree continuous extension, checked against scipy's dense output and
+a closed form."""
 
 import numpy as np
 import pytest
@@ -22,25 +22,6 @@ def exact(t):
     return np.exp(np.sin(30.0 * t))
 
 
-@pytest.mark.parametrize("grid", [GRID, -GRID])
-def test_dense_samples_match_the_closed_form_and_scipy(grid):
-    res = solve_rk54(oscillating, np.array([1.0]), grid, RTOL, ATOL, sampling="dense")
-    assert res.status == TERM_REACHED_END
-    assert res.n_rejected > 0  # retries start from the copied FSAL stage
-    assert res.sample_t.tobytes() == grid.tobytes()
-    y, f = res.sample_y[:, 0], res.sample_f[:, 0]
-    want = exact(grid)
-    assert np.max(np.abs(y - want) / want) <= 10 * RTOL
-    # The extension's derivative is one order below its state.
-    assert np.max(np.abs(f - oscillating(grid, want)) / (30.0 * want)) <= 100 * RTOL
-
-    ref = solve_ivp(oscillating, (grid[0], grid[-1]), [1.0], method="RK45",
-                    dense_output=True, rtol=RTOL, atol=ATOL)
-    assert ref.success
-    ref_y = ref.sol(grid)[0]
-    assert np.max(np.abs(y - ref_y) / ref_y) <= 10 * RTOL
-
-
 def test_dense_steps_are_not_sample_bound():
     clamped = solve_rk54(oscillating, np.array([1.0]), GRID, RTOL, ATOL)
     dense = solve_rk54(oscillating, np.array([1.0]), GRID, RTOL, ATOL, sampling="dense")
@@ -58,24 +39,6 @@ ENDINGS = {
                 "stopped"),
     "underflow": (lambda t, y: y**3, 0.75, np.linspace(0.0, 1.0, 11), None, TERM_UNDERFLOW),
 }
-
-
-@pytest.mark.parametrize("sampling", ["clamped", "dense"])
-@pytest.mark.parametrize("ending", ENDINGS)
-def test_nfev_is_the_count_of_rhs_calls(ending, sampling):
-    # nfev is not counted but computed, as 2 + 6 (n_steps + n_rejected): one
-    # call at the start, one for the initial step and six per trial step.
-    rhs, y0, grid, stop, status = ENDINGS[ending]
-    calls = []
-
-    def counted(t, y):
-        calls.append(t)
-        return rhs(t, y)
-
-    res = solve_rk54(counted, np.array([y0]), grid, RTOL, ATOL, step_callback=stop,
-                     sampling=sampling)
-    assert res.status == status and res.n_rejected > 0
-    assert res.nfev == len(calls)
 
 
 def test_dense_reruns_are_byte_identical():
@@ -120,24 +83,6 @@ def test_unknown_sampling_is_rejected():
         solve_rk54(lambda t, y: -y, np.array([1.0]), GRID, sampling="uniform")
 
 
-@pytest.mark.parametrize("sampling", ["clamped", "dense"])
-@pytest.mark.parametrize("y0", [0.7, 0.75])  # 0.75 blows up before t = 1 and ends on underflow
-def test_backward_solve_is_the_mirrored_forward_solve(y0, sampling):
-    # y' = -y^3 backward in t is y' = y^3 forward in s = -t.  The forward f
-    # returns the rhs result itself, the backward f multiplies by -1.0; both
-    # are exact, so the runs agree bitwise and their derivatives differ by sign.
-    back = solve_rk54(lambda t, y: -y**3, np.array([y0]), np.linspace(0.0, -1.0, 11),
-                      RTOL, ATOL, sampling=sampling)
-    fwd = solve_rk54(lambda t, y: y**3, np.array([y0]), np.linspace(0.0, 1.0, 11),
-                     RTOL, ATOL, sampling=sampling)
-    assert fwd.n_rejected > 0
-    assert (back.status, back.n_steps, back.n_rejected, back.nfev) == (
-        fwd.status, fwd.n_steps, fwd.n_rejected, fwd.nfev)
-    assert np.array_equal(back.sample_t, -fwd.sample_t)  # t = 0.0 against -0.0
-    assert back.sample_y.tobytes() == fwd.sample_y.tobytes()
-    assert back.sample_f.tobytes() == (-fwd.sample_f).tobytes()
-
-
 def test_dop853_coefficients_are_scipys():
     # The literals are scipy's dop853_coefficients by repr, bitwise; the
     # weights B are row 12 of A, and the FSAL stage has weight 0.
@@ -152,17 +97,16 @@ def test_dop853_coefficients_are_scipys():
     assert _D8.tobytes() == dop853.D.tobytes()
 
 
-# DOP853 runs at the package's default tolerances, where the bracket flow
-# runs.  Its E5/E3 error rule (scipy's too) weighs the 3rd-order estimate in:
+# DOP853 runs at the package's default tolerances, where the bracket and
+# metric flows run.  Its E5/E3 error rule (scipy's too) weighs the 3rd-order estimate in:
 # on this oscillator at rtol 1e-6 it accepts one backward step 400 times
 # its tolerance off, so a looser tolerance would bound nothing useful here.
 RTOL8, ATOL8 = 1e-9, 1e-12
 
 
 @pytest.mark.parametrize("grid", [GRID, -GRID])
-def test_dop853_dense_samples_match_the_closed_form_and_scipy(grid):
-    res = solve_rk54(oscillating, np.array([1.0]), grid, RTOL8, ATOL8, sampling="dense",
-                     pair=DOP853)
+def test_dense_samples_match_the_closed_form_and_scipy(grid):
+    res = solve_rk54(oscillating, np.array([1.0]), grid, RTOL8, ATOL8, sampling="dense")
     assert res.status == TERM_REACHED_END
     assert res.n_rejected > 0
     assert res.sample_t.tobytes() == grid.tobytes()
@@ -182,24 +126,26 @@ def test_dop853_dense_samples_match_the_closed_form_and_scipy(grid):
 
 @pytest.mark.parametrize("sampling", ["clamped", "dense"])
 @pytest.mark.parametrize("y0", [0.7, 0.75])
-def test_dop853_backward_solve_is_the_mirrored_forward_solve(y0, sampling):
-    # As for DP5: the signed step enters the stage sums, the extension and
-    # the initial step, and negation is exact.
+def test_backward_solve_is_the_mirrored_forward_solve(y0, sampling):
+    # y' = -y^3 backward in t is y' = y^3 forward in s = -t.  The signed
+    # step enters the stage sums, the extension and the initial step, and
+    # negation is exact, so the runs agree bitwise and their derivatives
+    # differ by sign.  y0 = 0.75 blows up before t = 1 and ends on underflow.
     back = solve_rk54(lambda t, y: -y**3, np.array([y0]), np.linspace(0.0, -1.0, 11),
-                      RTOL, ATOL, sampling=sampling, pair=DOP853)
+                      RTOL, ATOL, sampling=sampling)
     fwd = solve_rk54(lambda t, y: y**3, np.array([y0]), np.linspace(0.0, 1.0, 11),
-                     RTOL, ATOL, sampling=sampling, pair=DOP853)
+                     RTOL, ATOL, sampling=sampling)
     assert fwd.n_rejected > 0
     assert (back.status, back.n_steps, back.n_rejected, back.nfev) == (
         fwd.status, fwd.n_steps, fwd.n_rejected, fwd.nfev)
-    assert np.array_equal(back.sample_t, -fwd.sample_t)
+    assert np.array_equal(back.sample_t, -fwd.sample_t)  # t = 0.0 against -0.0
     assert back.sample_y.tobytes() == fwd.sample_y.tobytes()
     assert back.sample_f.tobytes() == (-fwd.sample_f).tobytes()
 
 
 @pytest.mark.parametrize("sampling", ["clamped", "dense"])
 @pytest.mark.parametrize("ending", ENDINGS)
-def test_dop853_nfev_is_the_count_of_rhs_calls(ending, sampling):
+def test_nfev_is_the_count_of_rhs_calls(ending, sampling):
     # Two calls start the run, twelve stages make each trial step, and a
     # dense run adds three extension stages on each step that holds a sample.
     rhs, y0, grid, stop, status = ENDINGS[ending]
@@ -210,7 +156,7 @@ def test_dop853_nfev_is_the_count_of_rhs_calls(ending, sampling):
         return rhs(t, y)
 
     res = solve_rk54(counted, np.array([y0]), grid, RTOL, ATOL, step_callback=stop,
-                     sampling=sampling, pair=DOP853)
+                     sampling=sampling)
     assert res.status == status and res.n_rejected > 0
     assert res.nfev == len(calls)
     extended = (res.nfev - 2 - 12 * (res.n_steps + res.n_rejected)) / 3
