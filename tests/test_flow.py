@@ -833,8 +833,28 @@ def test_solve_rk54_ends_on_a_nan_initial_derivative():
     assert list(res.sample_t) == [0.0]
 
 
+def _overflowing_run(sampling, direction=1.0):
+    """y' = 1e308 from y = direction * 1e308, which overflows y at
+    t = direction * 0.7977."""
+    return solve_rk54(lambda t, y: np.array([1e308]), np.array([direction * 1e308]),
+                      np.linspace(0.0, direction, 11), sampling=sampling)
+
+
 @pytest.mark.parametrize("sampling", ["clamped", "dense"])
 def test_solve_rk54_never_accepts_a_non_finite_state(sampling):
+    # Backward from y = -1e308, y overflows to -inf at t = -0.7977: the run
+    # is the forward run mirrored, so the finite-state check holds for
+    # either sign of the step.
+    back, fwd = _overflowing_run(sampling, -1.0), _overflowing_run(sampling)
+    assert (back.status, back.n_steps, back.n_rejected, back.nfev) == (
+        fwd.status, fwd.n_steps, fwd.n_rejected, fwd.nfev)
+    assert np.array_equal(back.sample_t, -fwd.sample_t)
+    assert back.sample_y.tobytes() == (-fwd.sample_y).tobytes()
+    assert np.isfinite(back.sample_y).all()
+
+
+@pytest.mark.parametrize("sampling", ["clamped", "dense"])
+def test_dop853_never_accepts_a_non_finite_state(sampling):
     # y' = 1e308 from y = 1e308 overflows y at t = 0.7977; an overflowed trial
     # state would enlarge its own error scale and read as error 0.  A dense
     # sample inside a finite step stays finite too.  DOP853's weights reach
@@ -842,8 +862,7 @@ def test_solve_rk54_never_accepts_a_non_finite_state(sampling):
     # and the powers of x into each stage's extension weight, or its sums
     # would overflow within finite steps and the run would end at t = 0 with
     # no finite dense sample.
-    res = solve_rk54(lambda t, y: np.array([1e308]), np.array([1e308]),
-                     np.linspace(0.0, 1.0, 11), sampling=sampling)
+    res = _overflowing_run(sampling)
     assert res.status == "step-underflow"
     assert res.n_rejected > 0
     assert 0.797 < res.sample_t[-1] < 0.798

@@ -105,7 +105,7 @@ RTOL8, ATOL8 = 1e-9, 1e-12
 
 
 @pytest.mark.parametrize("grid", [GRID, -GRID])
-def test_dense_samples_match_the_closed_form_and_scipy(grid):
+def test_dop853_dense_samples_match_the_closed_form_and_scipy(grid):
     res = solve_rk54(oscillating, np.array([1.0]), grid, RTOL8, ATOL8, sampling="dense")
     assert res.status == TERM_REACHED_END
     assert res.n_rejected > 0
@@ -124,17 +124,12 @@ def test_dense_samples_match_the_closed_form_and_scipy(grid):
     assert np.max(np.abs(y - ref_y) / ref_y) <= 200 * RTOL8  # scipy's own error is 110 rtol
 
 
-@pytest.mark.parametrize("sampling", ["clamped", "dense"])
-@pytest.mark.parametrize("y0", [0.7, 0.75])
-def test_backward_solve_is_the_mirrored_forward_solve(y0, sampling):
-    # y' = -y^3 backward in t is y' = y^3 forward in s = -t.  The signed
-    # step enters the stage sums, the extension and the initial step, and
-    # negation is exact, so the runs agree bitwise and their derivatives
-    # differ by sign.  y0 = 0.75 blows up before t = 1 and ends on underflow.
+def _assert_mirrored(y0, sampling, rtol, atol):
+    """Solve y' = y^3 forward and y' = -y^3 backward from y0 and compare."""
     back = solve_rk54(lambda t, y: -y**3, np.array([y0]), np.linspace(0.0, -1.0, 11),
-                      RTOL, ATOL, sampling=sampling)
+                      rtol, atol, sampling=sampling)
     fwd = solve_rk54(lambda t, y: y**3, np.array([y0]), np.linspace(0.0, 1.0, 11),
-                     RTOL, ATOL, sampling=sampling)
+                     rtol, atol, sampling=sampling)
     assert fwd.n_rejected > 0
     assert (back.status, back.n_steps, back.n_rejected, back.nfev) == (
         fwd.status, fwd.n_steps, fwd.n_rejected, fwd.nfev)
@@ -144,8 +139,25 @@ def test_backward_solve_is_the_mirrored_forward_solve(y0, sampling):
 
 
 @pytest.mark.parametrize("sampling", ["clamped", "dense"])
+@pytest.mark.parametrize("y0", [0.7, 0.75])
+def test_dop853_backward_solve_is_the_mirrored_forward_solve(y0, sampling):
+    # y' = -y^3 backward in t is y' = y^3 forward in s = -t.  The signed
+    # step enters the stage sums, the extension and the initial step, and
+    # negation is exact, so the runs agree bitwise and their derivatives
+    # differ by sign.  y0 = 0.75 blows up before t = 1 and ends on underflow.
+    _assert_mirrored(y0, sampling, RTOL, ATOL)
+
+
+@pytest.mark.parametrize("sampling", ["clamped", "dense"])
+@pytest.mark.parametrize("y0", [0.7, 0.75])
+def test_backward_solve_is_the_mirrored_forward_solve(y0, sampling):
+    # As above at the flows' tolerances, where the runs take 23 to 176 steps.
+    _assert_mirrored(y0, sampling, RTOL8, ATOL8)
+
+
+@pytest.mark.parametrize("sampling", ["clamped", "dense"])
 @pytest.mark.parametrize("ending", ENDINGS)
-def test_nfev_is_the_count_of_rhs_calls(ending, sampling):
+def test_dop853_nfev_is_the_count_of_rhs_calls(ending, sampling):
     # Two calls start the run, twelve stages make each trial step, and a
     # dense run adds three extension stages on each step that holds a sample.
     rhs, y0, grid, stop, status = ENDINGS[ending]
