@@ -8,6 +8,9 @@ those index sums into sparse COO tables (output index, two input indices,
 coefficient) once per (q, n), evaluated with np.bincount.  Symmetric
 operators on p travel as their i <= j entries in row-major order ("sym
 vectors"); Tables.full maps one back to an n x n matrix.
+The Ricci form's output ends in two slots (0.0) for the rate r and the scale c;
+with them, one call of the tangent table maps a flow state (y, c, tau) to its
+derivative: the r-normalized tangent, c' = r c and tau' = c^2.
 """
 
 from __future__ import annotations
@@ -94,12 +97,14 @@ class Tables:
         # U = S(ad H), ad_H[x,y] = sum_{i,j} c[i,j,j] c[i,y,x], weight -1
         mean = (x, y, idx[ipp, jpp, jpp], idx[ipp, yp, xp], -sgn[ipp, jpp, jpp] * sgn[ipp, yp, xp])
 
-        def sym_form(terms) -> _Form:
+        def sym_form(terms, slots=0) -> _Form:
             ox, oy, a, b, coef = _flat(terms)
             # sym(X)[x, y] = (X[x, y] + X[y, x]) / 2 folds onto one sym-vector entry
-            return _Form(len(su), full[ox, oy], a, b, np.where(ox == oy, 1.0, 0.5) * coef, True)
+            return _Form(len(su) + slots, full[ox, oy], a, b, np.where(ox == oy, 1.0, 0.5) * coef,
+                         True)
 
-        self.ricci = sym_form(moment + [killing, mean])  # (y, y) -> sym vector of Ric
+        # (y, y) -> sym vector of Ric, and two slots, 0.0 here, for the tangent's r and c
+        self.ricci = sym_form(moment + [killing, mean], slots=2)
         self.moment = sym_form(moment)  # (y, y) -> sym vector of M
 
         # Tangent -pi(diag(0, Ric)) mu on p x p pairs i < j, any component k:
@@ -108,13 +113,22 @@ class Tables:
         live = ti < tj
         out = np.where(live, idx[ti, tj, tk], 0)
         kp, live_p = np.maximum(tk - q, 0), live & (tk >= q)
+        rows = np.repeat(iu, d)
+        comp = np.tile(np.arange(d), len(iu))
+        in_p = rows >= q
+        # r rate_w y: 2 on p x p -> k entries, 1 on p x p -> p, 0 on isotropy rows
+        self.rate_w = np.where(in_p, np.where(comp < q, 2.0, 1.0), 0.0)
+        m, pos, r_slot = len(iu) * d, np.arange(len(iu) * d), len(su)
         tangent = [
             (out, full[tx, ti - q], idx[tx + q, tj, tk], live * sgn[tx + q, tj, tk]),
             (out, full[tx, tj - q], idx[ti, tx + q, tk], live * sgn[ti, tx + q, tk]),
             (out, full[kp, tx], idx[ti, tj, tx + q], -1.0 * live_p * sgn[ti, tj, tx + q]),
+            (pos, r_slot, pos, self.rate_w),  # sorts after each output's Ric terms
+            (m, r_slot, m, 1.0),  # c' = r c
+            (m + 1, r_slot + 1, m, 1.0),  # tau' = c c
         ]
-        # (Ric sym vector, y) -> packed unnormalized tangent
-        self.tangent = _Form(len(iu) * d, *_flat(tangent), symmetric=False)
+        # (Ricci form output with (r, c) in its slots, (y, c, tau)) -> (y', c', tau')
+        self.tangent = _Form(m + 2, *_flat(tangent), symmetric=False)
 
         # Jacobi cyclic sums s[t, m] over triples t = (i < j < k):
         # sum_l c[i,j,l] c[l,k,m] + c[j,k,l] c[l,i,m] + c[k,i,l] c[l,j,m]
@@ -127,11 +141,6 @@ class Tables:
             jac.append((t_ * d + m_, idx[a0, a1, l_], idx[l_, a2, m_], coef))
         self.jacobi = _Form(len(trip) * d, *_flat(jac), symmetric=True)
 
-        rows = np.repeat(iu, d)
-        comp = np.tile(np.arange(d), len(iu))
-        in_p = rows >= q
-        # tangent += r rate_w y: 2 on p x p -> k entries, 1 on p x p -> p, 0 on isotropy rows
-        self.rate_w = np.where(in_p, np.where(comp < q, 2.0, 1.0), 0.0)
         self.mu_p_w = np.where(in_p & (comp >= q), 2.0, 0.0)  # |mu_p|^2 = mu_p_w . y^2
         self.sym_w = np.where(su == sv, 1.0, 2.0)  # tr(A B) = sym_w . (a * b)
         self.diag = full[np.arange(n), np.arange(n)]  # sym-vector positions of the diagonal
@@ -147,21 +156,15 @@ class Tables:
         ric = self.ricci(y, y)
         return self.trace_product(ric, ric)
 
-    def flow_tangent(self, ric: np.ndarray, y: np.ndarray, r: float) -> np.ndarray:
-        """Packed r-normalized tangent; the isotropy rows are exactly 0.0."""
-        out = self.tangent(ric, y)
-        if r != 0.0:
-            out += r * self.rate_w * y
-        return out
-
     def trace(self, a: np.ndarray) -> float:
         return float(a[self.diag].sum())
 
+    # These read the sym vectors without the Ricci form's slots, a flow state without (c, tau).
     def trace_product(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(self.sym_w @ (a * b))
+        return float(self.sym_w @ (a[: self.sym_w.size] * b[: self.sym_w.size]))
 
     def mu_p_norm2(self, y: np.ndarray) -> float:
-        return float(self.mu_p_w @ (y * y))
+        return float(self.mu_p_w @ np.square(y[: self.mu_p_w.size]))
 
     def jacobi_residual(self, y: np.ndarray) -> float:
         s = self.jacobi(y, y).reshape(-1, self.q + self.n)

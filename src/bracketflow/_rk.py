@@ -12,7 +12,8 @@ stage sums, the extension and the initial step.  An early stop closes with a
 sample at the stopping time.  Under sampling="dense", the mode of every tensor
 and metric solve, it steps freely, lands only on the last sample and fills the
 samples inside each accepted step from the extension, whose 3 extra stages
-are computed only for such a step; the step callback also receives each step,
+are computed only for such a step, as one block of rows (the blocks are
+concatenated once, when the run ends); the step callback also receives each step,
 so a caller may keep it to sample it later.  Under sampling="clamped" it lands
 on every sample; that stays the default only as the one-row twin of
 solve_rk54_batch, which always clamps.  No stage is tested for finiteness: a
@@ -128,6 +129,9 @@ def _dop853_error(k, h, scale):
 # overflow where the increments of a finite step do not.
 _Tableau = namedtuple("_Tableau", "c a b p")
 DOP853 = _Tableau(_C8, _A8, np.append(_A8[12], 0.0), _nested_extension(_A8[12], _D8))
+_SLOPES = np.arange(1, DOP853.p.shape[1] + 1)[:, None]  # d/dx x^i = i x^(i-1), i <= 7
+# The step stages' weights as one lower-triangular matrix: row i is a[i], zero-padded.
+_A_STEP = np.array([np.pad(row, (0, DOP853.b.size - row.size)) for row in _A8[:DOP853.b.size]])
 
 TERM_REACHED_END = "reached-t-end"
 TERM_UNDERFLOW = "step-underflow"
@@ -196,14 +200,17 @@ def _result(grid, status, s, y, f_cur, ys, fs, n_steps, n_rejected, nfev) -> RKR
 
 def _dense_samples(k, s, h, y, sample_s):
     """States and derivatives (in t) at sample_s inside the accepted step of signed size h
-    from (s, y) with extended stages k.  h goes into the stages first and x's powers into
-    the weights: k alone, or the monomial coefficients, may overflow where the increments
-    of a finite step do not."""
+    from (s, y) with extended stages k, as (len(sample_s), y.size) blocks.  h goes into
+    the stages first and x's powers, multiplied out in place, into the weights: k alone,
+    or the monomial coefficients, may overflow where the increments of a finite step do
+    not."""
     x = (sample_s - s) / abs(h)
-    powers = np.cumprod(np.tile(x, (DOP853.p.shape[1], 1)), axis=0)  # x, ..., x^7
-    slopes = np.arange(1, len(powers) + 1)[:, None] * np.vstack([np.ones_like(x), powers[:-1]])
+    powers = np.empty((len(_SLOPES) + 1, x.size))  # 1, x, ..., x^7
+    powers[0], powers[1:] = 1.0, x
+    np.multiply.accumulate(powers[1:], out=powers[1:])
     hk = (h * k).T
-    return y + (hk @ (DOP853.p @ powers)).T, (hk @ (DOP853.p @ slopes)).T / h
+    return (y + (hk @ (DOP853.p @ powers[1:])).T,
+            (hk @ (DOP853.p @ (_SLOPES * powers[:-1]))).T / h)
 
 
 def solve_rk54(
@@ -256,7 +263,7 @@ def solve_rk54(
         s = 0.0
         y = np.asarray(y0, dtype=float).copy()
         f_cur = rhs(t0 + direction * s, y)
-        ys, fs = [y.copy()], [f_cur]
+        ys, fs = [y[None]], [f_cur[None]]  # row blocks; no state is written in place
         si = 1
 
         h = float(_initial_step(lambda h, Y: rhs(t0 + direction * float(h[0]), Y[0])[None],
@@ -280,9 +287,10 @@ def solve_rk54(
                 break
 
             hs = direction * h
+            weights = hs * _A_STEP  # row i is hs * a[i]
             k[0] = f_cur
             for i in range(1, n):
-                k[i] = rhs(t0 + direction * (s + c[i] * h), y + (hs * a[i]).dot(k[:i]))
+                k[i] = rhs(t0 + direction * (s + c[i] * h), y + weights[i, :i].dot(k[:i]))
             y_new = y + (hs * b).dot(k_step)
             abs_new = np.abs(y_new)
             # An overflowed y_new would enlarge its own scale and read as error 0.
@@ -308,15 +316,15 @@ def solve_rk54(
                 sj = int(np.searchsorted(samples, s_new))  # the first sample >= s_new
                 n_extra += extend(k, s, hs, y)
                 y_in, f_in = _dense_samples(k, s, hs, y, samples[si:sj])
-                ys.extend(y_in)
-                fs.extend(f_in)
+                ys.append(y_in)
+                fs.append(f_in)
                 si = sj
 
             step = (extend, k, s, hs, y)
             s, y, f_cur, abs_y = s_new, y_new, f_new, abs_new
             if s == samples[si]:
-                ys.append(y.copy())
-                fs.append(f_cur)
+                ys.append(y[None])
+                fs.append(f_cur[None])
                 si += 1
 
             if step_callback is not None:
@@ -338,6 +346,7 @@ def solve_rk54(
             err_prev, retry = e, False
 
     nfev = 2 + (n - 1) * (n_steps + n_rejected) + n_extra
+    ys, fs = (np.concatenate(b, out=np.empty((si, y.size))) for b in (ys, fs))  # C-ordered
     return _result(grid, status, s, y, f_cur, ys, fs, n_steps, n_rejected, nfev)
 
 

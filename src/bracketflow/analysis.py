@@ -103,12 +103,15 @@ def identity_audit(traj: FlowTrajectory) -> AuditReport:
     polynomial tables), and its finite difference at the interior samples is
     compared with that right-hand side.  Normalized runs use the rate-corrected
     laws; a reduced run's rate comes from the family's closed forms, as in its
-    flow.  Relative error is measured against 1 + the right-hand-side norm."""
+    flow.  Relative error is measured against 1 + the right-hand-side norm.  The
+    einsums stream over a copy of the stack with the sample axis fastest; the
+    |mu_p|^2 sums (its law, the bracket-norm rate) keep the C-ordered stack."""
     m = traj.n_samples
     if m < 3:
         raise ValueError("identity audit needs at least three samples")
     q, c = _bracket_stack(traj)
-    mu_p, rep = c[:, q:, q:, q:], _pieces(c, q)
+    cs = np.asfortranarray(c)  # the sample axis fastest
+    mu_p, rep = cs[:, q:, q:, q:], _pieces(cs, q)
     ric = rep.Ric
     d0, d_m, d_b, d_u = _ricci_evolution(mu_p, rep)
     if isinstance(traj.system, ReducedFlowSystem):
@@ -129,7 +132,7 @@ def identity_audit(traj: FlowTrajectory) -> AuditReport:
         "H": (rep.H, np.einsum("...ij,...j->...i", ric, rep.H), 1),
         "U": (rep.U, d_u, 2),
         "R": (rep.R, 2 * inner(ric, ric), 2),
-        "mu_p_norm2": (np.sum(mu_p**2, axis=(1, 2, 3)), -8 * inner(ric, rep.M), 2),
+        "mu_p_norm2": (np.sum(c[:, q:, q:, q:]**2, axis=(1, 2, 3)), -8 * inner(ric, rep.M), 2),
         "trB": (np.trace(rep.B, axis1=1, axis2=2), 2 * inner(ric, rep.B), 2),
         "H_norm2": (np.sum(rep.H**2, axis=1), -2 * inner(rep.U, rep.U), 2),
     }

@@ -175,17 +175,18 @@ def _rate_from_scalars(strategy: Normalization, *scalars: float) -> float:
 
 
 def _bound_rate(strategy: Normalization, tab, q: int, n: int) -> Callable:
-    """The rate (core, ric) -> r of a tensor system on the tables tab, bound to its kind
-    once, in the float operations of _rate_from_scalars (ricci-norm: D0, the exact
-    derivative of Ric along the unnormalized tangent).  An exact zero divisor raises,
-    except at a non-finite trial stage (NaN).  No closure holds the system, so it frees
-    by refcount."""
+    """The rate (y, ric) -> r of a tensor system on the tables tab, at a flow state y and
+    the Ricci form's output ric (its slots still 0.0), bound to its kind once, in the
+    float operations of _rate_from_scalars (ricci-norm: D0, the exact derivative of Ric
+    along the unnormalized tangent).  An exact zero divisor raises, except at a
+    non-finite trial stage (NaN).  No closure holds the system, so it frees by refcount."""
     reason = _RATES[strategy.kind][2] if strategy.kind in _RATES else _FLAT_RICCI
+    m = tab.rate_w.size
 
-    def quotient(core, num, den):
+    def quotient(y, num, den):
         if den != 0.0:
             return num / den
-        if np.isfinite(core).all():
+        if np.isfinite(y[:m]).all():
             raise NormalizationError(reason)
         return np.nan
 
@@ -195,10 +196,10 @@ def _bound_rate(strategy: Normalization, tab, q: int, n: int) -> Callable:
         "scalar-curvature": lambda y, a: quotient(y, -tab.trace_product(a, a), tab.trace(a)),
         "bracket-norm": lambda y, a: quotient(
             y, 4.0 * tab.trace_product(a, tab.moment(y, y)), tab.mu_p_norm2(y)),
-        "ricci-norm": lambda y, a: quotient(
-            y, -tab.trace_product(a, tab.ricci.polar(y, tab.flow_tangent(a, y, 0.0))),
+        "ricci-norm": lambda y, a: quotient(  # r = 0 in a's slot: the unnormalized tangent
+            y, -tab.trace_product(a, tab.ricci.polar(y, tab.tangent(a, y))),
             2.0 * tab.trace_product(a, a)),
-        "custom": lambda y, a: float(strategy.rate_fn(unpack_state(q, n, y))),
+        "custom": lambda y, a: float(strategy.rate_fn(unpack_state(q, n, y[:m]))),
     }.get(strategy.kind, lambda y, a: _rate_from_scalars(strategy))  # raises: no rate
 
 
@@ -233,7 +234,7 @@ def normalization_rate(
     """Normalization rate r for one bracket under the given strategy."""
     mu = point.bracket if isinstance(point, HomogeneousPoint) else point
     _require_pointwise(strategy)
-    return TensorFlowSystem(mu, strategy).rate(pack_state(mu))
+    return TensorFlowSystem(mu, strategy).rate()
 
 
 def bracket_rhs(point: HomogeneousPoint) -> BracketTensor:
@@ -250,7 +251,7 @@ def normalized_rhs(point: HomogeneousPoint, strategy: Normalization) -> BracketT
     point.require_valid()
     _require_pointwise(strategy)
     system = TensorFlowSystem(point.bracket, strategy)
-    return system.bracket(system.tangent(system.core0)[0])
+    return system.bracket(system.tangent(system.state0)[0][: system.core0.size])
 
 
 @dataclass(frozen=True)
@@ -296,7 +297,8 @@ class IntegrationStats:
 
 
 class TensorFlowSystem:
-    """Flow state = packed i < j structure entries of the full tensor."""
+    """Flow state = packed i < j structure entries of the full tensor (the core),
+    then the scaling pair (c, tau); a gauged run appends its gauge."""
 
     kind = "bracket"
 
@@ -304,6 +306,7 @@ class TensorFlowSystem:
         self.q, self.n = mu0.q, mu0.n
         self.strategy = strategy
         self.core0 = pack_state(mu0)
+        self.state0 = np.append(self.core0, [1.0, 0.0])  # (c, tau) = (1, 0)
         self.param_names = _packed_names(self.q + self.n)
         from ._poly import tables  # compiled on first use, not by `import bracketflow`
         self.tables = tab = tables(self.q, self.n)
@@ -320,20 +323,23 @@ class TensorFlowSystem:
         """Derivative of Ric along dcore, exact (Ric is quadratic in the state)."""
         return self.tables.ricci.polar(core, dcore)[self.tables.full]
 
-    def rate(self, core: np.ndarray) -> float:
-        """Normalization rate r at core (see _bound_rate)."""
-        return self._rate(core, self.tables.ricci(core, core))
+    def rate(self) -> float:
+        """Normalization rate r at mu0 (see _bound_rate)."""
+        return self._rate(self.state0, self.tables.ricci(self.state0, self.state0))
 
-    def tangent(self, core: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-        """Packed tangent at core, its rate r and the Ric sym vector it reads.  A
-        non-finite trial stage never raises: its NaN or inf reaches the tangent, which
-        the stepper rejects.  A custom rate_fn takes a bracket, which unpack_state does
-        not build from non-finite entries, so there that stage gets the NaN triple."""
-        if self._custom and not np.isfinite(core).all():
-            return np.full(core.shape, np.nan), np.nan, np.full(self.tables.sym_w.size, np.nan)
-        ric = self.tables.ricci(core, core)
-        r = self._rate(core, ric)
-        return self.tables.flow_tangent(ric, core, r), r, ric
+    def tangent(self, y: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+        """(core', c', tau') at the flow state y from one tangent-table call, the rate r
+        and the Ricci form's output read, Ric's sym vector then (r, c).  A non-finite
+        trial stage never raises: its NaN or inf reaches the derivative, which the
+        stepper rejects.  A custom rate_fn takes a bracket, which unpack_state does not
+        build from non-finite entries, so there that stage gets the NaN triple."""
+        tab, m = self.tables, self.core0.size
+        if self._custom and not np.isfinite(y[:m]).all():
+            return np.full(tab.tangent.size, np.nan), np.nan, np.full(tab.ricci.size, np.nan)
+        ric = tab.ricci(y, y)
+        r = ric[-2] = self._rate(y, ric)
+        ric[-1] = y[m]
+        return tab.tangent(ric, y), r, ric
 
     def aux_norm2(self, core: np.ndarray) -> float:
         return 2.0 * float(np.dot(core, core))
@@ -490,18 +496,16 @@ def _run_flow(
     the sym vector the tangent read, and the result is the pair
     (FlowTrajectory, GaugeRecord) of that one solve."""
     m, n, full = system.core0.size, system.n, system.tables.full
-    y0 = np.concatenate([system.core0, [1.0, 0.0]])
+    y0 = system.state0
     if gauge:
         y0 = np.concatenate([y0, np.eye(n).ravel()])
 
     def rhs(t, y):
-        dcore, r, ric = system.tangent(y[:m])
-        out, cval = np.empty(y.size), y[m]
-        out[:m], out[m], out[m + 1] = dcore, r * cval, cval * cval
-        if gauge:
-            h = y[m + 2:].reshape(n, n)
-            out[m + 2:] = (-(ric[full] @ h) - r * h).ravel()
-        return out
+        f, r, ric = system.tangent(y)
+        if not gauge:
+            return f
+        h = y[m + 2:].reshape(n, n)
+        return np.concatenate([f, (-(ric[full] @ h) - r * h).ravel()])
 
     conv_count, trigger = 0, None  # trigger: the value that ends the run, set on its last step
     drift_message: list[str] = []
@@ -1026,7 +1030,7 @@ def ricci_norm_rate(mu: BracketTensor) -> float:
     Derived from the evolution equation of Ric: the unnormalized part D0
     gives d tr(Ric^2)/dt = 2 tr(Ric D0) + 4 r tr(Ric^2) = 0.
     """
-    return TensorFlowSystem(mu, RICCI_NORM).rate(pack_state(mu))
+    return TensorFlowSystem(mu, RICCI_NORM).rate()
 
 
 # ---------------------------------------------------------------------------

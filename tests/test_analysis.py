@@ -14,11 +14,14 @@ from bracketflow.analysis import (
 )
 from bracketflow.core import (
     BracketTensor,
+    act_gl,
     act_pi,
     component_norms,
     rescale,
+    unpack_array,
     validate_point,
 )
+from bracketflow.curvature import _pieces, _ricci_evolution
 from bracketflow.families import (
     Berger3,
     SemisimpleFamily,
@@ -242,6 +245,53 @@ def test_identity_audit_pinned_runs(name):
         assert traj.termination == "converged-to-fixed-point" and traj.n_samples == 138
         gaps = np.diff(traj.times)
         assert gaps[-1] == pytest.approx(0.0201, abs=1e-4) and gaps[0] == pytest.approx(0.1)
+
+
+def _rotated_points(rng):
+    """unimodular3(1, 2, 3) under a random rotation of p (a dense bracket), and
+    berger3(1.2, 0.5, 0.3) under a rotation of the (X2, X3) plane, which keeps
+    its isotropy compatible."""
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    plane = np.eye(3)
+    plane[1:, 1:] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    return [validate_point(act_gl(unimodular3(1, 2, 3).point.bracket, np.zeros((0, 0)),
+                                  np.linalg.qr(rng.normal(size=(3, 3)))[0])),
+            validate_point(act_gl(berger3(1.2, 0.5, 0.3).point.bracket, np.eye(1), plane))]
+
+
+def test_curvature_on_the_sample_fastest_stack_is_the_c_ordered_one():
+    # identity_audit evaluates curvature.py on a copy of its stack whose sample
+    # axis varies fastest; only the order of the einsums' sums may change.
+    # Each quantity is a form of degree k in the bracket, so 4 ulp of |c|^k.
+    rng = np.random.default_rng(11)
+    for point in _rotated_points(rng):
+        q = point.bracket.q
+        c = unpack_array(point.bracket.dim, integrate(point, VOLUME, (0, 0.5), samples=61).states)
+        cs = np.asfortranarray(c)
+        assert cs.strides[0] == c.itemsize
+        norm = np.sqrt(np.sum(c * c, axis=(1, 2, 3)))
+        rep, rep_s = _pieces(c, q), _pieces(cs, q)
+        pairs = [(getattr(rep, k), getattr(rep_s, k), 2 if k != "H" else 1)
+                 for k in ("H", "B", "M", "U", "Ric", "R")]
+        pairs += [(a, b, 4) for a, b in zip(_ricci_evolution(c[:, q:, q:, q:], rep),
+                                            _ricci_evolution(cs[:, q:, q:, q:], rep_s))]
+        for a, b, k in pairs:
+            a, b = a.reshape(len(c), -1), b.reshape(len(c), -1)
+            assert np.all(np.abs(a - b) <= 4 * np.finfo(float).eps * norm[:, None] ** k)
+
+
+@pytest.mark.parametrize("strategy", [UNNORMALIZED, VOLUME], ids=lambda s: s.kind)
+def test_identity_audit_of_a_rotated_point_is_the_c_layout_audit(strategy, monkeypatch):
+    rng = np.random.default_rng(12)
+    for point in _rotated_points(rng):
+        traj = integrate(point, strategy, (0, 0.2), samples=121)
+        audit = identity_audit(traj).max_rel_error
+        with monkeypatch.context() as patch:  # the audit on its C-ordered stack
+            patch.setattr(np, "asfortranarray", np.ascontiguousarray)
+            c_layout = identity_audit(traj).max_rel_error
+        assert audit.keys() == c_layout.keys()
+        assert all(abs(audit[k] - c_layout[k]) <= 1e-12 for k in audit), (audit, c_layout)
+        assert audit["Ric"] > 0.0
 
 
 def test_derivative_is_exact_on_quartics_over_any_grid():

@@ -313,13 +313,16 @@ def test_sweep_stats_sum_the_cells_run_alone(tmp_path, capsys):
 def test_sweep_imports_no_process_pool():
     # The cells run as one batch: importing the CLI loads no worker pool.
     # Nor scipy, a test-only dependency: the solver's coefficients are literals.
+    # Nor _poly: the tensor tables are built on first use, not at import.
     code = ("import sys, bracketflow.cli; "
-            "print(sorted({'concurrent.futures', 'multiprocessing', 'scipy'} & set(sys.modules)))")
+            "print(sorted({'concurrent.futures', 'multiprocessing', 'scipy', 'bracketflow._poly'}"
+            " & set(sys.modules))); "
+            "from bracketflow._poly import tables; print(tables.cache_info().currsize)")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "0"]
 
 
 @pytest.mark.parametrize("case", [

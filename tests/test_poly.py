@@ -111,9 +111,14 @@ def test_ricci_moment_and_scalars_match_curvature(shape, seed):
 @SETTINGS
 @given(st.sampled_from(SHAPES), st.integers(0, 2**32 - 1))
 def test_tangent_matches_pi_action_under_every_pointwise_rate(shape, seed):
-    mu = unit_bracket(*shape, np.random.default_rng(seed))
+    # The one table call assembles the whole state's derivative: the tangent
+    # against the einsum route, and c' = r c, tau' = c^2 exactly.
+    rng = np.random.default_rng(seed)
+    mu = unit_bracket(*shape, rng)
     rep = curvature_pieces(mu)
     q, d = mu.q, mu.dim
+    c, tau = rng.uniform(0.25, 4.0), rng.uniform(0.0, 2.0)
+    state = np.append(pack_state(mu), [c, tau])
     for strategy in STRATEGIES:
         system = TensorFlowSystem(mu, strategy)
         try:
@@ -121,46 +126,56 @@ def test_tangent_matches_pi_action_under_every_pointwise_rate(shape, seed):
             r_ref = _report_rate(stack, q, strategy, _pieces(stack, q), None)[0]
         except NormalizationError:
             with pytest.raises(NormalizationError):
-                system.tangent(system.core0)
+                system.tangent(state)
             continue
-        tangent, r, _ = system.tangent(system.core0)
+        f, r, _ = system.tangent(state)
+        tangent = f[:-2]
         scale = rate_scale(strategy, rep, mu)
         assert abs(r - r_ref) <= TOL * scale
         assert np.abs(tangent - reference_tangent(mu, rep.Ric, r_ref)).max() <= TOL * (1 + scale)
         iso = tangent.reshape(-1, d)[_pairs(d)[0] < q]
         assert np.all(iso == 0.0) and not np.signbit(iso).any()
+        assert f[-2] == r * c and f[-1] == c * c, strategy.kind
 
 
 def rate_from_every_scalar(tab, strategy, y, ric):
     """Reference rate at y: all five curvature scalars into _rate_from_scalars,
-    and ricci-norm and custom by their own formulas."""
+    and ricci-norm and custom by their own formulas; ric is Ric's sym vector."""
     if strategy.kind == "custom":
         return float(strategy.rate_fn(unpack_state(tab.q, tab.n, y)))
     tr2 = tab.trace_product(ric, ric)
     if strategy.kind == "ricci-norm":
         if tr2 <= 0:
             raise NormalizationError("ricci-norm rate undefined at a flat bracket")
-        d0 = tab.ricci.polar(y, tab.flow_tangent(ric, y, 0.0))
-        return -tab.trace_product(ric, d0) / (2.0 * tr2)
+        unnormalized = tab.tangent(np.append(ric, [0.0, 0.0]), np.append(y, [1.0, 0.0]))
+        return -tab.trace_product(ric, tab.ricci.polar(y, unnormalized)) / (2.0 * tr2)
     return _rate_from_scalars(strategy, tab.n, tab.trace(ric), tr2,
                               tab.trace_product(ric, tab.moment(y, y)), tab.mu_p_norm2(y))
 
 
-def assert_tangent_is_the_rate_from_every_scalar(mu, y):
+def assert_tangent_is_the_rate_from_every_scalar(mu, y, c=1.5, tau=0.25):
+    # The one-call tangent is bitwise the two-step route: the Ric terms of the
+    # table, then + (r rate_w) y where r != 0.  c' = r c and tau' = c c hold as
+    # values: a bincount sum is never -0.0, so c' at r = -0.0 reads +0.0.
     tab = tables(mu.q, mu.n)
-    ric = tab.ricci(y, y)
+    ric = tab.ricci(y, y)[:-2]
+    state = np.append(y, [c, tau])
     for strategy in STRATEGIES + [RICCI_NORM]:
         system = TensorFlowSystem(mu, strategy)
         try:
             r = rate_from_every_scalar(tab, strategy, y, ric)
         except NormalizationError as exc:
             with pytest.raises(NormalizationError, match=f"^{re.escape(str(exc))}$"):
-                system.tangent(y)
+                system.tangent(state)
             continue
-        tangent, r_bound, ric_bound = system.tangent(y)
+        f, r_bound, ric_bound = system.tangent(state)
         assert np.float64(r_bound).tobytes() == np.float64(r).tobytes(), strategy.kind
-        assert tangent.tobytes() == tab.flow_tangent(ric, y, r).tobytes(), strategy.kind
-        assert ric_bound.tobytes() == ric.tobytes()
+        two_step = tab.tangent(np.append(ric, [0.0, 0.0]), np.append(y, [0.0, 0.0]))[:-2]
+        if r != 0.0:
+            two_step += r * tab.rate_w * y
+        assert f[:-2].tobytes() == two_step.tobytes(), strategy.kind
+        assert f[-2] == r * c and f[-1] == c * c, strategy.kind
+        assert ric_bound.tobytes() == np.append(ric, [r, c]).tobytes()
 
 
 @SETTINGS
@@ -180,16 +195,18 @@ def test_tangent_is_bitwise_the_rate_from_every_scalar(shape, seed, variant):
         # non-finite only after an earlier rate was, which also reached its p x p rows.
         moving = np.flatnonzero(tab.rate_w)
         y[moving[seed % moving.size]] = [np.nan, np.inf, -np.inf][seed % 3]
+        state = np.append(y, [1.0, 0.0])
         with np.errstate(over="ignore", invalid="ignore"):
             for strategy in STRATEGIES + [RICCI_NORM]:
                 system = TensorFlowSystem(mu, strategy)
-                tangent, r, ric = system.tangent(y)
-                assert tangent.shape == y.shape and not np.isfinite(tangent).all(), strategy.kind
+                tangent, r, ric = system.tangent(state)
+                assert tangent.shape == state.shape, strategy.kind
+                assert not np.isfinite(tangent).all(), strategy.kind
                 if strategy.kind == "custom":  # its rate_fn takes a bracket: the NaN triple
                     assert np.isnan(tangent).all() and np.isnan(r) and np.isnan(ric).all()
                 if strategy.kind in ("scalar-curvature", "ricci-norm"):
                     # An exact zero divisor (R, tr Ric^2) is NaN at this stage, not an error.
-                    assert np.isnan(system._rate(y, np.zeros_like(ric)))
+                    assert np.isnan(system._rate(state, np.zeros_like(ric)))
         return
     if variant != "unit":  # |mu_p|^2 = 0: bracket-norm raises; zero: R = tr Ric^2 = 0 too
         y = np.where((tab.mu_p_w > 0) | (variant == "zero"), 0.0, y)
@@ -222,8 +239,8 @@ def test_ricci_norm_rate_is_the_evolution_law(shape, seed):
     y = pack_state(mu)
     rep = curvature_pieces(mu)
     d0_ref = _ricci_evolution(mu.mu_p, rep)[0]
-    ric = tab.ricci(y, y)
-    d0 = tab.ricci.polar(y, tab.flow_tangent(ric, y, 0.0))[tab.full]
+    ric = tab.ricci(y, y)  # its slots (r, c) are 0.0: the unnormalized tangent
+    d0 = tab.ricci.polar(y, tab.tangent(ric, np.append(y, [1.0, 0.0])))[tab.full]
     y2 = float(y @ y)
     assert np.abs(d0 - d0_ref).max() <= TOL * y2**2
     tr2 = float(np.sum(rep.Ric**2))
@@ -257,7 +274,8 @@ def test_tables_are_the_einsum_formulas_on_integer_brackets(shape):
         ric = tab.ricci(y, y)
         assert np.array_equal(ric[tab.full], ric_ref)
         assert np.array_equal(tab.moment(y, y)[tab.full], m_ref)
-        assert np.array_equal(tab.tangent(ric, y).reshape(-1, d)[pp], tan_ref)
+        tan = tab.tangent(ric, np.append(y, [1.0, 0.0]))  # r = 0 in ric's slot
+        assert np.array_equal(tan[:-2].reshape(-1, d)[pp], tan_ref)
         assert tab.mu_p_norm2(y) == np.sum(ci[q:, q:, q:] ** 2)
         assert np.array_equal(tab.jacobi(y, y).reshape(-1, d), jac_ref)
 
@@ -266,5 +284,6 @@ def test_tables_are_sparse_and_cached():
     tab = tables(1, 3)
     assert tables(1, 3) is tab
     assert len(tab.ricci.coef) < 150 and len(tab.tangent.coef) < 100
-    # Ric on p is 3 x 3: six sym-vector entries, and 6 pairs x 4 components.
-    assert tab.ricci.size == 6 and tab.tangent.size == 24
+    # Ric on p is 3 x 3: six sym-vector entries and the slots (r, c); the state
+    # is 6 pairs x 4 components, then (c, tau).
+    assert tab.ricci.size == 6 + 2 and tab.tangent.size == 24 + 2

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as dop853
 
-from bracketflow._rk import DOP853, TERM_REACHED_END, TERM_UNDERFLOW, solve_rk54
+from bracketflow._rk import DOP853, TERM_REACHED_END, TERM_UNDERFLOW, _dense_samples, solve_rk54
 
 RTOL, ATOL = 1e-6, 1e-9
 GRID = np.linspace(0.0, 3.0, 301)
@@ -76,6 +76,75 @@ def test_dense_early_stop_keeps_its_closing_sample():
     inner = res.sample_t[:-1]
     assert inner.tobytes() == GRID[: len(inner)].tobytes() and inner[-1] < seen[-1]
     assert np.max(np.abs(res.sample_y[:, 0] - exact(res.sample_t)) / exact(res.sample_t)) <= 10 * RTOL
+
+
+def _kept_steps(grid, stop_after=None):
+    """A dense run on grid (forward from 0, so s = t) and every step its callback
+    kept: (t, y, dy/dt, k, s, h, y at s), the stages k copied."""
+    steps = []
+
+    def keep(t, y, f, step):
+        _, k, s, h, y_start = step
+        steps.append((t, y.copy(), f.copy(), k.copy(), s, h, y_start))
+        return "stopped" if stop_after is not None and t > stop_after else None
+
+    res = solve_rk54(oscillating, np.array([1.0, 2.0]), grid, RTOL, ATOL, step_callback=keep,
+                     sampling="dense")
+    return res, steps
+
+
+def _grid_with_a_step_end():
+    # Dense steps do not depend on the samples before the last one, so a grid
+    # that adds a step end of the run on GRID takes the same steps.
+    _, steps = _kept_steps(GRID)
+    t_end = next(st[0] for st in steps[len(steps) // 2:] if st[0] not in GRID)
+    return np.sort(np.append(GRID, t_end)), t_end
+
+
+@pytest.mark.parametrize("case", ["inside", "on-step-end", "stopped-between",
+                                  "stopped-on-sample"])
+def test_dense_sample_blocks_are_the_kept_steps(case):
+    # Samples inside a step are one block from its extension, a sample on a step
+    # end is that step's state, and an early stop between samples closes with
+    # one sample at its stopping time (none when the stop lands on a sample).
+    grid, stop_after, on_end = GRID, None, None
+    if case != "inside":
+        grid, on_end = _grid_with_a_step_end()
+    if case == "stopped-between":
+        stop_after = 1.0
+    if case == "stopped-on-sample":
+        stop_after = np.nextafter(on_end, -np.inf)
+    res, steps = _kept_steps(grid, stop_after)
+    m = len(res.sample_t)
+    assert len(res.sample_y) == len(res.sample_f) == m
+    assert all(a.flags.c_contiguous for a in (res.sample_t, res.sample_y, res.sample_f))
+    assert res.sample_y[0].tobytes() == np.array([1.0, 2.0]).tobytes()
+    covered = [0]
+    for t, y, f, k, s, h, y_start in steps:
+        inside = np.flatnonzero((grid > s) & (grid < t))
+        inside = inside[inside < m]
+        if inside.size:
+            y_in, f_in = _dense_samples(k, s, h, y_start, grid[inside])
+            assert res.sample_y[inside].tobytes() == y_in.tobytes()
+            assert res.sample_f[inside].tobytes() == f_in.tobytes()
+        end = np.flatnonzero(res.sample_t == t)
+        if end.size:
+            assert end.size == 1
+            assert res.sample_y[end[0]].tobytes() == y.tobytes()
+            assert res.sample_f[end[0]].tobytes() == f.tobytes()
+        covered += [*inside, *end]
+    assert sorted(covered) == list(range(m))
+    n_inside = max(np.sum((grid > st[4]) & (grid < st[0])) for st in steps)
+    assert n_inside >= 3  # several samples inside one step
+    if case == "on-step-end":
+        assert res.status == TERM_REACHED_END and on_end in res.sample_t
+    if case == "stopped-between":
+        assert res.status == "stopped" and res.sample_t[-1] == steps[-1][0]
+        assert res.sample_t[-1] not in grid and res.sample_t[-2] < res.sample_t[-1]
+        assert res.sample_t[:-1].tobytes() == grid[: m - 1].tobytes()
+    if case == "stopped-on-sample":
+        assert res.status == "stopped" and res.sample_t[-1] == on_end == steps[-1][0]
+        assert res.sample_t.tobytes() == grid[:m].tobytes()
 
 
 def test_unknown_sampling_is_rejected():
