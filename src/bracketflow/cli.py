@@ -7,9 +7,10 @@ so identical configurations produce byte-identical files.  Exit codes:
 0 success, 1 identity audit failed (check), 2 invalid point, 3 malformed
 input (also check or equiv on a family with no tensor realization, sweep
 under ricci-norm, and flow or check under ricci-norm on a backward span), 4
-validity drift, 5 equivalence failure, 6 normalization undefined.
-An equiv run whose flows or gauges stop short of the span (as past a blowup)
-reports "partial": true over the prefix they covered.  --threshold reads
+validity drift, 5 equivalence failure, 6 normalization undefined; 4 and 6
+are read from the termination of a flow or check run (_FAILURES).  An equiv
+run whose flows or gauges stop short of the span (as past a blowup or a
+drift) reports "partial": true over the prefix they covered.  --threshold reads
 its absolute deviations, so a partial report whose prefix ends next to a
 blowup, where |mu| is large, can exit 5 on scale alone; equiv.json's per_side
 also records each side's deviations relative to |mu(t)| and |P(t)|.
@@ -34,12 +35,7 @@ from .core import (
     validate_point,
 )
 from .curvature import _pieces, curvature_report
-from .flow import (
-    EventConfig,
-    Normalization,
-    NormalizationError,
-    ValidityDriftError,
-)
+from .flow import EventConfig, Normalization, NormalizationError
 
 _STRATEGIES = {
     "none": flow.UNNORMALIZED,
@@ -55,6 +51,10 @@ EXIT_MALFORMED = 3
 EXIT_DRIFT = 4
 EXIT_EQUIV_FAIL = 5
 EXIT_NORMALIZATION = 6
+
+# A run that ends in one of these terminations failed: its stderr label and exit code.
+_FAILURES = {flow.TERM_DRIFT: ("validity drift", EXIT_DRIFT),
+             flow.TERM_UNDEFINED: ("normalization undefined", EXIT_NORMALIZATION)}
 
 
 def fmt17(x: float) -> str:
@@ -270,26 +270,15 @@ def cmd_ricci(cfg: dict) -> int:
     src = _resolve_source(cfg)
     if src.point is not None:
         if not src.point.valid:
-            report = {
-                "valid": False,
-                "validation": src.point.report.as_dict(),
-                "h2_status": src.point.h2_status,
-            }
+            report = {"valid": False, "validation": src.point.report.as_dict(),
+                      "h2_status": src.point.h2_status}
             _dump_json(report, _outpath(cfg, "ricci.json"), sys.stdout)
             return EXIT_INVALID_POINT
-        rep = curvature_report(src.point)
-        doc = rep.as_dict()
-        doc.update(
-            {
-                "valid": True,
-                "validation": src.point.report.as_dict(),
-                "h2_status": src.point.h2_status,
-                "source": src.label,
-            }
-        )
+        doc = curvature_report(src.point).as_dict()
+        doc.update({"valid": True, "validation": src.point.report.as_dict(),
+                    "h2_status": src.point.h2_status, "source": src.label})
     else:
-        rep = src.family.closed_report(src.params)
-        doc = rep.as_dict()
+        doc = src.family.closed_report(src.params).as_dict()
         doc.update({"valid": True, "realization": "closed-form", "source": src.label})
     _dump_json(doc, _outpath(cfg, "ricci.json"), sys.stdout)
     return EXIT_OK
@@ -316,11 +305,20 @@ def _run_flow_from_cfg(cfg: dict, src: Source, min_samples: int = 2):
         if float(t_span[1]) < float(t_span[0]):
             raise MalformedInputError("ricci-norm rescales a forward run: --t-span must increase")
         base = flow.integrate(src.point, flow.UNNORMALIZED, t_span, **opts)
-        return flow.rescale_to_ricci_norm(base, samples=samples)
+        failed = base.termination in _FAILURES  # then the unnormalized run is reported
+        return base if failed else flow.rescale_to_ricci_norm(base, samples=samples)
 
     if src.point is not None:
         return flow.integrate(src.point, strategy, t_span, **opts)
     return flow.integrate_reduced(src.family, src.params, strategy, t_span, **opts)
+
+
+def _failed(traj) -> int | None:
+    """The exit code of a run that failed, its stderr line printed; None otherwise."""
+    label, code = _FAILURES.get(traj.termination, (None, None))
+    if code is not None:
+        print(f"{label}: {traj.notes[0]}", file=sys.stderr)
+    return code
 
 
 def cmd_flow(cfg: dict) -> int:
@@ -330,22 +328,17 @@ def cmd_flow(cfg: dict) -> int:
         return EXIT_INVALID_POINT
     out_csv = _outpath(cfg, "flow.csv") or "flow.csv"
     out_json = _outpath(cfg, "flow.json") or "flow.json"
-    try:
-        traj = _run_flow_from_cfg(cfg, src)
-    except ValidityDriftError as exc:
-        if exc.trajectory is not None:
-            state_cols = write_trajectory_csv(exc.trajectory, out_csv)
-            manifest = _manifest(cfg, src, exc.trajectory, state_cols)
-            manifest["error"] = str(exc)
-            _dump_json(manifest, out_json)
-        raise
+    traj = _run_flow_from_cfg(cfg, src)
     state_cols = write_trajectory_csv(traj, out_csv)
     manifest = _manifest(cfg, src, traj, state_cols)
-    verdict = analysis.classify_limit(traj, **_classify_tols(cfg))
-    manifest["classification"] = verdict.as_dict()
+    code = _failed(traj)
+    if code is None:
+        manifest["classification"] = analysis.classify_limit(traj, **_classify_tols(cfg)).as_dict()
+        print(f"{traj.termination}: {traj.n_samples} samples -> {out_csv}")
+    else:
+        manifest["error"] = traj.notes[0]
     _dump_json(manifest, out_json)
-    print(f"{traj.termination}: {traj.n_samples} samples -> {out_csv}")
-    return EXIT_OK
+    return EXIT_OK if code is None else code
 
 
 def _classify_tols(cfg: dict) -> dict:
@@ -424,7 +417,7 @@ def cmd_sweep(cfg: dict) -> int:
     results = flow.integrate_reduced_batch(fam, points, strategy, tuple(t_span), **opts)
     cells = []
     for params, tangent, result in zip(points.tolist(), tangents.tolist(), results):
-        if isinstance(result, NormalizationError):
+        if result.termination == flow.TERM_UNDEFINED:
             ending, final = ["not-run", "normalization-error"], params
         else:
             verdict = analysis.classify_limit(result, **classify).verdict
@@ -433,14 +426,10 @@ def cmd_sweep(cfg: dict) -> int:
 
     out_csv = _outpath(cfg, "sweep.csv") or "sweep.csv"
     out_json = _outpath(cfg, "sweep.json") or "sweep.json"
-    header = (
-        names
-        + [f"rhs_{n}" for n in names]
-        + ["termination", "verdict"]
-        + [f"final_{n}" for n in names]
-    )
+    header = [*names, *(f"rhs_{n}" for n in names), "termination", "verdict",
+              *(f"final_{n}" for n in names)]
     _write_csv(out_csv, header, cells)
-    runs = [r.stats for r in results if not isinstance(r, NormalizationError)]
+    runs = [r.stats for r in results if r.termination != flow.TERM_UNDEFINED]
     manifest = {
         "family": fam.name,
         "context": fam.context(),
@@ -468,6 +457,9 @@ def cmd_check(cfg: dict) -> int:
         print("seed point failed validation", file=sys.stderr)
         return EXIT_INVALID_POINT
     traj = _run_flow_from_cfg(cfg, src, min_samples=3)  # the audit's stencils
+    code = _failed(traj)
+    if code is not None:
+        return code
     audit = analysis.identity_audit(traj)
     tol = _number(cfg, "audit_tol", float, 1e-4)
     doc = audit.as_dict()
@@ -485,13 +477,8 @@ def cmd_equiv(cfg: dict) -> int:
         print("seed point failed validation", file=sys.stderr)
         return EXIT_INVALID_POINT
     rtol, atol = _tolerances(cfg)
-    report = flow.equivalence_report(
-        src.point,
-        _t_span(cfg, (0.0, 0.3)),
-        rtol=rtol,
-        atol=atol,
-        samples=_samples(cfg, 601),
-    )
+    report = flow.equivalence_report(src.point, _t_span(cfg, (0.0, 0.3)), rtol=rtol, atol=atol,
+                                     samples=_samples(cfg, 601))
     threshold = _number(cfg, "threshold", float, 1e-6)
     doc = report.as_dict()
     doc["threshold"] = threshold
@@ -517,11 +504,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--family", choices=sorted(_FAMILY_CHOICES))
     common.add_argument("--params", help="comma-separated family parameters")
     common.add_argument("--seed", help="bracket JSON (inline or a file path)")
-    common.add_argument(
-        "--normalization",
-        choices=sorted(_STRATEGIES),
-        help="normalization strategy (default none)",
-    )
+    common.add_argument("--normalization", choices=sorted(_STRATEGIES),
+                        help="normalization strategy (default none)")
     common.add_argument("--t-span", dest="t_span", help="integration span a:b")
     common.add_argument("--samples", type=int, help="number of stored samples")
     common.add_argument("--blowup-threshold", dest="blowup_threshold", type=float)
@@ -574,9 +558,6 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidPointError as exc:
         print(f"invalid point: {exc}", file=sys.stderr)
         return EXIT_INVALID_POINT
-    except ValidityDriftError as exc:
-        print(f"validity drift: {exc}", file=sys.stderr)
-        return EXIT_DRIFT
     except NormalizationError as exc:
         print(f"normalization undefined: {exc}", file=sys.stderr)
         return EXIT_NORMALIZATION

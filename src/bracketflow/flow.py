@@ -71,7 +71,6 @@ __all__ = [
     "RICCI_NORM",
     "custom_rate",
     "NormalizationError",
-    "ValidityDriftError",
     "EventConfig",
     "IntegrationStats",
     "FlowTrajectory",
@@ -95,8 +94,8 @@ __all__ = [
 
 TERM_BLOWUP = "blowup-detected"
 TERM_CONVERGED = "converged-to-fixed-point"
-_TERM_DRIFT = "validity-drift"
-_TERM_UNDEFINED = "normalization-undefined"
+TERM_DRIFT = "validity-drift"
+TERM_UNDEFINED = "normalization-undefined"
 _METRIC_BLOWUP_NORM = 1e8
 _GAUGE_RTOL, _GAUGE_ATOL = 1e-10, 1e-13
 _SCALING_RTOL, _SCALING_ATOL = 1e-10, 1e-13
@@ -110,14 +109,6 @@ _FLAT_RICCI = "ricci-norm rate undefined at a flat bracket"
 
 class NormalizationError(ValueError):
     """A normalization strategy cannot be applied to the given point."""
-
-
-class ValidityDriftError(RuntimeError):
-    """Membership residuals drifted past the abort threshold during a run."""
-
-    def __init__(self, message: str, trajectory: "FlowTrajectory | None" = None):
-        super().__init__(message)
-        self.trajectory = trajectory
 
 
 @dataclass(frozen=True)
@@ -147,6 +138,8 @@ def custom_rate(fn: Callable[[BracketTensor], float]) -> Normalization:
 def _require_pointwise(strategy: Normalization) -> None:
     if strategy.kind == "ricci-norm":
         raise NormalizationError(_NO_POINTWISE_RATE)
+    if strategy.kind not in ("none", "custom", *_RATES):
+        raise NormalizationError(f"unknown normalization kind {strategy.kind!r}")
 
 
 # The pointwise rates from the curvature scalars (n, R, tr Ric^2, tr Ric M,
@@ -165,9 +158,6 @@ def _rate_from_scalars(strategy: Normalization, *scalars: float) -> float:
     """Rate r from the curvature scalars (n, R, tr Ric^2, tr Ric M, |mu_p|^2)."""
     if strategy.kind == "none":
         return 0.0
-    if strategy.kind not in _RATES:
-        _require_pointwise(strategy)
-        raise NormalizationError(f"unknown normalization kind {strategy.kind!r}")
     rate, divisor, reason = _RATES[strategy.kind]
     if scalars[divisor] == 0.0:
         raise NormalizationError(reason)
@@ -200,7 +190,7 @@ def _bound_rate(strategy: Normalization, tab, q: int, n: int) -> Callable:
             y, -tab.trace_product(a, tab.ricci.polar(y, tab.tangent(a, y))),
             2.0 * tab.trace_product(a, a)),
         "custom": lambda y, a: float(strategy.rate_fn(unpack_state(q, n, y[:m]))),
-    }.get(strategy.kind, lambda y, a: _rate_from_scalars(strategy))  # raises: no rate
+    }[strategy.kind]
 
 
 def _report_rate(
@@ -218,8 +208,8 @@ def _report_rate(
         if np.any(tr_ric2 <= 0):
             raise NormalizationError(_FLAT_RICCI)
         return -np.sum(ric * d0, axis=(-2, -1)) / (2.0 * tr_ric2)
-    if kind not in _RATES:  # r = 0, or the error of a kind with no rate
-        return np.full(len(c), _rate_from_scalars(strategy))
+    if kind == "none":
+        return np.zeros(len(c))
     rate, divisor, reason = _RATES[kind]
     scalars = (n, rep.R, tr_ric2, np.sum(ric * rep.M, axis=(-2, -1)),
                np.sum(c[..., q:, q:, q:] ** 2, axis=(-3, -2, -1)))
@@ -260,9 +250,10 @@ class EventConfig:
 
     blowup_norm triggers on the auxiliary tensor norm; conv_tangent must stay
     below threshold for conv_window consecutive accepted steps (free steps on
-    a tensor run, one per sample on a reduced run) to declare convergence; the
-    run aborts when the Jacobi residual exceeds drift_factor * rtol.  A value out
-    of range raises ValueError (a non-positive blowup_norm or drift_factor would
+    a tensor run, one per sample on a reduced run) to declare convergence; a
+    tensor run ends in 'validity-drift' when the Jacobi residual, quadratic in
+    the bracket, exceeds drift_factor * rtol * max(1, |mu|^2).  A value out of
+    range raises ValueError (a non-positive blowup_norm or drift_factor would
     end every run at its first step).
     """
 
@@ -284,9 +275,9 @@ class EventConfig:
 class IntegrationStats:
     """Step and rhs-evaluation counts; after a blowup, the blowup time T on the run's
     own time axis and |T - t| |Ric| at the closing sample t, bounded at type I.
-    trigger_value is the value that ended a tensor run on an event: the aux norm
-    past the blowup norm, the last tangent norm of the convergence window, or
-    the Jacobi residual past the drift bound."""
+    trigger_value is the value that ended a tensor or metric run on an event: the
+    aux norm (|P|) past the blowup norm, the last tangent norm of the convergence
+    window, or the Jacobi (isotropy) residual past the drift bound."""
 
     n_steps: int
     n_rejected: int
@@ -382,12 +373,11 @@ class ReducedFlowSystem:
         if kind == "none":
             return np.zeros(cores.shape[1]), {}
         r, errors = np.full(cores.shape[1], np.nan), {}
-        if kind not in _RATES:  # custom, or the error of a kind with no rate
+        if kind == "custom":
             for j, core in enumerate(cores.T):
                 try:
                     if np.isfinite(core).all():
-                        r[j] = (float(self.strategy.rate_fn(self.family.embed(core)))
-                                if kind == "custom" else _rate_from_scalars(self.strategy))
+                        r[j] = float(self.strategy.rate_fn(self.family.embed(core)))
                 except NormalizationError as exc:
                     errors[j] = exc
             return r, errors
@@ -488,32 +478,41 @@ def _run_flow(
     atol: float,
     events: EventConfig | Callable | None,
     gauge: bool = False,
+    errors: list | None = None,
 ):
     """Solve the flow with its (c, tau) record on t_grid; events=None runs no
     event checks, and a callable in its place is the step callback (t, y,
     dy/dt, step) -> status or None, on the whole state.  With gauge=True the
     state also carries the bracket-side gauge h, h' = -(Ric + r I) h with Ric
     the sym vector the tangent read, and the result is the pair
-    (FlowTrajectory, GaugeRecord) of that one solve."""
+    (FlowTrajectory, GaugeRecord) of that one solve.  A stage whose rate is
+    undefined gets NaN, its NormalizationError goes to errors, and the run ends
+    in 'normalization-undefined' on its next accepted step or step underflow."""
     m, n, full = system.core0.size, system.n, system.tables.full
     y0 = system.state0
     if gauge:
         y0 = np.concatenate([y0, np.eye(n).ravel()])
+    errors = [] if errors is None else errors
 
     def rhs(t, y):
-        f, r, ric = system.tangent(y)
+        try:
+            f, r, ric = system.tangent(y)
+        except NormalizationError as exc:
+            errors.append(exc)
+            return np.full(y.shape, np.nan)
         if not gauge:
             return f
         h = y[m + 2:].reshape(n, n)
         return np.concatenate([f, (-(ric[full] @ h) - r * h).ravel()])
 
     conv_count, trigger = 0, None  # trigger: the value that ends the run, set on its last step
-    drift_message: list[str] = []
+    notes: list[str] = []
 
-    def callback(t, y, f, step):
+    def check_events(t, y, f, step):
         nonlocal conv_count, trigger
         core = y[:m]
-        size = math.sqrt(system.aux_norm2(core))
+        norm2 = system.aux_norm2(core)
+        size = math.sqrt(norm2)
         if size > events.blowup_norm:
             trigger = size
             return TERM_BLOWUP
@@ -525,21 +524,29 @@ def _run_flow(
                 return TERM_CONVERGED
         else:
             conv_count = 0
-        drift = system.drift(core)
-        if drift > events.drift_factor * rtol:
+        drift = system.drift(core)  # quadratic in the bracket, as |mu|^2 is
+        if drift > events.drift_factor * rtol * max(1.0, norm2):
             trigger = drift
-            drift_message.append(
+            notes.append(
                 f"Jacobi residual {drift:.3e} exceeded "
                 f"{events.drift_factor:g} * rtol at t = {t:.6g}"
             )
-            return _TERM_DRIFT
+            return TERM_DRIFT
         return None
 
+    step_events = check_events if isinstance(events, EventConfig) else events
+
+    def callback(t, y, f, step):  # after a rate error, the next accepted step ends the run
+        return TERM_UNDEFINED if errors else step_events and step_events(t, y, f, step)
+
     res = solve_rk54(rhs, y0, t_grid, rtol=rtol, atol=atol, sampling="dense",
-                     step_callback=callback if isinstance(events, EventConfig) else events)
-    traj = _trajectory(system, res, drift_message, trigger)
-    if res.status == _TERM_DRIFT:
-        raise ValidityDriftError(drift_message[0], traj)
+                     step_callback=callback)
+    if errors:  # the samples inside a step whose extension met the error are NaN: dropped
+        ok = np.isfinite(res.sample_y).all(axis=1)
+        res = replace(res, status=TERM_UNDEFINED, sample_t=res.sample_t[ok],
+                      sample_y=res.sample_y[ok], sample_f=res.sample_f[ok])
+        notes, trigger = [str(errors[0])], None
+    traj = _trajectory(system, res, notes, trigger)
     return (traj, _gauge_record(res, "bracket", n)) if gauge else traj
 
 
@@ -591,8 +598,9 @@ def integrate(
     Backward runs use a decreasing t_span; the trajectory then carries
     strictly decreasing sample times.  The record (c, tau) starts at (1, 0) at
     t_span[0], so tau = t - t_span[0] unnormalized; the rescalings offset their
-    tau by the source's first time.  A Jacobi drift past the event
-    threshold raises ValidityDriftError carrying the partial trajectory.
+    tau by the source's first time.  A run that fails ends typed, keeping its
+    samples: in 'validity-drift' at a Jacobi drift past the event bound, in
+    'normalization-undefined' at a stage whose rate is undefined (see _run_flow).
     """
     point.require_valid()
     _check_strategy_start(point.bracket, strategy)
@@ -605,12 +613,8 @@ def integrate_reduced(
     t_span: tuple[float, float] = (0.0, 1.0), **options,
 ) -> FlowTrajectory:
     """Integrate the reduced parameter-space flow of a catalog family: the
-    batch of one of integrate_reduced_batch, whose keyword options it takes;
-    raises the exception the run ends with."""
-    (result,) = integrate_reduced_batch(family, [params0], strategy, t_span, **options)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    batch of one of integrate_reduced_batch, whose keyword options it takes."""
+    return integrate_reduced_batch(family, [params0], strategy, t_span, **options)[0]
 
 
 def integrate_reduced_batch(
@@ -627,16 +631,19 @@ def integrate_reduced_batch(
     """Integrate the reduced flow of a catalog family from every row of
     params0s (B, P), all cells stepped together in one solve_rk54_batch.
 
-    Returns per cell its FlowTrajectory, or the NormalizationError of a rate
-    undefined at a stage of its run.  The events run per cell, and
-    each cell's result is bitwise that of the cell integrated alone.  The
-    step callback tests them as arrays over the cells that just accepted a
-    step and returns {index: status} for the cells that end, so a status
-    string is made only for those.
+    Returns per cell its FlowTrajectory; a kind with no pointwise rate raises
+    NormalizationError up front.  A cell whose rate is undefined at a stage
+    ends as a tensor run does, in 'normalization-undefined' with its samples
+    and the error in notes.  The events run per cell, and each cell's result
+    is bitwise that of the cell integrated alone.  The step callback tests
+    them as arrays over the cells that just accepted a step and returns
+    {index: status} for the cells that end, so a status string is made only
+    for those.
     """
+    _require_pointwise(strategy)
     params0s = np.asarray(params0s, dtype=float)
     system = ReducedFlowSystem(family, strategy)
-    errors: dict[int, Exception] = {}
+    errors: dict[int, NormalizationError] = {}
     failed = np.zeros(len(params0s), dtype=bool)  # the cells in errors
 
     def rhs(t, Y, rows):
@@ -657,7 +664,7 @@ def integrate_reduced_batch(
         count = conv_count[rows] = np.where(small, conv_count[rows] + 1, 0)
         converged = count >= events.conv_window
         return {
-            j: _TERM_UNDEFINED if undefined[j] else TERM_BLOWUP if blowup[j] else TERM_CONVERGED
+            j: TERM_UNDEFINED if undefined[j] else TERM_BLOWUP if blowup[j] else TERM_CONVERGED
             for j in (undefined | blowup | converged).nonzero()[0].tolist()
         }
 
@@ -669,8 +676,8 @@ def integrate_reduced_batch(
         atol=atol,
         step_callback=callback,
     )
-    return [errors[g] if g in errors else _trajectory(system, res)
-            for g, res in enumerate(results)]
+    return [_trajectory(system, replace(res, status=TERM_UNDEFINED), [str(errors[g])])
+            if g in errors else _trajectory(system, res) for g, res in enumerate(results)]
 
 
 # ---------------------------------------------------------------------------
@@ -831,14 +838,20 @@ def _run_metric(
         dh = -(y[k:].reshape(n, n) @ (p_inv @ r))
         return np.concatenate([_pack_sym(-2.0 * r), dh.ravel()])
 
+    trigger = None  # the |P| or isotropy residual that ends the run, set on its last step
+
     def callback(t, y, f, step):
+        nonlocal trigger
         p = _unpack_sym(n, y[:k])
-        size = np.linalg.norm(p)
+        size = float(np.linalg.norm(p))
         if size > _METRIC_BLOWUP_NORM:
+            trigger = size
             return TERM_BLOWUP
         # core.compatibility_residual on the operators made once.
-        if iso and max(float(np.linalg.norm(p @ a - a @ p)) for a in iso) > drift_bound * size:
-            return _TERM_DRIFT
+        residual = max((float(np.linalg.norm(p @ a - a @ p)) for a in iso), default=0.0)
+        if residual > drift_bound * size:
+            trigger = residual
+            return TERM_DRIFT
         return None
 
     res = solve_rk54(rhs, y0, t_grid, rtol=rtol, atol=atol, step_callback=callback,
@@ -848,7 +861,7 @@ def _run_metric(
         P=_unpack_sym(n, res.sample_y[:, :k]),
         point0=point0,
         termination=res.status,
-        stats=IntegrationStats(res.n_steps, res.n_rejected, res.nfev),
+        stats=IntegrationStats(res.n_steps, res.n_rejected, res.nfev, trigger_value=trigger),
     )
     return (mtraj, _gauge_record(res, "metric", n)) if gauge else mtraj
 
@@ -937,6 +950,7 @@ def _rescaled(
     pp = tab.rate_w > 0  # the p x p entries: the isotropy rows never rescale
     zero = 1e-9 * max(float(np.sqrt(2.0 * np.sum(system.core0[pp] ** 2))), 1.0)
     steps = []  # the auto horizon's accepted steps (extend, k, s, h, y), with s = t
+    errors = []  # the rate errors of the solve and of the steps' later extensions
 
     def stop(t, y, f, step):
         if t_end is None:
@@ -949,15 +963,16 @@ def _rescaled(
 
     grid = (np.array([0.0, _AUTO_HORIZON]) if t_end is None
             else np.linspace(0.0, float(t_end), samples))
-    run = _run_flow(system, grid, _SCALING_RTOL, _SCALING_ATOL, stop)
+    run = _run_flow(system, grid, _SCALING_RTOL, _SCALING_ATOL, stop, errors=errors)
     status = run.termination
-    if t_end is None:
+    if t_end is None and steps:  # none when the start's derivative is not finite
         # t* is the first root in [0, 1] of tau(x) = tau_end on the last step's
         # extension (tau' = c^2 >= 0, so that step brackets it), or the end of
         # that step when its extension stays short of it.
         extend, k, s, h, y = last = steps[-1]
         nfev = run.stats.nfev + extend(k, s, h, y)
-        roots = np.roots([*((h * k[:, m + 1]) @ DOP853.p)[::-1], y[m + 1] - tau_end])
+        coef = [*((h * k[:, m + 1]) @ DOP853.p)[::-1], y[m + 1] - tau_end]
+        roots = np.roots(coef) if np.isfinite(coef).all() else []  # else a rate error
         xs = [x.real for x in roots if abs(x.imag) <= 1e-9 and 0.0 <= x.real <= 1.0]
         grid = np.linspace(0.0, s + h * min(xs) if status == _TAU_END and xs else s + h,
                            samples)
@@ -970,12 +985,15 @@ def _rescaled(
                     nfev += extend(*st[1:])
                 parts.append(_dense_samples(*st[1:], grid[i:j]))
         ys, fs = np.vstack([p[0] for p in parts]), np.vstack([p[1] for p in parts])
-        run = replace(run, times=grid, states=ys[:, :m], derivs=fs[:, :m], c=ys[:, m],
-                      tau=ys[:, m + 1], stats=replace(run.stats, nfev=nfev))
+        if errors:  # a stage or an extension met a rate error: the solve's samples stay
+            status, run = TERM_UNDEFINED, replace(run, notes=(str(errors[0]),))
+        else:
+            run = replace(run, times=grid, states=ys[:, :m], derivs=fs[:, :m], c=ys[:, m],
+                          tau=ys[:, m + 1], stats=replace(run.stats, nfev=nfev))
     elif status == _TAU_END:
         raise ValueError(f"tau leaves the available source range before t_end={t_end}")
     tau = run.tau + tau0
-    termination, notes = TERM_REACHED_END if status == _TAU_END else status, ()
+    termination, notes = TERM_REACHED_END if status == _TAU_END else status, run.notes
     if status == _ZERO_SCALE:
         termination = TERM_CONVERGED
         notes = ("normalized bracket collapsed to zero while tau stalled at "
@@ -1099,7 +1117,8 @@ def equivalence_report(
     at min(rtol, 1e-10) and min(atol, 1e-13), stepping freely as every tensor
     and metric solve does; each comparison runs on all samples at once.  When
     a pair stops short of the end of t_span, the report is marked partial and
-    compares only the leading samples whose times both pairs share.
+    compares only the leading samples whose times both pairs share, as after a
+    blowup or a validity drift on either side.
     """
     point0.require_valid()
     mu0 = point0.bracket

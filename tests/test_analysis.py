@@ -334,9 +334,10 @@ def test_unnormalized_reduced_audit_reads_no_rate_scalars():
     fam.rate_scalars = lambda params: calls.append(1) or scalars(params)
     identity_audit(integrate_reduced(fam, (1, 2, 0), UNNORMALIZED, (0, 1), samples=101))
     assert calls == []
-    # A ricci-norm cell still ends with the error of a kind with no rate.
-    (result,) = integrate_reduced_batch(fam, [(1, 2, 0)], RICCI_NORM, (0, 1), samples=11)
-    assert isinstance(result, NormalizationError) and "no pointwise rate" in str(result)
+    # A kind with no rate is rejected up front, before any cell runs.
+    with pytest.raises(NormalizationError, match="no pointwise rate"):
+        integrate_reduced_batch(fam, [(1, 2, 0)], RICCI_NORM, (0, 1), samples=11)
+    assert calls == []
 
 
 def test_identity_audit_needs_samples():

@@ -204,12 +204,9 @@ def _alone(cell, strategy, span):
 
 
 def _same(a, b) -> bool:
-    if not isinstance(a, FlowTrajectory):
-        return type(a) is type(b) and str(a) == str(b)
     arrays = ("times", "states", "derivs", "c", "tau")
-    return (isinstance(b, FlowTrajectory)
-            and all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in arrays)
-            and (a.termination, a.stats) == (b.termination, b.stats))
+    return (all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in arrays)
+            and (a.termination, a.stats, a.notes) == (b.termination, b.stats, b.notes))
 
 
 @settings(max_examples=12, deadline=None)
@@ -222,13 +219,15 @@ def test_every_row_is_bitwise_the_cell_solved_alone(cells, strategy, span):
 
 def test_batch_mixes_every_ending():
     ends = {(i, s, d): _alone(i, s, d) for i in range(len(_CELLS)) for s in (0, 1) for d in (0, 1)}
-    kinds = {r.termination if isinstance(r, FlowTrajectory) else type(r).__name__
-             for r in ends.values()}
-    assert kinds == {"blowup-detected", "reached-t-end", "converged-to-fixed-point",
-                     "NormalizationError"}
+    assert all(isinstance(r, FlowTrajectory) for r in ends.values())
+    assert {r.termination for r in ends.values()} == {
+        "blowup-detected", "reached-t-end", "converged-to-fixed-point", "normalization-undefined"}
     assert any(r.stats.n_rejected for (i, _, _), r in ends.items() if i == len(_CELLS) - 1)
-    with pytest.raises(NormalizationError, match="needs R != 0"):
-        integrate_reduced(Berger3(), _CELLS[2], SCALAR_CURVATURE, _SPANS[0])
+    # A cell whose rate is undefined at its start keeps that one sample.
+    traj = integrate_reduced(Berger3(), _CELLS[2], SCALAR_CURVATURE, _SPANS[0])
+    assert (traj.termination, traj.notes) == (
+        "normalization-undefined", ("scalar-curvature normalization needs R != 0",))
+    assert traj.n_samples == 1 and traj.states[0].tolist() == list(_CELLS[2])
 
 
 def test_custom_rate_runs_once_per_row_and_fails_per_row():
@@ -243,7 +242,9 @@ def test_custom_rate_runs_once_per_row_and_fails_per_row():
     strategy = custom_rate(rate)
     cells = [(1.0, 0.5, 0.2), (1.0, -1.0, 0.0), (0.5, 0.3, 0.1)]
     results = integrate_reduced_batch(Berger3(), cells, strategy, (0.0, 0.2), samples=11)
-    assert isinstance(results[1], NormalizationError)
+    assert (results[1].termination, results[1].notes) == ("normalization-undefined",
+                                                          ("no rate for b < 0",))
+    assert results[1].n_samples == 1
     # The failing cell ends at its first evaluation; the others rate each stage.
     assert len(calls) == 1 + sum(r.stats.nfev for r in (results[0], results[2]))
     for cell in (0, 2):

@@ -19,7 +19,6 @@ from bracketflow.flow import (
     UNNORMALIZED,
     VOLUME,
     EventConfig,
-    ValidityDriftError,
     integrate,
     integrate_reduced,
     rescale_to_ricci_norm,
@@ -110,6 +109,66 @@ def test_exit_code_drift(tmp_path, capsys):
     assert code == 4
     manifest = read_json(tmp_path / "flow.json")
     assert "error" in manifest
+
+
+def _rotated_seed() -> str:
+    # unimodular3(1, 2, 3) moved by a rotation: its Jacobi residual is float noise.
+    from scipy.linalg import expm
+
+    from bracketflow.core import bracket_to_json
+    from bracketflow.families import unimodular3
+
+    rot = expm(np.array([[0.0, 0.3, -0.1], [-0.3, 0.0, 0.7], [0.1, -0.7, 0.0]]))
+    return json.dumps(bracket_to_json(act_gl(unimodular3(1, 2, 3).point.bracket,
+                                             np.zeros((0, 0)), rot)))
+
+
+_B120 = ["--family", "berger3", "--params", "1,2,0"]
+
+
+@pytest.mark.parametrize("argv, code, termination", [
+    (["--family", "berger3", "--params", "1,1,0", "--t-span", "0:0.3"], 0, "reached-t-end"),
+    ([*_B120, "--t-span", "0:1"], 0, "blowup-detected"),
+    (["--family", "berger3", "--params", "0.5,1,0", "--normalization", "volume",
+      "--t-span", "0:60"], 0, "converged-to-fixed-point"),
+    ([*_B120, "--t-span", "0:5", "--blowup-threshold", "1e300"], 0, "step-underflow"),
+    (["--seed", _rotated_seed(), "--t-span", "0:1", "--drift-factor", "1e-14"], 4,
+     "validity-drift"),
+    (["--seed", _rotated_seed(), "--t-span", "0:1", "--drift-factor", "1e-14",
+      "--normalization", "ricci-norm"], 4, "validity-drift"),  # the unnormalized run drifts
+    (["--family", "semisimple", "--params", "0,0,3,5", "--normalization", "scalar-curvature"],
+     6, "normalization-undefined"),  # R = 0 at the start of a reduced run
+])
+def test_flow_exit_code_reads_the_termination(tmp_path, capsys, argv, code, termination):
+    # A failed run writes its samples and a manifest with the error and no
+    # classification, prints one stderr line and exits 4 or 6; every other
+    # termination exits 0.
+    assert run(["flow", *argv, "--samples", 21, "--out", tmp_path]) == code
+    manifest = read_json(tmp_path / "flow.json")
+    assert manifest["termination"] == termination
+    rows = (tmp_path / "flow.csv").read_text().splitlines()
+    assert len(rows) == 1 + manifest["run"]["samples"]
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert "error" not in manifest and "classification" in manifest and err == ""
+        assert out.startswith(f"{termination}: ")
+        return
+    assert "classification" not in manifest and manifest["error"] == manifest["run"]["notes"][0]
+    label = {4: "validity drift", 6: "normalization undefined"}[code]
+    assert out == "" and err == f"{label}: {manifest['error']}\n"
+    if code == 6:
+        assert err == "normalization undefined: scalar-curvature normalization needs R != 0\n"
+        assert len(rows) == 2 and rows[1] == "0,1,0,0,0,0,0,0,0,0"
+
+
+def test_check_exit_code_reads_the_termination(tmp_path, capsys):
+    # check maps a failed run as flow does, and audits no partial run.
+    argv = ["check", "--seed", _rotated_seed(), "--t-span", "0:0.2", "--out", tmp_path]
+    assert run(argv + ["--drift-factor", "1e-14"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("validity drift: Jacobi residual ")
+    assert not (tmp_path / "check.json").exists()
+    assert run(argv) == 0 and read_json(tmp_path / "check.json")["passed"]
 
 
 def test_default_tolerances_are_the_library_defaults(tmp_path, capsys):
@@ -591,11 +650,9 @@ def test_csv_diagnostics_are_the_per_row_ones_on_tensor_runs(tmp_path, strategy,
 def test_csv_diagnostics_are_the_per_row_ones_on_rescaled_and_partial_runs(tmp_path):
     base = integrate(solvable_point(1.0, 0.6), UNNORMALIZED, (0.0, 0.5), samples=41)
     _assert_csv_is_per_row(rescale_to_ricci_norm(base, samples=31), tmp_path / "rn.csv")
-    with pytest.raises(ValidityDriftError) as info:  # a drift factor below float noise
-        integrate(_moved_berger(), UNNORMALIZED, (0.0, 1.0), samples=41,
-                  events=EventConfig(drift_factor=1e-14))
-    partial = info.value.trajectory
-    assert partial.n_samples < 41
+    partial = integrate(_moved_berger(), UNNORMALIZED, (0.0, 1.0), samples=41,
+                        events=EventConfig(drift_factor=1e-14))  # below float noise
+    assert partial.termination == "validity-drift" and partial.n_samples < 41
     _assert_csv_is_per_row(partial, tmp_path / "drift.csv")
 
 

@@ -15,6 +15,7 @@ from bracketflow.core import (
     CompatibilityError,
     InvalidPointError,
     act_gl,
+    compatibility_residual,
     component_norms,
     jacobi_residual,
     pack_state,
@@ -40,9 +41,9 @@ from bracketflow.flow import (
     VOLUME,
     EventConfig,
     MetricState,
+    Normalization,
     NormalizationError,
     TensorFlowSystem,
-    ValidityDriftError,
     _metric_ricci_form,
     _pack_sym,
     _run_flow,
@@ -110,6 +111,13 @@ def test_normalization_rate_errors():
         normalization_rate(flat.point, RICCI_NORM)
     with pytest.raises(NormalizationError):
         integrate(unimodular3(1, 0, 0).point, RICCI_NORM, (0, 1))
+    # A kind with no rate at all is refused at the boundary of every run.
+    bogus = Normalization("bogus")
+    for start in (lambda: integrate(flat.point, bogus),
+                  lambda: normalization_rate(flat.point, bogus),
+                  lambda: integrate_reduced(Berger3(), (1, 2, 0), bogus)):
+        with pytest.raises(NormalizationError, match="^unknown normalization kind 'bogus'$"):
+            start()
 
 
 def test_normalized_rhs_fixed_points():
@@ -201,6 +209,80 @@ def test_non_finite_trial_stage_ends_typed():
     assert np.abs(traj.states[-1]).max() <= 3.0
 
 
+def test_a_rescaling_whose_start_rate_is_nan_ends_typed():
+    # No step is accepted, so the auto horizon has no step to sample from:
+    # the run keeps its start.
+    base = integrate(unimodular3(1, 2, 3).point, UNNORMALIZED, (0.0, 0.3), samples=41)
+    traj = reparametrize(base, custom_rate(lambda mu: np.nan), samples=41)
+    assert (traj.termination, traj.n_samples, traj.stats.n_steps) == ("step-underflow", 1, 0)
+
+
+def _rate_failing_after(calls, until=math.inf):
+    """The custom rate 0.1, whose rate_fn raises on its calls calls + 1 to until."""
+    count = []
+
+    def rate(mu):
+        count.append(1)
+        if calls < len(count) <= until:
+            raise NormalizationError("rate undefined past its call budget")
+        return 0.1
+
+    return custom_rate(rate)
+
+
+def test_a_rate_failing_mid_run_ends_typed_with_its_samples():
+    # From its 51st call the rate raises: every stage it reaches gets NaN, so
+    # each step is rejected until the steps underflow.  The run keeps the
+    # samples of the steps accepted before, bitwise those of the same run
+    # under a rate that never fails, and closes on its last accepted state.
+    point = unimodular3(1, 2, 3).point
+    traj = integrate(point, _rate_failing_after(50), (0.0, 1.0))
+    assert traj.termination == "normalization-undefined"
+    assert traj.notes == ("rate undefined past its call budget",)
+    assert traj.stats.trigger_value is None and traj.stats.n_rejected > 0
+    whole = integrate(point, custom_rate(lambda mu: 0.1), (0.0, 1.0))
+    k = traj.n_samples - 1
+    assert k >= 5 and np.isfinite(traj.states).all() and np.isfinite(traj.derivs).all()
+    for field in ("times", "states", "derivs", "c", "tau"):
+        assert getattr(traj, field)[:k].tobytes() == getattr(whole, field)[:k].tobytes()
+    assert whole.times[k - 1] < traj.times[k] < whole.times[k]
+    # Raising on its 51st call only, the rate rejects one step, and the run
+    # ends on the next step it accepts.
+    once = integrate(point, _rate_failing_after(50, 51), (0.0, 1.0))
+    assert once.termination == "normalization-undefined" and once.stats.n_rejected == 1
+    assert once.times[-1] > traj.times[-1] and once.times[-1] < 0.1
+    assert once.states[:k].tobytes() == whole.states[:k].tobytes()
+
+
+@pytest.mark.parametrize("calls", [0, 1, 26, 41, 50])  # 26, 41: an extension stage fails
+def test_every_tensor_solve_ends_a_failing_rate_typed(calls):
+    # The rescalings solve the same flow, so they end the same way; a sample
+    # inside a step whose continuous extension met the error is dropped.
+    point = unimodular3(1, 2, 3).point
+    base = integrate(point, UNNORMALIZED, (0.0, 0.3), samples=41)
+    for traj in (integrate(point, _rate_failing_after(calls), (0.0, 1.0)),
+                 reparametrize(base, _rate_failing_after(calls), t_end=0.2, samples=41),
+                 reparametrize(base, _rate_failing_after(calls), samples=41)):
+        assert traj.termination == "normalization-undefined"
+        assert traj.notes == ("rate undefined past its call budget",)
+        assert np.isfinite(traj.states).all() and np.all(np.diff(traj.times) > 0)
+        assert traj.times[0] == 0.0 and traj.tau[0] == base.times[0]
+
+
+def test_a_rate_failing_in_the_rescalings_later_extensions_ends_typed():
+    # Without t_end, the rescaling extends its kept steps after its solve.
+    # Budgets from the solve's last steps through those extensions (one call
+    # in every three): a rate error in an extension ends the run typed with
+    # the samples of its solve, the start and its closing state.
+    base = integrate(unimodular3(1, 2, 3).point, UNNORMALIZED, (0.0, 0.3), samples=41)
+    whole = reparametrize(base, custom_rate(lambda mu: 0.1), samples=41)
+    for calls in range(whole.stats.nfev - 72, whole.stats.nfev, 3):
+        traj = reparametrize(base, _rate_failing_after(calls), samples=41)
+        assert traj.termination == "normalization-undefined", calls
+        assert traj.n_samples == 2 and traj.times[0] == 0.0 and np.isfinite(traj.states).all()
+        assert 0.28 < traj.times[-1] < 0.3  # t* = 0.2913 on the whole run
+
+
 def test_integrate_zero_collapse_seed():
     traj = integrate(berger3(0, -1, 0).point, UNNORMALIZED, (0.0, 50.0), samples=80)
     assert traj.termination == "reached-t-end"
@@ -243,11 +325,26 @@ def test_validity_drift_aborts():
         BracketTensor.from_entries(0, 3, [[0, 1, 2, 1.0], [0, 2, 0, 1.0]])
     )
     system = TensorFlowSystem(bad.bracket, UNNORMALIZED)
-    with pytest.raises(ValidityDriftError) as info:
-        _run_flow(system, np.linspace(0.0, 1.0, 20), 1e-9, 1e-12, EventConfig())
-    traj = info.value.trajectory
+    traj = _run_flow(system, np.linspace(0.0, 1.0, 20), 1e-9, 1e-12, EventConfig())
+    assert traj.termination == "validity-drift" and traj.notes[0].startswith("Jacobi residual")
     assert traj.stats.trigger_value == system.drift(traj.states[-1]) > 1e3 * 1e-9
     assert traj.describe()["trigger_value"] == traj.stats.trigger_value
+
+
+def test_a_rotated_run_keeps_the_verdict_of_the_unrotated_one():
+    # The Jacobi residual is quadratic in the bracket, and its bound scales
+    # with |mu|^2: rotated, this run's rounding reads 1.1e-6 at |mu| = 6.9e5
+    # near its blowup, which a bound of drift_factor * rtol alone took for drift.
+    from scipy.linalg import expm
+
+    rot = expm(np.array([[0.0, 0.3, -0.1], [-0.3, 0.0, 0.7], [0.1, -0.7, 0.0]]))
+    point = unimodular3(1, 2, 3).point
+    moved = validate_point(act_gl(point.bracket, np.zeros((0, 0)), rot))
+    runs = [integrate(p, UNNORMALIZED, (0.0, 0.5)) for p in (point, moved)]
+    assert [r.termination for r in runs] == ["blowup-detected"] * 2
+    assert runs[1].times[-1] == pytest.approx(runs[0].times[-1], rel=1e-9)
+    assert runs[1].stats.blowup_time_estimate == pytest.approx(
+        runs[0].stats.blowup_time_estimate, rel=1e-9)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -1001,6 +1098,17 @@ def test_metric_flow_ends_typed_before_a_degenerate_metric():
     assert all(np.linalg.eigvalsh(p).min() > 0 for p in traj.P)
     for p in traj.P:
         metric_rhs(MetricState(p), point)  # raises CompatibilityError past its tolerance
+
+
+def test_metric_flow_records_the_value_that_ended_it():
+    # The isotropy residual past drift_factor * rtol * |P| ends this collapse.
+    point = berger3(0.5, 1, 0).point
+    traj = integrate_metric(point, (0.0, 1.0))
+    assert traj.termination == "validity-drift"
+    assert traj.times[-1] == pytest.approx(0.69008, abs=1e-5)
+    residual = compatibility_residual(point.bracket, traj.P[-1])
+    assert traj.stats.trigger_value == residual > 1e3 * 1e-9 * np.linalg.norm(traj.P[-1])
+    assert integrate_metric(point, (0.0, 0.3)).stats.trigger_value is None  # reached the end
 
 
 @pytest.mark.parametrize("strategy", [VOLUME, SCALAR_CURVATURE, BRACKET_NORM])
