@@ -101,8 +101,6 @@ def _resolve_source(cfg: dict) -> Source:
     if (fam_name is None) == (seed is None):
         raise MalformedInputError("exactly one of --family/--seed is required")
     if seed is not None:
-        if cfg.get("seed_format", "json") != "json":
-            raise MalformedInputError("only --seed-format json is supported")
         text = seed
         if not seed.lstrip().startswith("{"):
             try:
@@ -321,10 +319,21 @@ def _failed(traj) -> int | None:
     return code
 
 
-def cmd_flow(cfg: dict) -> int:
+def _valid_source(cfg: dict, command: str | None = None) -> Source | None:
+    """cfg's source, or None (its stderr line printed) when its seed point
+    failed validation.  A named command needs a tensor realization, checked first."""
     src = _resolve_source(cfg)
+    if command is not None and src.point is None:
+        raise MalformedInputError(f"{command} needs a seed with a tensor realization")
     if src.point is not None and not src.point.valid:
         print("seed point failed validation", file=sys.stderr)
+        return None
+    return src
+
+
+def cmd_flow(cfg: dict) -> int:
+    src = _valid_source(cfg)
+    if src is None:
         return EXIT_INVALID_POINT
     out_csv = _outpath(cfg, "flow.csv") or "flow.csv"
     out_json = _outpath(cfg, "flow.json") or "flow.json"
@@ -450,11 +459,8 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_check(cfg: dict) -> int:
-    src = _resolve_source(cfg)
-    if src.point is None:
-        raise MalformedInputError("check needs a seed with a tensor realization")
-    if not src.point.valid:
-        print("seed point failed validation", file=sys.stderr)
+    src = _valid_source(cfg, "check")
+    if src is None:
         return EXIT_INVALID_POINT
     traj = _run_flow_from_cfg(cfg, src, min_samples=3)  # the audit's stencils
     code = _failed(traj)
@@ -470,11 +476,8 @@ def cmd_check(cfg: dict) -> int:
 
 
 def cmd_equiv(cfg: dict) -> int:
-    src = _resolve_source(cfg)
-    if src.point is None:
-        raise MalformedInputError("equiv needs a seed with a tensor realization")
-    if not src.point.valid:
-        print("seed point failed validation", file=sys.stderr)
+    src = _valid_source(cfg, "equiv")
+    if src is None:
         return EXIT_INVALID_POINT
     rtol, atol = _tolerances(cfg)
     report = flow.equivalence_report(src.point, _t_span(cfg, (0.0, 0.3)), rtol=rtol, atol=atol,
@@ -500,7 +503,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, dest="tol", help="relative integrator tolerance")
     common.add_argument("--atol", type=float,
                         help="absolute integrator tolerance (default tol / 1000, so 1e-12)")
-    common.add_argument("--seed-format", dest="seed_format", choices=["json"])
     common.add_argument("--family", choices=sorted(_FAMILY_CHOICES))
     common.add_argument("--params", help="comma-separated family parameters")
     common.add_argument("--seed", help="bracket JSON (inline or a file path)")

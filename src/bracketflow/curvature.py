@@ -77,10 +77,8 @@ def moment_operator(mu_p: np.ndarray) -> np.ndarray:
     return _sym(-0.5 * first + 0.25 * second)
 
 
-def mean_curvature_op(mu_p: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
+def mean_curvature_op(mu_p: np.ndarray, h: np.ndarray) -> np.ndarray:
     """U = S(ad_{mu_p} H): symmetrized left multiplication by H."""
-    if h is None:
-        h = mean_curvature(mu_p)
     return _sym(_ad(h, mu_p))
 
 

@@ -22,10 +22,10 @@ sampled solve, _rk.solve_rk54, and read its RKResult directly; each steps
 DOP853 freely at half the caller's tolerances and fills its samples from the
 pair's 7th-degree extension.  Both check their invariants after each step:
 the Jacobi identity on the bracket side, the isotropy invariance of P on the
-metric side.  The rescalings of an unnormalized run
-(reparametrize, rescale_to_ricci_norm) are normalized bracket flows solved
-from the run's first bracket, whose (c, tau) record is c(t) . mu(tau(t)); no
-source sample is interpolated; without an end time, their one solve keeps its
+metric side.  The rescaling of an unnormalized run (reparametrize, which
+rescale_to_ricci_norm calls with RICCI_NORM) is a normalized bracket flow
+solved from the run's first bracket, whose (c, tau) record is
+c(t) . mu(tau(t)); no source sample is interpolated; its one solve keeps its
 steps, ends where tau meets the source end and fills the samples from them.
 The reduced-family flow instead steps a whole batch of cells (a sweep grid,
 or one cell for integrate_reduced) by DOP853 in one _rk.solve_rk54_batch,
@@ -97,8 +97,7 @@ TERM_CONVERGED = "converged-to-fixed-point"
 TERM_DRIFT = "validity-drift"
 TERM_UNDEFINED = "normalization-undefined"
 _METRIC_BLOWUP_NORM = 1e8
-_GAUGE_RTOL, _GAUGE_ATOL = 1e-10, 1e-13
-_SCALING_RTOL, _SCALING_ATOL = 1e-10, 1e-13
+_FINE_RTOL, _FINE_ATOL = 1e-10, 1e-13  # the gauges, the equivalence pairs, the rescalings
 
 _NO_POINTWISE_RATE = (
     "ricci-norm has no pointwise rate; integrate unnormalized and "
@@ -525,11 +524,12 @@ def _run_flow(
         else:
             conv_count = 0
         drift = system.drift(core)  # quadratic in the bracket, as |mu|^2 is
-        if drift > events.drift_factor * rtol * max(1.0, norm2):
+        bound = events.drift_factor * rtol * max(1.0, norm2)
+        if drift > bound:
             trigger = drift
             notes.append(
-                f"Jacobi residual {drift:.3e} exceeded "
-                f"{events.drift_factor:g} * rtol at t = {t:.6g}"
+                f"Jacobi residual {drift:.3e} exceeded {bound:.3e} = "
+                f"{events.drift_factor:g} * rtol * max(1, |mu|^2) at t = {t:.6g}"
             )
             return TERM_DRIFT
         return None
@@ -822,7 +822,6 @@ def _run_metric(
     n = mu0.n
     k = n * (n + 1) // 2  # the packed P ahead of the gauge
     form = _metric_ricci_form(mu0)
-    iso = [mu0.ad_iso_p(z) for z in range(mu0.q)]  # made once: none at q = 0
     drift_bound = EventConfig().drift_factor * rtol
     y0 = _pack_sym(np.eye(n))
     if gauge:
@@ -847,8 +846,7 @@ def _run_metric(
         if size > _METRIC_BLOWUP_NORM:
             trigger = size
             return TERM_BLOWUP
-        # core.compatibility_residual on the operators made once.
-        residual = max((float(np.linalg.norm(p @ a - a @ p)) for a in iso), default=0.0)
+        residual = _core.compatibility_residual(mu0, p)
         if residual > drift_bound * size:
             trigger = residual
             return TERM_DRIFT
@@ -910,9 +908,9 @@ def integrate_gauge(traj, side: str = "bracket") -> GaugeRecord:
     """
     if side == "bracket":
         system = TensorFlowSystem(traj.bracket_at(0), traj.strategy)
-        return _run_flow(system, traj.times, _GAUGE_RTOL, _GAUGE_ATOL, None, gauge=True)[1]
+        return _run_flow(system, traj.times, _FINE_RTOL, _FINE_ATOL, None, gauge=True)[1]
     if side == "metric":
-        return _run_metric(traj.point0, traj.times, _GAUGE_RTOL, _GAUGE_ATOL, gauge=True)[1]
+        return _run_metric(traj.point0, traj.times, _FINE_RTOL, _FINE_ATOL, gauge=True)[1]
     raise ValueError("side must be 'bracket' or 'metric'")
 
 
@@ -924,48 +922,59 @@ _AUTO_HORIZON = 100.0
 _TAU_END, _ZERO_SCALE = "tau-exhausted", "zero-scale"
 
 
-def _rescaled(
-    traj: FlowTrajectory, strategy: Normalization, t_end: float | None, samples: int
+def reparametrize(
+    traj: FlowTrajectory,
+    strategy: Normalization,
+    *,
+    samples: int = 200,
 ) -> FlowTrajectory:
-    """The normalized run c(t) . mu(tau(t)) of an unnormalized forward tensor
-    run: the r-normalized flow solved from traj's first bracket, whose (c, tau)
-    record reads the source time tau, until tau reaches the source end."""
+    """Build the normalized solution c(t) . mu(tau(t)) from an unnormalized run.
+
+    Solves the r-normalized flow (RICCI_NORM included) from the run's first
+    bracket, with its scaling record c' = r c, tau' = c^2 (tau counted in the
+    source's time), until tau reaches the end of the source (up to t = 100), in
+    one solve that ends once tau is within its own error of the source end.  Its
+    last step's 7th-degree extension gives t*, the root of tau(t) = tau_end (or
+    that step's end), and the extensions of the steps it keeps give the samples
+    on [0, t*].  Termination: 'reached-t-end'; 'converged-to-fixed-point' when
+    the normalized bracket collapses to zero (tau stalling short of the source
+    end while the scaling dies, reported in the notes); 'normalization-undefined'
+    at a stage whose rate is undefined; or 'step-underflow' as the steps underflow.
+    """
+    if strategy.kind != "ricci-norm":
+        _require_pointwise(strategy)
     if traj.strategy.kind != "none":
         raise ValueError("reparametrization expects an unnormalized source trajectory")
     if traj.is_backward:
         raise ValueError("reparametrization expects a forward source trajectory")
     if not isinstance(traj.system, TensorFlowSystem):
         raise ValueError("reparametrization expects a bracket-flow source trajectory")
-    if t_end is not None and not t_end > 0:
-        raise ValueError("reparametrization needs t_end > 0")
     system = TensorFlowSystem(traj.bracket_at(0), strategy)
     tab, m = system.tables, system.core0.size
     if strategy.kind == "ricci-norm" and tab.ricci_norm2(system.core0) < 1e-24:
         raise NormalizationError("ricci-norm rescaling needs a nonflat start")
     tau0, tau_max = float(traj.times[0]), float(traj.times[-1])
     tau_end = tau_max - tau0
-    # The auto horizon ends once tau is within the solve's own error of the
-    # source end, which tau may approach only asymptotically.
-    tau_stop = tau_end - (0.0 if t_end is not None else _SCALING_ATOL + _SCALING_RTOL * tau_end)
+    # The solve ends once tau is within its own error of the source end,
+    # which tau may approach only asymptotically.
+    tau_stop = tau_end - (_FINE_ATOL + _FINE_RTOL * tau_end)
     pp = tab.rate_w > 0  # the p x p entries: the isotropy rows never rescale
     zero = 1e-9 * max(float(np.sqrt(2.0 * np.sum(system.core0[pp] ** 2))), 1.0)
-    steps = []  # the auto horizon's accepted steps (extend, k, s, h, y), with s = t
+    steps = []  # the accepted steps (extend, k, s, h, y), with s = t
     errors = []  # the rate errors of the solve and of the steps' later extensions
 
     def stop(t, y, f, step):
-        if t_end is None:
-            steps.append((step[0], step[1].copy(), *step[2:]))
+        steps.append((step[0], step[1].copy(), *step[2:]))
         if y[m + 1] >= tau_stop:
             return _TAU_END
         if np.sqrt(2.0 * np.sum(y[:m][pp] ** 2)) < zero:
             return _ZERO_SCALE
         return None
 
-    grid = (np.array([0.0, _AUTO_HORIZON]) if t_end is None
-            else np.linspace(0.0, float(t_end), samples))
-    run = _run_flow(system, grid, _SCALING_RTOL, _SCALING_ATOL, stop, errors=errors)
+    run = _run_flow(system, np.array([0.0, _AUTO_HORIZON]), _FINE_RTOL, _FINE_ATOL, stop,
+                    errors=errors)
     status = run.termination
-    if t_end is None and steps:  # none when the start's derivative is not finite
+    if steps:  # none when the start's derivative is not finite
         # t* is the first root in [0, 1] of tau(x) = tau_end on the last step's
         # extension (tau' = c^2 >= 0, so that step brackets it), or the end of
         # that step when its extension stays short of it.
@@ -990,8 +999,6 @@ def _rescaled(
         else:
             run = replace(run, times=grid, states=ys[:, :m], derivs=fs[:, :m], c=ys[:, m],
                           tau=ys[:, m + 1], stats=replace(run.stats, nfev=nfev))
-    elif status == _TAU_END:
-        raise ValueError(f"tau leaves the available source range before t_end={t_end}")
     tau = run.tau + tau0
     termination, notes = TERM_REACHED_END if status == _TAU_END else status, run.notes
     if status == _ZERO_SCALE:
@@ -1001,45 +1008,15 @@ def _rescaled(
     return replace(run, tau=tau, termination=termination, notes=notes)
 
 
-def reparametrize(
-    traj: FlowTrajectory,
-    strategy: Normalization,
-    *,
-    t_end: float | None = None,
-    samples: int = 200,
-) -> FlowTrajectory:
-    """Build the normalized solution c(t) . mu(tau(t)) from an unnormalized run.
-
-    Solves the r-normalized flow from the run's first bracket, with its
-    scaling record c' = r c, tau' = c^2 (tau counted in the source's time),
-    over [0, t_end] or, with t_end=None, until tau reaches the end of the
-    source (up to t = 100), in one solve that ends once tau is within its own
-    error of the source end.  Its last step's 7th-degree extension gives t*,
-    the root of tau(t) = tau_end (or that step's end), and the extensions of
-    the steps it keeps give the samples on [0, t*].  With an explicit t_end,
-    tau passing the source end raises.  Termination: 'reached-t-end';
-    'converged-to-fixed-point' when the normalized bracket collapses to zero
-    (tau stalling short of the source end while the scaling dies, reported in
-    the notes); or 'step-underflow' when the steps underflow first.
-    """
-    _require_pointwise(strategy)
-    return _rescaled(traj, strategy, t_end, samples)
-
-
 def rescale_to_ricci_norm(
     traj: FlowTrajectory,
     *,
     samples: int = 200,
 ) -> FlowTrajectory:
-    """Reparametrize an unnormalized run so tr(Ric^2) stays constant.
-
-    The scaling is c = (tr Ric_0^2 / tr Ric(mu(tau))^2)^(1/4): the run solves
-    the flow at the ricci-norm rate from the source's first bracket in one
-    solve, as reparametrize does with t_end=None, up to the source end.
-    Raises on a flat start.  The termination is 'reached-t-end', or
-    'step-underflow' as in reparametrize.
-    """
-    return _rescaled(traj, RICCI_NORM, None, samples)
+    """Reparametrize an unnormalized run so tr(Ric^2) stays constant: the
+    scaling is c = (tr Ric_0^2 / tr Ric(mu(tau))^2)^(1/4).  This is
+    reparametrize(traj, RICCI_NORM), which also raises on a flat start."""
+    return reparametrize(traj, RICCI_NORM, samples=samples)
 
 
 def ricci_norm_rate(mu: BracketTensor) -> float:
@@ -1123,7 +1100,7 @@ def equivalence_report(
     point0.require_valid()
     mu0 = point0.bracket
     grid = np.linspace(float(t_span[0]), float(t_span[1]), samples)
-    rtol, atol = min(rtol, _GAUGE_RTOL), min(atol, _GAUGE_ATOL)
+    rtol, atol = min(rtol, _FINE_RTOL), min(atol, _FINE_ATOL)
     traj, bracket_gauge = _run_flow(TensorFlowSystem(mu0, UNNORMALIZED), grid, rtol, atol,
                                     EventConfig(), gauge=True)
     mtraj, metric_gauge = _run_metric(point0, grid, rtol, atol, gauge=True)

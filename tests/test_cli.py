@@ -90,7 +90,10 @@ def test_exit_code_malformed(capsys):
 def test_exit_code_invalid_point(capsys):
     bad = '{"q": 0, "n": 3, "entries": [[0, 1, 2, 1.0], [0, 2, 0, 1.0]]}'
     assert run(["ricci", "--seed", bad]) == 2
-    assert run(["flow", "--seed", bad, "--t-span", "0:1"]) == 2
+    capsys.readouterr()
+    for command in ("flow", "check", "equiv"):
+        assert run([command, "--seed", bad, "--t-span", "0:1"]) == 2
+        assert capsys.readouterr() == ("", "seed point failed validation\n")
 
 
 def test_exit_code_drift(tmp_path, capsys):

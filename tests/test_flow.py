@@ -261,7 +261,6 @@ def test_every_tensor_solve_ends_a_failing_rate_typed(calls):
     point = unimodular3(1, 2, 3).point
     base = integrate(point, UNNORMALIZED, (0.0, 0.3), samples=41)
     for traj in (integrate(point, _rate_failing_after(calls), (0.0, 1.0)),
-                 reparametrize(base, _rate_failing_after(calls), t_end=0.2, samples=41),
                  reparametrize(base, _rate_failing_after(calls), samples=41)):
         assert traj.termination == "normalization-undefined"
         assert traj.notes == ("rate undefined past its call budget",)
@@ -270,7 +269,7 @@ def test_every_tensor_solve_ends_a_failing_rate_typed(calls):
 
 
 def test_a_rate_failing_in_the_rescalings_later_extensions_ends_typed():
-    # Without t_end, the rescaling extends its kept steps after its solve.
+    # The rescaling extends its kept steps after its solve.
     # Budgets from the solve's last steps through those extensions (one call
     # in every three): a rate error in an extension ends the run typed with
     # the samples of its solve, the start and its closing state.
@@ -331,20 +330,36 @@ def test_validity_drift_aborts():
     assert traj.describe()["trigger_value"] == traj.stats.trigger_value
 
 
+def _rotated(point):
+    """The point moved by a rotation: its Jacobi residual is float noise."""
+    from scipy.linalg import expm
+
+    rot = expm(np.array([[0.0, 0.3, -0.1], [-0.3, 0.0, 0.7], [0.1, -0.7, 0.0]]))
+    return validate_point(act_gl(point.bracket, np.zeros((0, 0)), rot))
+
+
 def test_a_rotated_run_keeps_the_verdict_of_the_unrotated_one():
     # The Jacobi residual is quadratic in the bracket, and its bound scales
     # with |mu|^2: rotated, this run's rounding reads 1.1e-6 at |mu| = 6.9e5
     # near its blowup, which a bound of drift_factor * rtol alone took for drift.
-    from scipy.linalg import expm
-
-    rot = expm(np.array([[0.0, 0.3, -0.1], [-0.3, 0.0, 0.7], [0.1, -0.7, 0.0]]))
     point = unimodular3(1, 2, 3).point
-    moved = validate_point(act_gl(point.bracket, np.zeros((0, 0)), rot))
-    runs = [integrate(p, UNNORMALIZED, (0.0, 0.5)) for p in (point, moved)]
+    runs = [integrate(p, UNNORMALIZED, (0.0, 0.5)) for p in (point, _rotated(point))]
     assert [r.termination for r in runs] == ["blowup-detected"] * 2
     assert runs[1].times[-1] == pytest.approx(runs[0].times[-1], rel=1e-9)
     assert runs[1].stats.blowup_time_estimate == pytest.approx(
         runs[0].stats.blowup_time_estimate, rel=1e-9)
+
+
+def test_the_drift_note_reads_the_bound_it_applied():
+    # The CLI's drift run (test_cli.py::test_exit_code_drift): the note gives
+    # the bound drift_factor * rtol * max(1, |mu|^2) at the closing state.
+    traj = integrate(_rotated(unimodular3(1, 2, 3).point), UNNORMALIZED, (0.0, 1.0),
+                     events=EventConfig(drift_factor=1e-14))
+    assert traj.termination == "validity-drift"
+    bound = 1e-14 * 1e-9 * max(1.0, traj.system.aux_norm2(traj.states[-1]))
+    assert bound > 1e-14 * 1e-9
+    assert traj.notes[0].startswith(
+        f"Jacobi residual {traj.stats.trigger_value:.3e} exceeded {bound:.3e} = ")
 
 
 @pytest.mark.parametrize("field, value", [
@@ -812,12 +827,16 @@ def test_equivalence_report_pairs_samples_by_time():
 
 
 def test_reparametrize_zero_rate_is_identity():
-    base = integrate(unimodular3(1, 2, 3).point, UNNORMALIZED, (0.0, 0.2), samples=201)
-    rep = reparametrize(base, custom_rate(lambda mu: 0.0), t_end=0.15, samples=41)
-    direct = integrate(unimodular3(1, 2, 3).point, UNNORMALIZED, (0.0, 0.15), samples=41,
-                       rtol=1e-10, atol=1e-13)
+    base = integrate(unimodular3(1, 2, 3).point, UNNORMALIZED, (0.0, 0.15), samples=201)
+    rep = reparametrize(base, custom_rate(lambda mu: 0.0), samples=41)
+    assert rep.termination == "reached-t-end" and rep.times[-1] == pytest.approx(0.15, abs=1e-12)
+    direct = integrate(unimodular3(1, 2, 3).point, UNNORMALIZED, (0.0, rep.times[-1]),
+                       samples=41, rtol=1e-10, atol=1e-13)
+    # The rescaling steps past t* and samples its last steps' extensions, where
+    # the direct run clamps onto its end: there the two agree to a few rtol.
     for i in range(rep.n_samples):
-        assert np.abs(rep.states[i] - direct.states[i]).max() <= 1e-12
+        dev = np.abs(rep.states[i] - direct.states[i]).max()
+        assert dev <= 1e-9 * max(1.0, np.abs(direct.states[i]).max())
         assert rep.c[i] == pytest.approx(1.0, abs=1e-12)
         assert rep.tau[i] == pytest.approx(rep.times[i], abs=1e-12)
 
@@ -825,7 +844,8 @@ def test_reparametrize_zero_rate_is_identity():
 def test_reparametrize_einstein_volume_constant():
     cat = unimodular3(1, 1, 1)
     base = integrate(cat.point, UNNORMALIZED, (0.0, 0.9), samples=301)
-    rep = reparametrize(base, VOLUME, t_end=2.0, samples=41)
+    rep = reparametrize(base, VOLUME, samples=41)
+    assert rep.termination == "reached-t-end"
     for i in range(rep.n_samples):
         assert np.abs(rep.bracket_at(i).c - cat.point.bracket.c).max() < 1e-7
 
@@ -833,8 +853,9 @@ def test_reparametrize_einstein_volume_constant():
 def test_reparametrize_matches_direct_normalized_run():
     cat = berger3(0.5, 1, 0)
     base = integrate(cat.point, UNNORMALIZED, (0.0, 5.0), samples=801)
-    rep = reparametrize(base, VOLUME, t_end=1.0, samples=81)
-    direct = integrate(cat.point, VOLUME, (0.0, 1.0), samples=81)
+    rep = reparametrize(base, VOLUME, samples=81)
+    assert rep.termination == "reached-t-end"
+    direct = integrate(cat.point, VOLUME, (0.0, rep.times[-1]), samples=rep.n_samples)
     dev = max(
         np.abs(rep.states[i] - direct.states[i]).max() for i in range(rep.n_samples)
     )
@@ -842,9 +863,6 @@ def test_reparametrize_matches_direct_normalized_run():
 
 
 def test_reparametrize_range_errors():
-    base = integrate(unimodular3(1, 1, 1).point, UNNORMALIZED, (0.0, 0.5), samples=101)
-    with pytest.raises(ValueError):
-        reparametrize(base, VOLUME, t_end=50.0)
     with pytest.raises(ValueError):
         reparametrize(integrate(unimodular3(1, 1, 1).point, VOLUME, (0, 1)), VOLUME)
 
@@ -878,6 +896,24 @@ def test_rescale_to_ricci_norm_rejects_flat():
     base = integrate(unimodular3(1, 1, 0).point, UNNORMALIZED, (0.0, 1.0), samples=41)
     with pytest.raises(NormalizationError):
         rescale_to_ricci_norm(base)
+
+
+@pytest.mark.parametrize("cat, t_span, termination", [
+    (unimodular3(1, 2, 3), (0.0, 1.0), "blowup-detected"),
+    (unimodular3(1, 0, 0), (0.0, 2.0), "reached-t-end"),
+])
+def test_rescale_to_ricci_norm_is_reparametrize_under_ricci_norm(cat, t_span, termination):
+    base = integrate(cat.point, UNNORMALIZED, t_span)
+    assert base.termination == termination
+    for samples in (200, 41):
+        rn = rescale_to_ricci_norm(base, samples=samples)
+        rep = reparametrize(base, RICCI_NORM, samples=samples)
+        assert rn.termination == rep.termination == "reached-t-end"
+        for field in ("times", "states", "derivs", "c", "tau"):
+            assert getattr(rn, field).tobytes() == getattr(rep, field).tobytes()
+        assert rn.stats == rep.stats and rn.notes == rep.notes
+    with pytest.raises(NormalizationError, match="unknown normalization kind"):
+        reparametrize(base, Normalization("ricci"))
 
 
 def test_reduced_flow_matches_full_tensor_flow():
@@ -1128,23 +1164,6 @@ def test_reparametrize_reaches_the_end_of_a_blown_up_source(cat, t_span, strateg
     assert np.all(np.isfinite(rep.states)) and np.all(np.isfinite(rep.c))
     assert rep.tau[-1] == pytest.approx(base.times[-1], abs=1e-9)
     assert rep.times[-1] < 50.0
-
-
-def test_reparametrize_with_t_end_reads_only_the_first_bracket():
-    # The source stops at its blowup near t = 0.69 with only two samples
-    # before it.  Only its first bracket is read, so the run reaches t_end.
-    base = integrate(berger3(0.5, 1, 0).point, UNNORMALIZED, (0.0, 40.0), samples=61)
-    rep = reparametrize(base, VOLUME, t_end=1.0)
-    assert rep.termination == "reached-t-end"
-    assert rep.times[-1] == 1.0
-    assert rep.tau[-1] == pytest.approx(0.5423, abs=1e-4)
-
-
-def test_reparametrize_rejects_nonpositive_t_end():
-    base = integrate(unimodular3(1, 1, 1).point, UNNORMALIZED, (0.0, 0.5), samples=21)
-    for t_end in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            reparametrize(base, VOLUME, t_end=t_end)
 
 
 def test_rescale_to_ricci_norm_reaches_the_end_of_a_blown_up_source():
