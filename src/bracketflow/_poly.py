@@ -7,7 +7,7 @@ cyclic sum of core.jacobi_residual are quadratic too.  tables(q, n) turns
 those index sums into sparse COO tables (output index, two input indices,
 coefficient) once per (q, n), evaluated with np.bincount.  Symmetric
 operators on p travel as their i <= j entries in row-major order ("sym
-vectors"); Tables.full maps one back to an n x n matrix.
+vectors"); Tables.full, which is core._sym_index, maps one back to an n x n matrix.
 The Ricci form's output ends in two slots (0.0) for the rate r and the scale c;
 with them, one call of the tangent table maps a flow state (y, c, tau) to its
 derivative: the r-normalized tangent, c' = r c and tau' = c^2.
@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import _pairs
+from .core import _pairs, _sym_index
 
 
 class _Form:
@@ -76,8 +76,7 @@ class Tables:
         sgn[iu, ju], sgn[ju, iu] = 1.0, -1.0
         # sym-vector positions of (x, y), x, y in p
         su, sv = _pairs(n, 0)
-        full = np.zeros((n, n), dtype=np.intp)
-        full[su, sv] = full[sv, su] = np.arange(len(su))
+        full = _sym_index(n)
 
         ip = np.arange(q, d)
         x, y, i, j = np.ix_(range(n), range(n), range(n), range(n))

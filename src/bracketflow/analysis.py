@@ -345,16 +345,6 @@ class InjectivityBound:
     generic: float
     family_value: float | None = None
 
-    def as_dict(self) -> dict:
-        def enc(x):
-            return "inf" if x is not None and math.isinf(x) else x
-
-        return {
-            "value": enc(self.value),
-            "generic": enc(self.generic),
-            "family_value": enc(self.family_value),
-        }
-
 
 def injectivity_lower_bound(point) -> InjectivityBound:
     """Injectivity-radius lower bound of a validated point.

@@ -115,10 +115,12 @@ def _resolve_source(cfg: dict) -> Source:
     if params is None:
         raise MalformedInputError("--family requires --params")
     params = [float(p) for p in params]
+    if not np.isfinite(params).all():
+        raise MalformedInputError(f"params must be finite, got {params}")
     context = {}
     if fam_name == "semisimple":
-        if len(params) != 4:
-            raise MalformedInputError("semisimple takes params a,b,h,m")
+        if len(params) != 4 or not (params[2].is_integer() and params[3].is_integer()):
+            raise MalformedInputError("semisimple takes params a,b,h,m with integers h and m")
         params, (h_dim, m_dim) = params[:2], params[2:]
         context = {"h_dim": int(h_dim), "m_dim": int(m_dim)}
     try:
@@ -148,20 +150,21 @@ _CLASSIFY_FLAGS = ("flat_tol", "einstein_tol", "soliton_tol", "zero_tol")
 
 
 def _number(cfg: dict, key: str, kind=float, default=None):
-    """cfg[key], or default when unset, as a kind; a value that is not one is malformed."""
+    """cfg[key], or default when unset, as a finite kind; any other value is malformed."""
     value = cfg.get(key, default)
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        number = kind(value)
+        if np.isfinite(number):
+            return number
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise MalformedInputError(f"bad {key} value {value!r}") from exc
+    raise MalformedInputError(f"{key} must be finite, got {value!r}")
 
 
 def _events(cfg: dict) -> EventConfig:
     """cfg's event thresholds, each a finite number of its field's type in EventConfig's range."""
     fields = {field: _number(cfg, flag, type(getattr(EventConfig, field)))
               for flag, field in _EVENT_FLAGS.items() if flag in cfg}
-    if not np.isfinite(list(fields.values())).all():
-        raise MalformedInputError(f"event thresholds must be finite, got {fields}")
     try:
         return EventConfig(**fields)
     except ValueError as exc:
@@ -190,7 +193,7 @@ def _samples(cfg: dict, default: int, minimum: int = 2) -> int:
 def _tolerances(cfg: dict) -> tuple[float, float]:
     rtol = _number(cfg, "tol", float, 1e-9)
     atol = _number(cfg, "atol", float, rtol / 1e3)  # 1e-12 at the default rtol, as in the API
-    if not (0 < rtol < np.inf and 0 < atol < np.inf):
+    if not (rtol > 0 and atol > 0):
         raise MalformedInputError(f"tolerances must be positive and finite, got {rtol!r}, {atol!r}")
     return rtol, atol
 
@@ -247,8 +250,11 @@ def _load_config(path: str | None) -> dict:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """File config first, explicit command-line flags override."""
+    """File config first, explicit command-line flags override; an unknown file key is malformed."""
     cfg = _load_config(args.config)
+    unknown = sorted(set(cfg) - (set(vars(args)) - {"command"}))
+    if unknown:
+        raise MalformedInputError(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
     for key, value in vars(args).items():
         if key in ("config", "command") or value is None:
             continue
@@ -337,12 +343,13 @@ def cmd_flow(cfg: dict) -> int:
         return EXIT_INVALID_POINT
     out_csv = _outpath(cfg, "flow.csv") or "flow.csv"
     out_json = _outpath(cfg, "flow.json") or "flow.json"
+    classify = _classify_tols(cfg)
     traj = _run_flow_from_cfg(cfg, src)
     state_cols = write_trajectory_csv(traj, out_csv)
     manifest = _manifest(cfg, src, traj, state_cols)
     code = _failed(traj)
     if code is None:
-        manifest["classification"] = analysis.classify_limit(traj, **_classify_tols(cfg)).as_dict()
+        manifest["classification"] = analysis.classify_limit(traj, **classify).as_dict()
         print(f"{traj.termination}: {traj.n_samples} samples -> {out_csv}")
     else:
         manifest["error"] = traj.notes[0]
@@ -381,8 +388,10 @@ def _parse_grid(text: str) -> list[tuple[str, float, float, int]]:
             raise MalformedInputError(
                 f"bad --grid component {part!r} (want name=lo:hi:count)"
             ) from exc
-    if len(axes) != 2:
-        raise MalformedInputError("--grid must sweep exactly two parameters")
+        if not (np.isfinite(axes[-1][1:3]).all() and axes[-1][3] >= 1):
+            raise MalformedInputError(f"--grid axis {part!r} needs finite lo, hi and count >= 1")
+    if len(axes) != 2 or axes[0][0] == axes[1][0]:
+        raise MalformedInputError("--grid must sweep exactly two distinct parameters")
     return axes
 
 
@@ -421,17 +430,17 @@ def cmd_sweep(cfg: dict) -> int:
             points.append([values[n] for n in names])
     points = np.array(points).reshape(-1, len(names))
 
-    # One batched tangent and one batched solve for every cell.
-    tangents = flow.ReducedFlowSystem(fam, strategy).tangent(points.T)[0].T
+    # One batched solve for every cell; its first derivative is the cell's start tangent.
     results = flow.integrate_reduced_batch(fam, points, strategy, tuple(t_span), **opts)
     cells = []
-    for params, tangent, result in zip(points.tolist(), tangents.tolist(), results):
+    for params, result in zip(points.tolist(), results):
         if result.termination == flow.TERM_UNDEFINED:
             ending, final = ["not-run", "normalization-error"], params
         else:
             verdict = analysis.classify_limit(result, **classify).verdict
             ending, final = [result.termination, verdict], result.states[-1]
-        cells.append([fmt17(v) for v in (*params, *tangent)] + ending + [fmt17(v) for v in final])
+        cells.append([fmt17(v) for v in (*params, *result.derivs[0])] + ending
+                     + [fmt17(v) for v in final])
 
     out_csv = _outpath(cfg, "sweep.csv") or "sweep.csv"
     out_json = _outpath(cfg, "sweep.json") or "sweep.json"
@@ -462,12 +471,12 @@ def cmd_check(cfg: dict) -> int:
     src = _valid_source(cfg, "check")
     if src is None:
         return EXIT_INVALID_POINT
+    tol = _number(cfg, "audit_tol", float, 1e-4)
     traj = _run_flow_from_cfg(cfg, src, min_samples=3)  # the audit's stencils
     code = _failed(traj)
     if code is not None:
         return code
     audit = analysis.identity_audit(traj)
-    tol = _number(cfg, "audit_tol", float, 1e-4)
     doc = audit.as_dict()
     doc["tolerance"] = tol
     doc["passed"] = audit.passed(tol)
@@ -480,9 +489,9 @@ def cmd_equiv(cfg: dict) -> int:
     if src is None:
         return EXIT_INVALID_POINT
     rtol, atol = _tolerances(cfg)
+    threshold = _number(cfg, "threshold", float, 1e-6)
     report = flow.equivalence_report(src.point, _t_span(cfg, (0.0, 0.3)), rtol=rtol, atol=atol,
                                      samples=_samples(cfg, 601))
-    threshold = _number(cfg, "threshold", float, 1e-6)
     doc = report.as_dict()
     doc["threshold"] = threshold
     ok = report.max_bracket_dev <= threshold and report.max_metric_dev <= threshold

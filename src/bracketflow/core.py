@@ -13,6 +13,10 @@ brackets are only canonicalized and checked for finiteness: ``_canonical``
 builds those of gl_action, act_pi and the family embeddings, ``unpack_state``
 the integrator's packed states and the flow tangent.
 
+Two layouts have their one home here: ``_sym_index``, the i <= j "sym vector" of
+an operator on p (read by _poly and the metric flow), and ``_block_maps``, the maps
+diag(h_q, h_n) on g = k + p (read by act_gl and the equivalence report).
+
 All values are immutable after construction and every operation here is a
 pure function, so everything is safe to share between threads.
 """
@@ -76,6 +80,16 @@ def _pairs(d: int, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
+@lru_cache(maxsize=None)
+def _sym_index(n: int) -> np.ndarray:
+    """Read-only (n, n) index of each entry's slot in the packed upper triangle."""
+    iu, ju = _pairs(n, 0)
+    idx = np.empty((n, n), dtype=np.intp)
+    idx[iu, ju] = idx[ju, iu] = np.arange(iu.size)
+    idx.setflags(write=False)
+    return idx
+
+
 def _packed_names(d: int) -> list[str]:
     """Names c_i_j_k of the packed state entries, in pack_state order."""
     return [f"c_{i}_{j}_{k}" for i, j in zip(*_pairs(d)) for k in range(d)]
@@ -136,13 +150,6 @@ class BracketTensor:
     def ad_iso_p(self, z: int) -> np.ndarray:
         """Matrix on p of ad(Z_z) restricted to p, for 0 <= z < q."""
         return self.c[z, self.q :, self.q :].T
-
-    def allclose(self, other: "BracketTensor", tol: float = 0.0) -> bool:
-        return (
-            self.q == other.q
-            and self.n == other.n
-            and bool(np.all(np.abs(self.c - other.c) <= tol))
-        )
 
     @staticmethod
     def zero(q: int, n: int) -> "BracketTensor":
@@ -403,10 +410,17 @@ def act_gl(
                 "block map incompatible with isotropy "
                 f"(residual {res:.3e} > {COMPATIBILITY_TOL:.3e})"
             )
-    h = np.zeros((mu.dim, mu.dim))
-    h[:q, :q] = h_q
-    h[q:, q:] = h_n
-    return gl_action(mu, h)
+    return gl_action(mu, _block_maps(h_q, h_n))
+
+
+def _block_maps(h_q: np.ndarray, h_n: np.ndarray) -> np.ndarray:
+    """diag(h_q, h_n) for maps h_q (q, q) on k and h_n (n, n) on p, or for each
+    map h_n of a stack (m, n, n)."""
+    q, n = h_q.shape[-1], h_n.shape[-1]
+    out = np.zeros((*h_n.shape[:-2], q + n, q + n))
+    out[..., :q, :q] = h_q
+    out[..., q:, q:] = h_n
+    return out
 
 
 def act_pi(a: np.ndarray, mu: BracketTensor) -> BracketTensor:

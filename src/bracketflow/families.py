@@ -64,9 +64,6 @@ class CatalogPoint:
     family: object
     params: np.ndarray
 
-    def reduced_rhs(self) -> np.ndarray:
-        return self.family.rhs(self.params)
-
 
 class _FamilyBase:
     """Shared machinery: closed forms are provided as diagonals on p."""

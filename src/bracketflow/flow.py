@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -52,9 +51,11 @@ from .core import (
     BracketTensor,
     CompatibilityError,
     HomogeneousPoint,
+    _block_maps,
     _canonical,
     _packed_names,
     _pairs,
+    _sym_index,
     act_gl,
     gl_action_packed,
     pack_state,
@@ -153,14 +154,16 @@ _RATES = {
 }
 
 
-def _rate_from_scalars(strategy: Normalization, *scalars: float) -> float:
-    """Rate r from the curvature scalars (n, R, tr Ric^2, tr Ric M, |mu_p|^2)."""
-    if strategy.kind == "none":
-        return 0.0
+def _rate_from_scalars(strategy: Normalization, *scalars) -> tuple[np.ndarray, dict]:
+    """Rates r from the curvature scalars (n, R, tr Ric^2, tr Ric M, |mu_p|^2), floats of
+    one bracket or arrays of cells, and {flat index: NormalizationError} of the cells whose
+    divisor is 0, their r NaN; the scalars are masked first, so nothing divides by 0."""
     rate, divisor, reason = _RATES[strategy.kind]
-    if scalars[divisor] == 0.0:
-        raise NormalizationError(reason)
-    return rate(*scalars)
+    shape = np.broadcast_shapes(*map(np.shape, scalars))
+    ok = np.broadcast_to(scalars[divisor] != 0.0, shape)
+    r = np.full(shape, np.nan)
+    r[ok] = rate(*(np.broadcast_to(x, shape)[ok] for x in scalars))
+    return r, {j: NormalizationError(reason) for j in np.flatnonzero(~ok).tolist()}
 
 
 def _bound_rate(strategy: Normalization, tab, q: int, n: int) -> Callable:
@@ -185,7 +188,9 @@ def _bound_rate(strategy: Normalization, tab, q: int, n: int) -> Callable:
         "scalar-curvature": lambda y, a: quotient(y, -tab.trace_product(a, a), tab.trace(a)),
         "bracket-norm": lambda y, a: quotient(
             y, 4.0 * tab.trace_product(a, tab.moment(y, y)), tab.mu_p_norm2(y)),
-        "ricci-norm": lambda y, a: quotient(  # r = 0 in a's slot: the unnormalized tangent
+        # tr Ric^2 stays constant: d tr Ric^2 / dt = 2 tr(Ric D0) + 4 r tr Ric^2 = 0,
+        # D0 from the unnormalized tangent (r = 0 in a's slot).
+        "ricci-norm": lambda y, a: quotient(
             y, -tab.trace_product(a, tab.ricci.polar(y, tab.tangent(a, y))),
             2.0 * tab.trace_product(a, a)),
         "custom": lambda y, a: float(strategy.rate_fn(unpack_state(q, n, y[:m]))),
@@ -209,12 +214,12 @@ def _report_rate(
         return -np.sum(ric * d0, axis=(-2, -1)) / (2.0 * tr_ric2)
     if kind == "none":
         return np.zeros(len(c))
-    rate, divisor, reason = _RATES[kind]
     scalars = (n, rep.R, tr_ric2, np.sum(ric * rep.M, axis=(-2, -1)),
                np.sum(c[..., q:, q:, q:] ** 2, axis=(-3, -2, -1)))
-    if not np.all(scalars[divisor]):
-        raise NormalizationError(reason)
-    return rate(*scalars)
+    r, undefined = _rate_from_scalars(strategy, *scalars)
+    if undefined:
+        raise undefined[min(undefined)]
+    return r
 
 
 def normalization_rate(
@@ -290,8 +295,6 @@ class TensorFlowSystem:
     """Flow state = packed i < j structure entries of the full tensor (the core),
     then the scaling pair (c, tau); a gauged run appends its gauge."""
 
-    kind = "bracket"
-
     def __init__(self, mu0: BracketTensor, strategy: Normalization):
         self.q, self.n = mu0.q, mu0.n
         self.strategy = strategy
@@ -338,13 +341,11 @@ class TensorFlowSystem:
         return self.tables.jacobi_residual(core)
 
     def describe(self) -> dict:
-        return {"kind": self.kind, "q": self.q, "n": self.n}
+        return {"kind": "bracket", "q": self.q, "n": self.n}
 
 
 class ReducedFlowSystem:
     """Flow state = parameters of a catalog family (see families module)."""
-
-    kind = "reduced"
 
     def __init__(self, family, strategy: Normalization):
         self.family = family
@@ -371,20 +372,16 @@ class ReducedFlowSystem:
         kind = self.strategy.kind
         if kind == "none":
             return np.zeros(cores.shape[1]), {}
+        if kind != "custom":
+            return _rate_from_scalars(self.strategy, *self.family.rate_scalars(cores))
         r, errors = np.full(cores.shape[1], np.nan), {}
-        if kind == "custom":
-            for j, core in enumerate(cores.T):
-                try:
-                    if np.isfinite(core).all():
-                        r[j] = float(self.strategy.rate_fn(self.family.embed(core)))
-                except NormalizationError as exc:
-                    errors[j] = exc
-            return r, errors
-        scalars = self.family.rate_scalars(cores)
-        rate, divisor, reason = _RATES[kind]
-        ok = np.broadcast_to(scalars[divisor] != 0.0, r.shape)
-        r[ok] = rate(*(x[ok] if np.ndim(x) else x for x in scalars))
-        return r, {j: NormalizationError(reason) for j in np.flatnonzero(~ok).tolist()}
+        for j, core in enumerate(cores.T):
+            try:
+                if np.isfinite(core).all():
+                    r[j] = float(self.strategy.rate_fn(self.family.embed(core)))
+            except NormalizationError as exc:
+                errors[j] = exc
+        return r, errors
 
     def tangent(self, cores: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
         """Tangents (P, B) and rates (B,) at the columns of cores (P, B), with
@@ -396,7 +393,7 @@ class ReducedFlowSystem:
         return base + r * self._weights[:, None] * cores, r, errors
 
     def describe(self) -> dict:
-        return {"kind": self.kind, "family": self.family.name,
+        return {"kind": "reduced", "family": self.family.name,
                 "context": self.family.context()}
 
 
@@ -691,15 +688,6 @@ class MetricState:
     P: np.ndarray
 
 
-def _block_maps(q: int, h: np.ndarray) -> np.ndarray:
-    """diag(I_q, h) for a map h (n, n) on p, or for each map of a stack (m, n, n)."""
-    n = h.shape[-1]
-    out = np.zeros((*h.shape[:-2], q + n, q + n))
-    out[..., :q, :q] = np.eye(q)
-    out[..., q:, q:] = h
-    return out
-
-
 def _metric_ricci_form(mu0: BracketTensor) -> Callable[[np.ndarray], tuple]:
     """P -> (R, P^-1), R the Ricci form of the inner product <P., .> on p
     (Besse, Einstein Manifolds, 7.38, in the basis X_i with Gram matrix P):
@@ -728,12 +716,6 @@ def _metric_ricci_form(mu0: BracketTensor) -> Callable[[np.ndarray], tuple]:
     return form
 
 
-def metric_ricci(p: np.ndarray, mu0: BracketTensor) -> np.ndarray:
-    """Ricci operator P^-1 R of the inner product <P., .> on the fixed space."""
-    r, p_inv = _metric_ricci_form(mu0)(p)
-    return p_inv @ r
-
-
 def metric_rhs(state: MetricState, point0: HomogeneousPoint) -> np.ndarray:
     """Tangent -2 P Ric(<P., .>) = -2 R of the metric-side flow; symmetric."""
     point0.require_valid()
@@ -756,23 +738,9 @@ class MetricTrajectory:
     termination: str
     stats: IntegrationStats
 
-    @property
-    def n(self) -> int:
-        return self.P.shape[1]
-
 
 def _pack_sym(p: np.ndarray) -> np.ndarray:
     return p[_pairs(p.shape[0], 0)]
-
-
-@lru_cache(maxsize=None)
-def _sym_index(n: int) -> np.ndarray:
-    """Read-only (n, n) index of each entry's slot in the packed upper triangle."""
-    iu, ju = _pairs(n, 0)
-    idx = np.empty((n, n), dtype=np.intp)
-    idx[iu, ju] = idx[ju, iu] = np.arange(iu.size)
-    idx.setflags(write=False)
-    return idx
 
 
 def _unpack_sym(n: int, y: np.ndarray) -> np.ndarray:
@@ -936,10 +904,10 @@ def reparametrize(
     one solve that ends once tau is within its own error of the source end.  Its
     last step's 7th-degree extension gives t*, the root of tau(t) = tau_end (or
     that step's end), and the extensions of the steps it keeps give the samples
-    on [0, t*].  Termination: 'reached-t-end'; 'converged-to-fixed-point' when
-    the normalized bracket collapses to zero (tau stalling short of the source
-    end while the scaling dies, reported in the notes); 'normalization-undefined'
-    at a stage whose rate is undefined; or 'step-underflow' as the steps underflow.
+    on [0, t*].  Termination: 'reached-t-end', with a note if t = 100 comes first;
+    'converged-to-fixed-point' when the normalized bracket collapses to zero (tau
+    stalling short of the source end while the scaling dies, noted too);
+    'normalization-undefined' at a stage whose rate is undefined; or 'step-underflow'.
     """
     if strategy.kind != "ricci-norm":
         _require_pointwise(strategy)
@@ -1005,6 +973,9 @@ def reparametrize(
         termination = TERM_CONVERGED
         notes = ("normalized bracket collapsed to zero while tau stalled at "
                  f"{tau[-1]:.6g} < {tau_max:.6g}",)
+    elif status == TERM_REACHED_END:  # the horizon came first
+        notes = (f"tau stopped at {tau[-1]:.6g} < {tau_max:.6g} at the horizon "
+                 f"t = {_AUTO_HORIZON:g}",)
     return replace(run, tau=tau, termination=termination, notes=notes)
 
 
@@ -1017,15 +988,6 @@ def rescale_to_ricci_norm(
     scaling is c = (tr Ric_0^2 / tr Ric(mu(tau))^2)^(1/4).  This is
     reparametrize(traj, RICCI_NORM), which also raises on a flat start."""
     return reparametrize(traj, RICCI_NORM, samples=samples)
-
-
-def ricci_norm_rate(mu: BracketTensor) -> float:
-    """Pointwise rate keeping tr(Ric^2) constant along the normalized flow.
-
-    Derived from the evolution equation of Ric: the unnormalized part D0
-    gives d tr(Ric^2)/dt = 2 tr(Ric D0) + 4 r tr(Ric^2) = 0.
-    """
-    return TensorFlowSystem(mu, RICCI_NORM).rate()
 
 
 # ---------------------------------------------------------------------------
@@ -1115,8 +1077,8 @@ def equivalence_report(
     for side, gauge in gauges.items():
         h = gauge.h[:m]
         # In blocks of samples: the stacked action holds a few (block, d, d, d) arrays.
-        pushed = np.concatenate([gl_action_packed(mu0.c, _block_maps(mu0.q, h[i:i + _BLOCK]))
-                                 for i in range(0, m, _BLOCK)])
+        blocks = (_block_maps(np.eye(mu0.q), h[i:i + _BLOCK]) for i in range(0, m, _BLOCK))
+        pushed = np.concatenate([gl_action_packed(mu0.c, b) for b in blocks])
         # h^t h of a gauge near a blowup may overflow: an infinite deviation.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # The full tensor holds each packed (i < j) entry twice, its diagonal is 0.

@@ -429,6 +429,17 @@ def test_classify_reduced_without_realization():
     assert classify_limit(traj).verdict == "finite-time-blowup"
 
 
+def test_classify_soliton_limit_of_a_family_without_realization():
+    # The closed-form soliton residual: semisimple(3, 5) has no tensor to test.
+    fam = SemisimpleFamily(3, 5)
+    traj = integrate_reduced(fam, (0, 1), BRACKET_NORM, (0, 20), samples=50)
+    assert traj.termination == "converged-to-fixed-point"
+    res = classify_limit(traj)
+    assert res.verdict == "soliton-limit"
+    scale = 1.0 + float(np.linalg.norm(traj.system.ricci(traj.states[-1])))
+    assert res.residuals["soliton_rel"] == fam.soliton_residual_closed(traj.states[-1]) / scale
+
+
 def test_injectivity_family_values():
     cat = berger3(1, 1, 0)
     bound = injectivity_lower_bound(cat.point)

@@ -587,6 +587,50 @@ def test_bad_jobs_config_exits_3(tmp_path, capsys):
     assert err.startswith("malformed input: ") and "Traceback" not in err
 
 
+_BERGER_SWEEP = ["sweep", "--family", "berger3", "--params", "1,1,0", "--t-span", "0:1",
+                 "--grid"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--family", "berger3", "--params", "nan,1,0"],
+    ["ricci", "--family", "unimodular3", "--params", "1,inf,0"],
+    ["flow", "--family", "semisimple", "--params", "1,1,3.5,5"],  # h = 3.5
+    ["flow", "--family", "semisimple", "--params", "1,1,nan,5"],
+    [*_BERGER_SWEEP, "a=0:1:-1,b=0:1:2"],
+    [*_BERGER_SWEEP, "a=0:nan:2,b=0:1:2"],
+    [*_BERGER_SWEEP, "a=0:1:2,a=0:1:2"],  # one axis twice
+    [*_BERGER_SWEEP, "a=0:1:0,b=0:1:2"],  # no cells
+    ["flow", "--family", "berger3", "--params", "0.5,1,0", "--t-span", "0:40",
+     "--normalization", "volume", "--einstein-tol", "nan"],
+    ["equiv", *_U123, "--threshold", "nan"],
+    ["check", *_U123, "--audit-tol", "nan"],
+])
+def test_non_finite_and_ill_formed_numbers_exit_3_before_any_run(tmp_path, capsys, argv):
+    # Each number is checked where the command line is read: none of these
+    # runs, writes a file or reaches a traceback.
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("malformed input: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_config_keys_must_be_flags_of_the_command(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"normalisation": "volume"}))  # misspelled
+    assert run(["flow", "--family", "berger3", "--params", "1,1,0", "--t-span", "0:0.3",
+                "--config", cfg_path, "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("malformed input: ") and "normalisation" in err
+    assert not (tmp_path / "flow.json").exists()
+    # jobs is a flag of sweep alone.
+    cfg_path.write_text(json.dumps({"jobs": 1}))
+    assert run(["flow", *_U123, "--config", cfg_path, "--out", tmp_path]) == 3
+    assert "jobs" in capsys.readouterr().err
+    assert run([*_BERGER_SWEEP, "a=0:1:2,b=0:1:2", "--config", cfg_path, "--out", tmp_path]) == 0
+
+
 def test_sweep_refuses_ricci_norm(tmp_path, capsys):
     # The reduced flow has no pointwise ricci-norm rate, so no cell could run.
     assert run(["sweep", "--family", "berger3", "--params", "1,1,0", "--grid", "a=0:2:2,b=-1:2:2",

@@ -34,7 +34,7 @@ def test_unimodular3_examples():
 def test_berger3_examples():
     cat = berger3(0, 1, 0)
     assert np.abs(cat.closed.Ric - np.diag([0.0, 1.0, 1.0])).max() < 1e-15
-    assert np.allclose(berger3(1, 1, 0).reduced_rhs(), [0.5, 1.0, 0.0])
+    assert np.allclose(Berger3().rhs(berger3(1, 1, 0).params), [0.5, 1.0, 0.0])
     # Points on the parabola b = a^2 are round: Ric = a^2/2 I.
     a = 1.37
     cat = berger3(a, a * a, 0)
@@ -63,7 +63,7 @@ def test_semisimple_family_values():
     assert fam.alpha == pytest.approx(1 / 6)
     assert np.abs(cat.closed.Ric - 0.25 * np.eye(8)).max() < 1e-15
     assert cat.closed.R == pytest.approx(2.0)
-    assert np.allclose(cat.reduced_rhs(), [0.25, 0.25])
+    assert np.allclose(fam.rhs(cat.params), [0.25, 0.25])
     # Second Einstein locus at alpha = 1/6 is b = a / 11.
     assert fam.einstein_loci()[1] == pytest.approx(1 / 11)
     # Product case (1, 0).
@@ -149,12 +149,12 @@ def test_reduced_rhs_matches_tensor_rhs(rng):
         cat = berger3(a, b, c)
         tangent = bracket_rhs(cat.point)
         got = np.array([tangent.c[2, 3, 1], tangent.c[2, 3, 0], tangent.c[1, 2, 3]])
-        assert np.abs(got - cat.reduced_rhs()).max() < 1e-12
+        assert np.abs(got - cat.family.rhs(cat.params)).max() < 1e-12
 
         cat = unimodular3(a, b, c)
         tangent = bracket_rhs(cat.point)
         got = np.array([tangent.c[1, 2, 0], tangent.c[2, 0, 1], tangent.c[0, 1, 2]])
-        assert np.abs(got - cat.reduced_rhs()).max() < 1e-12
+        assert np.abs(got - cat.family.rhs(cat.params)).max() < 1e-12
 
 
 # Every coefficient of the closed forms and the tensor tables is dyadic, so on

@@ -56,13 +56,11 @@ from bracketflow.flow import (
     integrate_gauge,
     integrate_metric,
     integrate_reduced,
-    metric_ricci,
     metric_rhs,
     normalization_rate,
     normalized_rhs,
     reparametrize,
     rescale_to_ricci_norm,
-    ricci_norm_rate,
 )
 
 from conftest import random_valid_point, solvable_point
@@ -172,7 +170,8 @@ def test_blowup_time_matches_the_ricci_norm_rate(blowup_norm):
         berger3(1, 2, 0).point, UNNORMALIZED, (0.0, 5.0), samples=80,
         events=EventConfig(blowup_norm=blowup_norm),
     )
-    expected = traj.times[-1] - 1.0 / (2.0 * ricci_norm_rate(traj.final_bracket()))
+    r = TensorFlowSystem(traj.final_bracket(), RICCI_NORM).rate()
+    expected = traj.times[-1] - 1.0 / (2.0 * r)
     assert traj.stats.blowup_time_estimate == pytest.approx(expected, rel=1e-12)
 
 
@@ -723,7 +722,7 @@ def test_metric_ricci_form_matches_the_gauged_route(monkeypatch):
         form_ref, op_ref = _gauged_route(point.bracket, _sym_sqrt(p))
         r, p_inv = _metric_ricci_form(point.bracket)(p)
         assert np.abs(r - form_ref).max() <= 1e-12 * np.abs(form_ref).max()
-        op = metric_ricci(p, point.bracket)
+        op = p_inv @ r  # the Ricci operator
         assert np.abs(op - op_ref).max() <= 1e-12 * np.abs(op_ref).max()
         assert metric_rhs(MetricState(p), point).tobytes() == (-2.0 * r).tobytes()
 
@@ -1166,6 +1165,22 @@ def test_reparametrize_reaches_the_end_of_a_blown_up_source(cat, t_span, strateg
     assert rep.times[-1] < 50.0
 
 
+@pytest.mark.parametrize("strategy", [VOLUME, BRACKET_NORM])
+def test_a_rescaling_cut_by_the_horizon_says_so(strategy):
+    # On the flat E(2) bracket both rates vanish, so tau = t: the solve meets
+    # the horizon t = 100 with tau short of the source end 250.  It still ends
+    # 'reached-t-end', and its note says where tau stopped.
+    point = unimodular3(1, 1, 0).point
+    rep = reparametrize(integrate(point, UNNORMALIZED, (0.0, 250.0)), strategy)
+    assert rep.termination == "reached-t-end" and rep.times[-1] == 100.0
+    assert rep.tau[-1] == pytest.approx(100.0, rel=1e-9)
+    assert rep.notes == ("tau stopped at 100 < 250 at the horizon t = 100",)
+    # One that reaches the source end first has no note.
+    rep = reparametrize(integrate(point, UNNORMALIZED, (0.0, 50.0)), strategy)
+    assert rep.termination == "reached-t-end" and rep.notes == ()
+    assert rep.tau[-1] == pytest.approx(50.0, rel=1e-9)
+
+
 def test_rescale_to_ricci_norm_reaches_the_end_of_a_blown_up_source():
     # The source blows up near t = 0.316, where c = (tr Ric_0^2 /
     # tr Ric^2)^(1/4) dies.  Solved from the first bracket, the run reaches
@@ -1243,7 +1258,8 @@ def test_ricci_and_rates_are_homogeneous_of_degree_two(seed, c):
               lambda r: 0.0)  # ricci-norm: |r| alone
     rates = [lambda m, s=s: normalization_rate(m, s)
              for s in (VOLUME, SCALAR_CURVATURE, BRACKET_NORM)]
-    for rate, scale in zip(rates + [ricci_norm_rate], scales):
+    rates.append(lambda m: TensorFlowSystem(m, RICCI_NORM).rate())
+    for rate, scale in zip(rates, scales):
         try:
             r = rate(mu)
         except NormalizationError:  # undefined here, e.g. R = 0 or a flat bracket

@@ -37,7 +37,6 @@ from bracketflow.flow import (
     _rate_from_scalars,
     _report_rate,
     custom_rate,
-    ricci_norm_rate,
 )
 
 from conftest import compatible_block_q1, random_invertible
@@ -140,7 +139,9 @@ def test_tangent_matches_pi_action_under_every_pointwise_rate(shape, seed):
 
 def rate_from_every_scalar(tab, strategy, y, ric):
     """Reference rate at y: all five curvature scalars into _rate_from_scalars,
-    and ricci-norm and custom by their own formulas; ric is Ric's sym vector."""
+    and none, ricci-norm and custom by their own formulas; ric is Ric's sym vector."""
+    if strategy.kind == "none":
+        return 0.0
     if strategy.kind == "custom":
         return float(strategy.rate_fn(unpack_state(tab.q, tab.n, y)))
     tr2 = tab.trace_product(ric, ric)
@@ -149,8 +150,11 @@ def rate_from_every_scalar(tab, strategy, y, ric):
             raise NormalizationError("ricci-norm rate undefined at a flat bracket")
         unnormalized = tab.tangent(np.append(ric, [0.0, 0.0]), np.append(y, [1.0, 0.0]))
         return -tab.trace_product(ric, tab.ricci.polar(y, unnormalized)) / (2.0 * tr2)
-    return _rate_from_scalars(strategy, tab.n, tab.trace(ric), tr2,
-                              tab.trace_product(ric, tab.moment(y, y)), tab.mu_p_norm2(y))
+    r, undefined = _rate_from_scalars(strategy, tab.n, tab.trace(ric), tr2,
+                                      tab.trace_product(ric, tab.moment(y, y)), tab.mu_p_norm2(y))
+    if undefined:
+        raise undefined[0]
+    return float(r)
 
 
 def assert_tangent_is_the_rate_from_every_scalar(mu, y, c=1.5, tau=0.25):
@@ -220,6 +224,34 @@ def test_undefined_bound_rates_raise_as_from_every_scalar(mu):
     assert_tangent_is_the_rate_from_every_scalar(mu, pack_state(mu))
 
 
+def curvature_scalars(mu):
+    """(n, R, tr Ric^2, tr Ric M, |mu_p|^2) of one bracket, from its tables."""
+    tab, y = tables(mu.q, mu.n), pack_state(mu)
+    ric = tab.ricci(y, y)[:-2]
+    return (tab.n, tab.trace(ric), tab.trace_product(ric, ric),
+            tab.trace_product(ric, tab.moment(y, y)), tab.mu_p_norm2(y))
+
+
+@pytest.mark.parametrize("strategy, undefined", [
+    (VOLUME, []), (SCALAR_CURVATURE, [3, 5]), (BRACKET_NORM, [4, 5])],
+    ids=["volume", "scalar-curvature", "bracket-norm"])
+def test_rate_from_scalars_on_cells_is_the_one_bracket_rate(strategy, undefined):
+    # Cells 3-5 have a zero divisor: R = 0 on the flat E(2) bracket, mu_p = 0
+    # on berger3(0, 1, 0), both on the zero bracket.  Each cell's rate is
+    # bitwise its one-bracket rate, and exactly those cells are named.
+    rng = np.random.default_rng(7)
+    cells = [curvature_scalars(mu) for mu in (
+        *(unit_bracket(0, 3, rng) for _ in range(3)), unimodular3(1, 1, 0).point.bracket,
+        berger3(0, 1, 0).point.bracket, BracketTensor.zero(0, 3))]
+    n, *columns = zip(*cells)
+    r, errors = _rate_from_scalars(strategy, n[0], *map(np.array, columns))
+    assert sorted(errors) == undefined
+    for j, scalars in enumerate(cells):
+        r_one, errors_one = _rate_from_scalars(strategy, *scalars)
+        assert r_one.shape == () and r_one.tobytes() == r[j].tobytes()
+        assert [str(e) for e in errors_one.values()] == ([str(errors[j])] if j in errors else [])
+
+
 @SETTINGS
 @given(st.sampled_from(SHAPES), st.integers(0, 2**32 - 1))
 def test_ricci_norm_rate_is_the_evolution_law(shape, seed):
@@ -247,7 +279,7 @@ def test_ricci_norm_rate_is_the_evolution_law(shape, seed):
     if tr2 < 1e-6 * y2**2:
         return
     r_ref = -float(np.sum(rep.Ric * d0_ref)) / (2.0 * tr2)
-    assert abs(ricci_norm_rate(mu) - r_ref) <= TOL * y2**3 / tr2 * (1.0 + abs(r_ref) / y2)
+    assert abs(TensorFlowSystem(mu, RICCI_NORM).rate() - r_ref) <= TOL * y2**3 / tr2 * (1.0 + abs(r_ref) / y2)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
