@@ -10,13 +10,16 @@ operators on p travel as their i <= j entries in row-major order ("sym
 vectors"); Tables.full, which is core._sym_index, maps one back to an n x n matrix.
 The Ricci form's output ends in two slots (0.0) for the rate r and the scale c;
 with them, one call of the tangent table maps a flow state (y, c, tau) to its
-derivative: the r-normalized tangent, c' = r c and tau' = c^2.
+derivative: the r-normalized tangent, c' = r c and tau' = c^2.  A gauged flow
+state (y, c, tau, vec h) has its own table, Tables.gauged_tangent, built on first
+use: the tangent table and one more section for the bracket-side gauge,
+h' = -(Ric + r I) h, whose terms read Ric and r from the same Ricci output.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -146,6 +149,21 @@ class Tables:
         self.full = full
         for arr in (self.rate_w, self.mu_p_w, self.sym_w, self.diag, self.full):
             arr.setflags(write=False)
+
+    @cached_property
+    def gauged_tangent(self) -> _Form:
+        """(Ricci form output with (r, c) in its slots, (y, c, tau, vec h)) ->
+        (y', c', tau', vec h'): the tangent table's terms, then for each h[x, j]
+        the terms -Ric[x, k] h[k, j] in k order and -r h[x, j]."""
+        n, base, r_slot = self.n, self.tangent.size, self.ricci.size - 2
+        x, k, j = np.ix_(range(n), range(n), range(n))
+        out = base + x * n + j  # h[x, j], row-major as vec h
+        gauge = [
+            (self.tangent.out, self.tangent.a, self.tangent.b, self.tangent.coef),
+            (out, self.full[x, k], base + k * n + j, -1.0),
+            (out[:, 0], r_slot, out[:, 0], -1.0),  # r_slot sorts after every Ric entry
+        ]
+        return _Form(base + n * n, *_flat(gauge), symmetric=False)
 
     def ricci_matrix(self, y: np.ndarray) -> np.ndarray:
         return self.ricci(y, y)[self.full]

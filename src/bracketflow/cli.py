@@ -114,7 +114,12 @@ def _resolve_source(cfg: dict) -> Source:
     params = cfg.get("params")
     if params is None:
         raise MalformedInputError("--family requires --params")
-    params = [float(p) for p in params]
+    try:  # a config file may hold any JSON value here
+        if not isinstance(params, list):
+            raise TypeError
+        params = [float(p) for p in params]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInputError(f"params must be a list of numbers, got {params!r}") from exc
     if not np.isfinite(params).all():
         raise MalformedInputError(f"params must be finite, got {params}")
     context = {}
@@ -150,15 +155,19 @@ _CLASSIFY_FLAGS = ("flat_tol", "einstein_tol", "soliton_tol", "zero_tol")
 
 
 def _number(cfg: dict, key: str, kind=float, default=None):
-    """cfg[key], or default when unset, as a finite kind; any other value is malformed."""
+    """cfg[key], or default when unset, as a finite kind; any other value is
+    malformed, as is a fractional value for an int key, which int() would truncate."""
     value = cfg.get(key, default)
     try:
         number = kind(value)
-        if np.isfinite(number):
-            return number
+        finite = np.isfinite(number)
     except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise MalformedInputError(f"bad {key} value {value!r}") from exc
-    raise MalformedInputError(f"{key} must be finite, got {value!r}")
+    if not finite:
+        raise MalformedInputError(f"{key} must be finite, got {value!r}")
+    if kind is int and isinstance(value, float) and value != number:
+        raise MalformedInputError(f"{key} must be an integer, got {value!r}")
+    return number
 
 
 def _events(cfg: dict) -> EventConfig:

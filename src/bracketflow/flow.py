@@ -11,11 +11,12 @@ c' = r c, tau' = c^2, which ties a normalized run to its unnormalized parent.
 Blowup time and type come from the closing sample.  The metric flow
 dP/dt = -2 R reads the Ricci form R of <P., .> from P and P^-1
 (_metric_ricci_form, whose contractions of the initial bracket are made once
-per run): no square root of P, no gauged bracket and no _poly table, so the
-equivalence report compares two independent computations.  A gauge is
-integrated together with its flow, as a tail of the flow's state:
-h' = -(Ric + r I) h with the tangent's Ric on the bracket side,
-h' = -h P^-1 R on the metric side.
+per run into a map to the packed P'): no square root of P, no gauged bracket
+and no _poly table, so the equivalence report compares two independent
+computations.  A gauge is integrated together with its flow, as a tail of the
+flow's state: h' = -(Ric + r I) h on the bracket side, a section of the
+gauged tangent table, and h' = -h P^-1 R on the metric side, from the packed
+P' the metric map returns.
 
 The bracket and metric flows, with or without their gauges, run through one
 sampled solve, _rk.solve_rk54, and read its RKResult directly; each steps
@@ -38,6 +39,7 @@ immutable once produced, so independent integrations may run concurrently.
 
 from __future__ import annotations
 
+import copy
 import math
 from contextlib import suppress
 from dataclasses import dataclass, replace
@@ -290,10 +292,17 @@ class IntegrationStats:
     blowup_ricci_product: float | None = None
     trigger_value: float | None = None
 
+    def as_dict(self) -> dict:
+        """The counts, and trigger_value when the run ended on an event."""
+        d = {"steps": self.n_steps, "rejected_steps": self.n_rejected, "rhs_evals": self.nfev}
+        if self.trigger_value is not None:
+            d["trigger_value"] = self.trigger_value
+        return d
+
 
 class TensorFlowSystem:
     """Flow state = packed i < j structure entries of the full tensor (the core),
-    then the scaling pair (c, tau); a gauged run appends its gauge."""
+    then the scaling pair (c, tau); gauged() appends the bracket-side gauge vec h."""
 
     def __init__(self, mu0: BracketTensor, strategy: Normalization):
         self.q, self.n = mu0.q, mu0.n
@@ -305,6 +314,15 @@ class TensorFlowSystem:
         self.tables = tab = tables(self.q, self.n)
         self._custom = strategy.kind == "custom"
         self._rate = _bound_rate(strategy, tab, self.q, self.n)
+        self._table = tab.tangent
+
+    def gauged(self) -> TensorFlowSystem:
+        """This flow on states that end with the bracket-side gauge vec h, h(0) = I,
+        h' = -(Ric + r I) h: its tangent reads the tables' gauged_tangent."""
+        system = copy.copy(self)
+        system._table = self.tables.gauged_tangent
+        system.state0 = np.concatenate([self.state0, np.eye(self.n).ravel()])
+        return system
 
     def bracket(self, core: np.ndarray) -> BracketTensor:
         return unpack_state(self.q, self.n, core)
@@ -321,18 +339,19 @@ class TensorFlowSystem:
         return self._rate(self.state0, self.tables.ricci(self.state0, self.state0))
 
     def tangent(self, y: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-        """(core', c', tau') at the flow state y from one tangent-table call, the rate r
-        and the Ricci form's output read, Ric's sym vector then (r, c).  A non-finite
-        trial stage never raises: its NaN or inf reaches the derivative, which the
-        stepper rejects.  A custom rate_fn takes a bracket, which unpack_state does not
-        build from non-finite entries, so there that stage gets the NaN triple."""
+        """(core', c', tau'), and vec h' on a gauged system, at the flow state y from one
+        tangent-table call, the rate r and the Ricci form's output read, Ric's sym vector
+        then (r, c).  A non-finite trial stage never raises: its NaN or inf reaches the
+        derivative, which the stepper rejects.  A custom rate_fn takes a bracket, which
+        unpack_state does not build from non-finite entries, so there that stage gets
+        the NaN triple."""
         tab, m = self.tables, self.core0.size
         if self._custom and not np.isfinite(y[:m]).all():
-            return np.full(tab.tangent.size, np.nan), np.nan, np.full(tab.ricci.size, np.nan)
+            return np.full(self._table.size, np.nan), np.nan, np.full(tab.ricci.size, np.nan)
         ric = tab.ricci(y, y)
         r = ric[-2] = self._rate(y, ric)
         ric[-1] = y[m]
-        return tab.tangent(ric, y), r, ric
+        return self._table(ric, y), r, ric
 
     def aux_norm2(self, core: np.ndarray) -> float:
         return 2.0 * float(np.dot(core, core))
@@ -437,15 +456,11 @@ class FlowTrajectory:
             "t_start": float(self.times[0]),
             "t_final": float(self.times[-1]),
             "samples": int(self.n_samples),
-            "steps": self.stats.n_steps,
-            "rejected_steps": self.stats.n_rejected,
-            "rhs_evals": self.stats.nfev,
+            **self.stats.as_dict(),
         }
         if self.stats.blowup_time_estimate is not None:
             d["blowup_time_estimate"] = self.stats.blowup_time_estimate
             d["blowup_ricci_product"] = self.stats.blowup_ricci_product
-        if self.stats.trigger_value is not None:
-            d["trigger_value"] = self.stats.trigger_value
         if self.notes:
             d["notes"] = list(self.notes)
         return d
@@ -479,27 +494,22 @@ def _run_flow(
     """Solve the flow with its (c, tau) record on t_grid; events=None runs no
     event checks, and a callable in its place is the step callback (t, y,
     dy/dt, step) -> status or None, on the whole state.  With gauge=True the
-    state also carries the bracket-side gauge h, h' = -(Ric + r I) h with Ric
-    the sym vector the tangent read, and the result is the pair
-    (FlowTrajectory, GaugeRecord) of that one solve.  A stage whose rate is
-    undefined gets NaN, its NormalizationError goes to errors, and the run ends
-    in 'normalization-undefined' on its next accepted step or step underflow."""
-    m, n, full = system.core0.size, system.n, system.tables.full
-    y0 = system.state0
-    if gauge:
-        y0 = np.concatenate([y0, np.eye(n).ravel()])
+    solve steps system.gauged(), whose state also carries the bracket-side
+    gauge h, h' = -(Ric + r I) h, so each rhs call is still one tangent call,
+    and the result is the pair (FlowTrajectory, GaugeRecord) of that one solve.
+    A stage whose rate is undefined gets NaN, its NormalizationError goes to
+    errors, and the run ends in 'normalization-undefined' on its next accepted
+    step or step underflow."""
+    m = system.core0.size
+    stepped = system.gauged() if gauge else system
     errors = [] if errors is None else errors
 
     def rhs(t, y):
         try:
-            f, r, ric = system.tangent(y)
+            return stepped.tangent(y)[0]
         except NormalizationError as exc:
             errors.append(exc)
             return np.full(y.shape, np.nan)
-        if not gauge:
-            return f
-        h = y[m + 2:].reshape(n, n)
-        return np.concatenate([f, (-(ric[full] @ h) - r * h).ravel()])
 
     conv_count, trigger = 0, None  # trigger: the value that ends the run, set on its last step
     notes: list[str] = []
@@ -536,7 +546,7 @@ def _run_flow(
     def callback(t, y, f, step):  # after a rate error, the next accepted step ends the run
         return TERM_UNDEFINED if errors else step_events and step_events(t, y, f, step)
 
-    res = solve_rk54(rhs, y0, t_grid, rtol=rtol, atol=atol, sampling="dense",
+    res = solve_rk54(rhs, stepped.state0, t_grid, rtol=rtol, atol=atol, sampling="dense",
                      step_callback=callback)
     if errors:  # the samples inside a step whose extension met the error are NaN: dropped
         ok = np.isfinite(res.sample_y).all(axis=1)
@@ -544,7 +554,7 @@ def _run_flow(
                       sample_y=res.sample_y[ok], sample_f=res.sample_f[ok])
         notes, trigger = [str(errors[0])], None
     traj = _trajectory(system, res, notes, trigger)
-    return (traj, _gauge_record(res, "bracket", n)) if gauge else traj
+    return (traj, _gauge_record(res, "bracket", system.n)) if gauge else traj
 
 
 def _trajectory(system, res: RKResult, notes=(), trigger=None) -> FlowTrajectory:
@@ -689,29 +699,38 @@ class MetricState:
 
 
 def _metric_ricci_form(mu0: BracketTensor) -> Callable[[np.ndarray], tuple]:
-    """P -> (R, P^-1), R the Ricci form of the inner product <P., .> on p
-    (Besse, Einstein Manifolds, 7.38, in the basis X_i with Gram matrix P):
+    """y -> (P', P^-1) at the packed upper triangle y of P, with P' = -2 R packed
+    the same way and R the Ricci form of the inner product <P., .> on p (Besse,
+    Einstein Manifolds, 7.38, in the basis X_i with Gram matrix P):
     R = -1/2 sum P^-1_ab mu_xak P_kl mu_ybl + 1/4 P W P - B/2 - sym(V P), with
     mu the p-part of mu0, B its Killing form, t_i = tr ad(X_i),
     W_kl = sum P^-1_ac P^-1_bd mu_abk mu_cdl and V_xk = sum (P^-1 t)_a mu_axk.
-    The P-free contractions are made once, here; the Ricci operator is P^-1 R.
-    A P that is not positive definite raises LinAlgError (a ValueError) from
-    the Cholesky test; a non-finite P gives a NaN R.
+    The first and last terms are both bilinear in (P^-1, P): one (k, n^4) map,
+    made once here, takes outer(P^-1, P) to their part of P'; P W P keeps its own
+    contraction, and the factors -2 and 1/4 and the constant B are folded in.
+    The Ricci operator is P^-1 R.  A P that is not positive definite raises
+    LinAlgError (a ValueError) from the Cholesky test; a non-finite P gives a
+    NaN P'.
     """
     n, mu = mu0.n, mu0.mu_p
-    # Each term's weight (-1/2, 1/4, -1/2) sits on its P-free factor.
-    first = -0.5 * np.einsum("xak,ybl->xyabkl", mu, mu).reshape(n * n, -1)
-    second = 0.25 * np.einsum("abk,cdl->klacbd", mu, mu).reshape(n * n, -1)
-    half_b = 0.5 * _killing(mu0.c, mu0.q)
-    t, mu_flat = np.einsum("ijj->i", mu), -0.5 * mu.reshape(n, n * n)
+    iu, ju = _pairs(n, 0)
+    full, upper, eye = _sym_index(n), iu * n + ju, np.eye(n)
+    t = np.einsum("ijj->i", mu)
+    # -2 (-1/2 sum P^-1_ab mu_xak P_kl mu_ybl - sym(V P)_xy) on outer(P^-1, P)[a, b, k, l]
+    bilinear = (np.einsum("xak,ybl->xyabkl", mu, mu)
+                + np.einsum("b,axk,ly->xyabkl", t, mu, eye)
+                + np.einsum("b,ayk,lx->xyabkl", t, mu, eye))[iu, ju].reshape(iu.size, -1)
+    second = -0.5 * np.einsum("abk,cdl->klacbd", mu, mu).reshape(n * n, -1)  # -2 * 1/4 W
+    killing = _killing(mu0.c, mu0.q)[iu, ju]  # -2 * -B/2
 
-    def form(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def form(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p = y[full]
         np.linalg.cholesky(p)  # the positive-definiteness test
         p_inv = np.linalg.inv(p)
-        m = (first @ np.multiply.outer(p_inv, p).ravel()).reshape(n, n)
-        w = (second @ np.multiply.outer(p_inv, p_inv).ravel()).reshape(n, n)
-        vp = ((p_inv @ t) @ mu_flat).reshape(n, n) @ p
-        return m + p @ w @ p - half_b + (vp + vp.T), p_inv
+        # ndarray.dot: a small matmul through the @ ufunc costs about three times as much
+        w = second.dot(np.multiply.outer(p_inv, p_inv).ravel()).reshape(n, n)
+        return (bilinear.dot(np.multiply.outer(p_inv, p).ravel()) + p.dot(w).dot(p).take(upper)
+                + killing), p_inv
 
     return form
 
@@ -726,7 +745,7 @@ def metric_rhs(state: MetricState, point0: HomogeneousPoint) -> np.ndarray:
         if _core.compatibility_residual(mu0, p) > tol:
             raise CompatibilityError("inner product is not invariant under the isotropy operators")
         with suppress(np.linalg.LinAlgError):  # from the Cholesky test
-            return -2.0 * _metric_ricci_form(mu0)(p)[0]
+            return _unpack_sym(mu0.n, _metric_ricci_form(mu0)(_pack_sym(p))[0])
     raise ValueError("metric operator must be positive definite")
 
 
@@ -781,15 +800,17 @@ def _run_metric(
     gauge: bool = False,
 ):
     """Solve the metric flow dP/dt = -2 R on t_grid, R the Ricci form of
-    <P., .>.  With gauge=True the state also carries the metric-side gauge h,
-    h' = -h P^-1 R, both terms from one _metric_ricci_form call, and the
-    result is the pair (MetricTrajectory, GaugeRecord) of that one solve.
+    <P., .>, on the packed P: each rhs call is one call of the run's metric
+    map, whose packed output is P'.  With gauge=True the state also carries
+    the metric-side gauge h, h' = -h P^-1 R = h P^-1 P' / 2 from that same
+    output, and the result is the pair (MetricTrajectory, GaugeRecord) of that
+    one solve.
     The run ends in 'validity-drift' once P's isotropy residual passes
     drift_factor * rtol * |P|, the twin of the bracket side's Jacobi drift."""
     mu0 = point0.bracket
     n = mu0.n
     k = n * (n + 1) // 2  # the packed P ahead of the gauge
-    form = _metric_ricci_form(mu0)
+    form, full = _metric_ricci_form(mu0), _sym_index(n)
     drift_bound = EventConfig().drift_factor * rtol
     y0 = _pack_sym(np.eye(n))
     if gauge:
@@ -797,13 +818,13 @@ def _run_metric(
 
     def rhs(t, y):
         try:
-            r, p_inv = form(_unpack_sym(n, y[:k]))
+            dp, p_inv = form(y[:k])
         except ValueError:  # LinAlgError: a trial stage whose P is not positive definite
             return np.full(y.shape, np.nan)
         if not gauge:
-            return _pack_sym(-2.0 * r)
-        dh = -(y[k:].reshape(n, n) @ (p_inv @ r))
-        return np.concatenate([_pack_sym(-2.0 * r), dh.ravel()])
+            return dp
+        dh = y[k:].reshape(n, n).dot(p_inv.dot(dp[full])) * 0.5  # -h P^-1 R, R = -P'/2
+        return np.concatenate([dp, dh.ravel()])
 
     trigger = None  # the |P| or isotropy residual that ends the run, set on its last step
 
@@ -1022,10 +1043,7 @@ class EquivalenceReport:
             "iso_drift": self.iso_drift,
             "per_side": self.per_side,
             "partial": self.partial,
-            "stats": {
-                solve: {"steps": st.n_steps, "rejected_steps": st.n_rejected, "rhs_evals": st.nfev}
-                for solve, st in self.stats.items()
-            },
+            "stats": {solve: st.as_dict() for solve, st in self.stats.items()},
         }
 
 

@@ -419,6 +419,8 @@ def test_equiv_command(tmp_path, capsys):
     doc = read_json(tmp_path / "equiv.json")
     assert doc["passed"] is True
     assert doc["max_bracket_dev"] <= 1e-6
+    for side in doc["stats"].values():  # no event ended either side
+        assert set(side) == {"steps", "rejected_steps", "rhs_evals"}
     assert run(argv + ["--threshold", "1e-13"]) == 5
 
 
@@ -470,6 +472,11 @@ def test_equiv_threshold_reads_the_absolute_deviations(tmp_path, capsys):
     for side in doc["per_side"].values():
         assert set(side) == {"bracket_dev", "metric_dev", "bracket_rel_dev", "metric_rel_dev"}
         assert side["metric_rel_dev"] < 1e-6
+    # The bracket side ended on its blowup event and records the aux norm that
+    # ended it; the metric side ended in a step underflow, on no event.
+    blowup_norm = EventConfig().blowup_norm
+    assert blowup_norm < doc["stats"]["bracket"]["trigger_value"] < 1.1 * blowup_norm
+    assert set(doc["stats"]["metric"]) == {"steps", "rejected_steps", "rhs_evals"}
 
 
 def test_config_file_with_overrides(tmp_path, capsys):
@@ -585,6 +592,41 @@ def test_bad_jobs_config_exits_3(tmp_path, capsys):
                 "--config", cfg_path, "--out", tmp_path]) == 3
     err = capsys.readouterr().err
     assert err.startswith("malformed input: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("params", [["x", 1, 0], 5, {"a": 1}, [[1], 1, 0], [10**400, 1, 0]],
+                         ids=["string-entry", "number", "object", "nested", "overflow"])
+def test_bad_config_params_exit_3(tmp_path, capsys, params):
+    # Config-file params may hold any JSON value: each bad one is one
+    # malformed-input line, with no traceback and no file.
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"params": params}))
+    out = tmp_path / "out"
+    assert run(["flow", "--family", "berger3", "--t-span", "0:0.1", "--config", cfg_path,
+                "--out", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("malformed input: ") and captured.err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, config", [
+    (["flow", *_U123, "--t-span", "0:0.1"], {"samples": 20.9}),
+    (["flow", *_U123, "--t-span", "0:0.1"], {"conv_window": 2.5}),
+    (["sweep", "--family", "berger3", "--params", "1,1,0", "--t-span", "0:1", "--grid",
+      "a=0:1:2,b=0:1:2"], {"jobs": 1.5}),
+], ids=["samples", "conv_window", "jobs"])
+def test_fractional_int_config_exits_3(tmp_path, capsys, command, config):
+    # int() would truncate 20.9 to 20 samples: an int key takes integral values only.
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run(command + ["--config", cfg_path, "--out", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("malformed input: ") and "must be an integer" in captured.err
+    assert not out.exists() or not any(out.iterdir())
+    # The same key at an integral float runs.
+    cfg_path.write_text(json.dumps({key: float(round(v)) for key, v in config.items()}))
+    assert run(command + ["--config", cfg_path, "--out", out]) == 0
 
 
 _BERGER_SWEEP = ["sweep", "--family", "berger3", "--params", "1,1,0", "--t-span", "0:1",

@@ -647,7 +647,7 @@ def test_metric_flow_agrees_with_scipy(cat, span):
     form = _metric_ricci_form(point.bracket)
     mtraj = integrate_metric(point, span, rtol=rtol, atol=atol, samples=61)
     assert mtraj.termination == "reached-t-end"
-    ref = solve_ivp(lambda t, y: _pack_sym(-2.0 * form(_unpack_sym(n, y))[0]), span,
+    ref = solve_ivp(lambda t, y: form(y)[0], span,
                     _pack_sym(np.eye(n)), method="DOP853", t_eval=mtraj.times, rtol=1e-13,
                     atol=1e-16)
     assert ref.success
@@ -698,6 +698,12 @@ def _gauged_route(mu0, hs):
     return hs @ ric @ hs, np.linalg.inv(hs) @ ric @ hs
 
 
+def _ricci_form_of(mu0, p):
+    """(R, P^-1) from the metric map, whose packed output is P' = -2 R."""
+    dp, p_inv = _metric_ricci_form(mu0)(_pack_sym(p))
+    return -0.5 * _unpack_sym(mu0.n, dp), p_inv
+
+
 def _sym_sqrt(p):
     w, v = np.linalg.eigh(p)
     return (v * np.sqrt(w)) @ v.T
@@ -705,22 +711,29 @@ def _sym_sqrt(p):
 
 def test_metric_ricci_form_matches_the_gauged_route(monkeypatch):
     # The metric side reads P and P^-1, no square root and no gauged bracket;
-    # the route through both is the oracle, on the metrics of three runs and
-    # on random positive definite P at q = 0.
+    # the route through both is the oracle, on the metrics of three runs, of
+    # two runs from q = 0 points moved by a random rotation, and on random
+    # positive definite P at q = 0.
     import bracketflow.core as core_mod
     import bracketflow.flow as flow_mod
 
+    turn = np.random.default_rng(1)
+    rotated = [validate_point(act_gl(cat.point.bracket, np.eye(0),
+                                     np.linalg.qr(turn.normal(size=(3, 3)))[0]))
+               for cat in (unimodular3(1, 2, 3), unimodular3(1, -1, 0.5))]
     cases = []
-    for cat, span in ((unimodular3(1, 2, 3), (0.0, 0.3)), (berger3(0.5, 1, 0), (0.0, 1.0)),
-                      (semisimple_concrete_su2(0.9, 0.6), (0.0, 1.0))):
-        cases += [(cat.point, p) for p in integrate_metric(cat.point, span, samples=6).P]
+    for point, span in ((unimodular3(1, 2, 3).point, (0.0, 0.3)),
+                        (berger3(0.5, 1, 0).point, (0.0, 1.0)),
+                        (semisimple_concrete_su2(0.9, 0.6).point, (0.0, 1.0)),
+                        (rotated[0], (0.0, 0.3)), (rotated[1], (0.0, 0.5))):
+        cases += [(point, p) for p in integrate_metric(point, span, samples=6).P]
     rng = np.random.default_rng(0)
     for _ in range(20):
         a = rng.normal(size=(3, 3))
         cases.append((random_valid_point(rng, allow_q1=False), a @ a.T + 0.1 * np.eye(3)))
     for point, p in cases:
         form_ref, op_ref = _gauged_route(point.bracket, _sym_sqrt(p))
-        r, p_inv = _metric_ricci_form(point.bracket)(p)
+        r, p_inv = _ricci_form_of(point.bracket, p)
         assert np.abs(r - form_ref).max() <= 1e-12 * np.abs(form_ref).max()
         op = p_inv @ r  # the Ricci operator
         assert np.abs(op - op_ref).max() <= 1e-12 * np.abs(op_ref).max()
@@ -758,7 +771,7 @@ def test_metric_ricci_form_is_the_gauged_route_on_dyadic_metrics():
     # a tolerance.
     for mu0, k in _dyadic_metric_cases():
         form_ref, op_ref = _gauged_route(mu0, np.diag(2.0**k))
-        r, p_inv = _metric_ricci_form(mu0)(np.diag(4.0**k))
+        r, p_inv = _ricci_form_of(mu0, np.diag(4.0**k))
         assert np.array_equal(r, form_ref)
         assert np.array_equal(p_inv @ r, op_ref)
 
@@ -809,6 +822,34 @@ def test_gauge_right_hand_sides_are_exact_on_integer_states(monkeypatch):
         out = rhs(0.0, np.concatenate([_pack_sym(np.diag(4.0**k)), h.ravel()]))
         assert np.array_equal(out[:6], _pack_sym(-2.0 * form_ref))
         assert np.array_equal(out[6:], (-np.einsum("ij,jk->ik", h, op_ref)).ravel())
+
+
+def test_a_gauged_solve_is_one_tangent_call_per_rhs_call(monkeypatch):
+    # The bracket-side gauge is a section of the tangent table: a gauged rhs
+    # call is one TensorFlowSystem.tangent call and nothing besides.
+    calls, tangent = [], TensorFlowSystem.tangent
+    monkeypatch.setattr(TensorFlowSystem, "tangent",
+                        lambda self, y: calls.append(y.size) or tangent(self, y))
+    system = TensorFlowSystem(berger3(1, 1, 0).point.bracket, UNNORMALIZED)
+    traj, gauge = _run_flow(system, np.linspace(0.0, 0.3, 31), 1e-10, 1e-13, EventConfig(),
+                            gauge=True)
+    assert traj.termination == "reached-t-end"
+    assert len(calls) == gauge.stats.nfev == traj.stats.nfev
+    assert set(calls) == {system.core0.size + 2 + 9}
+
+
+@pytest.mark.parametrize("gauge", [False, True])
+def test_each_metric_rhs_call_is_one_cholesky_and_one_inv(monkeypatch, gauge):
+    calls = []
+    for name in ("cholesky", "inv", "eigh"):
+        f = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, _f=f, _n=name: calls.append(_n) or _f(a))
+    grid = np.linspace(0.0, 0.3, 31)
+    run = _run_metric(unimodular3(1, 2, 3).point, grid, 1e-10, 1e-13, gauge=gauge)
+    mtraj = run[0] if gauge else run
+    assert mtraj.termination == "reached-t-end"
+    assert calls.count("cholesky") == calls.count("inv") == mtraj.stats.nfev
+    assert len(calls) == 2 * mtraj.stats.nfev
 
 
 def test_equivalence_report_pairs_samples_by_time():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bracketflow._poly import tables
+from bracketflow._poly import Tables, tables
 from bracketflow.core import (
     BracketTensor,
     _pairs,
@@ -282,6 +282,29 @@ def test_ricci_norm_rate_is_the_evolution_law(shape, seed):
     assert abs(TensorFlowSystem(mu, RICCI_NORM).rate() - r_ref) <= TOL * y2**3 / tr2 * (1.0 + abs(r_ref) / y2)
 
 
+@SETTINGS
+@given(st.sampled_from(SHAPES), st.integers(0, 2**32 - 1))
+def test_gauged_tangent_is_the_matmul_gauge_under_every_rate(shape, seed):
+    # The gauge section of the tangent table against h' = -(Ric + r I) h by
+    # matmul, on the Ric and r of the ungauged call; the flow part of the
+    # gauged table is bitwise the ungauged table's.
+    rng = np.random.default_rng(seed)
+    mu = unit_bracket(*shape, rng)
+    h = rng.normal(size=(mu.n, mu.n))
+    state = np.append(pack_state(mu), [rng.uniform(0.25, 4.0), rng.uniform(0.0, 2.0)])
+    for strategy in (UNNORMALIZED, VOLUME, BRACKET_NORM, STRATEGIES[-1]):
+        system = TensorFlowSystem(mu, strategy)
+        try:
+            f, r, ric = system.tangent(state)
+        except NormalizationError:
+            continue
+        out = system.gauged().tangent(np.append(state, h.ravel()))[0]
+        ric = ric[system.tables.full]
+        scale = (np.abs(ric) @ np.abs(h) + abs(r) * np.abs(h)).max()  # the terms' size
+        assert out[: f.size].tobytes() == f.tobytes()
+        assert np.abs(out[f.size:] - (-(ric @ h) - r * h).ravel()).max() <= TOL * scale
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 def test_tables_are_the_einsum_formulas_on_integer_brackets(shape):
     # On integer entries every product and sum of both sides is exact (the
@@ -319,3 +342,8 @@ def test_tables_are_sparse_and_cached():
     # Ric on p is 3 x 3: six sym-vector entries and the slots (r, c); the state
     # is 6 pairs x 4 components, then (c, tau).
     assert tab.ricci.size == 6 + 2 and tab.tangent.size == 24 + 2
+    # The gauged table is built on first use, once, and appends vec h (3 x 3).
+    fresh = Tables(1, 3)
+    assert "gauged_tangent" not in vars(fresh)
+    assert fresh.gauged_tangent is fresh.gauged_tangent
+    assert fresh.gauged_tangent.size == 24 + 2 + 9
